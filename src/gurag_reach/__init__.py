@@ -54,10 +54,12 @@ from .transition import (
     validate_plan,
 )
 from .search import (
+    Analysis,
     BoundExceeded,
     Reachable,
     SearchBounds,
     Unreachable,
+    analyze,
     bfs_solve,
     enumerate_reachable,
 )

@@ -21,22 +21,14 @@ from typing import Optional
 
 import click
 
-from . import __version__, kernel
+from . import __version__
 from .dsl import Diagnostic, ParseResult, parse, serialize
-from .encoding import compile_instance
 from .fuzz import CLASSES, run_fuzz
 from .model import ProblemInstance, validate_instance
-from .planner import NOTE_GROUP_CYCLE, RestrictionViolation, solve_no_negation, solve_srd_no_delete
+from .planner import RestrictionViolation
 from .policy import check_restrictions
-from .search import BoundExceeded, Reachable, SearchBounds, Unreachable, bfs_solve
-from .transition import (
-    InvalidAt,
-    Plan,
-    QueryUnsatisfied,
-    ReachabilityQuery,
-    Valid,
-    validate_plan,
-)
+from .search import SearchBounds, analyze
+from .transition import InvalidAt, ReachabilityQuery, Valid, validate_plan
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -144,10 +136,52 @@ def _bounds(max_depth, max_states, max_ms) -> SearchBounds:
         sys.exit(EXIT_PARSE)
 
 
+def _bound_options(command):
+    """--max-depth, --max-states and --max-ms, defaulting to ``SearchBounds()``."""
+    default = SearchBounds()
+    for name, value in (("--max-ms", default.max_millis), ("--max-states", default.max_states),
+                        ("--max-depth", default.max_depth)):
+        command = click.option(name, default=value, show_default=True)(command)
+    return command
+
+
 _bfs_kernel = click.option(
     "--kernel", "kernel_name", default="auto",
     type=click.Choice(["auto", "python", "compiled"]),
     help="Search kernel for the exhaustive engine.")
+
+_EXIT_FOR = {"reachable": EXIT_OK, "unreachable": EXIT_NEGATIVE, "bound-exceeded": EXIT_BOUND}
+
+
+def _answer(file, query_index, engine, bounds, kernel_name, timing, with_kernel):
+    """Run ``analyze`` on one query of a file, print its report and exit."""
+    result = _load(file)
+    instance = _require_instance(result, file)
+    q = _pick_query(result, query_index, file)
+    bounds = _bounds(*bounds)
+    start = time.monotonic()
+    try:
+        answer = analyze(instance, q, engine, bounds, kernel_name)
+    except RestrictionViolation as exc:
+        click.echo(f"error: engine {engine!r} not applicable: {exc}", err=True)
+        sys.exit(EXIT_RESTRICTION)
+    except RuntimeError as exc:  # an unavailable kernel or a plan that fails replay
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(EXIT_INTERNAL)
+    doc = {
+        "engine": answer.engine,
+        "outcome": answer.outcome,
+        "plan": None if answer.plan is None else [r.render() for r in answer.plan],
+        "reason": answer.reason,
+        "notes": list(answer.notes),
+        "statesExplored": answer.states_explored,
+    }
+    if answer.bound is not None:
+        doc["bound"] = answer.bound
+    if with_kernel:
+        doc["kernel"] = answer.kernel
+    _report(doc, timing, (time.monotonic() - start) * 1000)
+    sys.exit(_EXIT_FOR[answer.outcome])
 
 
 @main.command()
@@ -157,70 +191,13 @@ _bfs_kernel = click.option(
 @click.option("--engine", default="auto", show_default=True,
               type=click.Choice(["auto", "nonneg", "srd", "bfs"]),
               help="auto picks the cheapest engine the rule set admits.")
-@click.option("--max-depth", default=32, show_default=True)
-@click.option("--max-states", default=1 << 20, show_default=True)
-@click.option("--max-ms", default=30_000, show_default=True)
+@_bound_options
 @_bfs_kernel
 @click.option("--timing", is_flag=True, help="Include elapsedMs in the report.")
 def solve(file, query_index, engine, max_depth, max_states, max_ms, kernel_name, timing):
     """Decide reachability and print a plan when one exists."""
-    result = _load(file)
-    instance = _require_instance(result, file)
-    q = _pick_query(result, query_index, file)
-    bounds = _bounds(max_depth, max_states, max_ms)
-
-    flags = check_restrictions(instance.rules)
-    if engine == "auto":
-        if flags.no_negation and flags.no_deletion:
-            engine = "nonneg"
-        elif flags.no_deletion and flags.single_rule_direct:
-            engine = "srd"
-        else:
-            engine = "bfs"
-    start = time.monotonic()
-    try:
-        code, doc = _run_engine(instance, q, engine, bounds, kernel_name)
-    except RestrictionViolation as exc:
-        click.echo(f"error: engine {engine!r} not applicable: {exc}", err=True)
-        sys.exit(EXIT_RESTRICTION)
-    _report(doc, timing, (time.monotonic() - start) * 1000)
-    sys.exit(code)
-
-
-def _run_engine(instance, q, engine, bounds, kernel_name):
-    if engine in ("nonneg", "srd"):
-        solver = solve_no_negation if engine == "nonneg" else solve_srd_no_delete
-        res = solver(instance, q)
-        if not res.reachable and engine == "srd" and NOTE_GROUP_CYCLE in res.notes:
-            # the two-phase planner is incomplete across discarded group
-            # cycles; settle the answer exhaustively
-            code, doc = _run_engine(instance, q, "bfs", bounds, kernel_name)
-            doc["notes"] = sorted(set(doc.get("notes", [])) | {NOTE_GROUP_CYCLE})
-            doc["engine"] = f"{engine}+bfs"
-            return code, doc
-        doc = {
-            "engine": engine,
-            "outcome": "reachable" if res.reachable else "unreachable",
-            "plan": [r.render() for r in res.plan] if res.reachable else None,
-            "reason": res.reason,
-            "notes": list(res.notes),
-            "statesExplored": None,
-        }
-        return (EXIT_OK if res.reachable else EXIT_NEGATIVE), doc
-
-    out = bfs_solve(instance, q, bounds, engine=kernel_name)
-    doc = {"engine": "bfs", "notes": [], "reason": None}
-    if isinstance(out, Reachable):
-        doc.update(outcome="reachable", plan=[r.render() for r in out.plan],
-                   statesExplored=out.states_explored)
-        return EXIT_OK, doc
-    if isinstance(out, Unreachable):
-        doc.update(outcome="unreachable", plan=None,
-                   statesExplored=out.states_explored)
-        return EXIT_NEGATIVE, doc
-    doc.update(outcome="bound-exceeded", plan=None, bound=out.bound,
-               statesExplored=out.states_explored)
-    return EXIT_BOUND, doc
+    _answer(file, query_index, engine, (max_depth, max_states, max_ms), kernel_name, timing,
+            with_kernel=False)
 
 
 @main.command()
@@ -257,22 +234,13 @@ def validate(file, query_index, plan_index, timing):
 @main.command()
 @click.argument("file", type=click.Path())
 @click.option("--query", "query_index", default=0, show_default=True)
-@click.option("--max-depth", default=32, show_default=True)
-@click.option("--max-states", default=1 << 20, show_default=True)
-@click.option("--max-ms", default=30_000, show_default=True)
+@_bound_options
 @_bfs_kernel
 @click.option("--timing", is_flag=True)
 def oracle(file, query_index, max_depth, max_states, max_ms, kernel_name, timing):
     """Exhaustive bounded search, ignoring any restriction structure."""
-    result = _load(file)
-    instance = _require_instance(result, file)
-    q = _pick_query(result, query_index, file)
-    bounds = _bounds(max_depth, max_states, max_ms)
-    start = time.monotonic()
-    code, doc = _run_engine(instance, q, "bfs", bounds, kernel_name)
-    doc["kernel"] = kernel.select(compile_instance(instance), kernel_name).KERNEL_NAME
-    _report(doc, timing, (time.monotonic() - start) * 1000)
-    sys.exit(code)
+    _answer(file, query_index, "bfs", (max_depth, max_states, max_ms), kernel_name, timing,
+            with_kernel=True)
 
 
 @main.command()
@@ -308,9 +276,7 @@ def fmt(file, check, in_place):
               type=click.Choice(list(CLASSES)))
 @click.option("--count", default=100, show_default=True)
 @click.option("--seed", default=0, show_default=True)
-@click.option("--max-depth", default=32, show_default=True)
-@click.option("--max-states", default=1 << 20, show_default=True)
-@click.option("--max-ms", default=30_000, show_default=True)
+@_bound_options
 def fuzz(cls, count, seed, max_depth, max_states, max_ms):
     """Generate seeded cases and compare the planners against the oracle."""
     bounds = _bounds(max_depth, max_states, max_ms)

@@ -21,7 +21,6 @@ from .policy import (
     EffVal,
     Not,
     Precondition,
-    Relation,
     TrueCond,
 )
 from .transition import ReachabilityQuery, Request
@@ -181,37 +180,18 @@ def compile_instance(instance: ProblemInstance) -> CompiledInstance:
 
     candidates: list[Candidate] = []
     for rule in instance.rules:
-        program = _compile_pre(rule.pre, slot, gidx)
-        rel = rule.relation
-        if rel in (Relation.ADD_U, Relation.DELETE_U):
-            candidates.append(Candidate(
-                bit=slot[rule.target_attr, rule.target_val],
-                add=(rel == Relation.ADD_U),
-                subject=-1,
-                program=program,
-                rule_id=rule.rule_id,
-                request=Request(rel, rule.role, att=rule.target_attr, val=rule.target_val),
-            ))
-        elif rel in (Relation.ADD_UG, Relation.DELETE_UG):
-            for g in groups:
-                candidates.append(Candidate(
-                    bit=seg_offsets[gidx[g]] + slot[rule.target_attr, rule.target_val],
-                    add=(rel == Relation.ADD_UG),
-                    subject=gidx[g],
-                    program=program,
-                    rule_id=rule.rule_id,
-                    request=Request(rel, rule.role, att=rule.target_attr,
-                                    val=rule.target_val, group=g),
-                ))
+        rel, att, val = rule.relation, rule.target_attr, rule.target_val
+        if rel.is_membership:
+            targets = [(mem_offset + gidx[rule.target_group], -1,
+                        Request(rel, rule.role, group=rule.target_group))]
+        elif rel.is_group_subject:
+            targets = [(seg_offsets[gidx[g]] + slot[att, val], gidx[g],
+                        Request(rel, rule.role, att=att, val=val, group=g)) for g in groups]
         else:
-            candidates.append(Candidate(
-                bit=mem_offset + gidx[rule.target_group],
-                add=(rel == Relation.ASSIGN),
-                subject=-1,
-                program=program,
-                rule_id=rule.rule_id,
-                request=Request(rel, rule.role, group=rule.target_group),
-            ))
+            targets = [(slot[att, val], -1, Request(rel, rule.role, att=att, val=val))]
+        program = _compile_pre(rule.pre, slot, gidx)
+        candidates += [Candidate(bit, not rel.is_delete, subject, program, rule.rule_id, req)
+                       for bit, subject, req in targets]
     candidates.sort(key=lambda c: (c.request.sort_key, c.rule_id))
 
     return CompiledInstance(

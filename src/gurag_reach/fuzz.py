@@ -24,7 +24,6 @@ from typing import Optional
 from .model import DirectState, GroupHierarchy, ProblemInstance
 from .planner import (
     NOTE_GROUP_CYCLE,
-    PlanResult,
     solve_no_negation,
     solve_srd_no_delete,
 )
@@ -256,10 +255,6 @@ class FuzzStats:
                 f"skipped={self.skipped} diverge={self.diverge}")
 
 
-def _planner_for(cls: str):
-    return solve_no_negation if cls == "nonneg" else solve_srd_no_delete
-
-
 def check_case(cls: str, seed: int, bounds: SearchBounds = SearchBounds()) -> CaseResult:
     instance, q = generate(cls, seed)
     oracle = bfs_solve(instance, q, bounds)
@@ -274,7 +269,7 @@ def check_case(cls: str, seed: int, bounds: SearchBounds = SearchBounds()) -> Ca
     if isinstance(oracle, BoundExceeded):
         return CaseResult(cls, seed, "skipped", f"oracle hit {oracle.bound} bound")
 
-    result: PlanResult = _planner_for(cls)(instance, q)
+    result = (solve_no_negation if cls == "nonneg" else solve_srd_no_delete)(instance, q)
     if result.reachable:
         verdict = validate_plan(instance, result.plan, q)
         if not isinstance(verdict, Valid):

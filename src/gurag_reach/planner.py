@@ -255,7 +255,7 @@ def group_phase(instance: ProblemInstance, q: ReachabilityQuery) -> PlanResult:
     state0 = instance.initial_state
     notes: list[str] = []
 
-    assign_rules = {r.target_group: r for r in instance.rules.by_relation(Relation.ASSIGN)}
+    assign_rules = {r.target_group: r for r in instance.rules if r.relation == Relation.ASSIGN}
 
     def admissible(g: str) -> bool:
         if not q.strict:
@@ -273,31 +273,34 @@ def group_phase(instance: ProblemInstance, q: ReachabilityQuery) -> PlanResult:
     def shape(g):
         return direct_conjunct_shape(assign_rules[g].pre) or []
 
-    # drop groups whose single rule can never be satisfied: a negated group
-    # already held (never removable), a positive dependence on a group that is
-    # neither held nor assignable, or a value conjunct false in the start state
-    changed = True
-    while changed:
-        changed = False
-        for g in sorted(vertices):
-            ok = True
-            for positive, lit in shape(g):
-                if isinstance(lit, DirectGroup):
-                    if positive:
-                        if lit.group != g and lit.group not in state0.user_groups \
-                                and lit.group not in vertices:
+    def prune():
+        # drop groups whose single rule can never be satisfied: a negated group
+        # already held (never removable), a positive dependence on a group that
+        # is neither held nor assignable, or a value conjunct false in the
+        # start state
+        changed = True
+        while changed:
+            changed = False
+            for g in sorted(vertices):
+                ok = True
+                for positive, lit in shape(g):
+                    if isinstance(lit, DirectGroup):
+                        if positive:
+                            if lit.group != g and lit.group not in state0.user_groups \
+                                    and lit.group not in vertices:
+                                ok = False
+                        else:
+                            if lit.group in state0.user_groups:
+                                ok = False
+                    else:  # DirectVal, checked against the user's starting values
+                        holds = lit.val in state0.user_values(lit.att)
+                        if holds != positive:
                             ok = False
-                    else:
-                        if lit.group in state0.user_groups:
-                            ok = False
-                else:  # DirectVal, checked against the user's starting values
-                    holds = lit.val in state0.user_values(lit.att)
-                    if holds != positive:
-                        ok = False
-            if not ok:
-                vertices.discard(g)
-                changed = True
+                if not ok:
+                    vertices.discard(g)
+                    changed = True
 
+    prune()
     edges: set[tuple[str, str]] = set()
     for g in vertices:
         for positive, lit in shape(g):
@@ -312,20 +315,8 @@ def group_phase(instance: ProblemInstance, q: ReachabilityQuery) -> PlanResult:
     if discard:
         notes.append(NOTE_GROUP_CYCLE)
         vertices -= discard
+        prune()  # discarding may strand positive dependencies
         edges = {(a, b) for a, b in edges if a in vertices and b in vertices}
-        # discarding may strand positive dependencies; prune again
-        changed = True
-        while changed:
-            changed = False
-            for g in sorted(vertices):
-                for positive, lit in shape(g):
-                    if positive and isinstance(lit, DirectGroup) and lit.group != g \
-                            and lit.group not in state0.user_groups \
-                            and lit.group not in vertices:
-                        vertices.discard(g)
-                        edges = {(a, b) for a, b in edges if a in vertices and b in vertices}
-                        changed = True
-                        break
 
     order = _topo_order(vertices, edges, key=lambda g: g)
     assert order is not None  # cycles were just removed
@@ -415,6 +406,7 @@ def attr_phase(
 
     # vertices[scope] -> {(att, val)}; rule per vertex comes from pair_rule
     vertices: dict[str, set[tuple[str, str]]] = {}
+    cycles: list[tuple[str, str]] = []  # requirements met again on their own trail
 
     def close(scope: str, att: str, val: str, trail: set):
         """Record the vertex and, transitively, every positive prerequisite."""
@@ -422,6 +414,7 @@ def attr_phase(
         if pair in vertices.get(scope, set()):
             return
         if pair in trail:
+            cycles.append(pair)
             return  # cyclic requirement; surfaces in the graph cycle check
         rule = pair_rule.get(pair)
         if rule is None:
@@ -463,23 +456,30 @@ def attr_phase(
                 return PlanResult.failed(f.reason)
         else:
             # coverable through whichever effective group admits the full
-            # closure; the smallest such group is chosen deterministically
+            # closure; the smallest such group is chosen deterministically.  A
+            # closure with a cyclic requirement fails the cycle check later,
+            # so it is kept only when no group closes without one.
             if not eff_groups:
                 return PlanResult.failed(MISSING_RULE)
             first_failure = None
-            chosen = False
+            cyclic_choice = None
             for g in eff_groups:
                 snapshot = {s: set(ps) for s, ps in vertices.items()}
+                cycles.clear()
                 try:
                     close(g, att, val, set())
-                    chosen = True
-                    break
+                    if not cycles:
+                        break
+                    if cyclic_choice is None:
+                        cyclic_choice = vertices
                 except _PhaseFailure as f:
                     if first_failure is None:
                         first_failure = f.reason
-                    vertices = {s: set(ps) for s, ps in snapshot.items()}
-            if not chosen:
-                return PlanResult.failed(first_failure)
+                vertices = snapshot
+            else:
+                if cyclic_choice is None:
+                    return PlanResult.failed(first_failure)
+                vertices = cyclic_choice
 
     # precedence graph over all needed vertices
     all_vertices: set[tuple[str, str, str]] = {

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Optional
 
 from .model import DirectState, GroupHierarchy, effective_group_attr, effective_groups, effective_user_attr
@@ -229,8 +230,54 @@ class RuleSet:
     def __len__(self):
         return len(self.rules)
 
-    def by_relation(self, relation: Relation) -> list[Rule]:
-        return [r for r in self.rules if r.relation == relation]
+    @cached_property
+    def _index(self) -> dict[tuple, tuple[Rule, ...]]:
+        index: dict[tuple, list[Rule]] = {}
+        for r in self.rules:
+            key = (r.relation, r.role, r.target_attr, r.target_val, r.target_group)
+            index.setdefault(key, []).append(r)
+        return {key: tuple(rules) for key, rules in index.items()}
+
+    def matching(self, req) -> tuple[Rule, ...]:
+        """Rules of the request's relation, role and target, in rule-id order."""
+        # canAddUG/canDeleteUG rules apply to every group, so a request's
+        # group is not part of their key
+        group = req.group if req.kind.is_membership else None
+        return self._index.get((req.kind, req.role, req.att, req.val, group), ())
+
+    @cached_property
+    def restrictions(self) -> "RestrictionFlags":
+        """The restriction flags and level, derived once per rule set."""
+        no_negation = not any(
+            isinstance(node, Not) for rule in self.rules for node in rule.pre.walk()
+        )
+        no_deletion = not any(rule.relation.is_delete for rule in self.rules)
+
+        # Single rule with direct conjuncts: every precondition is a conjunction
+        # of possibly-negated direct literals (negated direct literals are fine;
+        # only effective literals break the shape), and each value assignment or
+        # group has at most one add/assign rule.
+        single = True
+        seen_pairs: set[tuple[str, str]] = set()
+        seen_assign: set[str] = set()
+        for rule in self.rules:
+            if direct_conjunct_shape(rule.pre) is None:
+                single = False
+                break
+            if rule.relation in (Relation.ADD_U, Relation.ADD_UG):
+                # one rule per (att, val) across both add relations: a value
+                # pair is addable through the user or through groups, never both
+                key = (rule.target_attr, rule.target_val)
+                if key in seen_pairs:
+                    single = False
+                    break
+                seen_pairs.add(key)
+            elif rule.relation == Relation.ASSIGN:
+                if rule.target_group in seen_assign:
+                    single = False
+                    break
+                seen_assign.add(rule.target_group)
+        return RestrictionFlags(no_negation, no_deletion, single, classify_level(self))
 
 
 def eval_precondition(
@@ -273,33 +320,4 @@ def classify_level(rules: RuleSet) -> Level:
 
 
 def check_restrictions(rules: RuleSet) -> RestrictionFlags:
-    no_negation = not any(
-        isinstance(node, Not) for rule in rules for node in rule.pre.walk()
-    )
-    no_deletion = not any(rule.relation.is_delete for rule in rules)
-
-    # Single rule with direct conjuncts: every precondition is a conjunction of
-    # possibly-negated direct literals (negated direct literals are fine; only
-    # effective literals break the shape), and each value assignment or group
-    # has at most one add/assign rule.
-    single = True
-    seen_pairs: set[tuple[str, str]] = set()
-    seen_assign: set[str] = set()
-    for rule in rules:
-        if direct_conjunct_shape(rule.pre) is None:
-            single = False
-            break
-        if rule.relation in (Relation.ADD_U, Relation.ADD_UG):
-            # one rule per (att, val) across both add relations: a value pair
-            # is addable through the user or through groups, never both
-            key = (rule.target_attr, rule.target_val)
-            if key in seen_pairs:
-                single = False
-                break
-            seen_pairs.add(key)
-        elif rule.relation == Relation.ASSIGN:
-            if rule.target_group in seen_assign:
-                single = False
-                break
-            seen_assign.add(rule.target_group)
-    return RestrictionFlags(no_negation, no_deletion, single, classify_level(rules))
+    return rules.restrictions

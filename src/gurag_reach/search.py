@@ -9,13 +9,14 @@ identical outcomes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
 from . import _kernel_py, kernel
 from .encoding import compile_instance
-from .model import DirectState, ProblemInstance, canonical_key
-from .transition import Plan, ReachabilityQuery
+from .model import ProblemInstance, canonical_key
+from .planner import NOTE_GROUP_CYCLE, solve_no_negation, solve_srd_no_delete
+from .transition import InvalidAt, Plan, ReachabilityQuery, Valid, validate_plan
 
 
 @dataclass(frozen=True)
@@ -27,23 +28,31 @@ class SearchBounds:
     def __post_init__(self):
         if self.max_depth <= 0 or self.max_states <= 0 or self.max_millis <= 0:
             raise ValueError("search bounds must be positive")
+        # the compiled kernel takes the depth as a C int and stores state
+        # indices in uint32 slots
+        if self.max_depth > 2**31 - 1 or self.max_states > 2**32 - 1:
+            raise ValueError("max depth must be below 2**31 and max states below 2**32")
 
 
+# ``kernel`` names the kernel that ran; outcomes of different kernels compare equal
 @dataclass(frozen=True)
 class Reachable:
     plan: Plan
     states_explored: int
+    kernel: str = field(default="", compare=False)
 
 
 @dataclass(frozen=True)
 class Unreachable:
     states_explored: int
+    kernel: str = field(default="", compare=False)
 
 
 @dataclass(frozen=True)
 class BoundExceeded:
     bound: str  # "depth" | "states" | "millis"
     states_explored: int
+    kernel: str = field(default="", compare=False)
 
 
 SearchOutcome = Union[Reachable, Unreachable, BoundExceeded]
@@ -53,11 +62,6 @@ _BOUND_NAMES = {
     _kernel_py.STATES_EXCEEDED: "states",
     _kernel_py.MILLIS_EXCEEDED: "millis",
 }
-
-
-def canonical_encode(state: DirectState) -> bytes:
-    """Injective canonical key for a state; construction order never matters."""
-    return canonical_key(state).encode("utf-8")
 
 
 def bfs_solve(
@@ -79,10 +83,72 @@ def bfs_solve(
         ci, start, goal, q.strict, bounds.max_depth, bounds.max_states, bounds.max_millis
     )
     if code == _kernel_py.REACHABLE:
-        return Reachable(Plan(tuple(ci.candidates[i].request for i in plan_idx)), explored)
+        plan = Plan(tuple(ci.candidates[i].request for i in plan_idx))
+        return Reachable(plan, explored, impl.KERNEL_NAME)
     if code == _kernel_py.UNREACHABLE:
-        return Unreachable(explored)
-    return BoundExceeded(_BOUND_NAMES[code], explored)
+        return Unreachable(explored, impl.KERNEL_NAME)
+    return BoundExceeded(_BOUND_NAMES[code], explored, impl.KERNEL_NAME)
+
+
+@dataclass(frozen=True)
+class Analysis:
+    """One answer of ``analyze``; the fields are the keys of a CLI report."""
+    engine: str   # "nonneg" | "srd" | "bfs" | "srd+bfs"
+    outcome: str  # "reachable" | "unreachable" | "bound-exceeded"
+    plan: Optional[Plan] = None
+    reason: Optional[str] = None
+    notes: tuple[str, ...] = ()
+    states_explored: Optional[int] = None
+    bound: Optional[str] = None
+    kernel: Optional[str] = None  # the bfs kernel that ran, if any
+
+
+def analyze(
+    instance: ProblemInstance,
+    q: ReachabilityQuery,
+    engine: str = "auto",
+    bounds: SearchBounds = SearchBounds(),
+    kernel: str = "auto",
+) -> Analysis:
+    """Decide reachability with one engine; every returned plan has replayed Valid.
+
+    "auto" picks the cheapest engine the rule set admits.  A forced planner
+    whose restrictions do not hold raises ``RestrictionViolation``.
+    """
+    if engine == "auto":
+        flags = instance.rules.restrictions
+        if flags.no_negation and flags.no_deletion:
+            engine = "nonneg"
+        elif flags.no_deletion and flags.single_rule_direct:
+            engine = "srd"
+        else:
+            engine = "bfs"
+    if engine == "bfs":
+        out = bfs_solve(instance, q, bounds, kernel)
+        if isinstance(out, Reachable):
+            result = Analysis("bfs", "reachable", out.plan)
+        elif isinstance(out, Unreachable):
+            result = Analysis("bfs", "unreachable")
+        else:
+            result = Analysis("bfs", "bound-exceeded", bound=out.bound)
+        result = replace(result, states_explored=out.states_explored, kernel=out.kernel)
+    else:
+        res = (solve_no_negation if engine == "nonneg" else solve_srd_no_delete)(instance, q)
+        if not res.reachable and engine == "srd" and NOTE_GROUP_CYCLE in res.notes:
+            # the two-phase planner is incomplete across discarded group
+            # cycles; settle the answer exhaustively
+            settled = analyze(instance, q, "bfs", bounds, kernel)
+            return replace(settled, engine="srd+bfs", notes=(NOTE_GROUP_CYCLE,))
+        result = Analysis(engine, "reachable" if res.reachable else "unreachable",
+                          res.plan, res.reason, res.notes)
+    if result.plan is not None:
+        verdict = validate_plan(instance, result.plan, q)
+        if isinstance(verdict, InvalidAt):
+            raise RuntimeError(f"{engine} plan fails replay at request {verdict.index}: "
+                               f"{verdict.reason}")
+        if not isinstance(verdict, Valid):
+            raise RuntimeError(f"{engine} plan replays but leaves the query unsatisfied")
+    return result
 
 
 def enumerate_reachable(
@@ -97,4 +163,4 @@ def enumerate_reachable(
     )
     if pairs is None:
         raise RuntimeError(f"enumeration exceeded the {_BOUND_NAMES[code]} bound")
-    return {canonical_encode(ci.decode_state(s)): d for s, d in pairs}
+    return {canonical_key(ci.decode_state(s)).encode("utf-8"): d for s, d in pairs}

@@ -102,20 +102,9 @@ def authorized_rules(
     state: DirectState, hierarchy: GroupHierarchy, rules: RuleSet, req: Request
 ) -> list[int]:
     """Ids of rules authorizing the request, in rule-id order (empty = denied)."""
-    out = []
-    for rule in rules:
-        if rule.relation != req.kind or rule.role != req.role:
-            continue
-        if rule.relation.is_membership:
-            if rule.target_group != req.group:
-                continue
-        else:
-            if rule.target_attr != req.att or rule.target_val != req.val:
-                continue
-        subject = req.group if rule.relation.is_group_subject else None
-        if eval_precondition(rule.pre, state, hierarchy, subject):
-            out.append(rule.rule_id)
-    return out
+    subject = req.group if req.kind.is_group_subject else None
+    return [r.rule_id for r in rules.matching(req)
+            if eval_precondition(r.pre, state, hierarchy, subject)]
 
 
 def apply_request(state: DirectState, req: Request) -> DirectState:
@@ -148,19 +137,11 @@ def step(
     state: DirectState, hierarchy: GroupHierarchy, rules: RuleSet, req: Request
 ) -> DirectState:
     """One transition; raises NotAuthorized when no rule admits the request."""
-    matching = [
-        r for r in rules
-        if r.relation == req.kind and r.role == req.role
-        and (r.target_group == req.group if r.relation.is_membership
-             else (r.target_attr == req.att and r.target_val == req.val))
-    ]
-    if not matching:
+    if not rules.matching(req):
         raise NotAuthorized(req, "no matching rule")
-    for rule in matching:
-        subject = req.group if rule.relation.is_group_subject else None
-        if eval_precondition(rule.pre, state, hierarchy, subject):
-            return apply_request(state, req)
-    raise NotAuthorized(req, "precondition failed")
+    if not authorized_rules(state, hierarchy, rules, req):
+        raise NotAuthorized(req, "precondition failed")
+    return apply_request(state, req)
 
 
 def eval_query(state: DirectState, hierarchy: GroupHierarchy, q: ReachabilityQuery) -> bool:

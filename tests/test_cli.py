@@ -3,7 +3,9 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from gurag_reach import kernel, search
 from gurag_reach.cli import main
+from gurag_reach.transition import Plan
 
 from conftest import GOLDEN, MALFORMED
 
@@ -82,6 +84,25 @@ class TestSolve:
         assert doc["outcome"] == "reachable"
         assert "group-cycle-discarded" in doc["notes"]
 
+    def test_bounds_beyond_the_compiled_kernel_rejected(self, runner):
+        res = invoke(runner, "solve", str(GOLDEN / "chain.gurag"), "--engine", "bfs",
+                     "--max-states", "99999999999")
+        assert res.exit_code == 3
+        assert res.stdout == ""
+
+    def test_plan_failing_replay_is_not_printed(self, runner, monkeypatch):
+        solve = search.solve_no_negation
+
+        def dropping_first_request(instance, q):
+            res = solve(instance, q)
+            return type(res).found(Plan(res.plan.requests[1:]), res.notes)
+
+        monkeypatch.setattr(search, "solve_no_negation", dropping_first_request)
+        res = invoke(runner, "solve", str(GOLDEN / "chain.gurag"))
+        assert res.exit_code == 5
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: nonneg plan fails replay at request 0")
+
     def test_timing_opt_in(self, runner):
         res = invoke(runner, "solve", str(GOLDEN / "chain.gurag"), "--timing")
         assert "elapsedMs" in report(res)
@@ -106,6 +127,14 @@ class TestOracle:
         res = invoke(runner, "oracle", str(GOLDEN / "chain.gurag"),
                      "--kernel", "python")
         assert report(res)["kernel"] == "python"
+
+    def test_unavailable_kernel_is_an_internal_failure(self, runner, monkeypatch):
+        monkeypatch.setattr(kernel, "_compiled", None)
+        monkeypatch.setattr(kernel, "HAVE_COMPILED", False)
+        res = invoke(runner, "oracle", str(GOLDEN / "chain.gurag"), "--kernel", "compiled")
+        assert res.exit_code == 5
+        assert res.stdout == ""
+        assert res.stderr == "error: compiled kernel is not available in this build\n"
 
 
 class TestValidate:

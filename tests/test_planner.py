@@ -1,5 +1,6 @@
 import pytest
 
+from gurag_reach import fuzz
 from gurag_reach.model import DirectState, GroupHierarchy, ProblemInstance
 from gurag_reach.planner import (
     CYCLE_IN_VALSET,
@@ -188,6 +189,35 @@ class TestAttrPhase:
         res = attr_phase(inst, inst.initial_state, q)
         assert res.reachable
         assert [(r.group, r.val) for r in res.plan] == [("G1", "x"), ("G1", "y")]
+
+    def test_group_whose_closure_is_cyclic_is_passed_over(self):
+        # in G1, x needs y and y needs x; G2 already holds y, so x closes there
+        inst = make(
+            [addug("x", DirectVal("a", "y")), addug("y", DirectVal("a", "x"))],
+            groups=("G1", "G2"),
+            state=DirectState(group_attrs={"G2": {"a": {"y"}}}, user_groups={"G1", "G2"}),
+        )
+        q = ReachabilityQuery({"a": frozenset({"x"})}, QueryType.RELAXED)
+        res = attr_phase(inst, inst.initial_state, q)
+        assert [(r.group, r.val) for r in res.plan] == [("G2", "x")]
+        assert isinstance(validate_plan(inst, res.plan, q), Valid)
+
+    def test_cyclic_closure_kept_when_no_group_closes_without_one(self):
+        inst = make(
+            [addug("x", DirectVal("a", "y")), addug("y", DirectVal("a", "x"))],
+            groups=("G1", "G2"),
+            state=DirectState(user_groups={"G1", "G2"}),
+        )
+        q = ReachabilityQuery({"a": frozenset({"x"})}, QueryType.RELAXED)
+        res = attr_phase(inst, inst.initial_state, q)
+        assert res.reason == CYCLE_IN_VALSET
+        assert isinstance(bfs_solve(inst, q), Unreachable)
+
+    @pytest.mark.parametrize("seed", [2545, 6970, 7752, 10121])
+    def test_fuzz_seeds_once_called_unreachable_agree(self, seed):
+        # the planner used to keep the first group whose closure was cyclic
+        # and answered cycle-in-valset on these reachable instances
+        assert fuzz.check_case("srd", seed).status == "agree"
 
 
 class TestGroupPhase:

@@ -129,6 +129,9 @@ class TestClassification:
         assert not flags.no_negation
         assert not flags.no_deletion
         assert flags.single_rule_direct  # negated direct literals keep the shape
+        # derived once per rule set, and not part of its equality
+        assert check_restrictions(rs) is flags
+        assert rs == RuleSet(rs.rules) and repr(rs) == repr(RuleSet(rs.rules))
 
     def test_single_rule_violated_across_add_relations(self):
         # one pair addable both directly and through groups breaks the

@@ -10,6 +10,7 @@ from gurag_reach.search import (
     Reachable,
     SearchBounds,
     Unreachable,
+    analyze,
     bfs_solve,
     enumerate_reachable,
 )
@@ -89,10 +90,30 @@ class TestBfsSolve:
         with pytest.raises(ValueError):
             SearchBounds(max_depth=0)
 
+    @pytest.mark.parametrize("bounds", [{"max_depth": 2**31}, {"max_states": 2**32}])
+    def test_bounds_must_fit_the_compiled_kernel(self, bounds):
+        with pytest.raises(ValueError):
+            SearchBounds(**bounds)
+        SearchBounds(max_depth=2**31 - 1, max_states=2**32 - 1)
+
     def test_unknown_engine_rejected(self):
         inst, q = chain_instance(3)
         with pytest.raises(ValueError):
             bfs_solve(inst, q, engine="turbo")
+
+
+class TestAnalyze:
+    @pytest.mark.parametrize("name,engine,kernel_name", [
+        ("chain.gurag", "nonneg", None),
+        ("srd_groups.gurag", "srd", None),
+        ("roomadmin.gurag", "bfs", "python"),
+        ("srd_cycle.gurag", "srd+bfs", "python"),
+    ])
+    def test_auto_engine_and_kernel(self, golden, name, engine, kernel_name):
+        doc = golden(name)
+        res = analyze(doc.instance, doc.queries[0], kernel="python")
+        assert (res.engine, res.outcome, res.kernel) == (engine, "reachable", kernel_name)
+        assert isinstance(validate_plan(doc.instance, res.plan, doc.queries[0]), Valid)
 
 
 class TestEnumerate:
