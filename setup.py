@@ -1,23 +1,18 @@
 """Build script: compiles the optional search kernel.
 
-The package is fully functional without the extension (a pure-Python kernel
-is selected at import time); set GURAG_REACH_PURE=1 to skip compilation.
+``_kernel.c`` is plain C without the Python C-API; the package loads the
+resulting shared library with ctypes.  The package is fully functional without
+it (the pure-Python kernel is selected at import time), so a failed compile
+only warns; set GURAG_REACH_PURE=1 to skip compilation.
 """
 
 import os
 
-from setuptools import setup
+from setuptools import Extension, setup
 
 ext_modules = []
 if os.environ.get("GURAG_REACH_PURE") != "1":
-    try:
-        from Cython.Build import cythonize
-
-        ext_modules = cythonize(
-            ["src/gurag_reach/_kernel.pyx"],
-            language_level=3,
-        )
-    except ImportError:
-        pass
+    ext_modules = [Extension("gurag_reach._kernel", ["src/gurag_reach/_kernel.c"],
+                             extra_compile_args=["-O2"], optional=True)]
 
 setup(ext_modules=ext_modules)

@@ -12,17 +12,7 @@ import time
 from collections import deque
 from typing import Optional
 
-from .encoding import (
-    OP_AND,
-    OP_DIRECT_GROUP,
-    OP_DIRECT_VAL,
-    OP_EFF_GROUP,
-    OP_EFF_VAL,
-    OP_NOT,
-    OP_TRUE,
-    CompiledInstance,
-    QueryEntry,
-)
+from .encoding import ALWAYS, CompiledInstance, QueryEntry
 
 KERNEL_NAME = "python"
 
@@ -52,39 +42,21 @@ def _eff_user_bits(ci: CompiledInstance, state: int, smask: int) -> int:
     return bits
 
 
-def _run_program(ci, program, state, subject, smask, eff_cache):
+def _view(ci: CompiledInstance, state: int, subject: int, smask: int) -> int:
+    """The word a guard reads: see ``encoding``."""
+    mem = state >> ci.mem_offset
     if subject < 0:
         direct = state & smask
+        eff = _eff_user_bits(ci, state, smask)
     else:
         direct = (state >> ci.seg_offsets[subject]) & smask
-    eff = None
-    stack = []
-    for op, arg in program:
-        if op == OP_DIRECT_VAL:
-            stack.append(direct >> arg & 1 == 1)
-        elif op == OP_EFF_VAL:
-            if eff is None:
-                if subject < 0:
-                    if eff_cache[0] is None:
-                        eff_cache[0] = _eff_user_bits(ci, state, smask)
-                    eff = eff_cache[0]
-                else:
-                    eff = _eff_group_bits(ci, state, subject, smask)
-            stack.append(eff >> arg & 1 == 1)
-        elif op == OP_AND:
-            b = stack.pop()
-            a = stack.pop()
-            stack.append(a and b)
-        elif op == OP_NOT:
-            stack.append(not stack.pop())
-        elif op == OP_TRUE:
-            stack.append(True)
-        elif op == OP_DIRECT_GROUP:
-            stack.append(state >> (ci.mem_offset + arg) & 1 == 1)
-        else:  # OP_EFF_GROUP
-            mem = (state >> ci.mem_offset) & ((1 << ci.n_groups) - 1)
-            stack.append(mem & ci.senior_mask[arg] != 0)
-    return stack[-1]
+        eff = _eff_group_bits(ci, state, subject, smask)
+    effmem = 0
+    for j, seniors in enumerate(ci.senior_mask):
+        if mem & seniors:
+            effmem |= 1 << j
+    s = ci.n_slots
+    return direct | eff << s | mem << 2 * s | effmem << (2 * s + ci.n_groups)
 
 
 def _goal_holds(ci, state, goal: tuple[QueryEntry, ...], strict: bool, smask: int) -> bool:
@@ -114,7 +86,9 @@ def bfs(
     Without (enumeration mode): returns (code, list of (state, depth), count).
     """
     smask = ci.seg_mask()
-    candidates = ci.candidates
+    # (candidate index, bit mask, add, subject, guard or None when always true)
+    candidates = [(i, 1 << c.bit, c.add, c.subject, None if c.guard == ALWAYS else c.guard)
+                  for i, c in enumerate(ci.candidates)]
 
     if goal is not None and _goal_holds(ci, start, goal, strict, smask):
         return REACHABLE, [], 1
@@ -140,16 +114,20 @@ def bfs(
         expanded += 1
         if expanded % _TIME_CHECK_INTERVAL == 0 and time.monotonic() > deadline:
             return MILLIS_EXCEEDED, None, len(states)
-        eff_cache = [None]
-        for ci_idx, cand in enumerate(candidates):
-            if cand.add:
-                succ = state | (1 << cand.bit)
-            else:
-                succ = state & ~(1 << cand.bit)
+        views = {}
+        for ci_idx, bit, add, subject, guard in candidates:
+            succ = state | bit if add else state & ~bit
             if succ == state or succ in seen:
                 continue
-            if not _run_program(ci, cand.program, state, cand.subject, smask, eff_cache):
-                continue
+            if guard is not None:
+                view = views.get(subject)
+                if view is None:
+                    view = views[subject] = _view(ci, state, subject, smask)
+                for care, want in guard:
+                    if view & care == want:
+                        break
+                else:
+                    continue
             if len(states) >= max_states:
                 return STATES_EXCEEDED, None, len(states)
             seen[succ] = len(states)

@@ -2,37 +2,35 @@
 
 A direct state is packed into one integer: an S-bit value segment for the user,
 one S-bit segment per group (same attribute layout), then one membership bit
-per group.  Preconditions compile to small postfix programs over bit tests, and
-every rule expands into concrete candidate requests sorted deterministically.
-Both the pure-Python and the compiled kernel consume this representation.
+per group.  Every rule expands into concrete candidate requests sorted
+deterministically, each with a guard: its precondition as a disjunction of
+``(care, want)`` clauses over the subject's *view* word
+
+    direct | eff << S | mem << 2S | effmem << (2S + G)
+
+where ``direct``/``eff`` are the subject's direct and effective value bits,
+``mem`` the user's membership bits and bit ``j`` of ``effmem`` is set when the
+user is effectively in group ``j``.  A clause holds when ``view & care ==
+want``.  Both the pure-Python and the compiled kernel consume this
+representation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .model import DirectState, ProblemInstance
 from .policy import (
-    And,
     DirectGroup,
     DirectVal,
     EffGroup,
     EffVal,
-    Not,
     Precondition,
-    TrueCond,
+    clauses,
 )
 from .transition import ReachabilityQuery, Request
 
-# Postfix opcodes
-OP_TRUE = 0
-OP_NOT = 1
-OP_AND = 2
-OP_DIRECT_VAL = 3   # arg: slot within subject segment
-OP_EFF_VAL = 4      # arg: slot within subject segment
-OP_DIRECT_GROUP = 5  # arg: group index
-OP_EFF_GROUP = 6     # arg: group index
+ALWAYS = ((0, 0),)  # the guard of a precondition that always holds
 
 
 @dataclass(frozen=True)
@@ -40,8 +38,8 @@ class Candidate:
     """One concrete request a rule can authorize, plus its compiled guard."""
     bit: int              # absolute bit index toggled by the request
     add: bool             # set vs clear
-    subject: int          # -1 = user, else group index (segment for the guard)
-    program: tuple[tuple[int, int], ...]
+    subject: int          # -1 = user, else group index (whose view the guard reads)
+    guard: tuple[tuple[int, int], ...]  # (care, want) clauses, any of which must hold
     rule_id: int
     request: Request
 
@@ -118,34 +116,6 @@ class CompiledInstance:
         return tuple(entries)
 
 
-def _compile_pre(pre: Precondition, ci_slot, gidx) -> tuple[tuple[int, int], ...]:
-    ops: list[tuple[int, int]] = []
-
-    def emit(node: Precondition):
-        if isinstance(node, TrueCond):
-            ops.append((OP_TRUE, 0))
-        elif isinstance(node, Not):
-            emit(node.child)
-            ops.append((OP_NOT, 0))
-        elif isinstance(node, And):
-            emit(node.left)
-            emit(node.right)
-            ops.append((OP_AND, 0))
-        elif isinstance(node, DirectVal):
-            ops.append((OP_DIRECT_VAL, ci_slot[node.att, node.val]))
-        elif isinstance(node, EffVal):
-            ops.append((OP_EFF_VAL, ci_slot[node.att, node.val]))
-        elif isinstance(node, DirectGroup):
-            ops.append((OP_DIRECT_GROUP, gidx[node.group]))
-        elif isinstance(node, EffGroup):
-            ops.append((OP_EFF_GROUP, gidx[node.group]))
-        else:  # pragma: no cover
-            raise TypeError(f"unknown precondition node {node!r}")
-
-    emit(pre)
-    return tuple(ops)
-
-
 def compile_instance(instance: ProblemInstance) -> CompiledInstance:
     atts = tuple(sorted(instance.scopes))
     slot: dict[tuple[str, str], int] = {}
@@ -178,6 +148,17 @@ def compile_instance(instance: ProblemInstance) -> CompiledInstance:
                 mask |= 1 << k
         senior_mask.append(mask)
 
+    def view_bit(lit: Precondition) -> int:
+        if isinstance(lit, DirectVal):
+            return slot[lit.att, lit.val]
+        if isinstance(lit, EffVal):
+            return n_slots + slot[lit.att, lit.val]
+        if isinstance(lit, DirectGroup):
+            return 2 * n_slots + gidx[lit.group]
+        if isinstance(lit, EffGroup):
+            return 2 * n_slots + n_groups + gidx[lit.group]
+        raise TypeError(f"unknown precondition node {lit!r}")  # pragma: no cover
+
     candidates: list[Candidate] = []
     for rule in instance.rules:
         rel, att, val = rule.relation, rule.target_attr, rule.target_val
@@ -189,8 +170,9 @@ def compile_instance(instance: ProblemInstance) -> CompiledInstance:
                         Request(rel, rule.role, att=att, val=val, group=g)) for g in groups]
         else:
             targets = [(slot[att, val], -1, Request(rel, rule.role, att=att, val=val))]
-        program = _compile_pre(rule.pre, slot, gidx)
-        candidates += [Candidate(bit, not rel.is_delete, subject, program, rule.rule_id, req)
+        guard = clauses(rule.pre, view_bit)
+        guard = ALWAYS if (0, 0) in guard else tuple(guard)
+        candidates += [Candidate(bit, not rel.is_delete, subject, guard, rule.rule_id, req)
                        for bit, subject, req in targets]
     candidates.sort(key=lambda c: (c.request.sort_key, c.rule_id))
 

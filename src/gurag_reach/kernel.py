@@ -1,31 +1,53 @@
-"""Search-kernel selection: compiled extension when usable, pure Python otherwise.
+"""Search-kernel selection: compiled kernel when usable, pure Python otherwise.
 
-The compiled kernel handles states up to a fixed word budget; wider instances
-fall back to the pure implementation transparently.  Outcomes are identical by
-contract (tested), only throughput differs.
+The compiled kernel is ``_kernel.c``, built by ``setup.py`` into a shared
+library next to this module and called through ``ctypes`` (imported only when
+that library exists, as it costs start-up time).  It handles states up to
+``MAX_BITS`` bits; wider instances fall back to the pure implementation
+transparently.  Outcomes are identical by contract (tested), only throughput
+differs.
 """
 
 from __future__ import annotations
 
+import os
+from importlib.machinery import EXTENSION_SUFFIXES
 from typing import Optional
 
 from . import _kernel_py
 from .encoding import CompiledInstance
 
-try:
-    from . import _kernel as _compiled  # built from _kernel.pyx
-except ImportError:  # pragma: no cover - depends on how the package was built
-    _compiled = None
+
+def load(path: str):
+    """The compiled kernel in the shared library at ``path``."""
+    from ._kernel_ctypes import CKernel
+
+    return CKernel(path)
+
+
+def _installed():
+    here = os.path.dirname(os.path.abspath(__file__))
+    for suffix in EXTENSION_SUFFIXES:
+        path = os.path.join(here, "_kernel" + suffix)
+        if os.path.exists(path):
+            try:
+                return load(path)
+            except (OSError, AttributeError):  # not loadable, or not built from _kernel.c
+                return None
+    return None
+
+
+_compiled = _installed()
 
 HAVE_COMPILED = _compiled is not None
 
 
 def compiled_supports(ci: CompiledInstance) -> bool:
-    return HAVE_COMPILED and ci.nbits <= _compiled.MAX_BITS
+    return _compiled is not None and ci.nbits <= _compiled.MAX_BITS
 
 
 def select(ci: CompiledInstance, engine: Optional[str] = None):
-    """Pick the kernel module for this instance; ``engine`` may force one."""
+    """Pick the kernel for this instance; ``engine`` may force one."""
     if engine in (None, "auto"):
         return _compiled if compiled_supports(ci) else _kernel_py
     if engine == "python":

@@ -188,6 +188,8 @@ def validate_instance(instance: ProblemInstance) -> list[str]:
     An empty list means the instance is well formed.  Errors are data, not
     exceptions, so callers can report all problems at once.
     """
+    from .policy import PolicyError, clauses  # policy imports this module
+
     problems: list[str] = []
     scopes = instance.scopes
     groups = instance.groups
@@ -224,9 +226,12 @@ def validate_instance(instance: ProblemInstance) -> list[str]:
             check_values(where, rule.target_attr, [rule.target_val])
         if rule.target_group is not None and rule.target_group not in groups:
             problems.append(f"{where}: unknown group {rule.target_group!r}")
+        negated_and = False
         for node in rule.pre.walk():
             kind = type(node).__name__
-            if kind in ("DirectVal", "EffVal"):
+            if kind == "Not":
+                negated_and |= type(node.child).__name__ == "And"
+            elif kind in ("DirectVal", "EffVal"):
                 check_values(f"{where} precondition", node.att, [node.val])
             elif kind in ("DirectGroup", "EffGroup"):
                 if node.group not in groups:
@@ -235,4 +240,10 @@ def validate_instance(instance: ProblemInstance) -> list[str]:
                     problems.append(
                         f"{where}: group membership literal outside an assign/remove rule"
                     )
+        if negated_and:  # without one, a precondition is at most one clause
+            literals: dict = {}
+            try:
+                clauses(rule.pre, lambda lit: literals.setdefault(lit, len(literals)))
+            except PolicyError as exc:
+                problems.append(f"{where}: {exc}")
     return problems

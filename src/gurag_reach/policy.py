@@ -182,6 +182,38 @@ def direct_conjunct_shape(pre: Precondition) -> Optional[list[tuple[bool, Precon
     return out
 
 
+MAX_CLAUSES = 64
+
+
+def clauses(pre: Precondition, bit, positive: bool = True) -> list[tuple[int, int]]:
+    """``pre`` (``not(pre)`` if not ``positive``) as a disjunction of clauses
+    ``(care, want)`` over literal bits.
+
+    ``bit(literal)`` numbers the literals; a clause holds when the literal bits
+    selected by ``care`` read ``want``, so a negated literal is a care bit with
+    a clear want bit.  ``[(0, 0)]`` is true and ``[]`` false.  Negation is
+    pushed to the literals (``not(a and b)`` becomes ``not a or not b``) and
+    self-contradictory clauses are dropped.  Raises ``PolicyError`` when a
+    sub-formula needs more than ``MAX_CLAUSES`` clauses.
+    """
+    if isinstance(pre, Not):
+        return clauses(pre.child, bit, not positive)
+    if isinstance(pre, TrueCond):
+        return [(0, 0)] if positive else []
+    if not isinstance(pre, And):
+        b = 1 << bit(pre)
+        return [(b, b if positive else 0)]
+    left, right = clauses(pre.left, bit, positive), clauses(pre.right, bit, positive)
+    if positive:
+        out = [(c1 | c2, w1 | w2) for c1, w1 in left for c2, w2 in right
+               if not c1 & c2 & (w1 ^ w2)]
+    else:
+        out = left + right
+    if len(out) > MAX_CLAUSES:
+        raise PolicyError(f"precondition expands to more than {MAX_CLAUSES} clauses")
+    return out
+
+
 # --- Rules -------------------------------------------------------------------
 
 @dataclass(frozen=True)

@@ -103,6 +103,22 @@ class TestSolve:
         assert res.stdout == ""
         assert res.stderr.startswith("error: nonneg plan fails replay at request 0")
 
+    @pytest.mark.parametrize("terms,exit_code", [(6, 0), (7, 3)])
+    def test_precondition_clause_cap(self, runner, tmp_path, terms, exit_code):
+        # each negated pair is two clauses, so n of them are 2**n
+        pre = " and ".join(f"not(x{i} in direct(a) and y{i} in direct(a))" for i in range(terms))
+        vals = ", ".join(f"x{i}, y{i}" for i in range(terms))
+        f = tmp_path / "cap.gurag"
+        f.write_text(f"attr a scope {{ {vals}, t }}\nrole r\nrules {{\n"
+                     f"  rule canAddU a : r , {pre} -> t\n}}\n"
+                     "query relaxed { e_a(u) = { t } }\n")
+        res = invoke(runner, "solve", str(f))
+        assert res.exit_code == exit_code
+        if exit_code == 3:
+            assert res.stdout == ""
+            assert res.stderr == (f"{f}: error: rule #0: precondition expands to more "
+                                  "than 64 clauses\n")
+
     def test_timing_opt_in(self, runner):
         res = invoke(runner, "solve", str(GOLDEN / "chain.gurag"), "--timing")
         assert "elapsedMs" in report(res)

@@ -23,7 +23,7 @@ COMMANDS = {
     "classify": ["classify"],
     "solve": ["solve"],
     "solve-bfs": ["solve", "--engine", "bfs"],
-    "oracle": ["oracle"],
+    "oracle": ["oracle", "--kernel", "python"],
     "validate": ["validate"],
 }
 
@@ -51,6 +51,17 @@ def run(argv):
 def test_report_matches_snapshot(name, argv):
     stdout, code = run(argv)
     assert stdout == (REPORTS / f"{name}.out").read_bytes()
+    assert code == json.loads((REPORTS / "exit_codes.json").read_text())[name]
+
+
+@pytest.mark.parametrize("name,argv", [c for c in cases() if c[0].endswith(".oracle")],
+                         ids=[name for name, _ in cases() if name.endswith(".oracle")])
+def test_compiled_oracle_matches_snapshot(name, argv, compiled_kernel):
+    """The compiled kernel prints the same report, apart from its name."""
+    stdout, code = run(["oracle", "--kernel", "compiled", argv[-1]])
+    snapshot = (REPORTS / f"{name}.out").read_bytes()
+    assert b'"kernel": "python"' in snapshot
+    assert stdout == snapshot.replace(b'"kernel": "python"', b'"kernel": "compiled"')
     assert code == json.loads((REPORTS / "exit_codes.json").read_text())[name]
 
 

@@ -1,10 +1,24 @@
+import random
+
 import pytest
 
-from gurag_reach import kernel
+from gurag_reach import _kernel_py, kernel
 from gurag_reach.encoding import compile_instance
-from gurag_reach.fuzz import generate
+from gurag_reach.fuzz import CLASSES, generate
 from gurag_reach.model import DirectState, GroupHierarchy, ProblemInstance
-from gurag_reach.policy import DirectVal, Relation, Rule, RuleSet, TrueCond
+from gurag_reach.policy import (
+    And,
+    DirectGroup,
+    DirectVal,
+    EffGroup,
+    EffVal,
+    Not,
+    Relation,
+    Rule,
+    RuleSet,
+    TrueCond,
+    eval_precondition,
+)
 from gurag_reach.search import (
     BoundExceeded,
     Reachable,
@@ -14,10 +28,9 @@ from gurag_reach.search import (
     bfs_solve,
     enumerate_reachable,
 )
-from gurag_reach.transition import Plan, ReachabilityQuery, Valid, validate_plan
+from gurag_reach.transition import Plan, QueryType, ReachabilityQuery, Valid, validate_plan
 
-needs_compiled = pytest.mark.skipif(
-    not kernel.HAVE_COMPILED, reason="compiled kernel not built")
+from conftest import GOLDEN, load_golden
 
 
 def chain_instance(n):
@@ -34,6 +47,49 @@ def chain_instance(n):
         initial_state=DirectState(),
     )
     return inst, ReachabilityQuery({"a": frozenset(vals)})
+
+
+def wide_random_instance(seed):
+    """A random instance of up to 256 bits: one attribute of many values, up to
+    three groups, random preconditions with negated conjunctions."""
+    rng = random.Random(seed)
+    groups = [f"G{i}" for i in range(rng.randint(0, 3))]
+    width = (256 - len(groups)) // (1 + len(groups))
+    vals = [f"v{i:03d}" for i in range(rng.randint(width // 2, width))]
+
+    def pre(membership, depth=0):
+        r = rng.random()
+        if r < 0.15:
+            return TrueCond()
+        if depth > 2 or r < 0.45:
+            if membership and groups and rng.random() < 0.3:
+                return rng.choice((DirectGroup, EffGroup))(rng.choice(groups))
+            return rng.choice((DirectVal, EffVal))("a", rng.choice(vals))
+        if r < 0.65:
+            return Not(pre(membership, depth + 1))
+        return And(pre(membership, depth + 1), pre(membership, depth + 1))
+
+    relations = [Relation.ADD_U, Relation.DELETE_U]
+    if groups:
+        relations += [Relation.ADD_UG, Relation.DELETE_UG, Relation.ASSIGN, Relation.REMOVE]
+    rules = []
+    for _ in range(rng.randint(10, 40)):
+        rel = rng.choice(relations)
+        if rel.is_membership:
+            rules.append(Rule(rel, "r", pre(True), target_group=rng.choice(groups)))
+        else:
+            rules.append(Rule(rel, "r", pre(False), target_attr="a", target_val=rng.choice(vals)))
+    some = lambda: frozenset(v for v in vals if rng.random() < 0.2)  # noqa: E731
+    inst = ProblemInstance(
+        scopes={"a": frozenset(vals)},
+        hierarchy=GroupHierarchy(frozenset(groups), frozenset(
+            (g, h) for i, g in enumerate(groups) for h in groups[i + 1:] if rng.random() < 0.5)),
+        roles=frozenset({"r"}), rules=RuleSet.build(rules),
+        initial_state=DirectState({"a": some()}, {g: {"a": some()} for g in groups},
+                                  frozenset(g for g in groups if rng.random() < 0.5)))
+    added = sorted({r.target_val for r in rules if r.relation is Relation.ADD_U}) or vals
+    return inst, ReachabilityQuery({"a": frozenset(rng.sample(added, min(2, len(added))))},
+                                   QueryType.RELAXED)
 
 
 class TestEncoding:
@@ -53,6 +109,64 @@ class TestEncoding:
         ci = compile_instance(inst)
         keys = [(c.request.sort_key, c.rule_id) for c in ci.candidates]
         assert keys == sorted(keys)
+
+
+def guard_holds(ci, cand, bits):
+    view = _kernel_py._view(ci, bits, cand.subject, ci.seg_mask())
+    return any(view & care == want for care, want in cand.guard)
+
+
+def assert_guards_agree(instance, states):
+    """Each candidate's clauses read, on every state, what its precondition says."""
+    ci = compile_instance(instance)
+    pre = {r.rule_id: r.pre for r in instance.rules}
+    for bits in states:
+        state = ci.decode_state(bits)
+        for cand in ci.candidates:
+            subject = None if cand.subject < 0 else ci.groups[cand.subject]
+            assert guard_holds(ci, cand, bits) == eval_precondition(
+                pre[cand.rule_id], state, instance.hierarchy, subject), (cand.request, state)
+
+
+def reachable_states(instance):
+    """The states ``enumerate_reachable`` keys, as the kernel's bit words."""
+    ci = compile_instance(instance)
+    b = SearchBounds()
+    _, pairs, _ = _kernel_py.bfs(ci, ci.encode_state(instance.initial_state), None, False,
+                                 b.max_depth, b.max_states, b.max_millis)
+    return [bits for bits, _ in pairs]
+
+
+class TestGuards:
+    @pytest.mark.parametrize("cls", CLASSES)
+    def test_fuzz_guards_match_preconditions(self, cls):
+        for seed in range(60):
+            inst, _ = generate(cls, seed)
+            assert_guards_agree(inst, reachable_states(inst))
+
+    @pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.gurag")), ids=lambda p: p.stem)
+    def test_golden_guards_match_preconditions(self, path):
+        inst = load_golden(path.name).instance
+        assert_guards_agree(inst, reachable_states(inst))
+
+    def test_negated_compounds_on_every_state(self):
+        # shapes the fuzz generator never makes: negation over a conjunction,
+        # double negation, negated true, and a self-contradiction
+        x, y = DirectVal("a", "x"), EffVal("a", "y")
+        pres = [Not(And(x, EffGroup("G2"))), Not(Not(y)), Not(TrueCond()), And(x, Not(x)),
+                Not(And(Not(DirectGroup("G1")), Not(And(y, Not(x)))))]
+        rules = [Rule(Relation.ASSIGN, "r", p, target_group="G1") for p in pres]
+        rules += [Rule(Relation.ADD_UG, "r", Not(And(y, Not(x))), target_attr="a", target_val="x"),
+                  Rule(Relation.ADD_U, "r", Not(Not(x)), target_attr="a", target_val="y")]
+        inst = ProblemInstance(
+            scopes={"a": frozenset({"x", "y"})},
+            hierarchy=GroupHierarchy(frozenset({"G1", "G2"}), frozenset({("G1", "G2")})),
+            roles=frozenset({"r"}), rules=RuleSet.build(rules), initial_state=DirectState())
+        ci = compile_instance(inst)
+        assert_guards_agree(inst, range(1 << ci.nbits))
+        guards = {c.rule_id: c.guard for c in ci.candidates}
+        assert guards[2] == guards[3] == ()  # never holds
+        assert guards[1] == ((1 << 3, 1 << 3),)  # y is slot 1, so effective y is view bit 2 + 1
 
 
 class TestBfsSolve:
@@ -129,7 +243,7 @@ class TestEnumerate:
             enumerate_reachable(inst, SearchBounds(max_states=3))
 
 
-@needs_compiled
+@pytest.mark.usefixtures("compiled_kernel")
 class TestKernelEquivalence:
     """The compiled kernel must be indistinguishable from the reference."""
 
@@ -168,9 +282,20 @@ class TestKernelEquivalence:
         assert enumerate_reachable(inst, bounds, engine="python") == \
             enumerate_reachable(inst, bounds, engine="compiled")
 
-    def test_wide_instance_falls_back(self):
-        import gurag_reach._kernel as ck
-        vals = [f"v{i:03d}" for i in range(ck.MAX_BITS + 1)]
+    def test_multiword_states_identical(self):
+        # states and guard views spanning several 64-bit words
+        for seed in range(40):
+            inst, q = wide_random_instance(seed)
+            for bounds in (SearchBounds(max_depth=6, max_states=3000),
+                           SearchBounds(max_depth=2, max_states=3000)):
+                assert bfs_solve(inst, q, bounds, engine="python") == \
+                    bfs_solve(inst, q, bounds, engine="compiled"), seed
+            bounds = SearchBounds(max_depth=2, max_states=3000)
+            assert enumerate_reachable(inst, bounds, engine="python") == \
+                enumerate_reachable(inst, bounds, engine="compiled"), seed
+
+    def test_wide_instance_falls_back(self, compiled_kernel):
+        vals = [f"v{i:03d}" for i in range(compiled_kernel.MAX_BITS + 1)]
         inst = ProblemInstance(
             scopes={"a": frozenset(vals)}, hierarchy=GroupHierarchy(frozenset()),
             roles=frozenset({"r"}), rules=RuleSet(), initial_state=DirectState())
