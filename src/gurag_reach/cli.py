@@ -9,22 +9,23 @@ the ``GURAG_REACH_COLOR`` environment variable (``1`` forces on, ``0`` off,
 otherwise follows the tty).
 
 Exit codes: 0 reachable/valid/clean, 1 unreachable/invalid, 2 bound
-exceeded, 3 parse error, 4 restriction violation, 5 internal failure.
+exceeded or a command-line usage error, 3 parse error, 4 restriction
+violation, 5 internal failure.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
+import os
 import sys
 import time
-from typing import Optional
-
-import click
+from typing import NoReturn, Optional
 
 from . import __version__
 from .dsl import Diagnostic, ParseResult, parse, serialize
 from .fuzz import CLASSES, run_fuzz
-from .model import ProblemInstance, validate_instance
+from .model import validate_instance
 from .planner import RestrictionViolation
 from .policy import check_restrictions
 from .search import SearchBounds, analyze
@@ -40,82 +41,82 @@ EXIT_INTERNAL = 5
 SCHEMA_VERSION = 1
 
 
-def _use_color() -> bool:
-    import os
+def _fail(message: str, code: int) -> NoReturn:
+    print(message, file=sys.stderr)
+    sys.exit(code)
 
+
+def _use_color() -> bool:
     flag = os.environ.get("GURAG_REACH_COLOR", "")
-    if flag == "1":
-        return True
-    if flag == "0":
-        return False
+    if flag in ("0", "1"):
+        return flag == "1"
     return sys.stderr.isatty()
 
 
 def _emit_diagnostics(path: str, diags: list[Diagnostic]):
     color = _use_color()
     for d in sorted(diags, key=lambda d: (d.line, d.column)):
-        loc = f"{path}:{d.line}:{d.column}:"
         sev = d.severity
         if color:
             code = "31" if sev == "error" else "33"
             sev = f"\x1b[{code}m{sev}\x1b[0m"
-        click.echo(f"{loc} {sev}: {d.message} [{d.code}]", err=True)
+        print(f"{path}:{d.line}:{d.column}: {sev}: {d.message} [{d.code}]", file=sys.stderr)
 
 
-def _load(path: str) -> ParseResult:
+def _load(path: str) -> tuple[str, ParseResult]:
+    """The text of the file and its parse; exits 3 unless it parses cleanly."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             source = fh.read()
     except OSError as exc:
-        click.echo(f"{path}: {exc.strerror}", err=True)
-        sys.exit(EXIT_PARSE)
+        _fail(f"{path}: {exc.strerror}", EXIT_PARSE)
     result = parse(source)
     _emit_diagnostics(path, result.diagnostics)
+    if not result.ok:
+        sys.exit(EXIT_PARSE)
+    return source, result
+
+
+def _load_instance(path: str) -> ParseResult:
+    """``_load``, and also exits 3 when the instance is inconsistent."""
+    result = _load(path)[1]
+    problems = validate_instance(result.instance)
+    if problems:
+        _fail("\n".join(f"{path}: error: {p}" for p in problems), EXIT_PARSE)
     return result
 
 
-def _require_instance(result: ParseResult, path: str) -> ProblemInstance:
-    if not result.ok:
-        sys.exit(EXIT_PARSE)
-    problems = validate_instance(result.instance)
-    if problems:
-        for p in problems:
-            click.echo(f"{path}: error: {p}", err=True)
-        sys.exit(EXIT_PARSE)
-    return result.instance
+def _pick(path: str, what: str, items: list, index: int):
+    if not 0 <= index < len(items):
+        _fail(f"{path}: error: {what} index {index} out of range (file has {len(items)})",
+              EXIT_PARSE)
+    return items[index]
 
 
-def _pick_query(result: ParseResult, index: int, path: str) -> ReachabilityQuery:
+def _load_query(args: argparse.Namespace) -> tuple[ParseResult, ReachabilityQuery]:
+    """``_load_instance`` and the query that ``--query`` picks from the file."""
+    result = _load_instance(args.file)
     if not result.queries:
-        click.echo(f"{path}: error: no query in file", err=True)
-        sys.exit(EXIT_PARSE)
-    if not 0 <= index < len(result.queries):
-        click.echo(
-            f"{path}: error: query index {index} out of range "
-            f"(file has {len(result.queries)})", err=True)
-        sys.exit(EXIT_PARSE)
-    return result.queries[index]
+        _fail(f"{args.file}: error: no query in file", EXIT_PARSE)
+    return result, _pick(args.file, "query", result.queries, args.query)
 
 
-def _report(doc: dict, timing: bool, elapsed_ms: Optional[float]):
+def _bounds(args: argparse.Namespace) -> SearchBounds:
+    try:
+        return SearchBounds(args.max_depth, args.max_states, args.max_ms)
+    except ValueError as exc:
+        _fail(f"error: {exc}", EXIT_PARSE)
+
+
+def _report(doc: dict, elapsed_ms: Optional[float] = None):
     doc = {"schemaVersion": SCHEMA_VERSION, **doc}
-    if timing and elapsed_ms is not None:
+    if elapsed_ms is not None:
         doc["elapsedMs"] = round(elapsed_ms, 3)
-    click.echo(json.dumps(doc, indent=2, sort_keys=True))
+    print(json.dumps(doc, indent=2, sort_keys=True))
 
 
-@click.group()
-@click.version_option(__version__, prog_name="gurag-reach")
-def main():
-    """Reachability analysis for user attributes under administrative rules."""
-
-
-@main.command()
-@click.argument("file", type=click.Path())
-def classify(file):
-    """Report the rule-set level and restriction flags."""
-    result = _load(file)
-    instance = _require_instance(result, file)
+def classify(args: argparse.Namespace) -> int:
+    instance = _load_instance(args.file).instance
     flags = check_restrictions(instance.rules)
     _report({
         "level": flags.level.value,
@@ -125,49 +126,24 @@ def classify(file):
         "rules": len(instance.rules),
         "groups": len(instance.groups),
         "attributes": list(instance.attributes),
-    }, timing=False, elapsed_ms=None)
+    })
+    return EXIT_OK
 
-
-def _bounds(max_depth, max_states, max_ms) -> SearchBounds:
-    try:
-        return SearchBounds(max_depth, max_states, max_ms)
-    except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_PARSE)
-
-
-def _bound_options(command):
-    """--max-depth, --max-states and --max-ms, defaulting to ``SearchBounds()``."""
-    default = SearchBounds()
-    for name, value in (("--max-ms", default.max_millis), ("--max-states", default.max_states),
-                        ("--max-depth", default.max_depth)):
-        command = click.option(name, default=value, show_default=True)(command)
-    return command
-
-
-_bfs_kernel = click.option(
-    "--kernel", "kernel_name", default="auto",
-    type=click.Choice(["auto", "python", "compiled"]),
-    help="Search kernel for the exhaustive engine.")
 
 _EXIT_FOR = {"reachable": EXIT_OK, "unreachable": EXIT_NEGATIVE, "bound-exceeded": EXIT_BOUND}
 
 
-def _answer(file, query_index, engine, bounds, kernel_name, timing, with_kernel):
-    """Run ``analyze`` on one query of a file, print its report and exit."""
-    result = _load(file)
-    instance = _require_instance(result, file)
-    q = _pick_query(result, query_index, file)
-    bounds = _bounds(*bounds)
+def solve(args: argparse.Namespace) -> int:
+    """``solve``, and ``oracle`` as ``solve --engine bfs`` that also names the kernel."""
+    result, q = _load_query(args)
+    bounds = _bounds(args)
     start = time.monotonic()
     try:
-        answer = analyze(instance, q, engine, bounds, kernel_name)
+        answer = analyze(result.instance, q, args.engine, bounds, args.kernel)
     except RestrictionViolation as exc:
-        click.echo(f"error: engine {engine!r} not applicable: {exc}", err=True)
-        sys.exit(EXIT_RESTRICTION)
+        _fail(f"error: engine {args.engine!r} not applicable: {exc}", EXIT_RESTRICTION)
     except RuntimeError as exc:  # an unavailable kernel or a plan that fails replay
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_INTERNAL)
+        _fail(f"error: {exc}", EXIT_INTERNAL)
     doc = {
         "engine": answer.engine,
         "outcome": answer.outcome,
@@ -178,112 +154,48 @@ def _answer(file, query_index, engine, bounds, kernel_name, timing, with_kernel)
     }
     if answer.bound is not None:
         doc["bound"] = answer.bound
-    if with_kernel:
+    if args.command == "oracle":
         doc["kernel"] = answer.kernel
-    _report(doc, timing, (time.monotonic() - start) * 1000)
-    sys.exit(_EXIT_FOR[answer.outcome])
+    _report(doc, (time.monotonic() - start) * 1000 if args.timing else None)
+    return _EXIT_FOR[answer.outcome]
 
 
-@main.command()
-@click.argument("file", type=click.Path())
-@click.option("--query", "query_index", default=0, show_default=True,
-              help="Index of the query to solve (files may hold several).")
-@click.option("--engine", default="auto", show_default=True,
-              type=click.Choice(["auto", "nonneg", "srd", "bfs"]),
-              help="auto picks the cheapest engine the rule set admits.")
-@_bound_options
-@_bfs_kernel
-@click.option("--timing", is_flag=True, help="Include elapsedMs in the report.")
-def solve(file, query_index, engine, max_depth, max_states, max_ms, kernel_name, timing):
-    """Decide reachability and print a plan when one exists."""
-    _answer(file, query_index, engine, (max_depth, max_states, max_ms), kernel_name, timing,
-            with_kernel=False)
-
-
-@main.command()
-@click.argument("file", type=click.Path())
-@click.option("--query", "query_index", default=0, show_default=True)
-@click.option("--plan", "plan_index", default=0, show_default=True,
-              help="Index of the plan to validate.")
-@click.option("--timing", is_flag=True)
-def validate(file, query_index, plan_index, timing):
-    """Replay a plan from the file and check it satisfies the query."""
-    result = _load(file)
-    instance = _require_instance(result, file)
-    q = _pick_query(result, query_index, file)
-    if not 0 <= plan_index < len(result.plans):
-        click.echo(f"{file}: error: plan index {plan_index} out of range "
-                   f"(file has {len(result.plans)})", err=True)
-        sys.exit(EXIT_PARSE)
-    plan = result.plans[plan_index]
+def validate(args: argparse.Namespace) -> int:
+    result, q = _load_query(args)
+    plan = _pick(args.file, "plan", result.plans, args.plan)
     start = time.monotonic()
-    verdict = validate_plan(instance, plan, q)
-    elapsed = (time.monotonic() - start) * 1000
+    verdict = validate_plan(result.instance, plan, q)
+    elapsed = (time.monotonic() - start) * 1000 if args.timing else None
     if isinstance(verdict, Valid):
-        _report({"verdict": "valid", "steps": len(plan)}, timing, elapsed)
-        sys.exit(EXIT_OK)
+        _report({"verdict": "valid", "steps": len(plan)}, elapsed)
+        return EXIT_OK
     if isinstance(verdict, InvalidAt):
         _report({"verdict": "invalid", "failedAt": verdict.index,
                  "reason": verdict.reason,
-                 "request": plan.requests[verdict.index].render()}, timing, elapsed)
-        sys.exit(EXIT_NEGATIVE)
-    _report({"verdict": "query-unsatisfied", "steps": len(plan)}, timing, elapsed)
-    sys.exit(EXIT_NEGATIVE)
+                 "request": plan.requests[verdict.index].render()}, elapsed)
+        return EXIT_NEGATIVE
+    _report({"verdict": "query-unsatisfied", "steps": len(plan)}, elapsed)
+    return EXIT_NEGATIVE
 
 
-@main.command()
-@click.argument("file", type=click.Path())
-@click.option("--query", "query_index", default=0, show_default=True)
-@_bound_options
-@_bfs_kernel
-@click.option("--timing", is_flag=True)
-def oracle(file, query_index, max_depth, max_states, max_ms, kernel_name, timing):
-    """Exhaustive bounded search, ignoring any restriction structure."""
-    _answer(file, query_index, "bfs", (max_depth, max_states, max_ms), kernel_name, timing,
-            with_kernel=True)
-
-
-@main.command()
-@click.argument("file", type=click.Path())
-@click.option("--check", is_flag=True,
-              help="Exit 1 if the file is not already canonical; write nothing.")
-@click.option("--in-place", is_flag=True, help="Rewrite the file canonically.")
-def fmt(file, check, in_place):
-    """Reprint a file in canonical form (sorted declarations, fixed spacing)."""
-    try:
-        with open(file, "r", encoding="utf-8") as fh:
-            source = fh.read()
-    except OSError as exc:
-        click.echo(f"{file}: {exc.strerror}", err=True)
-        sys.exit(EXIT_PARSE)
-    result = parse(source)
-    _emit_diagnostics(file, result.diagnostics)
-    if not result.ok:
-        sys.exit(EXIT_PARSE)
+def fmt(args: argparse.Namespace) -> int:
+    source, result = _load(args.file)
     canon = serialize(result.instance, result.queries, result.plans)
-    if check:
-        sys.exit(EXIT_OK if canon == source else EXIT_NEGATIVE)
-    if in_place:
-        with open(file, "w", encoding="utf-8") as fh:
+    if args.check:
+        return EXIT_OK if canon == source else EXIT_NEGATIVE
+    if args.in_place:
+        with open(args.file, "w", encoding="utf-8") as fh:
             fh.write(canon)
     else:
-        click.echo(canon, nl=False)
-    sys.exit(EXIT_OK)
+        print(canon, end="")
+    return EXIT_OK
 
 
-@main.command()
-@click.option("--class", "cls", default="nonneg", show_default=True,
-              type=click.Choice(list(CLASSES)))
-@click.option("--count", default=100, show_default=True)
-@click.option("--seed", default=0, show_default=True)
-@_bound_options
-def fuzz(cls, count, seed, max_depth, max_states, max_ms):
-    """Generate seeded cases and compare the planners against the oracle."""
-    bounds = _bounds(max_depth, max_states, max_ms)
-    stats = run_fuzz(cls, count, seed, bounds)
+def fuzz(args: argparse.Namespace) -> int:
+    stats = run_fuzz(args.cls, args.count, args.seed, _bounds(args))
     _report({
-        "class": cls,
-        "seed": seed,
+        "class": args.cls,
+        "seed": args.seed,
         "total": stats.total,
         "agree": stats.agree,
         "knownDivergences": stats.known,
@@ -293,9 +205,74 @@ def fuzz(cls, count, seed, max_depth, max_states, max_ms):
             {"seed": c.seed, "status": c.status, "detail": c.detail}
             for c in stats.failures
         ],
-    }, timing=False, elapsed_ms=None)
-    sys.exit(EXIT_OK if stats.diverge == 0 else EXIT_NEGATIVE)
+    })
+    return EXIT_OK if stats.diverge == 0 else EXIT_NEGATIVE
+
+
+COMMANDS = {"classify": classify, "solve": solve, "validate": validate, "oracle": solve,
+            "fmt": fmt, "fuzz": fuzz}
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="gurag-reach",
+        description="Reachability analysis for user attributes under administrative rules.")
+    parser.add_argument("--version", action="version",
+                        version=f"gurag-reach, version {__version__}")
+    commands = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+
+    def command(name, description, parents=(), file=True):
+        sub = commands.add_parser(name, parents=list(parents), help=description,
+                                  description=description, allow_abbrev=False,
+                                  formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        if file:
+            sub.add_argument("file", metavar="FILE")
+        return sub
+
+    default = SearchBounds()
+    bounds = argparse.ArgumentParser(add_help=False)
+    bounds.add_argument("--max-depth", type=int, default=default.max_depth,
+                        help="Deepest plan the search explores.")
+    bounds.add_argument("--max-states", type=int, default=default.max_states,
+                        help="Most states the search visits.")
+    bounds.add_argument("--max-ms", type=int, default=default.max_millis,
+                        help="Wall-clock limit of the search in milliseconds.")
+    search = argparse.ArgumentParser(add_help=False)
+    search.add_argument("--query", type=int, default=0,
+                        help="Index of the query to solve (files may hold several).")
+    search.add_argument("--kernel", default="auto", choices=["auto", "python", "compiled"],
+                        help="Search kernel for the exhaustive engine.")
+    search.add_argument("--timing", action="store_true", help="Include elapsedMs in the report.")
+
+    command("classify", "Report the rule-set level and restriction flags.")
+    sub = command("solve", "Decide reachability and print a plan when one exists.",
+                  [search, bounds])
+    sub.add_argument("--engine", default="auto", choices=["auto", "nonneg", "srd", "bfs"],
+                     help="auto picks the cheapest engine the rule set admits.")
+    sub = command("validate", "Replay a plan from the file and check it satisfies the query.")
+    sub.add_argument("--query", type=int, default=0, help="Index of the query.")
+    sub.add_argument("--plan", type=int, default=0, help="Index of the plan to validate.")
+    sub.add_argument("--timing", action="store_true", help="Include elapsedMs in the report.")
+    command("oracle", "Exhaustive bounded search, ignoring any restriction structure.",
+            [search, bounds]).set_defaults(engine="bfs")
+    sub = command("fmt", "Reprint a file in canonical form (sorted declarations, fixed spacing).")
+    sub.add_argument("--check", action="store_true",
+                     help="Exit 1 if the file is not already canonical; write nothing.")
+    sub.add_argument("--in-place", action="store_true", help="Rewrite the file canonically.")
+    sub = command("fuzz", "Generate seeded cases and compare the planners against the oracle.",
+                  [bounds], file=False)
+    sub.add_argument("--class", dest="cls", default="nonneg", choices=CLASSES,
+                     help="Rule-set class of the generated cases.")
+    sub.add_argument("--count", type=int, default=100, help="Number of cases.")
+    sub.add_argument("--seed", type=int, default=0, help="Seed of the first case.")
+    return parser
+
+
+def main(argv: Optional[list[str]] = None) -> int:
+    """Run one command on ``argv`` (default ``sys.argv[1:]``) and return its exit code."""
+    args = _parser().parse_args(argv)
+    return COMMANDS[args.command](args)
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

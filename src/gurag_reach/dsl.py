@@ -520,10 +520,8 @@ class _Parser:
         try:
             hierarchy = GroupHierarchy(frozenset(self.groups), frozenset(self.seniority))
         except ModelError as exc:
-            line, col = (1, 1)
-            if self.seniority:
-                line = 1  # position of the first senior line is not tracked; keep 1:1
-            self.diags.append(Diagnostic("error", line, col, str(exc), "hierarchy-cycle"))
+            # senior lines carry no position, so the cycle is reported at 1:1
+            self.diags.append(Diagnostic("error", 1, 1, str(exc), "hierarchy-cycle"))
             return None
         user_attrs, user_groups = self.user_line or ({}, set())
         state = DirectState(user_attrs, self.groupstates, frozenset(user_groups))

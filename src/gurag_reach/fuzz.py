@@ -235,7 +235,6 @@ class FuzzStats:
     known: int = 0
     skipped: int = 0
     failures: list[CaseResult] = field(default_factory=list)
-    known_cases: list[CaseResult] = field(default_factory=list)
 
     def record(self, case: CaseResult):
         self.total += 1
@@ -243,7 +242,6 @@ class FuzzStats:
             self.agree += 1
         elif case.status == "known-divergence":
             self.known += 1
-            self.known_cases.append(case)
         elif case.status == "skipped":
             self.skipped += 1
         else:

@@ -68,13 +68,14 @@ class GroupHierarchy:
                 raise ModelError(f"cycle in group hierarchy through {g!r}")
             visiting.add(g)
             acc = {g}
-            for junior in self._juniors[g]:
+            for junior in sorted(self._juniors[g]):
                 acc |= close(junior)
             visiting.discard(g)
             closures[g] = frozenset(acc)
             return closures[g]
 
-        for g in self.groups:
+        # sorted, so a cycle is reported through the same group under every hash seed
+        for g in sorted(self.groups):
             close(g)
         return closures
 

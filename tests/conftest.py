@@ -1,11 +1,17 @@
+import io
+import os
 import pathlib
 import shutil
 import subprocess
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import dataclass
+from unittest import mock
 
 import pytest
 
 import gurag_reach
 from gurag_reach import kernel
+from gurag_reach.cli import main
 from gurag_reach.dsl import parse
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -21,6 +27,34 @@ def child_env(**extra):
     """A minimal environment for a child interpreter that imports the same
     ``gurag_reach`` copy as the test process, whether installed or from src."""
     return {"PATH": "/usr/bin:/bin", "PYTHONPATH": str(PACKAGE_PARENT), **extra}
+
+
+@dataclass(frozen=True)
+class CliResult:
+    exit_code: int
+    stdout: str
+    stderr: str
+
+    @property
+    def output(self) -> str:
+        return self.stdout + self.stderr
+
+
+def run_cli(*argv, env=None) -> CliResult:
+    """Run ``gurag_reach.cli.main(argv)`` in this process, with stdout and
+    stderr captured and ``GURAG_REACH_COLOR=0`` unless ``env`` overrides it.
+
+    The exit code is what ``main`` returns or exits with; any other exception
+    propagates to the test.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, {"GURAG_REACH_COLOR": "0", **(env or {})}), \
+            redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return CliResult(code, out.getvalue(), err.getvalue())
 
 
 def load_golden(name):

@@ -1,23 +1,13 @@
 import json
+import subprocess
+import sys
 
 import pytest
-from click.testing import CliRunner
 
 from gurag_reach import kernel, search
-from gurag_reach.cli import main
 from gurag_reach.transition import Plan
 
-from conftest import GOLDEN, MALFORMED
-
-
-@pytest.fixture
-def runner():
-    return CliRunner()
-
-
-def invoke(runner, *args, env=None):
-    env = {"GURAG_REACH_COLOR": "0", **(env or {})}
-    return runner.invoke(main, list(args), env=env, catch_exceptions=False)
+from conftest import GOLDEN, MALFORMED, child_env, run_cli
 
 
 def report(result):
@@ -27,21 +17,21 @@ def report(result):
 
 
 class TestClassify:
-    def test_levels_and_flags(self, runner):
-        res = invoke(runner, "classify", str(GOLDEN / "chain.gurag"))
+    def test_levels_and_flags(self):
+        res = run_cli("classify", str(GOLDEN / "chain.gurag"))
         assert res.exit_code == 0
         doc = report(res)
         assert doc["level"] == "G0"
         assert doc["noNegation"] and doc["noDeletion"]
 
-    def test_g1plus(self, runner):
-        res = invoke(runner, "classify", str(GOLDEN / "srd_groups.gurag"))
+    def test_g1plus(self):
+        res = run_cli("classify", str(GOLDEN / "srd_groups.gurag"))
         assert report(res)["level"] == "G1plus"
 
 
 class TestSolve:
-    def test_auto_picks_nonneg(self, runner):
-        res = invoke(runner, "solve", str(GOLDEN / "chain.gurag"))
+    def test_auto_picks_nonneg(self):
+        res = run_cli("solve", str(GOLDEN / "chain.gurag"))
         assert res.exit_code == 0
         doc = report(res)
         assert doc["engine"] == "nonneg"
@@ -49,48 +39,48 @@ class TestSolve:
         assert doc["plan"][0] == "addU(r, a, v1)"
         assert "elapsedMs" not in doc
 
-    def test_forced_bfs(self, runner):
-        res = invoke(runner, "solve", str(GOLDEN / "chain.gurag"), "--engine", "bfs")
+    def test_forced_bfs(self):
+        res = run_cli("solve", str(GOLDEN / "chain.gurag"), "--engine", "bfs")
         doc = report(res)
         assert doc["engine"] == "bfs"
         assert doc["statesExplored"] > 0
 
-    def test_unreachable_exit_code(self, runner, tmp_path):
+    def test_unreachable_exit_code(self, tmp_path):
         f = tmp_path / "u.gurag"
         f.write_text("attr a scope { x }\nrole r\nrules {\n}\n"
                      "query strict { e_a(u) = { x } }\n")
-        res = invoke(runner, "solve", str(f))
+        res = run_cli("solve", str(f))
         assert res.exit_code == 1
         assert report(res)["outcome"] == "unreachable"
 
-    def test_bound_exceeded_exit_code(self, runner):
-        res = invoke(runner, "solve", str(GOLDEN / "chain.gurag"),
+    def test_bound_exceeded_exit_code(self):
+        res = run_cli("solve", str(GOLDEN / "chain.gurag"),
                      "--engine", "bfs", "--max-depth", "2")
         assert res.exit_code == 2
         doc = report(res)
         assert doc["outcome"] == "bound-exceeded" and doc["bound"] == "depth"
 
-    def test_restriction_violation_exit_code(self, runner):
+    def test_restriction_violation_exit_code(self):
         # roomadmin uses negation, so forcing the nonneg engine must refuse
-        res = invoke(runner, "solve", str(GOLDEN / "roomadmin.gurag"),
+        res = run_cli("solve", str(GOLDEN / "roomadmin.gurag"),
                      "--engine", "nonneg")
         assert res.exit_code == 4
 
-    def test_auto_falls_back_across_group_cycle(self, runner):
-        res = invoke(runner, "solve", str(GOLDEN / "srd_cycle.gurag"))
+    def test_auto_falls_back_across_group_cycle(self):
+        res = run_cli("solve", str(GOLDEN / "srd_cycle.gurag"))
         assert res.exit_code == 0
         doc = report(res)
         assert doc["engine"] == "srd+bfs"
         assert doc["outcome"] == "reachable"
         assert "group-cycle-discarded" in doc["notes"]
 
-    def test_bounds_beyond_the_compiled_kernel_rejected(self, runner):
-        res = invoke(runner, "solve", str(GOLDEN / "chain.gurag"), "--engine", "bfs",
+    def test_bounds_beyond_the_compiled_kernel_rejected(self):
+        res = run_cli("solve", str(GOLDEN / "chain.gurag"), "--engine", "bfs",
                      "--max-states", "99999999999")
         assert res.exit_code == 3
         assert res.stdout == ""
 
-    def test_plan_failing_replay_is_not_printed(self, runner, monkeypatch):
+    def test_plan_failing_replay_is_not_printed(self, monkeypatch):
         solve = search.solve_no_negation
 
         def dropping_first_request(instance, q):
@@ -98,13 +88,13 @@ class TestSolve:
             return type(res).found(Plan(res.plan.requests[1:]), res.notes)
 
         monkeypatch.setattr(search, "solve_no_negation", dropping_first_request)
-        res = invoke(runner, "solve", str(GOLDEN / "chain.gurag"))
+        res = run_cli("solve", str(GOLDEN / "chain.gurag"))
         assert res.exit_code == 5
         assert res.stdout == ""
         assert res.stderr.startswith("error: nonneg plan fails replay at request 0")
 
     @pytest.mark.parametrize("terms,exit_code", [(6, 0), (7, 3)])
-    def test_precondition_clause_cap(self, runner, tmp_path, terms, exit_code):
+    def test_precondition_clause_cap(self, tmp_path, terms, exit_code):
         # each negated pair is two clauses, so n of them are 2**n
         pre = " and ".join(f"not(x{i} in direct(a) and y{i} in direct(a))" for i in range(terms))
         vals = ", ".join(f"x{i}, y{i}" for i in range(terms))
@@ -112,25 +102,25 @@ class TestSolve:
         f.write_text(f"attr a scope {{ {vals}, t }}\nrole r\nrules {{\n"
                      f"  rule canAddU a : r , {pre} -> t\n}}\n"
                      "query relaxed { e_a(u) = { t } }\n")
-        res = invoke(runner, "solve", str(f))
+        res = run_cli("solve", str(f))
         assert res.exit_code == exit_code
         if exit_code == 3:
             assert res.stdout == ""
             assert res.stderr == (f"{f}: error: rule #0: precondition expands to more "
                                   "than 64 clauses\n")
 
-    def test_timing_opt_in(self, runner):
-        res = invoke(runner, "solve", str(GOLDEN / "chain.gurag"), "--timing")
+    def test_timing_opt_in(self):
+        res = run_cli("solve", str(GOLDEN / "chain.gurag"), "--timing")
         assert "elapsedMs" in report(res)
 
-    def test_missing_query_is_parse_error(self, runner):
-        res = invoke(runner, "solve", str(GOLDEN / "bob.gurag"))
+    def test_missing_query_is_parse_error(self):
+        res = run_cli("solve", str(GOLDEN / "bob.gurag"))
         assert res.exit_code == 3
 
 
 class TestOracle:
-    def test_pinned_anomaly_plan(self, runner):
-        res = invoke(runner, "oracle", str(GOLDEN / "roomadmin.gurag"))
+    def test_pinned_anomaly_plan(self):
+        res = run_cli("oracle", str(GOLDEN / "roomadmin.gurag"))
         assert res.exit_code == 0
         doc = report(res)
         assert doc["plan"] == [
@@ -139,88 +129,112 @@ class TestOracle:
             "addUG(RoomAdmin, G2, roomAcc, 2.01)",
         ]
 
-    def test_kernel_selection_reported(self, runner):
-        res = invoke(runner, "oracle", str(GOLDEN / "chain.gurag"),
+    def test_kernel_selection_reported(self):
+        res = run_cli("oracle", str(GOLDEN / "chain.gurag"),
                      "--kernel", "python")
         assert report(res)["kernel"] == "python"
 
-    def test_unavailable_kernel_is_an_internal_failure(self, runner, monkeypatch):
+    def test_unavailable_kernel_is_an_internal_failure(self, monkeypatch):
         monkeypatch.setattr(kernel, "_compiled", None)
         monkeypatch.setattr(kernel, "HAVE_COMPILED", False)
-        res = invoke(runner, "oracle", str(GOLDEN / "chain.gurag"), "--kernel", "compiled")
+        res = run_cli("oracle", str(GOLDEN / "chain.gurag"), "--kernel", "compiled")
         assert res.exit_code == 5
         assert res.stdout == ""
         assert res.stderr == "error: compiled kernel is not available in this build\n"
 
 
 class TestValidate:
-    def test_valid_plan(self, runner):
-        res = invoke(runner, "validate", str(GOLDEN / "empty.gurag"))
+    def test_valid_plan(self):
+        res = run_cli("validate", str(GOLDEN / "empty.gurag"))
         assert res.exit_code == 0
         assert report(res)["verdict"] == "valid"
 
-    def test_invalid_plan(self, runner, tmp_path):
+    def test_invalid_plan(self, tmp_path):
         f = tmp_path / "bad.gurag"
         f.write_text("attr a scope { x }\nrole r\nrules {\n}\n"
                      "query strict { e_a(u) = { } }\n"
                      "plan { addU(r, a, x) }\n")
-        res = invoke(runner, "validate", str(f))
+        res = run_cli("validate", str(f))
         assert res.exit_code == 1
         doc = report(res)
         assert doc["verdict"] == "invalid"
         assert doc["failedAt"] == 0 and doc["reason"] == "no matching rule"
 
-    def test_query_unsatisfied(self, runner, tmp_path):
+    def test_query_unsatisfied(self, tmp_path):
         f = tmp_path / "u.gurag"
         f.write_text("attr a scope { x }\nrole r\nrules {\n}\n"
                      "query strict { e_a(u) = { x } }\nplan { }\n")
-        res = invoke(runner, "validate", str(f))
+        res = run_cli("validate", str(f))
         assert res.exit_code == 1
         assert report(res)["verdict"] == "query-unsatisfied"
 
 
 class TestFmt:
-    def test_canonical_check_passes_on_golden(self, runner):
+    def test_canonical_check_passes_on_golden(self):
         for path in sorted(GOLDEN.glob("*.gurag")):
-            res = invoke(runner, "fmt", "--check", str(path))
+            res = run_cli("fmt", "--check", str(path))
             assert res.exit_code == 0, path.name
 
-    def test_normalizes_messy_input(self, runner, tmp_path):
+    def test_normalizes_messy_input(self, tmp_path):
         f = tmp_path / "messy.gurag"
         f.write_text("role r\nattr a scope {y,x}   # comment\n")
-        res = invoke(runner, "fmt", str(f))
+        res = run_cli("fmt", str(f))
         assert res.exit_code == 0
         assert res.output == "attr a scope { x, y }\nrole r\nuser { groups = { } }\nrules {\n}\n"
 
-    def test_check_fails_on_non_canonical(self, runner, tmp_path):
+    def test_check_fails_on_non_canonical(self, tmp_path):
         f = tmp_path / "messy.gurag"
         f.write_text("role r\nattr a scope { x }\n")
-        res = invoke(runner, "fmt", "--check", str(f))
+        res = run_cli("fmt", "--check", str(f))
         assert res.exit_code == 1
 
-    def test_in_place(self, runner, tmp_path):
+    def test_in_place(self, tmp_path):
         f = tmp_path / "messy.gurag"
         f.write_text("role r\nattr a scope { x }\n")
-        res = invoke(runner, "fmt", "--in-place", str(f))
+        res = run_cli("fmt", "--in-place", str(f))
         assert res.exit_code == 0
         assert f.read_text().startswith("attr a scope { x }\n")
 
-    def test_parse_error_exit_code_and_diagnostics(self, runner):
+    def test_parse_error_exit_code_and_diagnostics(self):
         path = MALFORMED / "m01.gurag"
-        res = invoke(runner, "fmt", str(path))
+        res = run_cli("fmt", str(path))
         assert res.exit_code == 3
-        # positioned diagnostic on stderr (CliRunner merges into output)
+        # positioned diagnostic on stderr (output is stdout then stderr)
         assert ":2:" in res.output and "error" in res.output
 
 
 class TestFuzzCommand:
-    def test_runs_and_reports(self, runner):
-        res = invoke(runner, "fuzz", "--class", "nonneg", "--count", "25")
+    def test_runs_and_reports(self):
+        res = run_cli("fuzz", "--class", "nonneg", "--count", "25")
         assert res.exit_code == 0
         doc = report(res)
         assert doc["total"] == 25 and doc["diverge"] == 0
 
 
-def test_missing_file_is_parse_error(runner):
-    res = invoke(runner, "solve", "no/such/file.gurag")
+def test_missing_file_is_parse_error():
+    res = run_cli("solve", "no/such/file.gurag")
     assert res.exit_code == 3
+
+
+def test_version():
+    res = run_cli("--version")
+    assert res.exit_code == 0
+    assert res.stdout == "gurag-reach, version 0.1.0\n"
+
+
+@pytest.mark.parametrize("flag,severity", [("1", "\x1b[31merror\x1b[0m"), ("0", "error")])
+def test_color_flag_applies_when_stderr_is_not_a_tty(flag, severity):
+    path = MALFORMED / "m01.gurag"
+    res = run_cli("classify", str(path), env={"GURAG_REACH_COLOR": flag})
+    assert res.exit_code == 3
+    assert res.stderr == f"{path}:2:16: {severity}: unexpected character '$' [lex-unexpected-char]\n"
+
+
+def test_hierarchy_cycle_diagnostic_ignores_hash_seed():
+    path = MALFORMED / "m50.gurag"
+    runs = [subprocess.run([sys.executable, "-m", "gurag_reach.cli", "classify", str(path)],
+                           capture_output=True, text=True,
+                           env=child_env(PYTHONHASHSEED=str(seed), GURAG_REACH_COLOR="0"))
+            for seed in (0, 3)]
+    expected = f"{path}:1:1: error: cycle in group hierarchy through 'G1' [hierarchy-cycle]\n"
+    assert [(r.returncode, r.stderr) for r in runs] == [(3, expected)] * 2

@@ -1,22 +1,22 @@
 """Byte-exact CLI report snapshots for every golden file.
 
 ``tests/data/reports/<file>.<command>.out`` holds the stdout of one command on
-one golden file, and ``exit_codes.json`` its exit code.  Regenerate with
-``PYTHONPATH=src python tests/test_report_snapshots.py`` only when a report
-change is intended.
+one golden file, and ``exit_codes.json`` its exit code.  ``diagnostics.json``
+holds the stderr and exit code of ``classify`` on each malformed file, with the
+file's path replaced by ``<file>``.  Regenerate all of them with
+``PYTHONPATH=src python tests/test_report_snapshots.py`` only when a report or
+diagnostic change is intended.
 """
 
 import json
-import pathlib
+import subprocess
 import sys
 
 import pytest
-from click.testing import CliRunner
 
-from gurag_reach.cli import main
 from gurag_reach.dsl import parse
 
-from conftest import DATA, GOLDEN
+from conftest import DATA, GOLDEN, MALFORMED, child_env, run_cli
 
 REPORTS = DATA / "reports"
 COMMANDS = {
@@ -43,8 +43,13 @@ def cases():
 
 
 def run(argv):
-    res = CliRunner().invoke(main, argv, env={"GURAG_REACH_COLOR": "0"})
-    return res.stdout_bytes, res.exit_code
+    res = run_cli(*argv)
+    return res.stdout.encode(), res.exit_code
+
+
+def diagnostics(path):
+    res = run_cli("classify", str(path))
+    return {"exitCode": res.exit_code, "stderr": res.stderr.replace(str(path), "<file>")}
 
 
 @pytest.mark.parametrize("name,argv", cases(), ids=[name for name, _ in cases()])
@@ -69,6 +74,35 @@ def test_every_snapshot_is_checked():
     names = {name for name, _ in cases()}
     assert {p.name[:-len(".out")] for p in REPORTS.glob("*.out")} == names
     assert set(json.loads((REPORTS / "exit_codes.json").read_text())) == names
+    assert set(json.loads((REPORTS / "diagnostics.json").read_text())) == {
+        p.stem for p in MALFORMED.glob("*.gurag")}
+
+
+@pytest.mark.parametrize("path", sorted(MALFORMED.glob("*.gurag")), ids=lambda p: p.stem)
+def test_diagnostics_match_snapshot(path):
+    assert diagnostics(path) == json.loads((REPORTS / "diagnostics.json").read_text())[path.stem]
+
+
+# in a child without site-packages, refuse every import outside the standard library
+_STDLIB_ONLY = """
+import runpy, sys
+class StandardLibraryOnly:
+    def find_spec(self, name, path=None, target=None):
+        top = name.partition(".")[0]
+        if top not in sys.stdlib_module_names and top != "gurag_reach":
+            raise ImportError(f"{name} is not in the standard library")
+sys.meta_path.insert(0, StandardLibraryOnly())
+sys.argv = ["gurag-reach", *sys.argv[1:]]
+runpy.run_module("gurag_reach.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_solve_needs_only_the_standard_library():
+    proc = subprocess.run([sys.executable, "-S", "-c", _STDLIB_ONLY, "solve",
+                           str(GOLDEN / "chain.gurag")],
+                          capture_output=True, env=child_env(GURAG_REACH_COLOR="0"))
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == (REPORTS / "chain.solve.out").read_bytes()
 
 
 if __name__ == "__main__":
@@ -78,4 +112,7 @@ if __name__ == "__main__":
         stdout, codes[name] = run(argv)
         (REPORTS / f"{name}.out").write_bytes(stdout)
     (REPORTS / "exit_codes.json").write_text(json.dumps(codes, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {len(codes)} snapshots to {REPORTS}", file=sys.stderr)
+    diags = {path.stem: diagnostics(path) for path in sorted(MALFORMED.glob("*.gurag"))}
+    (REPORTS / "diagnostics.json").write_text(json.dumps(diags, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {len(codes)} snapshots and {len(diags)} diagnostics to {REPORTS}",
+          file=sys.stderr)
