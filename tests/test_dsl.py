@@ -3,7 +3,7 @@ import pathlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gurag_reach.dsl import parse, render_precondition, serialize
+from gurag_reach.dsl import _lex, parse, render_precondition, serialize
 from gurag_reach.fuzz import generate
 from gurag_reach.policy import (
     DirectGroup,
@@ -106,6 +106,82 @@ class TestParserDetails:
         (d,) = [d for d in result.diagnostics if d.severity == "error"]
         assert (d.line, d.column) == (3, 14)
         assert d.code == "scope-violation"
+
+
+def lexed(source):
+    tokens, diags = _lex(source)
+    return ([(t.kind, t.text, t.line, t.column, t.first_on_line) for t in tokens],
+            [(d.severity, d.line, d.column, d.message, d.code) for d in diags])
+
+
+def unexpected(line, column, ch):
+    return ("error", line, column, f"unexpected character {ch!r}", "lex-unexpected-char")
+
+
+class TestLexerEdgeCases:
+    """Exact tokens and diagnostics: the lexer's contract, pinned case by case."""
+
+    def test_crlf_tabs_and_comment_with_punctuation(self):
+        tokens, diags = lexed("attr a scope { x }\r\nrole\tr # c -> {\r\n")
+        assert tokens == [
+            ("ident", "attr", 1, 1, True), ("ident", "a", 1, 6, False),
+            ("ident", "scope", 1, 8, False), ("{", "{", 1, 14, False),
+            ("ident", "x", 1, 16, False), ("}", "}", 1, 18, False),
+            ("ident", "role", 2, 1, True), ("ident", "r", 2, 6, False),
+            ("eof", "", 3, 1, True),
+        ]
+        assert diags == []
+
+    def test_arrow_together_and_apart(self):
+        tokens, diags = lexed("x -> y - > z\n")
+        assert tokens == [
+            ("ident", "x", 1, 1, True), ("->", "->", 1, 3, False),
+            ("ident", "y", 1, 6, False), (">", ">", 1, 10, False),
+            ("ident", "z", 1, 12, False), ("eof", "", 2, 1, True),
+        ]
+        assert diags == [unexpected(1, 8, "-")]
+
+    def test_lone_dash_at_end_of_line(self):
+        tokens, diags = lexed("a -\nb\n")
+        assert tokens == [("ident", "a", 1, 1, True), ("ident", "b", 2, 1, True),
+                          ("eof", "", 3, 1, True)]
+        assert diags == [unexpected(1, 3, "-")]
+
+    def test_unexpected_character_then_trailing_blanks(self):
+        tokens, diags = lexed("a $  \t\r\nb\n")
+        assert tokens == [("ident", "a", 1, 1, True), ("ident", "b", 2, 1, True),
+                          ("eof", "", 3, 1, True)]
+        assert diags == [unexpected(1, 3, "$")]
+
+    def test_columns_count_characters_not_bytes(self):
+        tokens, diags = lexed("é x $\n")
+        assert tokens == [("ident", "x", 1, 3, False), ("eof", "", 2, 1, True)]
+        assert diags == [unexpected(1, 1, "é"), unexpected(1, 5, "$")]
+
+    def test_unexpected_character_first_on_line(self):
+        tokens, diags = lexed("$ attr\n")
+        assert tokens == [("ident", "attr", 1, 3, False), ("eof", "", 2, 1, True)]
+        assert diags == [unexpected(1, 1, "$")]
+
+    def test_recovery_skips_a_keyword_that_is_not_first_on_line(self):
+        # 'role' after '$' does not start a declaration, so line 2 is skipped
+        # and line 3 declares q once; without the '$' line 3 is a duplicate
+        result = parse("attr a scope\n$ role q\nrole q\n")
+        assert [d.render() for d in result.diagnostics] == [
+            "2:1: error: unexpected character '$' [lex-unexpected-char]",
+            "2:3: error: expected '{', found 'role' [parse-expected]",
+        ]
+        result = parse("attr a scope\nrole q\nrole q\n")
+        assert [d.code for d in result.diagnostics] == ["parse-expected", "dup-role"]
+
+    def test_empty_input(self):
+        assert lexed("") == ([("eof", "", 1, 1, True)], [])
+
+    def test_no_final_newline(self):
+        assert lexed("role r") == (
+            [("ident", "role", 1, 1, True), ("ident", "r", 1, 6, False),
+             ("eof", "", 1, 1, True)], [])
+        assert lexed("role r\n")[0][-1] == ("eof", "", 2, 1, True)
 
 
 def test_render_precondition_true():
