@@ -70,6 +70,16 @@ def _load(path: str) -> tuple[str, ParseResult]:
             source = fh.read()
     except OSError as exc:
         _fail(f"{path}: {exc.strerror}", EXIT_PARSE)
+    except UnicodeDecodeError as exc:
+        # read() decodes the whole file at once, so exc.object holds all of it;
+        # count lines after text mode's line-end translation, and columns in
+        # characters, as the parser does
+        before = exc.object[:exc.start].decode("utf-8")
+        before = before.replace("\r\n", "\n").replace("\r", "\n")
+        _emit_diagnostics(path, [Diagnostic(
+            "error", before.count("\n") + 1, len(before) - before.rfind("\n"),
+            f"not UTF-8: cannot decode byte 0x{exc.object[exc.start]:02x}", "not-utf8")])
+        sys.exit(EXIT_PARSE)
     result = parse(source)
     _emit_diagnostics(path, result.diagnostics)
     if not result.ok:

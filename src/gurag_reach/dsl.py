@@ -15,8 +15,13 @@ The format, by example::
     query strict { e_skills(u) = { c, java } }
     plan { addU(ar1, skills, java); assign(ar1, G1) }
 
-Comments run from ``#`` to end of line.  Identifiers match ``[A-Za-z0-9_.]+``,
-so numeric-looking value tokens like ``2.03`` are ordinary identifiers.
+Lexical rules: comments run from ``#`` to end of line.  Identifiers match
+``[A-Za-z0-9_.]+``, so numeric-looking values like ``2.03`` are identifiers.
+The punctuation tokens are ``{ } = , ; : > ( )`` and ``->``.  Blanks are space,
+tab and CR; lines end at LF.  Every other character is one
+``lex-unexpected-char`` error.  Columns count characters from 1.  Input is
+text; the CLI rejects a file that is not UTF-8 with exit code 3.
+
 Parsing is total: malformed input produces positioned diagnostics, never an
 exception.  ``serialize`` emits the canonical form (sorted declarations, LF
 line endings) and round-trips bit-exactly with ``parse``.
@@ -26,7 +31,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .model import DirectState, GroupHierarchy, ModelError, ProblemInstance
 from .policy import (
@@ -75,16 +80,18 @@ class ParseResult:
 
 # --- Lexer -------------------------------------------------------------------
 
-_IDENT = re.compile(r"[A-Za-z0-9_.]+")
-_PUNCT = ("->", "{", "}", "=", ",", ";", ":", ">", "(", ")")
+# per line after its comment: blanks, then an identifier, a punctuation token
+# or one unexpected character; trailing blanks match nothing
+_TOKEN = re.compile(r"([ \t\r]*)(?:([A-Za-z0-9_.]+)|(->|[{}=,;:>()])|([^ \t\r]))")
+
+_RELATIONS = {relation.value: relation for relation in Relation}
 
 _TOPLEVEL = {
     "attr", "group", "senior", "role", "user", "groupstate", "rules", "query", "plan",
 }
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str   # "ident" | punctuation itself | "eof"
     text: str
     line: int
@@ -95,34 +102,26 @@ class Token:
 def _lex(source: str) -> tuple[list[Token], list[Diagnostic]]:
     tokens: list[Token] = []
     diags: list[Diagnostic] = []
-    for lineno, raw in enumerate(source.split("\n"), start=1):
-        line = raw.split("#", 1)[0]
-        pos = 0
+    append, new, findall = tokens.append, tuple.__new__, _TOKEN.findall
+    for lineno, line in enumerate(source.split("\n"), start=1):
+        if "#" in line:
+            line = line[:line.index("#")]
+        column = 1
         first = True
-        while pos < len(line):
-            ch = line[pos]
-            if ch in " \t\r":
-                pos += 1
-                continue
-            two = line[pos:pos + 2]
-            if two == "->":
-                tokens.append(Token("->", "->", lineno, pos + 1, first))
-                pos += 2
-            elif ch in "{}=,;:>()":
-                tokens.append(Token(ch, ch, lineno, pos + 1, first))
-                pos += 1
+        for blank, ident, punct, bad in findall(line):
+            column += len(blank)
+            if ident:
+                append(new(Token, ("ident", ident, lineno, column, first)))
+                column += len(ident)
+            elif punct:
+                append(new(Token, (punct, punct, lineno, column, first)))
+                column += len(punct)
             else:
-                m = _IDENT.match(line, pos)
-                if m:
-                    tokens.append(Token("ident", m.group(), lineno, pos + 1, first))
-                    pos = m.end()
-                else:
-                    diags.append(Diagnostic(
-                        "error", lineno, pos + 1,
-                        f"unexpected character {ch!r}", "lex-unexpected-char"))
-                    pos += 1
+                diags.append(Diagnostic("error", lineno, column,
+                                        f"unexpected character {bad!r}", "lex-unexpected-char"))
+                column += 1
             first = False
-    tokens.append(Token("eof", "", source.count("\n") + 1, 1, True))
+    append(new(Token, ("eof", "", source.count("\n") + 1, 1, True)))
     return tokens, diags
 
 
@@ -135,10 +134,14 @@ class _SyntaxError(Exception):
         self.code = code
 
 
+def _expected(tok: Token, what: str) -> _SyntaxError:
+    return _SyntaxError(tok, f"expected {what}, found {tok.text or 'end of file'!r}",
+                        "parse-expected")
+
+
 class _Parser:
     def __init__(self, source: str):
-        self.tokens, lex_diags = _lex(source)
-        self.diags: list[Diagnostic] = list(lex_diags)
+        self.tokens, self.diags = _lex(source)
         self.pos = 0
         # raw declarations, with positions for resolution diagnostics
         self.attrs: dict[str, set[str]] = {}
@@ -150,26 +153,27 @@ class _Parser:
         self.rules: list[Rule] = []
         self.queries: list[ReachabilityQuery] = []
         self.plans: list[Plan] = []
+        self.group_literals = 0  # DirectGroup/EffGroup nodes parsed so far
 
-    # token helpers
+    # token helpers: a production consumes a token with ``self.pos += 1`` only
+    # after it has looked at it, so the position never passes ``eof``
     def peek(self) -> Token:
         return self.tokens[self.pos]
 
-    def advance(self) -> Token:
+    def expect(self, kind: str, what: str) -> Token:
+        """Consume the next token, which must be of ``kind`` (never ``eof``)."""
         tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
+        if tok.kind != kind:
+            raise _expected(tok, what)
+        self.pos += 1
         return tok
 
-    def expect(self, kind: str, what: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise _SyntaxError(tok, f"expected {what}, found {tok.text or 'end of file'!r}",
-                               "parse-expected")
-        return self.advance()
-
     def ident(self, what: str) -> Token:
-        return self.expect("ident", what)
+        tok = self.tokens[self.pos]
+        if tok.kind != "ident":
+            raise _expected(tok, what)
+        self.pos += 1
+        return tok
 
     def error(self, tok: Token, message: str, code: str):
         self.diags.append(Diagnostic("error", tok.line, tok.column, message, code))
@@ -178,18 +182,15 @@ class _Parser:
         """Skip to the next construct start so one error never hides the rest."""
         while True:
             tok = self.peek()
-            if tok.kind == "eof":
+            if tok.kind == "eof" or tok.first_on_line and tok.text in _TOPLEVEL:
                 return
-            if tok.first_on_line and tok.kind == "ident" and tok.text in _TOPLEVEL:
-                return
-            self.advance()
+            self.pos += 1
 
     # grammar
     def parse(self) -> ParseResult:
-        while self.peek().kind != "eof":
-            tok = self.peek()
+        while (tok := self.peek()).kind != "eof":
             try:
-                if tok.kind != "ident" or tok.text not in _TOPLEVEL:
+                if tok.text not in _TOPLEVEL:
                     raise _SyntaxError(tok, f"expected a declaration, found {tok.text!r}",
                                        "parse-toplevel")
                 getattr(self, "parse_" + tok.text)()
@@ -202,20 +203,20 @@ class _Parser:
     def parse_value_set(self) -> tuple[list[tuple[str, Token]], Token]:
         open_tok = self.expect("{", "'{'")
         items: list[tuple[str, Token]] = []
-        if self.peek().kind == "}":
-            self.advance()
+        tokens = self.tokens
+        if tokens[self.pos].kind == "}":
+            self.pos += 1
             return items, open_tok
         while True:
             tok = self.ident("a value")
             items.append((tok.text, tok))
-            if self.peek().kind == ",":
-                self.advance()
-                continue
-            self.expect("}", "'}' or ','")
-            return items, open_tok
+            if tokens[self.pos].kind != ",":
+                self.expect("}", "'}' or ','")
+                return items, open_tok
+            self.pos += 1
 
     def parse_attr(self):
-        self.advance()
+        self.pos += 1
         name = self.ident("an attribute name")
         kw = self.ident("'scope'")
         if kw.text != "scope":
@@ -234,7 +235,7 @@ class _Parser:
         self.attrs[name.text] = seen
 
     def parse_group(self):
-        self.advance()
+        self.pos += 1
         name = self.ident("a group name")
         if name.text in self.groups:
             self.error(name, f"duplicate group {name.text!r}", "dup-group")
@@ -242,7 +243,7 @@ class _Parser:
         self.groups.append(name.text)
 
     def parse_senior(self):
-        self.advance()
+        self.pos += 1
         senior = self.ident("a group name")
         self.expect(">", "'>'")
         junior = self.ident("a group name")
@@ -257,7 +258,7 @@ class _Parser:
         self.seniority.append(edge)
 
     def parse_role(self):
-        self.advance()
+        self.pos += 1
         name = self.ident("a role name")
         if name.text in self.roles:
             self.error(name, f"duplicate role {name.text!r}", "dup-role")
@@ -298,11 +299,12 @@ class _Parser:
                 else:
                     vals.add(val)
             attrs[key.text] = vals
-        self.advance()
+        self.pos += 1
         return attrs, (groups if groups is not None else set())
 
     def parse_user(self):
-        tok = self.advance()
+        tok = self.peek()
+        self.pos += 1
         attrs, groups = self.parse_assignment_block(allow_groups=True)
         if self.user_line is not None:
             self.error(tok, "duplicate user block", "dup-user")
@@ -310,7 +312,7 @@ class _Parser:
         self.user_line = (attrs, groups)
 
     def parse_groupstate(self):
-        self.advance()
+        self.pos += 1
         name = self.ident("a group name")
         if name.text not in self.groups:
             self.error(name, f"unknown group {name.text!r}", "unknown-group")
@@ -323,31 +325,29 @@ class _Parser:
     # preconditions
     def parse_precondition(self) -> Precondition:
         parts = [self.parse_pre_term()]
-        while self.peek().kind == "ident" and self.peek().text == "and":
-            self.advance()
+        while self.tokens[self.pos].text == "and":  # only an identifier has that text
+            self.pos += 1
             parts.append(self.parse_pre_term())
-        return conjunction(parts)
+        return parts[0] if len(parts) == 1 else conjunction(parts)
 
     def parse_pre_term(self) -> Precondition:
-        tok = self.peek()
-        if tok.kind == "(":
-            self.advance()
+        subject = self.tokens[self.pos]
+        if subject.kind == "(":
+            self.pos += 1
             inner = self.parse_precondition()
             self.expect(")", "')'")
             return inner
-        if tok.kind != "ident":
-            raise _SyntaxError(tok, f"expected a precondition, found {tok.text!r}",
+        if subject.kind != "ident":
+            raise _SyntaxError(subject, f"expected a precondition, found {subject.text!r}",
                                "parse-precondition")
-        if tok.text == "true":
-            self.advance()
+        self.pos += 1
+        if subject.text == "true":
             return TrueCond()
-        if tok.text == "not":
-            self.advance()
+        if subject.text == "not":
             self.expect("(", "'(' after 'not'")
             inner = self.parse_precondition()
             self.expect(")", "')'")
             return Not(inner)
-        subject = self.advance()
         kw = self.ident("'in'")
         if kw.text != "in":
             raise _SyntaxError(kw, f"expected 'in', found {kw.text!r}", "parse-precondition")
@@ -366,32 +366,32 @@ class _Parser:
         if kind.text in ("directUg", "effUg"):
             if subject.text not in self.groups:
                 self.error(subject, f"unknown group {subject.text!r}", "unknown-group")
+            self.group_literals += 1
             return (DirectGroup if kind.text == "directUg" else EffGroup)(subject.text)
         raise _SyntaxError(kind, f"expected a membership kind, found {kind.text!r}",
                            "parse-precondition")
 
     def parse_rules(self):
-        self.advance()
+        self.pos += 1
         self.expect("{", "'{'")
-        while self.peek().kind != "}":
-            tok = self.peek()
+        while (tok := self.tokens[self.pos]).kind != "}":
             if tok.kind == "eof":
                 raise _SyntaxError(tok, "unterminated rules block", "parse-unterminated")
-            if tok.kind != "ident" or tok.text != "rule":
+            if tok.text != "rule":
                 raise _SyntaxError(tok, f"expected 'rule', found {tok.text!r}", "parse-rule")
             self.parse_rule()
-        self.advance()
+        self.pos += 1
 
     def parse_rule(self):
-        self.advance()  # 'rule'
+        self.pos += 1  # 'rule'
         rel_tok = self.ident("a relation name")
-        try:
-            relation = Relation(rel_tok.text)
-        except ValueError:
+        relation = _RELATIONS.get(rel_tok.text)
+        if relation is None:
             raise _SyntaxError(rel_tok, f"unknown relation {rel_tok.text!r}",
-                               "unknown-relation") from None
+                               "unknown-relation")
+        membership = relation.is_membership
         att_tok = None
-        if not relation.is_membership:
+        if not membership:
             att_tok = self.ident("an attribute name")
             if att_tok.text not in self.attrs:
                 self.error(att_tok, f"unknown attribute {att_tok.text!r}", "unknown-attr")
@@ -400,10 +400,11 @@ class _Parser:
         if role.text not in self.roles:
             self.error(role, f"unknown role {role.text!r}", "unknown-role")
         self.expect(",", "','")
+        literals = self.group_literals
         pre = self.parse_precondition()
         self.expect("->", "'->'")
         target = self.ident("a target value or group")
-        if relation.is_membership:
+        if membership:
             if target.text not in self.groups:
                 self.error(target, f"unknown group {target.text!r}", "unknown-group")
             rule = Rule(relation, role.text, pre, target_group=target.text,
@@ -415,14 +416,13 @@ class _Parser:
                            "scope-violation")
             rule = Rule(relation, role.text, pre, target_attr=att,
                         target_val=target.text, rule_id=len(self.rules))
-            for node in pre.walk():
-                if isinstance(node, (DirectGroup, EffGroup)):
-                    self.error(rel_tok, "group membership literal outside an "
-                               "assign/remove rule", "group-literal-misplaced")
+            for _ in range(self.group_literals - literals):
+                self.error(rel_tok, "group membership literal outside an assign/remove rule",
+                           "group-literal-misplaced")
         self.rules.append(rule)
 
     def parse_query(self):
-        self.advance()
+        self.pos += 1
         kind = self.ident("'strict' or 'relaxed'")
         if kind.text not in ("strict", "relaxed"):
             raise _SyntaxError(kind, f"expected 'strict' or 'relaxed', found {kind.text!r}",
@@ -456,8 +456,8 @@ class _Parser:
                         vals.add(val)
                 entries[att] = frozenset(vals)
             if self.peek().kind == ",":
-                self.advance()
-        self.advance()
+                self.pos += 1
+        self.pos += 1
         qt = QueryType.STRICT if kind.text == "strict" else QueryType.RELAXED
         self.queries.append(ReachabilityQuery(entries, qt))
 
@@ -468,7 +468,7 @@ class _Parser:
     }
 
     def parse_plan(self):
-        self.advance()
+        self.pos += 1
         self.expect("{", "'{'")
         requests: list[Request] = []
         while self.peek().kind != "}":
@@ -487,8 +487,8 @@ class _Parser:
             self.expect(")", "')'")
             requests.append(self.build_request(name, relation, args))
             if self.peek().kind == ";":
-                self.advance()
-        self.advance()
+                self.pos += 1
+        self.pos += 1
         self.plans.append(Plan(tuple(requests)))
 
     def build_request(self, name: Token, relation: Relation, args: list[Token]) -> Request:

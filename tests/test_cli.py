@@ -216,6 +216,17 @@ def test_missing_file_is_parse_error():
     assert res.exit_code == 3
 
 
+@pytest.mark.parametrize("command", ["classify", "solve", "oracle", "validate", "fmt"])
+def test_non_utf8_file_is_positioned_parse_error(tmp_path, command):
+    path = tmp_path / "bad.gurag"
+    # CRLF and a lone CR both end a line; columns count characters, not bytes
+    path.write_bytes(b"attr a scope { x }\r\nrole r\r# \xc3\xa9\n  role \xc3\xa9 \xff }\n")
+    res = run_cli(command, str(path))
+    assert res.exit_code == 3
+    assert res.stdout == ""
+    assert res.stderr == f"{path}:4:10: error: not UTF-8: cannot decode byte 0xff [not-utf8]\n"
+
+
 def test_version():
     res = run_cli("--version")
     assert res.exit_code == 0

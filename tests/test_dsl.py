@@ -1,10 +1,11 @@
-import pathlib
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gurag_reach.dsl import _lex, parse, render_precondition, serialize
-from gurag_reach.fuzz import generate
+from gurag_reach.dsl import Diagnostic, _lex, parse, render_precondition, serialize
+from gurag_reach.fuzz import CLASSES, generate
+from gurag_reach.model import validate_instance
 from gurag_reach.policy import (
     DirectGroup,
     DirectVal,
@@ -202,3 +203,94 @@ def test_generated_instances_roundtrip(cls, seed):
     assert result.instance.rules == instance.rules
     assert result.instance.initial_state == instance.initial_state
     assert result.queries == [q]
+
+
+IDENT = re.compile(r"[A-Za-z0-9_.]+")
+
+
+def reference_lex(source):
+    """The character-at-a-time lexer that ``_lex`` replaced, kept as its
+    specification: same fields, same diagnostics, same order."""
+    tokens, diags = [], []
+    for lineno, raw in enumerate(source.split("\n"), start=1):
+        line = raw.split("#", 1)[0]
+        pos = 0
+        first = True
+        while pos < len(line):
+            ch = line[pos]
+            if ch in " \t\r":
+                pos += 1
+                continue
+            if line[pos:pos + 2] == "->":
+                tokens.append(("->", "->", lineno, pos + 1, first))
+                pos += 2
+            elif ch in "{}=,;:>()":
+                tokens.append((ch, ch, lineno, pos + 1, first))
+                pos += 1
+            else:
+                m = IDENT.match(line, pos)
+                if m:
+                    tokens.append(("ident", m.group(), lineno, pos + 1, first))
+                    pos = m.end()
+                else:
+                    diags.append(Diagnostic("error", lineno, pos + 1,
+                                            f"unexpected character {ch!r}",
+                                            "lex-unexpected-char"))
+                    pos += 1
+            first = False
+    tokens.append(("eof", "", source.count("\n") + 1, 1, True))
+    return tokens, diags
+
+
+# the grammar's punctuation, identifier characters, blanks, comment and line
+# ends, and characters that are none of these
+LEX_ALPHABET = "{}=,;:>()-aZ09_. \t\r\n#$\u00e9\ufeff\x0b"
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text(alphabet=LEX_ALPHABET, max_size=80))
+def test_lexer_matches_reference(source):
+    tokens, diags = _lex(source)
+    fields = [(t.kind, t.text, t.line, t.column, t.first_on_line) for t in tokens]
+    assert (fields, diags) == reference_lex(source)
+
+
+VOCABULARY = (
+    "attr", "scope", "group", "senior", "role", "user", "groups", "groupstate", "rules",
+    "rule", "query", "strict", "relaxed", "plan", "canAddU", "canDeleteU", "canAddUG",
+    "canDeleteUG", "canAssign", "canRemove", "addU", "deleteU", "addUG", "deleteUG",
+    "assign", "remove", "and", "not", "true", "in", "direct", "effective", "directUg",
+    "effUg", "e_a(u)", "u", "G1", "x", "2.03", "{", "}", "=", ",", ";", ":", ">", "(",
+    ")", "->", "-", "#", "$", "\n",
+)
+
+
+def mutate(text, edits):
+    """Delete, insert or replace whole words of ``text`` (blanks are kept)."""
+    pieces = re.split(r"(\s+)", text)
+    for op, where, word in edits:
+        words = [i for i, p in enumerate(pieces) if p and not p.isspace()]
+        i = words[where % len(words)]
+        if op == "delete":
+            pieces[i] = ""
+        elif op == "insert":
+            pieces[i] += " " + word
+        else:
+            pieces[i] = word
+    return "".join(pieces)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(CLASSES), st.integers(0, 10_000),
+       st.lists(st.tuples(st.sampled_from(["delete", "insert", "replace"]),
+                          st.integers(0, 10_000), st.sampled_from(VOCABULARY)),
+                min_size=1, max_size=4))
+def test_parse_is_total_on_mutated_files(cls, seed, edits):
+    instance, q = generate(cls, seed)
+    source = mutate(serialize(instance, [q]), edits)
+    result = parse(source)  # must not raise
+    if result.instance is not None:
+        validate_instance(result.instance)  # must not raise either
+    last_line = source.count("\n") + 1
+    for d in result.diagnostics:
+        assert 1 <= d.line <= last_line and d.column >= 1, d
