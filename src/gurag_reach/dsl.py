@@ -153,7 +153,6 @@ class _Parser:
         self.rules: list[Rule] = []
         self.queries: list[ReachabilityQuery] = []
         self.plans: list[Plan] = []
-        self.group_literals = 0  # DirectGroup/EffGroup nodes parsed so far
 
     # token helpers: a production consumes a token with ``self.pos += 1`` only
     # after it has looked at it, so the position never passes ``eof``
@@ -328,7 +327,7 @@ class _Parser:
         while self.tokens[self.pos].text == "and":  # only an identifier has that text
             self.pos += 1
             parts.append(self.parse_pre_term())
-        return parts[0] if len(parts) == 1 else conjunction(parts)
+        return conjunction(parts)
 
     def parse_pre_term(self) -> Precondition:
         subject = self.tokens[self.pos]
@@ -366,7 +365,6 @@ class _Parser:
         if kind.text in ("directUg", "effUg"):
             if subject.text not in self.groups:
                 self.error(subject, f"unknown group {subject.text!r}", "unknown-group")
-            self.group_literals += 1
             return (DirectGroup if kind.text == "directUg" else EffGroup)(subject.text)
         raise _SyntaxError(kind, f"expected a membership kind, found {kind.text!r}",
                            "parse-precondition")
@@ -400,7 +398,6 @@ class _Parser:
         if role.text not in self.roles:
             self.error(role, f"unknown role {role.text!r}", "unknown-role")
         self.expect(",", "','")
-        literals = self.group_literals
         pre = self.parse_precondition()
         self.expect("->", "'->'")
         target = self.ident("a target value or group")
@@ -416,9 +413,10 @@ class _Parser:
                            "scope-violation")
             rule = Rule(relation, role.text, pre, target_attr=att,
                         target_val=target.text, rule_id=len(self.rules))
-            for _ in range(self.group_literals - literals):
-                self.error(rel_tok, "group membership literal outside an assign/remove rule",
-                           "group-literal-misplaced")
+            for node in pre.walk():
+                if isinstance(node, (DirectGroup, EffGroup)):
+                    self.error(rel_tok, "group membership literal outside an "
+                               "assign/remove rule", "group-literal-misplaced")
         self.rules.append(rule)
 
     def parse_query(self):
