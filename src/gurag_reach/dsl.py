@@ -181,7 +181,7 @@ class _Parser:
         """Skip to the next construct start so one error never hides the rest."""
         while True:
             tok = self.peek()
-            if tok.kind == "eof" or tok.first_on_line and tok.text in _TOPLEVEL:
+            if tok.kind == "eof" or (tok.first_on_line and tok.text in _TOPLEVEL):
                 return
             self.pos += 1
 
