@@ -49,7 +49,7 @@ from .policy import (
     conjunction,
     conjuncts,
 )
-from .transition import Plan, QueryType, ReachabilityQuery, Request
+from .transition import REQUEST_NAMES, Plan, QueryType, ReachabilityQuery, Request
 
 
 @dataclass(frozen=True)
@@ -459,10 +459,12 @@ class _Parser:
         qt = QueryType.STRICT if kind.text == "strict" else QueryType.RELAXED
         self.queries.append(ReachabilityQuery(entries, qt))
 
+    # request name -> (relation, arity): a membership request names role and
+    # group, a group-subject one role, group, attribute and value, and the
+    # rest role, attribute and value
     _REQUEST_KINDS = {
-        "addU": (Relation.ADD_U, 3), "deleteU": (Relation.DELETE_U, 3),
-        "addUG": (Relation.ADD_UG, 4), "deleteUG": (Relation.DELETE_UG, 4),
-        "assign": (Relation.ASSIGN, 2), "remove": (Relation.REMOVE, 2),
+        name: (rel, 2 if rel.is_membership else 4 if rel.is_group_subject else 3)
+        for rel, name in REQUEST_NAMES.items()
     }
 
     def parse_plan(self):
@@ -516,20 +518,16 @@ class _Parser:
         if any(d.severity == "error" for d in self.diags):
             return None
         try:
-            hierarchy = GroupHierarchy(frozenset(self.groups), frozenset(self.seniority))
+            hierarchy = GroupHierarchy(self.groups, self.seniority)
         except ModelError as exc:
             # senior lines carry no position, so the cycle is reported at 1:1
             self.diags.append(Diagnostic("error", 1, 1, str(exc), "hierarchy-cycle"))
             return None
         user_attrs, user_groups = self.user_line or ({}, set())
-        state = DirectState(user_attrs, self.groupstates, frozenset(user_groups))
-        return ProblemInstance(
-            scopes={a: frozenset(vs) for a, vs in self.attrs.items()},
-            hierarchy=hierarchy,
-            roles=frozenset(self.roles),
-            rules=RuleSet(tuple(self.rules)),
-            initial_state=state,
-        )
+        # the model constructors freeze what they are given
+        state = DirectState(user_attrs, self.groupstates, user_groups)
+        return ProblemInstance(scopes=self.attrs, hierarchy=hierarchy, roles=self.roles,
+                               rules=RuleSet(self.rules), initial_state=state)
 
 
 def parse(source: str) -> ParseResult:

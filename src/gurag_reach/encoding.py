@@ -52,7 +52,6 @@ class QueryEntry:
 
 @dataclass
 class CompiledInstance:
-    atts: tuple[str, ...]
     groups: tuple[str, ...]
     slot: dict[tuple[str, str], int]
     att_spans: dict[str, tuple[int, int]]    # att -> (slot offset, width)
@@ -177,7 +176,6 @@ def compile_instance(instance: ProblemInstance) -> CompiledInstance:
     candidates.sort(key=lambda c: (c.request.sort_key, c.rule_id))
 
     return CompiledInstance(
-        atts=atts,
         groups=groups,
         slot=slot,
         att_spans=att_spans,

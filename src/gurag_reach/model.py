@@ -189,7 +189,8 @@ def validate_instance(instance: ProblemInstance) -> list[str]:
     An empty list means the instance is well formed.  Errors are data, not
     exceptions, so callers can report all problems at once.
     """
-    from .policy import PolicyError, clauses  # policy imports this module
+    # policy imports this module
+    from .policy import And, DirectGroup, DirectVal, EffGroup, EffVal, Not, PolicyError, clauses
 
     problems: list[str] = []
     scopes = instance.scopes
@@ -229,12 +230,11 @@ def validate_instance(instance: ProblemInstance) -> list[str]:
             problems.append(f"{where}: unknown group {rule.target_group!r}")
         negated_and = False
         for node in rule.pre.walk():
-            kind = type(node).__name__
-            if kind == "Not":
-                negated_and |= type(node.child).__name__ == "And"
-            elif kind in ("DirectVal", "EffVal"):
+            if isinstance(node, Not):
+                negated_and |= isinstance(node.child, And)
+            elif isinstance(node, (DirectVal, EffVal)):
                 check_values(f"{where} precondition", node.att, [node.val])
-            elif kind in ("DirectGroup", "EffGroup"):
+            elif isinstance(node, (DirectGroup, EffGroup)):
                 if node.group not in groups:
                     problems.append(f"{where} precondition: unknown group {node.group!r}")
                 if not rule.relation.is_membership:

@@ -3,14 +3,18 @@
 Two engines:
 
 * ``solve_no_negation``: forward fixpoint over add/assign rules, valid when no
-  precondition uses negation.  Strict queries additionally guard every addition
-  against the query, since nothing can ever be removed again.
+  precondition uses negation.
 
 * ``solve_srd_no_delete``: valid when there are no delete/remove rules and each
   value assignment (or group) has a single rule with direct-only conjuncts.
   Runs in two phases: a group-assignment phase ordered by a precedence graph
-  over groups, then a backward-chaining phase over (scope, attribute, value)
-  requirements ordered by a second precedence graph.
+  over groups, whose groups on a cycle are discarded, then a backward-chaining
+  phase over (scope, attribute, value) requirements ordered by a second
+  precedence graph.
+
+Neither engine ever removes anything, so under a strict query both share one
+guard: a surplus effective value is final, and no addition or assignment that
+would bring an unwanted value is made.
 
 Every Reachable result carries a plan that replays through the transition
 semantics.  Unreachable results carry a machine-readable reason code.
@@ -24,6 +28,7 @@ from typing import Optional
 
 from .model import (
     DirectState,
+    GroupHierarchy,
     ProblemInstance,
     effective_group_attr,
     effective_groups,
@@ -94,6 +99,31 @@ def _rule_order_key(rule: Rule) -> tuple:
 
 
 # --------------------------------------------------------------------------
+# The strict-query guard shared by both engines; a relaxed query wants
+# every value
+# --------------------------------------------------------------------------
+
+def _has_surplus(state: DirectState, h: GroupHierarchy, q: ReachabilityQuery) -> bool:
+    """Whether a strict query sees an effective value outside its target."""
+    return q.strict and any(not effective_user_attr(state, h, att) <= vset
+                            for att, vset in q.entries.items())
+
+
+def _group_admissible(state: DirectState, h: GroupHierarchy, q: ReachabilityQuery, g: str) -> bool:
+    """Whether assigning g brings the user no value the query does not want."""
+    return not q.strict or all(effective_group_attr(state, h, g, att) <= vset
+                               for att, vset in q.entries.items())
+
+
+def _value_wanted(q: ReachabilityQuery, att: str, val: str) -> bool:
+    """Whether making (att, val) effective keeps the query satisfiable."""
+    if not q.strict:
+        return True
+    vset = q.entries.get(att)
+    return vset is None or val in vset
+
+
+# --------------------------------------------------------------------------
 # Forward fixpoint for negation-free rule sets
 # --------------------------------------------------------------------------
 
@@ -105,44 +135,26 @@ def solve_no_negation(instance: ProblemInstance, q: ReachabilityQuery) -> PlanRe
     h = instance.hierarchy
     state = instance.initial_state
 
-    if q.strict:
-        # nothing is ever removed under this engine, so any surplus effective
-        # value on a queried attribute is final
-        for att, vset in q.entries.items():
-            if not effective_user_attr(state, h, att) <= vset:
-                return PlanResult.failed(EXTRA_VALUES)
-
+    if _has_surplus(state, h, q):
+        return PlanResult.failed(EXTRA_VALUES)
     if eval_query(state, h, q):
         return PlanResult.found(Plan())
 
+    # an unwanted value stays unwanted, so its rules are never fired
     add_rules = sorted(
         (r for r in instance.rules
-         if r.relation in (Relation.ADD_U, Relation.ADD_UG, Relation.ASSIGN)),
+         if r.relation == Relation.ASSIGN
+         or (r.relation in (Relation.ADD_U, Relation.ADD_UG)
+             and _value_wanted(q, r.target_attr, r.target_val))),
         key=_rule_order_key,
     )
     requests: list[Request] = []
-
-    def value_allowed(att: str, val: str) -> bool:
-        if not q.strict:
-            return True
-        vset = q.entries.get(att)
-        return vset is None or val in vset
-
-    def group_allowed(g: str) -> bool:
-        if not q.strict:
-            return True
-        for att, vset in q.entries.items():
-            if not effective_group_attr(state, h, g, att) <= vset:
-                return False
-        return True
 
     while True:
         fired = False
         for rule in add_rules:
             if rule.relation == Relation.ADD_U:
                 if rule.target_val in state.user_values(rule.target_attr):
-                    continue
-                if not value_allowed(rule.target_attr, rule.target_val):
                     continue
                 if not eval_precondition(rule.pre, state, h, None):
                     continue
@@ -153,8 +165,6 @@ def solve_no_negation(instance: ProblemInstance, q: ReachabilityQuery) -> PlanRe
                 for g in sorted(effective_groups(state, h)):
                     if rule.target_val in state.group_values(g, rule.target_attr):
                         continue
-                    if not value_allowed(rule.target_attr, rule.target_val):
-                        break
                     if not eval_precondition(rule.pre, state, h, g):
                         continue
                     req = Request(Relation.ADD_UG, rule.role, att=rule.target_attr,
@@ -164,7 +174,7 @@ def solve_no_negation(instance: ProblemInstance, q: ReachabilityQuery) -> PlanRe
                     continue
             else:  # ASSIGN
                 g = rule.target_group
-                if g in state.user_groups or not group_allowed(g):
+                if g in state.user_groups or not _group_admissible(state, h, q, g):
                     continue
                 if not eval_precondition(rule.pre, state, h, None):
                     continue
@@ -194,58 +204,24 @@ def _require_srd(instance: ProblemInstance):
 
 
 def _scc_discard(vertices: set[str], edges: set[tuple[str, str]]) -> set[str]:
-    """Vertices on directed cycles (non-trivial strongly connected components)."""
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    counter = [0]
-    discard: set[str] = set()
+    """Vertices on directed cycles, that is, the vertices that reach themselves."""
     succ: dict[str, list[str]] = {v: [] for v in vertices}
     for a, b in edges:
         succ[a].append(b)
 
-    def strongconnect(v: str):
-        # iterative Tarjan
-        work = [(v, 0)]
-        while work:
-            node, pi = work[-1]
-            if pi == 0:
-                index[node] = low[node] = counter[0]
-                counter[0] += 1
-                stack.append(node)
-                on_stack.add(node)
-            advanced = False
-            for i in range(pi, len(succ[node])):
-                w = succ[node][i]
-                if w not in index:
-                    work[-1] = (node, i + 1)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[node] = min(low[node], index[w])
-            if advanced:
-                continue
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == node:
-                        break
-                if len(comp) > 1:
-                    discard.update(comp)
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
+    def reaches_itself(v: str) -> bool:
+        seen: set[str] = set()
+        todo = list(succ[v])
+        while todo:
+            w = todo.pop()
+            if w == v:
+                return True
+            if w not in seen:
+                seen.add(w)
+                todo.extend(succ[w])
+        return False
 
-    for v in sorted(vertices):
-        if v not in index:
-            strongconnect(v)
-    return discard
+    return {v for v in vertices if reaches_itself(v)}
 
 
 def group_phase(instance: ProblemInstance, q: ReachabilityQuery) -> PlanResult:
@@ -257,17 +233,9 @@ def group_phase(instance: ProblemInstance, q: ReachabilityQuery) -> PlanResult:
 
     assign_rules = {r.target_group: r for r in instance.rules if r.relation == Relation.ASSIGN}
 
-    def admissible(g: str) -> bool:
-        if not q.strict:
-            return True
-        for att, vset in q.entries.items():
-            if not effective_group_attr(state0, h, g, att) <= vset:
-                return False
-        return True
-
     vertices = {
         g for g in assign_rules
-        if g not in state0.user_groups and admissible(g)
+        if g not in state0.user_groups and _group_admissible(state0, h, q, g)
     }
 
     def shape(g):
@@ -318,7 +286,7 @@ def group_phase(instance: ProblemInstance, q: ReachabilityQuery) -> PlanResult:
         prune()  # discarding may strand positive dependencies
         edges = {(a, b) for a, b in edges if a in vertices and b in vertices}
 
-    order = _topo_order(vertices, edges, key=lambda g: g)
+    order = _topo_order(vertices, edges)
     assert order is not None  # cycles were just removed
 
     state = state0
@@ -333,22 +301,23 @@ def group_phase(instance: ProblemInstance, q: ReachabilityQuery) -> PlanResult:
     return PlanResult.found(Plan(tuple(requests)), notes=tuple(notes))
 
 
-def _topo_order(vertices, edges, key) -> Optional[list]:
+def _topo_order(vertices, edges) -> Optional[list]:
+    """Kahn's order, taking the smallest ready vertex first; None on a cycle."""
     indeg = {v: 0 for v in vertices}
     succ = {v: [] for v in vertices}
     for a, b in edges:
         indeg[b] += 1
         succ[a].append(b)
-    ready = [(key(v), v) for v in vertices if indeg[v] == 0]
+    ready = [v for v in vertices if indeg[v] == 0]
     heapq.heapify(ready)
     out = []
     while ready:
-        _, v = heapq.heappop(ready)
+        v = heapq.heappop(ready)
         out.append(v)
         for w in succ[v]:
             indeg[w] -= 1
             if indeg[w] == 0:
-                heapq.heappush(ready, (key(w), w))
+                heapq.heappush(ready, w)
     if len(out) != len(vertices):
         return None  # cycle
     return out
@@ -373,13 +342,10 @@ def attr_phase(
     h = instance.hierarchy
     state = start_state
 
+    if _has_surplus(state, h, q):
+        return PlanResult.failed(EXTRA_VALUES)
     if eval_query(state, h, q):
         return PlanResult.found(Plan())
-
-    if q.strict:
-        for att, vset in q.entries.items():
-            if not effective_user_attr(state, h, att) <= vset:
-                return PlanResult.failed(EXTRA_VALUES)
 
     pair_rule: dict[tuple[str, str], Rule] = {}
     for rule in instance.rules:
@@ -392,17 +358,6 @@ def attr_phase(
         if scope == USER_SCOPE:
             return state.user_values(att)
         return state.group_values(scope, att)
-
-    def value_admissible(att: str, val: str) -> bool:
-        # adding (att, val) to the user scope or to any effective group makes
-        # it effective for the user; under a strict query it must be wanted
-        # (or already effective, in which case re-adding changes nothing)
-        if not q.strict:
-            return True
-        vset = q.entries.get(att)
-        if vset is None or val in vset:
-            return True
-        return val in effective_user_attr(state, h, att)
 
     # vertices[scope] -> {(att, val)}; rule per vertex comes from pair_rule
     vertices: dict[str, set[tuple[str, str]]] = {}
@@ -424,7 +379,8 @@ def attr_phase(
             # the single rule for this pair lives in the other sub-model, so
             # this scope cannot acquire the value directly
             raise _PhaseFailure(MISSING_RULE)
-        if not value_admissible(att, val):
+        # adding to the user or to any effective group makes it effective
+        if not _value_wanted(q, att, val):
             raise _PhaseFailure(FORBIDDEN_EDGE)
         trail = trail | {pair}
         for positive, lit in direct_conjunct_shape(rule.pre) or []:
@@ -499,7 +455,7 @@ def attr_phase(
                 if other in all_vertices and other != (scope, att, val):
                     edges.add(((scope, att, val), other))  # add before the blocker
 
-    order = _topo_order(all_vertices, edges, key=lambda v: v)
+    order = _topo_order(all_vertices, edges)
     if order is None:
         return PlanResult.failed(CYCLE_IN_VALSET)
 

@@ -21,6 +21,14 @@ from .model import (
 from .policy import Relation, RuleSet, eval_precondition
 
 
+# the request names of the text format and of rendered plans
+REQUEST_NAMES = {
+    Relation.ADD_U: "addU", Relation.DELETE_U: "deleteU",
+    Relation.ADD_UG: "addUG", Relation.DELETE_UG: "deleteUG",
+    Relation.ASSIGN: "assign", Relation.REMOVE: "remove",
+}
+
+
 @dataclass(frozen=True)
 class Request:
     kind: Relation
@@ -43,16 +51,9 @@ class Request:
         return (self.kind.order, self.att or "", self.val or "", self.group or "", self.role)
 
     def render(self) -> str:
-        name = {
-            Relation.ADD_U: "addU", Relation.DELETE_U: "deleteU",
-            Relation.ADD_UG: "addUG", Relation.DELETE_UG: "deleteUG",
-            Relation.ASSIGN: "assign", Relation.REMOVE: "remove",
-        }[self.kind]
-        if self.kind.is_membership:
-            return f"{name}({self.role}, {self.group})"
-        if self.group is not None:
-            return f"{name}({self.role}, {self.group}, {self.att}, {self.val})"
-        return f"{name}({self.role}, {self.att}, {self.val})"
+        # the fields a kind leaves None are exactly those its call omits
+        args = (self.role, self.group, self.att, self.val)
+        return f"{REQUEST_NAMES[self.kind]}({', '.join(a for a in args if a is not None)})"
 
 
 @dataclass(frozen=True)

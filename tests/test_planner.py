@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gurag_reach import fuzz
 from gurag_reach.model import DirectState, GroupHierarchy, ProblemInstance
@@ -10,6 +11,7 @@ from gurag_reach.planner import (
     NEGATIVE_CONJUNCT,
     NOTE_GROUP_CYCLE,
     RestrictionViolation,
+    _scc_discard,
     attr_phase,
     group_phase,
     solve_no_negation,
@@ -247,6 +249,21 @@ class TestGroupPhase:
         assert NOTE_GROUP_CYCLE in res.notes
         assert len(res.plan) == 0
 
+    def test_only_groups_on_cycles_are_discarded(self):
+        # negation cycles A<->B and C<->D; X lies between them (A -> X -> C)
+        # but on no cycle, so it survives the discard and is assigned
+        inst = make(
+            [assign("A", conjunction([Not(DirectGroup("B")), Not(DirectGroup("X"))])),
+             assign("B", Not(DirectGroup("A"))),
+             assign("C", Not(DirectGroup("D"))),
+             assign("D", Not(DirectGroup("C"))),
+             assign("X", Not(DirectGroup("C")))],
+            groups=("A", "B", "C", "D", "X"),
+        )
+        res = group_phase(inst, ReachabilityQuery({}, QueryType.RELAXED))
+        assert res.notes == (NOTE_GROUP_CYCLE,)
+        assert [r.render() for r in res.plan] == ["assign(r, X)"]
+
     def test_strict_admissibility_excludes_polluting_group(self):
         inst = make(
             [assign("G1"), assign("G2"), addu("x")],
@@ -271,3 +288,73 @@ class TestTwoPhase:
         assert NOTE_GROUP_CYCLE in res.notes
         oracle = bfs_solve(doc.instance, doc.queries[0])
         assert isinstance(oracle, Reachable)  # the documented incompleteness
+
+
+def _tarjan_discard(vertices, edges):
+    """The iterative Tarjan that the group phase once used, kept as the
+    reference for the cycle finder: vertices of non-trivial SCCs."""
+    index, low, on_stack, stack, counter, discard = {}, {}, set(), [], [0], set()
+    succ = {v: [] for v in vertices}
+    for a, b in edges:
+        succ[a].append(b)
+
+    def strongconnect(v):
+        work = [(v, 0)]
+        while work:
+            node, pi = work[-1]
+            if pi == 0:
+                index[node] = low[node] = counter[0]
+                counter[0] += 1
+                stack.append(node)
+                on_stack.add(node)
+            advanced = False
+            for i in range(pi, len(succ[node])):
+                w = succ[node][i]
+                if w not in index:
+                    work[-1] = (node, i + 1)
+                    work.append((w, 0))
+                    advanced = True
+                    break
+                if w in on_stack:
+                    low[node] = min(low[node], index[w])
+            if advanced:
+                continue
+            if low[node] == index[node]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack.discard(w)
+                    comp.append(w)
+                    if w == node:
+                        break
+                if len(comp) > 1:
+                    discard.update(comp)
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[node])
+
+    for v in sorted(vertices):
+        if v not in index:
+            strongconnect(v)
+    return discard
+
+
+@st.composite
+def loop_free_digraphs(draw):
+    n = draw(st.integers(0, 8))
+    vertices = {f"G{i}" for i in range(n)}
+    pairs = [(a, b) for a in sorted(vertices) for b in sorted(vertices) if a != b]
+    if not pairs:
+        return vertices, set()
+    # one to two edges per vertex: dense enough for several cycles, sparse
+    # enough to leave vertices between them that are on none
+    size = draw(st.integers(n, 2 * n))
+    return vertices, set(draw(st.lists(st.sampled_from(pairs), min_size=size, max_size=size)))
+
+
+@settings(max_examples=1000)
+@given(loop_free_digraphs())
+def test_cycle_finder_matches_tarjan(graph):
+    vertices, edges = graph
+    assert _scc_discard(set(vertices), set(edges)) == _tarjan_discard(vertices, edges)
