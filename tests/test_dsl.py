@@ -109,6 +109,38 @@ class TestParserDetails:
         assert d.code == "scope-violation"
 
 
+DECLARED = "attr a scope { x }\ngroup G\nrole r\n"
+
+
+class TestResolutionDiagnostics:
+    """Exact diagnostics of the resolution checks that the malformed corpus
+    does not reach; each is reported and the parse goes on."""
+
+    @pytest.mark.parametrize("line, expected", [
+        ("plan { addU(q, a, x) }", ["4:13: error: unknown role 'q' [unknown-role]"]),
+        ("plan { assign(r, H) }", ["4:18: error: unknown group 'H' [unknown-group]"]),
+        ("plan { addUG(r, H, a, x) }", ["4:17: error: unknown group 'H' [unknown-group]"]),
+        ("plan { deleteU(r, b, x) }", ["4:19: error: unknown attribute 'b' [unknown-attr]"]),
+        ("plan { addU(r, a, y) }",
+         ["4:19: error: value 'y' outside scope of 'a' [scope-violation]"]),
+        ("plan { addUG(q, H, b, y); deleteUG(r, G, a, y) }",
+         ["4:14: error: unknown role 'q' [unknown-role]",
+          "4:17: error: unknown group 'H' [unknown-group]",
+          "4:20: error: unknown attribute 'b' [unknown-attr]",
+          "4:45: error: value 'y' outside scope of 'a' [scope-violation]"]),
+        ("user { groups = { G }  groups = { } }",
+         ["4:24: error: duplicate 'groups' entry [dup-entry]"]),
+        ("query strict { e_a(u) = { x }, e_a(u) = { } }",
+         ["4:32: error: duplicate query entry for 'a' [dup-entry]"]),
+    ], ids=["request-role", "assign-group", "addUG-group", "request-attr",
+            "request-scope", "request-argument-order", "dup-groups", "dup-query-entry"])
+    def test_rendered_diagnostics(self, line, expected):
+        result = parse(DECLARED + line + "\n")
+        assert [d.render() for d in result.diagnostics] == expected
+        assert result.instance is None
+        assert len(result.plans) + len(result.queries) == line.startswith(("plan", "query"))
+
+
 def lexed(source):
     tokens, diags = _lex(source)
     return ([(t.kind, t.text, t.line, t.column, t.first_on_line) for t in tokens],
