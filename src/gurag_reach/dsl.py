@@ -154,11 +154,9 @@ class _Parser:
         self.queries: list[ReachabilityQuery] = []
         self.plans: list[Plan] = []
 
-    # token helpers: a production consumes a token with ``self.pos += 1`` only
-    # after it has looked at it, so the position never passes ``eof``
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
+    # token helpers: a production reads ``self.tokens[self.pos]`` and consumes
+    # it with ``self.pos += 1`` only after it has looked at it, so the position
+    # never passes ``eof``
     def expect(self, kind: str, what: str) -> Token:
         """Consume the next token, which must be of ``kind`` (never ``eof``)."""
         tok = self.tokens[self.pos]
@@ -167,27 +165,47 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def ident(self, what: str) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "ident":
-            raise _expected(tok, what)
-        self.pos += 1
+    def word(self, words: tuple[str, ...], what: str, code: str) -> Token:
+        """Consume the next token, which must be one of the keywords ``words``."""
+        tok = self.expect("ident", what)
+        if tok.text not in words:
+            raise _SyntaxError(tok, f"expected {what}, found {tok.text!r}", code)
         return tok
 
     def error(self, tok: Token, message: str, code: str):
         self.diags.append(Diagnostic("error", tok.line, tok.column, message, code))
 
+    # resolution checks: each reports one diagnostic and lets the parse go on
+    def known(self, tok: Token, names, what: str, code: str) -> bool:
+        """Whether ``tok`` names a declared ``what``."""
+        if tok.text in names:
+            return True
+        self.error(tok, f"unknown {what} {tok.text!r}", code)
+        return False
+
+    def in_scope(self, att: str, values) -> set[str]:
+        """The texts of the value tokens ``values`` that lie in ``att``'s scope."""
+        scope = self.attrs[att]
+        vals = set()
+        for tok in values:
+            if tok.text in scope:
+                vals.add(tok.text)
+            else:
+                self.error(tok, f"value {tok.text!r} outside scope of {att!r}",
+                           "scope-violation")
+        return vals
+
     def synchronize(self):
         """Skip to the next construct start so one error never hides the rest."""
         while True:
-            tok = self.peek()
+            tok = self.tokens[self.pos]
             if tok.kind == "eof" or (tok.first_on_line and tok.text in _TOPLEVEL):
                 return
             self.pos += 1
 
     # grammar
     def parse(self) -> ParseResult:
-        while (tok := self.peek()).kind != "eof":
+        while (tok := self.tokens[self.pos]).kind != "eof":
             try:
                 if tok.text not in _TOPLEVEL:
                     raise _SyntaxError(tok, f"expected a declaration, found {tok.text!r}",
@@ -199,16 +217,15 @@ class _Parser:
         instance = self.resolve()
         return ParseResult(instance, self.queries, self.plans, self.diags)
 
-    def parse_value_set(self) -> tuple[list[tuple[str, Token]], Token]:
+    def parse_value_set(self) -> tuple[list[Token], Token]:
         open_tok = self.expect("{", "'{'")
-        items: list[tuple[str, Token]] = []
+        items: list[Token] = []
         tokens = self.tokens
         if tokens[self.pos].kind == "}":
             self.pos += 1
             return items, open_tok
         while True:
-            tok = self.ident("a value")
-            items.append((tok.text, tok))
+            items.append(self.expect("ident", "a value"))
             if tokens[self.pos].kind != ",":
                 self.expect("}", "'}' or ','")
                 return items, open_tok
@@ -216,10 +233,8 @@ class _Parser:
 
     def parse_attr(self):
         self.pos += 1
-        name = self.ident("an attribute name")
-        kw = self.ident("'scope'")
-        if kw.text != "scope":
-            raise _SyntaxError(kw, f"expected 'scope', found {kw.text!r}", "parse-expected")
+        name = self.expect("ident", "an attribute name")
+        self.word(("scope",), "'scope'", "parse-expected")
         values, brace = self.parse_value_set()
         if name.text in self.attrs:
             self.error(name, f"duplicate attribute {name.text!r}", "dup-attr")
@@ -227,28 +242,34 @@ class _Parser:
         if not values:
             self.error(brace, f"attribute {name.text!r} has an empty scope", "empty-scope")
         seen = set()
-        for val, tok in values:
-            if val in seen:
-                self.error(tok, f"duplicate scope value {val!r}", "dup-value")
-            seen.add(val)
+        for tok in values:
+            if tok.text in seen:
+                self.error(tok, f"duplicate scope value {tok.text!r}", "dup-value")
+            seen.add(tok.text)
         self.attrs[name.text] = seen
 
-    def parse_group(self):
+    def declare(self, names: list[str], what: str, code: str):
+        """`group <name>` and `role <name>`."""
         self.pos += 1
-        name = self.ident("a group name")
-        if name.text in self.groups:
-            self.error(name, f"duplicate group {name.text!r}", "dup-group")
+        name = self.expect("ident", f"a {what} name")
+        if name.text in names:
+            self.error(name, f"duplicate {what} {name.text!r}", code)
             return
-        self.groups.append(name.text)
+        names.append(name.text)
+
+    def parse_group(self):
+        self.declare(self.groups, "group", "dup-group")
+
+    def parse_role(self):
+        self.declare(self.roles, "role", "dup-role")
 
     def parse_senior(self):
         self.pos += 1
-        senior = self.ident("a group name")
+        senior = self.expect("ident", "a group name")
         self.expect(">", "'>'")
-        junior = self.ident("a group name")
+        junior = self.expect("ident", "a group name")
         for tok in (senior, junior):
-            if tok.text not in self.groups:
-                self.error(tok, f"unknown group {tok.text!r}", "unknown-group")
+            self.known(tok, self.groups, "group", "unknown-group")
         edge = (senior.text, junior.text)
         if edge in self.seniority:
             self.error(senior, f"duplicate seniority edge {senior.text} > {junior.text}",
@@ -256,53 +277,32 @@ class _Parser:
             return
         self.seniority.append(edge)
 
-    def parse_role(self):
-        self.pos += 1
-        name = self.ident("a role name")
-        if name.text in self.roles:
-            self.error(name, f"duplicate role {name.text!r}", "dup-role")
-            return
-        self.roles.append(name.text)
-
     def parse_assignment_block(self, allow_groups: bool):
         """`{ att = { ... } ... [groups = { ... }] }` with resolution checks."""
         self.expect("{", "'{'")
         attrs: dict[str, set[str]] = {}
         groups: Optional[set[str]] = None
-        while self.peek().kind != "}":
-            key = self.ident("an attribute name")
+        while self.tokens[self.pos].kind != "}":
+            key = self.expect("ident", "an attribute name")
             self.expect("=", "'='")
             values, _ = self.parse_value_set()
             if allow_groups and key.text == "groups":
                 if groups is not None:
                     self.error(key, "duplicate 'groups' entry", "dup-entry")
-                groups = set()
-                for g, tok in values:
-                    if g not in self.groups:
-                        self.error(tok, f"unknown group {g!r}", "unknown-group")
-                    groups.add(g)
-                continue
-            if key.text in attrs:
+                for tok in values:
+                    self.known(tok, self.groups, "group", "unknown-group")
+                groups = {tok.text for tok in values}
+            elif key.text in attrs:
                 self.error(key, f"duplicate attribute entry {key.text!r}", "dup-entry")
-                continue
-            if key.text not in self.attrs:
-                self.error(key, f"unknown attribute {key.text!r}", "unknown-attr")
+            elif self.known(key, self.attrs, "attribute", "unknown-attr"):
+                attrs[key.text] = self.in_scope(key.text, values)
+            else:
                 attrs[key.text] = set()
-                continue
-            scope = self.attrs[key.text]
-            vals = set()
-            for val, tok in values:
-                if val not in scope:
-                    self.error(tok, f"value {val!r} outside scope of {key.text!r}",
-                               "scope-violation")
-                else:
-                    vals.add(val)
-            attrs[key.text] = vals
         self.pos += 1
         return attrs, (groups if groups is not None else set())
 
     def parse_user(self):
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         self.pos += 1
         attrs, groups = self.parse_assignment_block(allow_groups=True)
         if self.user_line is not None:
@@ -312,9 +312,8 @@ class _Parser:
 
     def parse_groupstate(self):
         self.pos += 1
-        name = self.ident("a group name")
-        if name.text not in self.groups:
-            self.error(name, f"unknown group {name.text!r}", "unknown-group")
+        name = self.expect("ident", "a group name")
+        self.known(name, self.groups, "group", "unknown-group")
         attrs, _ = self.parse_assignment_block(allow_groups=False)
         if name.text in self.groupstates:
             self.error(name, f"duplicate groupstate for {name.text!r}", "dup-groupstate")
@@ -347,24 +346,18 @@ class _Parser:
             inner = self.parse_precondition()
             self.expect(")", "')'")
             return Not(inner)
-        kw = self.ident("'in'")
-        if kw.text != "in":
-            raise _SyntaxError(kw, f"expected 'in', found {kw.text!r}", "parse-precondition")
-        kind = self.ident("'direct', 'effective', 'directUg' or 'effUg'")
+        self.word(("in",), "'in'", "parse-precondition")
+        kind = self.expect("ident", "'direct', 'effective', 'directUg' or 'effUg'")
         if kind.text in ("direct", "effective"):
             self.expect("(", "'('")
-            att = self.ident("an attribute name")
+            att = self.expect("ident", "an attribute name")
             self.expect(")", "')'")
-            if att.text not in self.attrs:
-                self.error(att, f"unknown attribute {att.text!r}", "unknown-attr")
-            elif subject.text not in self.attrs[att.text]:
-                self.error(subject, f"value {subject.text!r} outside scope of {att.text!r}",
-                           "scope-violation")
+            if self.known(att, self.attrs, "attribute", "unknown-attr"):
+                self.in_scope(att.text, (subject,))
             cls = DirectVal if kind.text == "direct" else EffVal
             return cls(att.text, subject.text)
         if kind.text in ("directUg", "effUg"):
-            if subject.text not in self.groups:
-                self.error(subject, f"unknown group {subject.text!r}", "unknown-group")
+            self.known(subject, self.groups, "group", "unknown-group")
             return (DirectGroup if kind.text == "directUg" else EffGroup)(subject.text)
         raise _SyntaxError(kind, f"expected a membership kind, found {kind.text!r}",
                            "parse-precondition")
@@ -382,36 +375,30 @@ class _Parser:
 
     def parse_rule(self):
         self.pos += 1  # 'rule'
-        rel_tok = self.ident("a relation name")
+        rel_tok = self.expect("ident", "a relation name")
         relation = _RELATIONS.get(rel_tok.text)
         if relation is None:
             raise _SyntaxError(rel_tok, f"unknown relation {rel_tok.text!r}",
                                "unknown-relation")
         membership = relation.is_membership
-        att_tok = None
         if not membership:
-            att_tok = self.ident("an attribute name")
-            if att_tok.text not in self.attrs:
-                self.error(att_tok, f"unknown attribute {att_tok.text!r}", "unknown-attr")
+            att = self.expect("ident", "an attribute name")
+            att_known = self.known(att, self.attrs, "attribute", "unknown-attr")
         self.expect(":", "':'")
-        role = self.ident("a role name")
-        if role.text not in self.roles:
-            self.error(role, f"unknown role {role.text!r}", "unknown-role")
+        role = self.expect("ident", "a role name")
+        self.known(role, self.roles, "role", "unknown-role")
         self.expect(",", "','")
         pre = self.parse_precondition()
         self.expect("->", "'->'")
-        target = self.ident("a target value or group")
+        target = self.expect("ident", "a target value or group")
         if membership:
-            if target.text not in self.groups:
-                self.error(target, f"unknown group {target.text!r}", "unknown-group")
+            self.known(target, self.groups, "group", "unknown-group")
             rule = Rule(relation, role.text, pre, target_group=target.text,
                         rule_id=len(self.rules))
         else:
-            att = att_tok.text
-            if att in self.attrs and target.text not in self.attrs[att]:
-                self.error(target, f"value {target.text!r} outside scope of {att!r}",
-                           "scope-violation")
-            rule = Rule(relation, role.text, pre, target_attr=att,
+            if att_known:
+                self.in_scope(att.text, (target,))
+            rule = Rule(relation, role.text, pre, target_attr=att.text,
                         target_val=target.text, rule_id=len(self.rules))
             for node in pre.walk():
                 if isinstance(node, (DirectGroup, EffGroup)):
@@ -421,49 +408,40 @@ class _Parser:
 
     def parse_query(self):
         self.pos += 1
-        kind = self.ident("'strict' or 'relaxed'")
-        if kind.text not in ("strict", "relaxed"):
-            raise _SyntaxError(kind, f"expected 'strict' or 'relaxed', found {kind.text!r}",
-                               "parse-query")
+        kind = self.word(("strict", "relaxed"), "'strict' or 'relaxed'", "parse-query")
         self.expect("{", "'{'")
         entries: dict[str, frozenset[str]] = {}
-        while self.peek().kind != "}":
-            key = self.ident("'e_<attribute>(u)'")
+        while self.tokens[self.pos].kind != "}":
+            key = self.expect("ident", "'e_<attribute>(u)'")
             if not key.text.startswith("e_") or len(key.text) <= 2:
                 raise _SyntaxError(key, f"expected 'e_<attribute>', found {key.text!r}",
                                    "parse-query")
             att = key.text[2:]
             self.expect("(", "'('")
-            u = self.ident("'u'")
-            if u.text != "u":
-                raise _SyntaxError(u, f"expected 'u', found {u.text!r}", "parse-query")
+            self.word(("u",), "'u'", "parse-query")
             self.expect(")", "')'")
             self.expect("=", "'='")
             values, _ = self.parse_value_set()
+            # reported at the key token, which spells the attribute as e_<att>
             if att not in self.attrs:
                 self.error(key, f"unknown attribute {att!r}", "unknown-attr")
             elif att in entries:
                 self.error(key, f"duplicate query entry for {att!r}", "dup-entry")
             else:
-                vals = set()
-                for val, tok in values:
-                    if val not in self.attrs[att]:
-                        self.error(tok, f"value {val!r} outside scope of {att!r}",
-                                   "scope-violation")
-                    else:
-                        vals.add(val)
-                entries[att] = frozenset(vals)
-            if self.peek().kind == ",":
+                entries[att] = frozenset(self.in_scope(att, values))
+            if self.tokens[self.pos].kind == ",":
                 self.pos += 1
         self.pos += 1
         qt = QueryType.STRICT if kind.text == "strict" else QueryType.RELAXED
         self.queries.append(ReachabilityQuery(entries, qt))
 
-    # request name -> (relation, arity): a membership request names role and
-    # group, a group-subject one role, group, attribute and value, and the
-    # rest role, attribute and value
+    # request name -> (relation, argument fields in the order a request renders
+    # them): a membership request names role and group, a group-subject one
+    # role, group, attribute and value, and the rest role, attribute and value
     _REQUEST_KINDS = {
-        name: (rel, 2 if rel.is_membership else 4 if rel.is_group_subject else 3)
+        name: (rel, ("role", "group") if rel.is_membership
+               else ("role", "group", "att", "val") if rel.is_group_subject
+               else ("role", "att", "val"))
         for rel, name in REQUEST_NAMES.items()
     }
 
@@ -471,48 +449,33 @@ class _Parser:
         self.pos += 1
         self.expect("{", "'{'")
         requests: list[Request] = []
-        while self.peek().kind != "}":
-            name = self.ident("a request")
+        while self.tokens[self.pos].kind != "}":
+            name = self.expect("ident", "a request")
             spec = self._REQUEST_KINDS.get(name.text)
             if spec is None:
                 raise _SyntaxError(name, f"unknown request kind {name.text!r}",
                                    "unknown-request")
-            relation, arity = spec
+            relation, fields = spec
             self.expect("(", "'('")
-            args: list[Token] = []
-            for i in range(arity):
+            args: dict[str, Token] = {}
+            for i, arg in enumerate(fields):
                 if i:
                     self.expect(",", "','")
-                args.append(self.ident("an argument"))
+                args[arg] = self.expect("ident", "an argument")
             self.expect(")", "')'")
-            requests.append(self.build_request(name, relation, args))
-            if self.peek().kind == ";":
+            requests.append(self.build_request(relation, args))
+            if self.tokens[self.pos].kind == ";":
                 self.pos += 1
         self.pos += 1
         self.plans.append(Plan(tuple(requests)))
 
-    def build_request(self, name: Token, relation: Relation, args: list[Token]) -> Request:
-        role = args[0]
-        if role.text not in self.roles:
-            self.error(role, f"unknown role {role.text!r}", "unknown-role")
-        if relation.is_membership:
-            group = args[1]
-            if group.text not in self.groups:
-                self.error(group, f"unknown group {group.text!r}", "unknown-group")
-            return Request(relation, role.text, group=group.text)
-        if relation in (Relation.ADD_UG, Relation.DELETE_UG):
-            group, att, val = args[1], args[2], args[3]
-            if group.text not in self.groups:
-                self.error(group, f"unknown group {group.text!r}", "unknown-group")
-        else:
-            group, att, val = None, args[1], args[2]
-        if att.text not in self.attrs:
-            self.error(att, f"unknown attribute {att.text!r}", "unknown-attr")
-        elif val.text not in self.attrs[att.text]:
-            self.error(val, f"value {val.text!r} outside scope of {att.text!r}",
-                       "scope-violation")
-        return Request(relation, role.text, att=att.text, val=val.text,
-                       group=group.text if group else None)
+    def build_request(self, relation: Relation, args: dict[str, Token]) -> Request:
+        self.known(args["role"], self.roles, "role", "unknown-role")
+        if "group" in args:
+            self.known(args["group"], self.groups, "group", "unknown-group")
+        if "att" in args and self.known(args["att"], self.attrs, "attribute", "unknown-attr"):
+            self.in_scope(args["att"].text, (args["val"],))
+        return Request(relation, **{arg: tok.text for arg, tok in args.items()})
 
     def resolve(self) -> Optional[ProblemInstance]:
         if any(d.severity == "error" for d in self.diags):

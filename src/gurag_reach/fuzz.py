@@ -21,7 +21,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .model import DirectState, GroupHierarchy, ProblemInstance
+from .encoding import compile_instance
+from .model import DirectState, GroupHierarchy, ProblemInstance, effective_user_attr
 from .planner import (
     NOTE_GROUP_CYCLE,
     solve_no_negation,
@@ -40,11 +41,16 @@ from .policy import (
     conjunction,
 )
 from .search import BoundExceeded, Reachable, SearchBounds, Unreachable, bfs_solve
-from .transition import Plan, QueryType, ReachabilityQuery, Valid, validate_plan
+from .transition import (
+    QueryType,
+    ReachabilityQuery,
+    Valid,
+    apply_request,
+    authorized_rules,
+    validate_plan,
+)
 
 CLASSES = ("nonneg", "srd", "any")
-
-_VALUE_RELATIONS = (Relation.ADD_U, Relation.ADD_UG)
 
 
 def _gen_scopes(rng: random.Random, max_total: int,
@@ -95,21 +101,27 @@ def _gen_state(rng: random.Random, scopes, groups, density=0.25) -> DirectState:
     return DirectState(user_attrs, group_attrs, user_groups)
 
 
+def _rule(rng: random.Random, rel: Relation, parts, roles, scopes, groups) -> Rule:
+    """A ``rel`` rule over the conjunction of ``parts``, with a random role and
+    target, drawn in that order (the attribute of a value target first)."""
+    if rel.is_membership:
+        return Rule(rel, rng.choice(roles), conjunction(parts),
+                    target_group=rng.choice(groups))
+    att = rng.choice(sorted(scopes))
+    return Rule(rel, rng.choice(roles), conjunction(parts), target_attr=att,
+                target_val=rng.choice(sorted(scopes[att])))
+
+
 def _gen_query(
     rng: random.Random, instance: ProblemInstance, strict_full: bool
 ) -> ReachabilityQuery:
     """Target sets biased toward reachable by simulating random requests."""
-    from .transition import apply_request, authorized_rules  # local to avoid cycles
-    from .model import effective_user_attr
-    from .encoding import compile_instance
-
     ci = compile_instance(instance)
     state = instance.initial_state
     for _ in range(rng.randint(0, 8)):
         cands = [
             c for c in ci.candidates
-            if c.request and authorized_rules(state, instance.hierarchy,
-                                              instance.rules, c.request)
+            if authorized_rules(state, instance.hierarchy, instance.rules, c.request)
         ]
         if not cands:
             break
@@ -154,17 +166,10 @@ def generate(cls: str, seed: int) -> tuple[ProblemInstance, ReachabilityQuery]:
             rel = rng.choice(relations if groups else [Relation.ADD_U])
             parts = [_value_literal(rng, scopes, allow_effective=True)
                      for _ in range(rng.randint(0, 2))]
-            if rel == Relation.ASSIGN:
-                if rng.random() < 0.5:
-                    cls_lit = EffGroup if rng.random() < 0.5 else DirectGroup
-                    parts.append(cls_lit(rng.choice(groups)))
-                rules.append(Rule(rel, rng.choice(roles), conjunction(parts),
-                                  target_group=rng.choice(groups)))
-            else:
-                att = rng.choice(sorted(scopes))
-                rules.append(Rule(rel, rng.choice(roles), conjunction(parts),
-                                  target_attr=att,
-                                  target_val=rng.choice(sorted(scopes[att]))))
+            if rel == Relation.ASSIGN and rng.random() < 0.5:
+                cls_lit = EffGroup if rng.random() < 0.5 else DirectGroup
+                parts.append(cls_lit(rng.choice(groups)))
+            rules.append(_rule(rng, rel, parts, roles, scopes, groups))
     elif cls == "srd":
         pairs = [(att, val) for att in sorted(scopes) for val in sorted(scopes[att])]
         rng.shuffle(pairs)
@@ -193,18 +198,10 @@ def generate(cls: str, seed: int) -> tuple[ProblemInstance, ReachabilityQuery]:
             parts = [_value_literal(rng, scopes, allow_effective=True)
                      for _ in range(rng.randint(0, 2))]
             parts = [Not(p) if rng.random() < 0.25 else p for p in parts]
-            if rel.is_membership:
-                if rng.random() < 0.4:
-                    glit = (EffGroup if rng.random() < 0.5 else DirectGroup)(
-                        rng.choice(groups))
-                    parts.append(Not(glit) if rng.random() < 0.3 else glit)
-                rules.append(Rule(rel, rng.choice(roles), conjunction(parts),
-                                  target_group=rng.choice(groups)))
-            else:
-                att = rng.choice(sorted(scopes))
-                rules.append(Rule(rel, rng.choice(roles), conjunction(parts),
-                                  target_attr=att,
-                                  target_val=rng.choice(sorted(scopes[att]))))
+            if rel.is_membership and rng.random() < 0.4:
+                glit = (EffGroup if rng.random() < 0.5 else DirectGroup)(rng.choice(groups))
+                parts.append(Not(glit) if rng.random() < 0.3 else glit)
+            rules.append(_rule(rng, rel, parts, roles, scopes, groups))
 
     instance = ProblemInstance(
         scopes=scopes,

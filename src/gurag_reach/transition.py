@@ -40,7 +40,7 @@ class Request:
     def __post_init__(self):
         if self.kind.is_membership:
             assert self.group is not None and self.att is None and self.val is None
-        elif self.kind in (Relation.ADD_UG, Relation.DELETE_UG):
+        elif self.kind.is_group_subject:
             assert self.group is not None and self.att is not None and self.val is not None
         else:
             assert self.group is None and self.att is not None and self.val is not None
