@@ -1,9 +1,14 @@
+import importlib.util
+import pathlib
 import random
+import sys
+import time
+from collections import deque
 
 import pytest
 
 from gurag_reach import _kernel_py, kernel
-from gurag_reach.encoding import compile_instance
+from gurag_reach.encoding import ALWAYS, QueryEntry, compile_instance
 from gurag_reach.fuzz import CLASSES, generate
 from gurag_reach.model import DirectState, GroupHierarchy, ProblemInstance
 from gurag_reach.policy import (
@@ -31,6 +36,8 @@ from gurag_reach.search import (
 from gurag_reach.transition import Plan, QueryType, ReachabilityQuery, Valid, validate_plan
 
 from conftest import GOLDEN, load_golden
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def chain_instance(n):
@@ -304,3 +311,256 @@ class TestKernelEquivalence:
         assert kernel.select(ci, "auto").KERNEL_NAME == "python"
         with pytest.raises(RuntimeError):
             kernel.select(ci, "compiled")
+
+
+# --- reference kernel --------------------------------------------------------
+# The queue-based pure kernel that the level-by-level one replaced, kept as
+# it was: parallel discovery arrays, a FIFO of indices and a goal test per
+# query attribute.  ``_kernel_py.bfs`` must return exactly what it returns.
+
+def reference_goal(ci, q):
+    """The query as one ``QueryEntry`` per attribute."""
+    entries = []
+    for att, vset in q.entries.items():
+        off, width = ci.att_spans[att]
+        mask = ((1 << width) - 1) << off
+        target = 0
+        for val in vset:
+            target |= 1 << ci.slot[att, val]
+        entries.append(QueryEntry(mask, target))
+    return tuple(entries)
+
+
+def _ref_eff_group_bits(ci, state, j, smask):
+    bits = 0
+    for k in ci.closure_idx[j]:
+        bits |= (state >> ci.seg_offsets[k]) & smask
+    return bits
+
+
+def _ref_eff_user_bits(ci, state, smask):
+    bits = state & smask
+    mem = state >> ci.mem_offset
+    for j in range(ci.n_groups):
+        if mem >> j & 1:
+            bits |= _ref_eff_group_bits(ci, state, j, smask)
+    return bits
+
+
+def _ref_view(ci, state, subject, smask):
+    mem = state >> ci.mem_offset
+    if subject < 0:
+        direct = state & smask
+        eff = _ref_eff_user_bits(ci, state, smask)
+    else:
+        direct = (state >> ci.seg_offsets[subject]) & smask
+        eff = _ref_eff_group_bits(ci, state, subject, smask)
+    effmem = 0
+    for j, seniors in enumerate(ci.senior_mask):
+        if mem & seniors:
+            effmem |= 1 << j
+    s = ci.n_slots
+    return direct | eff << s | mem << 2 * s | effmem << (2 * s + ci.n_groups)
+
+
+def _ref_goal_holds(ci, state, goal, strict, smask):
+    eff = _ref_eff_user_bits(ci, state, smask)
+    for entry in goal:
+        if strict:
+            if eff & entry.mask != entry.target:
+                return False
+        else:
+            if entry.target & ~eff:
+                return False
+    return True
+
+
+def reference_bfs(ci, start, goal, strict, max_depth, max_states, max_millis):
+    smask = ci.seg_mask()
+    candidates = [(i, 1 << c.bit, c.add, c.subject, None if c.guard == ALWAYS else c.guard)
+                  for i, c in enumerate(ci.candidates)]
+
+    if goal is not None and _ref_goal_holds(ci, start, goal, strict, smask):
+        return _kernel_py.REACHABLE, [], 1
+
+    states = [start]
+    parents = [-1]
+    via = [-1]
+    depths = [0]
+    seen = {start: 0}
+    queue = deque([0])
+    deadline = time.monotonic() + max_millis / 1000.0
+    depth_cut = False
+    expanded = 0
+
+    while queue:
+        idx = queue.popleft()
+        state = states[idx]
+        depth = depths[idx]
+        if depth >= max_depth:
+            depth_cut = True
+            continue
+        expanded += 1
+        if expanded % 2048 == 0 and time.monotonic() > deadline:
+            return _kernel_py.MILLIS_EXCEEDED, None, len(states)
+        views = {}
+        for ci_idx, bit, add, subject, guard in candidates:
+            succ = state | bit if add else state & ~bit
+            if succ == state or succ in seen:
+                continue
+            if guard is not None:
+                view = views.get(subject)
+                if view is None:
+                    view = views[subject] = _ref_view(ci, state, subject, smask)
+                for care, want in guard:
+                    if view & care == want:
+                        break
+                else:
+                    continue
+            if len(states) >= max_states:
+                return _kernel_py.STATES_EXCEEDED, None, len(states)
+            seen[succ] = len(states)
+            states.append(succ)
+            parents.append(idx)
+            via.append(ci_idx)
+            depths.append(depth + 1)
+            if goal is not None and _ref_goal_holds(ci, succ, goal, strict, smask):
+                plan = []
+                at = len(states) - 1
+                while at > 0:
+                    plan.append(via[at])
+                    at = parents[at]
+                plan.reverse()
+                return _kernel_py.REACHABLE, plan, len(states)
+            queue.append(len(states) - 1)
+
+    if goal is None:
+        code = _kernel_py.DEPTH_EXCEEDED if depth_cut else _kernel_py.UNREACHABLE
+        return code, list(zip(states, depths)), len(states)
+    if depth_cut:
+        return _kernel_py.DEPTH_EXCEEDED, None, len(states)
+    return _kernel_py.UNREACHABLE, None, len(states)
+
+
+REFERENCE_BOUNDS = [SearchBounds(), SearchBounds(max_depth=1), SearchBounds(max_depth=2),
+                    SearchBounds(max_states=1), SearchBounds(max_states=2),
+                    SearchBounds(max_states=7)]
+
+
+def assert_matches_reference(instance, q):
+    """Equal ``bfs`` tuples, strict and relaxed, with the goal and enumerating."""
+    ci = compile_instance(instance)
+    start = ci.encode_state(instance.initial_state)
+    goal, entries = ci.compile_query(q), reference_goal(ci, q)
+    for b in REFERENCE_BOUNDS:
+        limits = (b.max_depth, b.max_states, b.max_millis)
+        for strict in (True, False):
+            assert _kernel_py.bfs(ci, start, goal, strict, *limits) == \
+                reference_bfs(ci, start, entries, strict, *limits), (strict, b)
+        assert _kernel_py.bfs(ci, start, None, False, *limits) == \
+            reference_bfs(ci, start, None, False, *limits), b
+
+
+def three_level_instance():
+    """A > B > C, where only A can be assigned: C's values reach the user
+    through two levels of the closure, and group-subject deletes clear B."""
+    hierarchy = GroupHierarchy(frozenset({"A", "B", "C"}), frozenset({("A", "B"), ("B", "C")}))
+    rules = [
+        Rule(Relation.ASSIGN, "r", TrueCond(), target_group="A"),
+        Rule(Relation.REMOVE, "r", DirectVal("a", "z"), target_group="A"),
+        Rule(Relation.ADD_UG, "r", Not(EffGroup("A")), target_attr="a", target_val="y"),
+        Rule(Relation.DELETE_UG, "r", TrueCond(), target_attr="a", target_val="x"),
+        Rule(Relation.DELETE_UG, "r", EffVal("a", "z"), target_attr="a", target_val="y"),
+        Rule(Relation.ADD_U, "r", EffGroup("C"), target_attr="a", target_val="z"),
+        Rule(Relation.DELETE_U, "r", TrueCond(), target_attr="a", target_val="x"),
+    ]
+    return ProblemInstance(
+        scopes={"a": frozenset({"x", "y", "z"}), "b": frozenset({"w"})},
+        hierarchy=hierarchy, roles=frozenset({"r"}), rules=RuleSet.build(rules),
+        initial_state=DirectState({"a": {"x"}}, {"B": {"a": {"x"}}, "C": {"a": {"y"}}}))
+
+
+def two_rules_one_request_instance():
+    """Two rules authorize ``add y``; the first holds only once x is held."""
+    rules = [
+        Rule(Relation.ADD_U, "r", DirectVal("a", "x"), target_attr="a", target_val="y"),
+        Rule(Relation.ADD_U, "r", TrueCond(), target_attr="a", target_val="y"),
+        Rule(Relation.ADD_U, "r", TrueCond(), target_attr="a", target_val="x"),
+        Rule(Relation.DELETE_U, "r", DirectVal("a", "y"), target_attr="a", target_val="x"),
+    ]
+    return ProblemInstance(
+        scopes={"a": frozenset({"x", "y"})}, hierarchy=GroupHierarchy(frozenset()),
+        roles=frozenset({"r"}), rules=RuleSet.build(rules), initial_state=DirectState())
+
+
+class TestMatchesReferenceKernel:
+    @pytest.mark.parametrize("cls", CLASSES)
+    def test_fuzz(self, cls):
+        for seed in range(200):
+            assert_matches_reference(*generate(cls, seed))
+
+    @pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.gurag")), ids=lambda p: p.stem)
+    def test_golden(self, path):
+        doc = load_golden(path.name)
+        for q in doc.queries:
+            assert_matches_reference(doc.instance, q)
+
+    @pytest.mark.parametrize("entries", [{"a": {"y", "z"}}, {"a": {"y"}, "b": set()},
+                                         {"a": {"z"}}])
+    def test_three_level_hierarchy(self, entries):
+        inst = three_level_instance()
+        q = ReachabilityQuery({att: frozenset(vals) for att, vals in entries.items()})
+        assert isinstance(bfs_solve(inst, q, engine="python"), Reachable)
+        assert_matches_reference(inst, q)
+
+    def test_two_rules_for_one_request(self):
+        inst = two_rules_one_request_instance()
+        ci = compile_instance(inst)
+        assert [c.request for c in ci.candidates].count(ci.candidates[1].request) == 2
+        for vals in ({"y"}, {"x", "y"}):
+            assert_matches_reference(inst, ReachabilityQuery({"a": frozenset(vals)}))
+
+
+# --- the benchmark's instances -----------------------------------------------
+
+def _load_script(path):
+    """A benchmark script as a module; ``sys.path`` is restored after it loads."""
+    saved = sys.path[:]
+    try:
+        spec = importlib.util.spec_from_file_location(path.stem, path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+    finally:
+        sys.path[:] = saved
+
+
+bench_kernel = _load_script(ROOT / "benchmarks" / "bench_kernel.py")
+perfbench_gen = _load_script(ROOT / "perfbench" / "gen.py")
+
+
+@pytest.fixture(params=["python", "compiled"])
+def engine(request):
+    """Each kernel in turn, the compiled one built from the checkout."""
+    if request.param == "compiled":
+        request.getfixturevalue("compiled_kernel")
+    return request.param
+
+
+class TestBenchmarkExpectations:
+    def test_independent_explores_every_state(self, engine):
+        inst, q = bench_kernel.independent(12)
+        plan = Plan(tuple(c.request for c in compile_instance(inst).candidates))
+        assert len(plan) == 12
+        assert bfs_solve(inst, q, engine=engine) == Reachable(plan, 4096)
+
+    def test_criterion8_stops_at_the_state_bound(self, engine):
+        inst, q = perfbench_gen.criterion8_wide()
+        assert bfs_solve(inst, q, SearchBounds(max_states=4096), engine=engine) == \
+            BoundExceeded("states", 4096)
+
+    def test_time_bound(self, engine):
+        # the states explored before the clock is read depend on the machine
+        inst, q = bench_kernel.independent(20)
+        out = bfs_solve(inst, q, SearchBounds(max_millis=1), engine=engine)
+        assert isinstance(out, BoundExceeded) and out.bound == "millis"
