@@ -45,11 +45,13 @@ struct gr_search {
     const int32_t *clause_start;   /* [n_cands + 1], into care/want */
     const uint64_t *care;          /* [clauses][view_words] */
     const uint64_t *want;
-    /* query; n_goal < 0 enumerates every reachable state */
+    /* query: the goal holds when eff & goal_mask == goal_target over the
+     * user's effective value bits; enumerate != 0 has no goal and keeps
+     * every reachable state */
     const uint64_t *start;         /* [W] */
-    int32_t n_goal, strict;
-    const uint64_t *goal_mask;     /* [n_goal][W] */
-    const uint64_t *goal_target;
+    int32_t enumerate;
+    const uint64_t *goal_mask;     /* [W] */
+    const uint64_t *goal_target;   /* [W] */
     int32_t max_depth;
     uint32_t max_states;
     int64_t max_millis;
@@ -140,12 +142,9 @@ static int guard_holds(const struct gr_search *s, int c, const uint64_t *view) {
 static int goal_holds(const struct gr_search *s, const uint64_t *state) {
     uint64_t eff[W + 1];
     eff_user_bits(s, state, eff);
-    for (int e = 0; e < s->n_goal; e++)
-        for (int w = 0; w < W; w++) {
-            uint64_t want = s->goal_target[e * W + w];
-            if (s->strict ? (eff[w] & s->goal_mask[e * W + w]) != want : (want & ~eff[w]) != 0)
-                return 0;
-        }
+    for (int w = 0; w < W; w++)
+        if ((eff[w] & s->goal_mask[w]) != s->goal_target[w])
+            return 0;
     return 1;
 }
 
@@ -266,7 +265,7 @@ static int search(struct gr_search *s, struct run *r) {
             if (push_state(r, n, succ, (int32_t)head, c, depth + 1))
                 return OUT_OF_MEMORY;
             n++;
-            if (s->n_goal >= 0 && goal_holds(s, succ)) {
+            if (!s->enumerate && goal_holds(s, succ)) {
                 s->n_states = (uint32_t)n;
                 s->plan_len = depth + 1;
                 s->plan = malloc((size_t)s->plan_len * sizeof *s->plan);
@@ -279,7 +278,7 @@ static int search(struct gr_search *s, struct run *r) {
         }
     }
     s->n_states = (uint32_t)n;
-    if (s->n_goal < 0) {  /* hand the states and their links over to the caller */
+    if (s->enumerate) {  /* hand the states and their links over to the caller */
         s->states = r->arena;
         s->links = r->links;
         r->arena = NULL;
@@ -294,7 +293,7 @@ int gr_bfs(struct gr_search *s) {
     s->n_states = 1;
     s->states = NULL;
     s->links = NULL;
-    if (s->n_goal >= 0 && goal_holds(s, s->start))
+    if (!s->enumerate && goal_holds(s, s->start))
         return REACHABLE;
     struct run r = {0};
     r.capacity = 1 << 10;

@@ -32,7 +32,7 @@ class _Search(ctypes.Structure):
         ("n_cands", ctypes.c_int32), ("cand_bit", _i32),
         ("cand_flags", _i32), ("cand_subject", _i32),
         ("clause_start", _i32), ("care", _u64), ("want", _u64),
-        ("start", _u64), ("n_goal", ctypes.c_int32), ("strict", ctypes.c_int32),
+        ("start", _u64), ("enumerate", ctypes.c_int32),
         ("goal_mask", _u64), ("goal_target", _u64),
         ("max_depth", ctypes.c_int32), ("max_states", ctypes.c_uint32),
         ("max_millis", ctypes.c_int64),
@@ -77,7 +77,7 @@ class CKernel:
         self,
         ci: CompiledInstance,
         start: int,
-        goal: Optional[tuple[QueryEntry, ...]],
+        goal: Optional[QueryEntry],
         strict: bool,
         max_depth: int,
         max_states: int,
@@ -98,8 +98,10 @@ class CKernel:
         closure_start = [0]
         for closure in ci.closure_idx:
             closure_start.append(closure_start[-1] + len(closure))
-        n_goal = -1 if goal is None else len(goal)
-        goal = goal or ()
+        if goal is None:
+            mask = target = 0
+        else:  # a relaxed query's target is its own mask
+            mask, target = goal.mask if strict else goal.target, goal.target
         # the structure keeps every array assigned to it alive until it is dropped
         s = _Search(
             n_slots=ci.n_slots, n_groups=ci.n_groups, mem_offset=ci.mem_offset,
@@ -110,9 +112,8 @@ class CKernel:
             n_cands=len(bits), cand_bit=_ints(bits), cand_flags=_ints(flags),
             cand_subject=_ints(subjects), clause_start=_ints(clause_start),
             care=_words(cares, view_words), want=_words([want for _, want in clauses], view_words),
-            start=_words([start], W), n_goal=n_goal, strict=strict,
-            goal_mask=_words([e.mask for e in goal], W),
-            goal_target=_words([e.target for e in goal], W),
+            start=_words([start], W), enumerate=goal is None,
+            goal_mask=_words([mask], W), goal_target=_words([target], W),
             max_depth=max_depth, max_states=max_states, max_millis=max_millis,
         )
         code = self._bfs(ctypes.byref(s))

@@ -1,15 +1,28 @@
 """Pure-Python breadth-first search kernel over bit-packed states.
 
 Reference implementation: arbitrary state width, no dependencies.  The
-compiled kernel must produce byte-identical outcomes; request generation
-order is fixed by the candidate list and the queue is strictly FIFO, so the
-first goal hit yields the lexicographically smallest shortest plan.
+compiled kernel must produce byte-identical outcomes.
+
+The search runs level by level: the frontier of depth ``d`` is a list,
+expanded state by state with the candidates in their fixed order, and the
+states it discovers form the frontier of depth ``d + 1``.  That is the order
+of a FIFO queue, so the first goal hit yields the lexicographically smallest
+shortest plan.  One visited dict maps each discovered state to its
+``(parent state, candidate index)`` link (``None`` for the start); its
+insertion order is the discovery order, the plan is walked back through the
+links, and enumeration depths follow from the sizes of the levels.
+
+The goal test is one comparison, ``eff & mask == target``, on the user's
+effective value bits ``eff``: the query's single ``QueryEntry`` gives the
+mask (for a relaxed query, the target itself) and the target.  A state
+without membership bits is its own ``eff`` below the mask; otherwise ``eff``
+ORs in the segments of the user's effective groups, looked up per membership
+word in a table local to the call.
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
 from typing import Optional
 
 from .encoding import ALWAYS, CompiledInstance, QueryEntry
@@ -59,22 +72,10 @@ def _view(ci: CompiledInstance, state: int, subject: int, smask: int) -> int:
     return direct | eff << s | mem << 2 * s | effmem << (2 * s + ci.n_groups)
 
 
-def _goal_holds(ci, state, goal: tuple[QueryEntry, ...], strict: bool, smask: int) -> bool:
-    eff = _eff_user_bits(ci, state, smask)
-    for entry in goal:
-        if strict:
-            if eff & entry.mask != entry.target:
-                return False
-        else:
-            if entry.target & ~eff:
-                return False
-    return True
-
-
 def bfs(
     ci: CompiledInstance,
     start: int,
-    goal: Optional[tuple[QueryEntry, ...]],
+    goal: Optional[QueryEntry],
     strict: bool,
     max_depth: int,
     max_states: int,
@@ -90,63 +91,78 @@ def bfs(
     candidates = [(i, 1 << c.bit, c.add, c.subject, None if c.guard == ALWAYS else c.guard)
                   for i, c in enumerate(ci.candidates)]
 
-    if goal is not None and _goal_holds(ci, start, goal, strict, smask):
-        return REACHABLE, [], 1
+    mem_offset = ci.mem_offset
+    effective = {}  # membership word -> segment offsets of the user's effective groups
 
-    # discovery-ordered parallel arrays
-    states = [start]
-    parents = [-1]
-    via = [-1]
-    depths = [0]
-    seen = {start: 0}
-    queue = deque([0])
-    deadline = time.monotonic() + max_millis / 1000.0
-    depth_cut = False
-    expanded = 0
-
-    while queue:
-        idx = queue.popleft()
-        state = states[idx]
-        depth = depths[idx]
-        if depth >= max_depth:
-            depth_cut = True
-            continue
-        expanded += 1
-        if expanded % _TIME_CHECK_INTERVAL == 0 and time.monotonic() > deadline:
-            return MILLIS_EXCEEDED, None, len(states)
-        views = {}
-        for ci_idx, bit, add, subject, guard in candidates:
-            succ = state | bit if add else state & ~bit
-            if succ == state or succ in seen:
-                continue
-            if guard is not None:
-                view = views.get(subject)
-                if view is None:
-                    view = views[subject] = _view(ci, state, subject, smask)
-                for care, want in guard:
-                    if view & care == want:
-                        break
-                else:
-                    continue
-            if len(states) >= max_states:
-                return STATES_EXCEEDED, None, len(states)
-            seen[succ] = len(states)
-            states.append(succ)
-            parents.append(idx)
-            via.append(ci_idx)
-            depths.append(depth + 1)
-            if goal is not None and _goal_holds(ci, succ, goal, strict, smask):
-                plan = []
-                at = len(states) - 1
-                while at > 0:
-                    plan.append(via[at])
-                    at = parents[at]
-                plan.reverse()
-                return REACHABLE, plan, len(states)
-            queue.append(len(states) - 1)
+    def eff_bits(state: int) -> int:
+        """The user's effective value bits, with higher bits left over: mask them."""
+        mem = state >> mem_offset
+        offsets = effective.get(mem)
+        if offsets is None:
+            offsets = effective[mem] = tuple({ci.seg_offsets[k] for j in range(ci.n_groups)
+                                              if mem >> j & 1 for k in ci.closure_idx[j]})
+        eff = state
+        for off in offsets:
+            eff |= state >> off
+        return eff
 
     if goal is None:
-        return (DEPTH_EXCEEDED if depth_cut else UNREACHABLE), list(zip(states, depths)), len(states)
-    if depth_cut:
-        return DEPTH_EXCEEDED, None, len(states)
-    return UNREACHABLE, None, len(states)
+        # no state passes ``x & 0 == 1``, and none needs the membership table
+        mask, target, plain_below = 0, 1, 1 << ci.nbits
+    else:
+        # a relaxed query's target is its own mask
+        mask, target = goal.mask if strict else goal.target, goal.target
+        plain_below = 1 << mem_offset  # states without membership bits
+        if eff_bits(start) & mask == target:
+            return REACHABLE, [], 1
+
+    seen = {start: None}
+    frontier = [start]
+    level_sizes = [1]
+    deadline = time.monotonic() + max_millis / 1000.0
+    expanded = 0
+    depth = 0
+
+    while frontier and depth < max_depth:
+        nxt = []
+        for state in frontier:
+            expanded += 1
+            if expanded % _TIME_CHECK_INTERVAL == 0 and time.monotonic() > deadline:
+                return MILLIS_EXCEEDED, None, len(seen)
+            views = {}
+            for ci_idx, bit, add, subject, guard in candidates:
+                succ = state | bit if add else state & ~bit
+                if succ == state or succ in seen:
+                    continue
+                if guard is not None:
+                    view = views.get(subject)
+                    if view is None:
+                        view = views[subject] = _view(ci, state, subject, smask)
+                    for care, want in guard:
+                        if view & care == want:
+                            break
+                    else:
+                        continue
+                if len(seen) >= max_states:
+                    return STATES_EXCEEDED, None, len(seen)
+                seen[succ] = (state, ci_idx)
+                if (succ if succ < plain_below else eff_bits(succ)) & mask == target:
+                    plan = []
+                    link = seen[succ]
+                    while link is not None:
+                        at, c = link
+                        plan.append(c)
+                        link = seen[at]
+                    plan.reverse()
+                    return REACHABLE, plan, len(seen)
+                nxt.append(succ)
+        frontier = nxt
+        level_sizes.append(len(nxt))
+        depth += 1
+
+    # a nonempty frontier left at max_depth is the depth bound cutting the search
+    code = DEPTH_EXCEEDED if frontier else UNREACHABLE
+    if goal is not None:
+        return code, None, len(seen)
+    depths = [d for d, size in enumerate(level_sizes) for _ in range(size)]
+    return code, list(zip(seen, depths)), len(seen)

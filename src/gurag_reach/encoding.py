@@ -46,7 +46,13 @@ class Candidate:
 
 @dataclass(frozen=True)
 class QueryEntry:
-    mask: int     # attribute's slot mask within an S-bit segment
+    """A query as one goal word over the user's effective value bits.
+
+    The attributes' slot masks are disjoint, so one union holds every queried
+    attribute: a strict query holds when ``eff & mask == target``, a relaxed
+    one when ``eff & target == target``.
+    """
+    mask: int     # queried attributes' slot masks within an S-bit segment
     target: int   # required bits within that mask
 
 
@@ -103,16 +109,14 @@ class CompiledInstance:
                 group_attrs[g] = seg
         return DirectState(segment(0), group_attrs, groups)
 
-    def compile_query(self, q: ReachabilityQuery) -> tuple[QueryEntry, ...]:
-        entries = []
+    def compile_query(self, q: ReachabilityQuery) -> QueryEntry:
+        mask = target = 0
         for att, vset in q.entries.items():
             off, width = self.att_spans[att]
-            mask = ((1 << width) - 1) << off
-            target = 0
+            mask |= ((1 << width) - 1) << off
             for val in vset:
                 target |= 1 << self.slot[att, val]
-            entries.append(QueryEntry(mask, target))
-        return tuple(entries)
+        return QueryEntry(mask, target)
 
 
 def compile_instance(instance: ProblemInstance) -> CompiledInstance:
