@@ -29,25 +29,13 @@ class Relation(enum.Enum):
     ASSIGN = "canAssign"
     REMOVE = "canRemove"
 
-    @property
-    def is_membership(self) -> bool:
-        return self in (Relation.ASSIGN, Relation.REMOVE)
-
-    @property
-    def is_group_subject(self) -> bool:
-        """Whether preconditions are evaluated against the target group."""
-        return self in (Relation.ADD_UG, Relation.DELETE_UG)
-
-    @property
-    def is_delete(self) -> bool:
-        return self in (Relation.DELETE_U, Relation.DELETE_UG, Relation.REMOVE)
-
-    @property
-    def order(self) -> int:
-        return _RELATION_ORDER[self]
-
-
-_RELATION_ORDER = {rel: i for i, rel in enumerate(Relation)}
+    def __init__(self, value: str):
+        # plain member attributes: rules and requests read them as they are built
+        self.order = len(type(self)._member_names_)  # declaration order
+        self.is_membership = value in ("canAssign", "canRemove")
+        # whether preconditions are evaluated against the target group
+        self.is_group_subject = value in ("canAddUG", "canDeleteUG")
+        self.is_delete = value in ("canDeleteU", "canDeleteUG", "canRemove")
 
 
 # --- Precondition formula AST -------------------------------------------------
