@@ -30,9 +30,9 @@ line endings) and round-trips bit-exactly with ``parse``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
+from ._record import Frozen, Record
 from .model import DirectState, GroupHierarchy, ModelError, ProblemInstance
 from .policy import (
     And,
@@ -52,24 +52,27 @@ from .policy import (
 from .transition import REQUEST_NAMES, Plan, QueryType, ReachabilityQuery, Request
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    severity: str  # "error" | "warning"
-    line: int      # 1-based
-    column: int    # 1-based
-    message: str
-    code: str
+class Diagnostic(Frozen):
+    _fields = ("severity", "line", "column", "message", "code")
+
+    def __init__(self, severity: str, line: int, column: int, message: str, code: str):
+        # severity: "error" | "warning"; line and column are 1-based
+        self.__dict__.update(severity=severity, line=line, column=column, message=message,
+                             code=code)
 
     def render(self) -> str:
         return f"{self.line}:{self.column}: {self.severity}: {self.message} [{self.code}]"
 
 
-@dataclass
-class ParseResult:
-    instance: Optional[ProblemInstance]
-    queries: list[ReachabilityQuery]
-    plans: list[Plan]
-    diagnostics: list[Diagnostic]
+class ParseResult(Record):
+    _fields = ("instance", "queries", "plans", "diagnostics")
+
+    def __init__(self, instance: Optional[ProblemInstance], queries: list[ReachabilityQuery],
+                 plans: list[Plan], diagnostics: list[Diagnostic]):
+        self.instance = instance
+        self.queries = queries
+        self.plans = plans
+        self.diagnostics = diagnostics
 
     @property
     def ok(self) -> bool:

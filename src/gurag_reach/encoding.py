@@ -17,8 +17,7 @@ representation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Frozen, Record
 from .model import DirectState, ProblemInstance
 from .policy import (
     DirectGroup,
@@ -33,42 +32,69 @@ from .transition import ReachabilityQuery, Request
 ALWAYS = ((0, 0),)  # the guard of a precondition that always holds
 
 
-@dataclass(frozen=True)
-class Candidate:
+class Candidate(Frozen):
     """One concrete request a rule can authorize, plus its compiled guard."""
-    bit: int              # absolute bit index toggled by the request
-    add: bool             # set vs clear
-    subject: int          # -1 = user, else group index (whose view the guard reads)
-    guard: tuple[tuple[int, int], ...]  # (care, want) clauses, any of which must hold
-    rule_id: int
-    request: Request
+
+    _fields = ("bit", "add", "subject", "guard", "rule_id", "request")
+
+    def __init__(
+        self,
+        bit: int,              # absolute bit index toggled by the request
+        add: bool,             # set vs clear
+        subject: int,          # -1 = user, else group index (whose view the guard reads)
+        guard: tuple[tuple[int, int], ...],  # (care, want) clauses, any of which must hold
+        rule_id: int,
+        request: Request,
+    ):
+        self.__dict__.update(bit=bit, add=add, subject=subject, guard=guard, rule_id=rule_id,
+                             request=request)
 
 
-@dataclass(frozen=True)
-class QueryEntry:
+class QueryEntry(Frozen):
     """A query as one goal word over the user's effective value bits.
 
     The attributes' slot masks are disjoint, so one union holds every queried
     attribute: a strict query holds when ``eff & mask == target``, a relaxed
     one when ``eff & target == target``.
     """
-    mask: int     # queried attributes' slot masks within an S-bit segment
-    target: int   # required bits within that mask
+
+    _fields = ("mask", "target")
+
+    def __init__(self, mask: int, target: int):
+        # mask: queried attributes' slot masks within an S-bit segment;
+        # target: required bits within that mask
+        self.__dict__.update(mask=mask, target=target)
 
 
-@dataclass
-class CompiledInstance:
-    groups: tuple[str, ...]
-    slot: dict[tuple[str, str], int]
-    att_spans: dict[str, tuple[int, int]]    # att -> (slot offset, width)
-    n_slots: int                             # S: total scope values
-    n_groups: int
-    nbits: int
-    mem_offset: int
-    seg_offsets: tuple[int, ...]             # per group index
-    closure_idx: tuple[tuple[int, ...], ...]  # junior closure, as group indices
-    senior_mask: tuple[int, ...]             # membership mask of groups senior-or-equal
-    candidates: tuple[Candidate, ...]
+class CompiledInstance(Record):
+    _fields = ("groups", "slot", "att_spans", "n_slots", "n_groups", "nbits", "mem_offset",
+               "seg_offsets", "closure_idx", "senior_mask", "candidates")
+
+    def __init__(
+        self,
+        groups: tuple[str, ...],
+        slot: dict[tuple[str, str], int],
+        att_spans: dict[str, tuple[int, int]],    # att -> (slot offset, width)
+        n_slots: int,                             # S: total scope values
+        n_groups: int,
+        nbits: int,
+        mem_offset: int,
+        seg_offsets: tuple[int, ...],             # per group index
+        closure_idx: tuple[tuple[int, ...], ...],  # junior closure, as group indices
+        senior_mask: tuple[int, ...],             # membership mask of groups senior-or-equal
+        candidates: tuple[Candidate, ...],
+    ):
+        self.groups = groups
+        self.slot = slot
+        self.att_spans = att_spans
+        self.n_slots = n_slots
+        self.n_groups = n_groups
+        self.nbits = nbits
+        self.mem_offset = mem_offset
+        self.seg_offsets = seg_offsets
+        self.closure_idx = closure_idx
+        self.senior_mask = senior_mask
+        self.candidates = candidates
 
     def seg_mask(self) -> int:
         return (1 << self.n_slots) - 1

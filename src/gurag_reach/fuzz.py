@@ -18,9 +18,9 @@ Everything is a pure function of the seed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import Optional
 
+from ._record import Record
 from .encoding import compile_instance
 from .model import DirectState, GroupHierarchy, ProblemInstance, effective_user_attr
 from .planner import (
@@ -216,22 +216,28 @@ def generate(cls: str, seed: int) -> tuple[ProblemInstance, ReachabilityQuery]:
 
 # --- Differential checking ---------------------------------------------------
 
-@dataclass
-class CaseResult:
-    cls: str
-    seed: int
-    status: str  # "agree" | "diverge" | "known-divergence" | "skipped" | "invalid-plan"
-    detail: str = ""
+class CaseResult(Record):
+    _fields = ("cls", "seed", "status", "detail")
+
+    def __init__(self, cls: str, seed: int, status: str, detail: str = ""):
+        self.cls = cls
+        self.seed = seed
+        # "agree" | "diverge" | "known-divergence" | "skipped" | "invalid-plan"
+        self.status = status
+        self.detail = detail
 
 
-@dataclass
-class FuzzStats:
-    total: int = 0
-    agree: int = 0
-    diverge: int = 0
-    known: int = 0
-    skipped: int = 0
-    failures: list[CaseResult] = field(default_factory=list)
+class FuzzStats(Record):
+    _fields = ("total", "agree", "diverge", "known", "skipped", "failures")
+
+    def __init__(self, total: int = 0, agree: int = 0, diverge: int = 0, known: int = 0,
+                 skipped: int = 0, failures: Optional[list[CaseResult]] = None):
+        self.total = total
+        self.agree = agree
+        self.diverge = diverge
+        self.known = known
+        self.skipped = skipped
+        self.failures = [] if failures is None else failures
 
     def record(self, case: CaseResult):
         self.total += 1

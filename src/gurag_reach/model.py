@@ -8,9 +8,10 @@ this module is a pure function of its inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping
+
+from ._record import Frozen
 
 
 class ModelError(ValueError):
@@ -28,20 +29,18 @@ def _freeze_sets(mapping: Mapping[str, Iterable[str]]) -> dict[str, frozenset[st
     return out
 
 
-@dataclass(frozen=True)
-class GroupHierarchy:
+class GroupHierarchy(Frozen):
     """Seniority partial order over groups, given as direct (senior, junior) edges.
 
     The reflexive-transitive closure is computed internally; cyclic input is
     rejected because the closure must be a partial order.
     """
 
-    groups: frozenset[str]
-    direct_seniority: frozenset[tuple[str, str]] = frozenset()
+    _fields = ("groups", "direct_seniority")
 
-    def __post_init__(self):
-        object.__setattr__(self, "groups", frozenset(self.groups))
-        object.__setattr__(self, "direct_seniority", frozenset(self.direct_seniority))
+    def __init__(self, groups: frozenset[str],
+                 direct_seniority: frozenset[tuple[str, str]] = frozenset()):
+        self.__dict__.update(groups=frozenset(groups), direct_seniority=frozenset(direct_seniority))
         for senior, junior in self.direct_seniority:
             for g in (senior, junior):
                 if g not in self.groups:
@@ -87,8 +86,7 @@ class GroupHierarchy:
             raise ModelError(f"unknown group {g!r}") from None
 
 
-@dataclass(frozen=True)
-class DirectState:
+class DirectState(Frozen):
     """The direct assignments for the single analyzed user and all groups.
 
     ``user_attrs``  maps attribute -> set of directly held values,
@@ -96,19 +94,21 @@ class DirectState:
     ``user_groups`` is the set of groups the user is directly a member of.
     """
 
-    user_attrs: Mapping[str, frozenset[str]] = field(default_factory=dict)
-    group_attrs: Mapping[str, Mapping[str, frozenset[str]]] = field(default_factory=dict)
-    user_groups: frozenset[str] = frozenset()
+    _fields = ("user_attrs", "group_attrs", "user_groups")
 
-    def __post_init__(self):
-        object.__setattr__(self, "user_attrs", _freeze_sets(self.user_attrs))
+    def __init__(
+        self,
+        user_attrs: Mapping[str, frozenset[str]] | None = None,
+        group_attrs: Mapping[str, Mapping[str, frozenset[str]]] | None = None,
+        user_groups: frozenset[str] = frozenset(),
+    ):
         gattrs = {}
-        for g in sorted(self.group_attrs):
-            frozen = _freeze_sets(self.group_attrs[g])
+        for g in sorted(group_attrs or {}):
+            frozen = _freeze_sets(group_attrs[g])
             if frozen:
                 gattrs[g] = frozen
-        object.__setattr__(self, "group_attrs", gattrs)
-        object.__setattr__(self, "user_groups", frozenset(self.user_groups))
+        self.__dict__.update(user_attrs=_freeze_sets(user_attrs or {}), group_attrs=gattrs,
+                             user_groups=frozenset(user_groups))
 
     def user_values(self, att: str) -> frozenset[str]:
         return self.user_attrs.get(att, frozenset())
@@ -158,21 +158,23 @@ def effective_user_attr(state: DirectState, hierarchy: GroupHierarchy, att: str)
     return frozenset(acc)
 
 
-@dataclass(frozen=True)
-class ProblemInstance:
+class ProblemInstance(Frozen):
     """One fully specified analysis input: scopes, hierarchy, roles, rules, start state."""
 
-    scopes: Mapping[str, frozenset[str]]
-    hierarchy: GroupHierarchy
-    roles: frozenset[str]
-    rules: "RuleSet"  # gurag_reach.policy.RuleSet
-    initial_state: DirectState
+    _fields = ("scopes", "hierarchy", "roles", "rules", "initial_state")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "scopes", {a: frozenset(vs) for a, vs in sorted(self.scopes.items())}
+    def __init__(
+        self,
+        scopes: Mapping[str, frozenset[str]],
+        hierarchy: GroupHierarchy,
+        roles: frozenset[str],
+        rules: "RuleSet",  # gurag_reach.policy.RuleSet
+        initial_state: DirectState,
+    ):
+        self.__dict__.update(
+            scopes={a: frozenset(vs) for a, vs in sorted(scopes.items())}, hierarchy=hierarchy,
+            roles=frozenset(roles), rules=rules, initial_state=initial_state,
         )
-        object.__setattr__(self, "roles", frozenset(self.roles))
 
     @property
     def groups(self) -> frozenset[str]:

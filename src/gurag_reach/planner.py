@@ -23,9 +23,9 @@ semantics.  Unreachable results carry a machine-readable reason code.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from typing import Optional
 
+from ._record import Frozen
 from .model import (
     DirectState,
     GroupHierarchy,
@@ -69,11 +69,12 @@ class RestrictionViolation(Exception):
     """The engine's restriction precondition does not hold for this rule set."""
 
 
-@dataclass(frozen=True)
-class PlanResult:
-    plan: Optional[Plan] = None
-    reason: Optional[str] = None
-    notes: tuple[str, ...] = ()
+class PlanResult(Frozen):
+    _fields = ("plan", "reason", "notes")
+
+    def __init__(self, plan: Optional[Plan] = None, reason: Optional[str] = None,
+                 notes: tuple[str, ...] = ()):
+        self.__dict__.update(plan=plan, reason=reason, notes=notes)
 
     @property
     def reachable(self) -> bool:

@@ -10,10 +10,10 @@ The planners consult these classifications to decide applicability.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional
 
+from ._record import Frozen
 from .model import DirectState, GroupHierarchy, effective_group_attr, effective_groups, effective_user_attr
 
 
@@ -45,8 +45,7 @@ class Relation(enum.Enum):
 # canAddUG/canDeleteUG).  Group membership literals always refer to the user
 # and are only legal in assign/remove rules.
 
-@dataclass(frozen=True)
-class Precondition:
+class Precondition(Frozen):
     def walk(self) -> Iterator["Precondition"]:
         yield self
 
@@ -55,7 +54,6 @@ class Precondition:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class TrueCond(Precondition):
     """Always satisfied; lets unconditional rules be written."""
 
@@ -63,9 +61,11 @@ class TrueCond(Precondition):
         return True
 
 
-@dataclass(frozen=True)
 class Not(Precondition):
-    child: Precondition
+    _fields = ("child",)
+
+    def __init__(self, child: Precondition):
+        self.__dict__.update(child=child)
 
     def walk(self):
         yield self
@@ -75,10 +75,11 @@ class Not(Precondition):
         return not self.child.holds(state, hierarchy, subject)
 
 
-@dataclass(frozen=True)
 class And(Precondition):
-    left: Precondition
-    right: Precondition
+    _fields = ("left", "right")
+
+    def __init__(self, left: Precondition, right: Precondition):
+        self.__dict__.update(left=left, right=right)
 
     def walk(self):
         yield self
@@ -91,10 +92,11 @@ class And(Precondition):
         )
 
 
-@dataclass(frozen=True)
 class DirectVal(Precondition):
-    att: str
-    val: str
+    _fields = ("att", "val")
+
+    def __init__(self, att: str, val: str):
+        self.__dict__.update(att=att, val=val)
 
     def holds(self, state, hierarchy, subject):
         if subject is None:
@@ -102,10 +104,11 @@ class DirectVal(Precondition):
         return self.val in state.group_values(subject, self.att)
 
 
-@dataclass(frozen=True)
 class EffVal(Precondition):
-    att: str
-    val: str
+    _fields = ("att", "val")
+
+    def __init__(self, att: str, val: str):
+        self.__dict__.update(att=att, val=val)
 
     def holds(self, state, hierarchy, subject):
         if subject is None:
@@ -113,9 +116,11 @@ class EffVal(Precondition):
         return self.val in effective_group_attr(state, hierarchy, subject, self.att)
 
 
-@dataclass(frozen=True)
 class DirectGroup(Precondition):
-    group: str
+    _fields = ("group",)
+
+    def __init__(self, group: str):
+        self.__dict__.update(group=group)
 
     def holds(self, state, hierarchy, subject):
         if subject is not None:
@@ -123,9 +128,11 @@ class DirectGroup(Precondition):
         return self.group in state.user_groups
 
 
-@dataclass(frozen=True)
 class EffGroup(Precondition):
-    group: str
+    _fields = ("group",)
+
+    def __init__(self, group: str):
+        self.__dict__.update(group=group)
 
     def holds(self, state, hierarchy, subject):
         if subject is not None:
@@ -204,34 +211,38 @@ def clauses(pre: Precondition, bit, positive: bool = True) -> list[tuple[int, in
 
 # --- Rules -------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Rule:
-    relation: Relation
-    role: str
-    pre: Precondition
-    target_attr: Optional[str] = None   # value relations only
-    target_val: Optional[str] = None    # value relations only
-    target_group: Optional[str] = None  # assign/remove only
-    rule_id: int = 0
+class Rule(Frozen):
+    _fields = ("relation", "role", "pre", "target_attr", "target_val", "target_group", "rule_id")
 
-    def __post_init__(self):
-        if self.relation.is_membership:
-            if self.target_group is None or self.target_attr is not None or self.target_val is not None:
-                raise PolicyError(f"{self.relation.value} rule must target a group only")
+    def __init__(
+        self,
+        relation: Relation,
+        role: str,
+        pre: Precondition,
+        target_attr: Optional[str] = None,   # value relations only
+        target_val: Optional[str] = None,    # value relations only
+        target_group: Optional[str] = None,  # assign/remove only
+        rule_id: int = 0,
+    ):
+        if relation.is_membership:
+            if target_group is None or target_attr is not None or target_val is not None:
+                raise PolicyError(f"{relation.value} rule must target a group only")
         else:
-            if self.target_attr is None or self.target_val is None or self.target_group is not None:
-                raise PolicyError(f"{self.relation.value} rule must target an (attribute, value)")
+            if target_attr is None or target_val is None or target_group is not None:
+                raise PolicyError(f"{relation.value} rule must target an (attribute, value)")
+        self.__dict__.update(relation=relation, role=role, pre=pre, target_attr=target_attr,
+                             target_val=target_val, target_group=target_group, rule_id=rule_id)
 
 
-@dataclass(frozen=True)
-class RuleSet:
-    rules: tuple[Rule, ...] = ()
+class RuleSet(Frozen):
+    _fields = ("rules",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "rules", tuple(self.rules))
-        for i, rule in enumerate(self.rules):
+    def __init__(self, rules: tuple[Rule, ...] = ()):
+        rules = tuple(rules)
+        for i, rule in enumerate(rules):
             if rule.rule_id != i:
                 raise PolicyError(f"rule ids must be dense declaration order; got {rule.rule_id} at {i}")
+        self.__dict__.update(rules=rules)
 
     @classmethod
     def build(cls, rules) -> "RuleSet":
@@ -316,12 +327,13 @@ class Level(enum.Enum):
     G1PLUS = "G1plus"
 
 
-@dataclass(frozen=True)
-class RestrictionFlags:
-    no_negation: bool
-    no_deletion: bool
-    single_rule_direct: bool
-    level: Level
+class RestrictionFlags(Frozen):
+    _fields = ("no_negation", "no_deletion", "single_rule_direct", "level")
+
+    def __init__(self, no_negation: bool, no_deletion: bool, single_rule_direct: bool,
+                 level: Level):
+        self.__dict__.update(no_negation=no_negation, no_deletion=no_deletion,
+                             single_rule_direct=single_rule_direct, level=level)
 
 
 def classify_level(rules: RuleSet) -> Level:

@@ -9,50 +9,50 @@ identical outcomes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
 from . import _kernel_py, kernel
+from ._record import Frozen
 from .encoding import compile_instance
 from .model import ProblemInstance, canonical_key
 from .planner import NOTE_GROUP_CYCLE, solve_no_negation, solve_srd_no_delete
 from .transition import InvalidAt, Plan, ReachabilityQuery, Valid, validate_plan
 
 
-@dataclass(frozen=True)
-class SearchBounds:
-    max_depth: int = 32
-    max_states: int = 1 << 20
-    max_millis: int = 30_000
+class SearchBounds(Frozen):
+    _fields = ("max_depth", "max_states", "max_millis")
 
-    def __post_init__(self):
-        if self.max_depth <= 0 or self.max_states <= 0 or self.max_millis <= 0:
+    def __init__(self, max_depth: int = 32, max_states: int = 1 << 20, max_millis: int = 30_000):
+        if max_depth <= 0 or max_states <= 0 or max_millis <= 0:
             raise ValueError("search bounds must be positive")
         # the compiled kernel takes the depth as a C int and stores state
         # indices in uint32 slots
-        if self.max_depth > 2**31 - 1 or self.max_states > 2**32 - 1:
+        if max_depth > 2**31 - 1 or max_states > 2**32 - 1:
             raise ValueError("max depth must be below 2**31 and max states below 2**32")
+        self.__dict__.update(max_depth=max_depth, max_states=max_states, max_millis=max_millis)
 
 
 # ``kernel`` names the kernel that ran; outcomes of different kernels compare equal
-@dataclass(frozen=True)
-class Reachable:
-    plan: Plan
-    states_explored: int
-    kernel: str = field(default="", compare=False)
+class Reachable(Frozen, compare=("plan", "states_explored")):
+    _fields = ("plan", "states_explored", "kernel")
+
+    def __init__(self, plan: Plan, states_explored: int, kernel: str = ""):
+        self.__dict__.update(plan=plan, states_explored=states_explored, kernel=kernel)
 
 
-@dataclass(frozen=True)
-class Unreachable:
-    states_explored: int
-    kernel: str = field(default="", compare=False)
+class Unreachable(Frozen, compare=("states_explored",)):
+    _fields = ("states_explored", "kernel")
+
+    def __init__(self, states_explored: int, kernel: str = ""):
+        self.__dict__.update(states_explored=states_explored, kernel=kernel)
 
 
-@dataclass(frozen=True)
-class BoundExceeded:
-    bound: str  # "depth" | "states" | "millis"
-    states_explored: int
-    kernel: str = field(default="", compare=False)
+class BoundExceeded(Frozen, compare=("bound", "states_explored")):
+    _fields = ("bound", "states_explored", "kernel")
+
+    def __init__(self, bound: str, states_explored: int, kernel: str = ""):
+        # bound: "depth" | "states" | "millis"
+        self.__dict__.update(bound=bound, states_explored=states_explored, kernel=kernel)
 
 
 SearchOutcome = Union[Reachable, Unreachable, BoundExceeded]
@@ -90,17 +90,25 @@ def bfs_solve(
     return BoundExceeded(_BOUND_NAMES[code], explored, impl.KERNEL_NAME)
 
 
-@dataclass(frozen=True)
-class Analysis:
+class Analysis(Frozen):
     """One answer of ``analyze``; the fields are the keys of a CLI report."""
-    engine: str   # "nonneg" | "srd" | "bfs" | "srd+bfs"
-    outcome: str  # "reachable" | "unreachable" | "bound-exceeded"
-    plan: Optional[Plan] = None
-    reason: Optional[str] = None
-    notes: tuple[str, ...] = ()
-    states_explored: Optional[int] = None
-    bound: Optional[str] = None
-    kernel: Optional[str] = None  # the bfs kernel that ran, if any
+
+    _fields = ("engine", "outcome", "plan", "reason", "notes", "states_explored", "bound",
+               "kernel")
+
+    def __init__(
+        self,
+        engine: str,   # "nonneg" | "srd" | "bfs" | "srd+bfs"
+        outcome: str,  # "reachable" | "unreachable" | "bound-exceeded"
+        plan: Optional[Plan] = None,
+        reason: Optional[str] = None,
+        notes: tuple[str, ...] = (),
+        states_explored: Optional[int] = None,
+        bound: Optional[str] = None,
+        kernel: Optional[str] = None,  # the bfs kernel that ran, if any
+    ):
+        self.__dict__.update(engine=engine, outcome=outcome, plan=plan, reason=reason, notes=notes,
+                             states_explored=states_explored, bound=bound, kernel=kernel)
 
 
 def analyze(
@@ -126,19 +134,23 @@ def analyze(
     if engine == "bfs":
         out = bfs_solve(instance, q, bounds, kernel)
         if isinstance(out, Reachable):
-            result = Analysis("bfs", "reachable", out.plan)
+            result = Analysis("bfs", "reachable", out.plan, states_explored=out.states_explored,
+                              kernel=out.kernel)
         elif isinstance(out, Unreachable):
-            result = Analysis("bfs", "unreachable")
+            result = Analysis("bfs", "unreachable", states_explored=out.states_explored,
+                              kernel=out.kernel)
         else:
-            result = Analysis("bfs", "bound-exceeded", bound=out.bound)
-        result = replace(result, states_explored=out.states_explored, kernel=out.kernel)
+            result = Analysis("bfs", "bound-exceeded", states_explored=out.states_explored,
+                              bound=out.bound, kernel=out.kernel)
     else:
         res = (solve_no_negation if engine == "nonneg" else solve_srd_no_delete)(instance, q)
         if not res.reachable and engine == "srd" and NOTE_GROUP_CYCLE in res.notes:
             # the two-phase planner is incomplete across discarded group
             # cycles; settle the answer exhaustively
             settled = analyze(instance, q, "bfs", bounds, kernel)
-            return replace(settled, engine="srd+bfs", notes=(NOTE_GROUP_CYCLE,))
+            return Analysis("srd+bfs", settled.outcome, settled.plan, settled.reason,
+                            (NOTE_GROUP_CYCLE,), settled.states_explored, settled.bound,
+                            settled.kernel)
         result = Analysis(engine, "reachable" if res.reachable else "unreachable",
                           res.plan, res.reason, res.notes)
     if result.plan is not None:

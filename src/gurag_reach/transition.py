@@ -9,9 +9,9 @@ matching relation, role and target has a satisfied precondition.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Union
 
+from ._record import Frozen
 from .model import (
     DirectState,
     GroupHierarchy,
@@ -29,21 +29,18 @@ REQUEST_NAMES = {
 }
 
 
-@dataclass(frozen=True)
-class Request:
-    kind: Relation
-    role: str
-    att: Optional[str] = None
-    val: Optional[str] = None
-    group: Optional[str] = None
+class Request(Frozen):
+    _fields = ("kind", "role", "att", "val", "group")
 
-    def __post_init__(self):
-        if self.kind.is_membership:
-            assert self.group is not None and self.att is None and self.val is None
-        elif self.kind.is_group_subject:
-            assert self.group is not None and self.att is not None and self.val is not None
+    def __init__(self, kind: Relation, role: str, att: Optional[str] = None,
+                 val: Optional[str] = None, group: Optional[str] = None):
+        if kind.is_membership:
+            assert group is not None and att is None and val is None
+        elif kind.is_group_subject:
+            assert group is not None and att is not None and val is not None
         else:
-            assert self.group is None and self.att is not None and self.val is not None
+            assert group is None and att is not None and val is not None
+        self.__dict__.update(kind=kind, role=role, att=att, val=val, group=group)
 
     @property
     def sort_key(self) -> tuple:
@@ -56,12 +53,11 @@ class Request:
         return f"{REQUEST_NAMES[self.kind]}({', '.join(a for a in args if a is not None)})"
 
 
-@dataclass(frozen=True)
-class Plan:
-    requests: tuple[Request, ...] = ()
+class Plan(Frozen):
+    _fields = ("requests",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "requests", tuple(self.requests))
+    def __init__(self, requests: tuple[Request, ...] = ()):
+        self.__dict__.update(requests=tuple(requests))
 
     def __iter__(self):
         return iter(self.requests)
@@ -75,21 +71,19 @@ class QueryType(enum.Enum):
     RELAXED = "relaxed"
 
 
-@dataclass(frozen=True)
-class ReachabilityQuery:
+class ReachabilityQuery(Frozen):
     """Per-attribute target sets over the user's *effective* values.
 
     Strict queries demand exact set equality per mentioned attribute; relaxed
     queries demand a superset.  Unmentioned attributes are unconstrained.
     """
 
-    entries: Mapping[str, frozenset[str]]
-    query_type: QueryType = QueryType.STRICT
+    _fields = ("entries", "query_type")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "entries", {a: frozenset(vs) for a, vs in sorted(self.entries.items())}
-        )
+    def __init__(self, entries: Mapping[str, frozenset[str]],
+                 query_type: QueryType = QueryType.STRICT):
+        self.__dict__.update(entries={a: frozenset(vs) for a, vs in sorted(entries.items())},
+                             query_type=query_type)
 
     @property
     def strict(self) -> bool:
@@ -115,16 +109,16 @@ def apply_request(state: DirectState, req: Request) -> DirectState:
         (vals.add if req.kind == Relation.ADD_U else vals.discard)(req.val)
         user_attrs = dict(state.user_attrs)
         user_attrs[req.att] = frozenset(vals)
-        return replace(state, user_attrs=user_attrs)
+        return DirectState(user_attrs, state.group_attrs, state.user_groups)
     if req.kind == Relation.ADD_UG or req.kind == Relation.DELETE_UG:
         vals = set(state.group_values(req.group, req.att))
         (vals.add if req.kind == Relation.ADD_UG else vals.discard)(req.val)
         group_attrs = {g: dict(attrs) for g, attrs in state.group_attrs.items()}
         group_attrs.setdefault(req.group, {})[req.att] = frozenset(vals)
-        return replace(state, group_attrs=group_attrs)
+        return DirectState(state.user_attrs, group_attrs, state.user_groups)
     membership = set(state.user_groups)
     (membership.add if req.kind == Relation.ASSIGN else membership.discard)(req.group)
-    return replace(state, user_groups=frozenset(membership))
+    return DirectState(state.user_attrs, state.group_attrs, frozenset(membership))
 
 
 class NotAuthorized(Exception):
@@ -159,20 +153,26 @@ def eval_query(state: DirectState, hierarchy: GroupHierarchy, q: ReachabilityQue
 
 # --- Plan replay verdicts ----------------------------------------------------
 
-@dataclass(frozen=True)
-class Valid:
-    final_state: DirectState
+class Valid(Frozen):
+    _fields = ("final_state",)
+
+    def __init__(self, final_state: DirectState):
+        self.__dict__.update(final_state=final_state)
 
 
-@dataclass(frozen=True)
-class InvalidAt:
-    index: int          # zero-based position of the failing request
-    reason: str
+class InvalidAt(Frozen):
+    _fields = ("index", "reason")
+
+    def __init__(self, index: int, reason: str):
+        # index: zero-based position of the failing request
+        self.__dict__.update(index=index, reason=reason)
 
 
-@dataclass(frozen=True)
-class QueryUnsatisfied:
-    final_state: DirectState
+class QueryUnsatisfied(Frozen):
+    _fields = ("final_state",)
+
+    def __init__(self, final_state: DirectState):
+        self.__dict__.update(final_state=final_state)
 
 
 Verdict = Union[Valid, InvalidAt, QueryUnsatisfied]

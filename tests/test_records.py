@@ -7,6 +7,9 @@ frozen record is the hash of that tuple, so set and dict orders under a fixed
 ``PYTHONHASHSEED`` do not depend on how the classes are written.
 """
 
+import subprocess
+import sys
+
 import pytest
 
 from gurag_reach.dsl import Diagnostic, ParseResult
@@ -39,6 +42,8 @@ from gurag_reach.transition import (
     Request,
     Valid,
 )
+
+from conftest import child_env
 
 REQ = Request(Relation.ADD_U, "r", att="a", val="v")
 REQ_REPR = "Request(kind=<Relation.ADD_U: 'canAddU'>, role='r', att='a', val='v', group=None)"
@@ -245,3 +250,12 @@ def test_plan_result_constructors():
     assert PlanResult.failed("missing-rule") == PlanResult(reason="missing-rule")
     assert PlanResult.found(Plan()).reachable and not PlanResult.failed("x").reachable
 
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # compare before and after, so a module the interpreter's start-up
+    # already loaded (a site .pth, say) cannot fail the test
+    code = ("import sys; before = set(sys.modules); import gurag_reach.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    out = subprocess.run([sys.executable, "-c", code], env=child_env(),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
