@@ -240,36 +240,32 @@ def group_phase(instance: ProblemInstance, q: ReachabilityQuery) -> PlanResult:
     }
 
     def shape(g):
-        return direct_conjunct_shape(assign_rules[g].pre) or []
+        return direct_conjunct_shape(assign_rules[g].pre)
 
-    def prune():
-        # drop groups whose single rule can never be satisfied: a negated group
-        # already held (never removable), a positive dependence on a group that
-        # is neither held nor assignable, or a value conjunct false in the
-        # start state
-        changed = True
-        while changed:
-            changed = False
-            for g in sorted(vertices):
-                ok = True
-                for positive, lit in shape(g):
-                    if isinstance(lit, DirectGroup):
-                        if positive:
-                            if lit.group != g and lit.group not in state0.user_groups \
-                                    and lit.group not in vertices:
-                                ok = False
-                        else:
-                            if lit.group in state0.user_groups:
-                                ok = False
-                    else:  # DirectVal, checked against the user's starting values
-                        holds = lit.val in state0.user_values(lit.att)
-                        if holds != positive:
-                            ok = False
-                if not ok:
-                    vertices.discard(g)
-                    changed = True
+    def satisfiable(g, live):
+        """Whether g's single rule can hold when only the groups in ``live``
+        can be assigned; a held group is never removed."""
+        for positive, lit in shape(g):
+            if not isinstance(lit, DirectGroup):  # read in the user's starting values
+                ok = (lit.val in state0.user_values(lit.att)) == positive
+            elif positive:
+                ok = lit.group == g or lit.group in state0.user_groups or lit.group in live
+            else:
+                ok = lit.group not in state0.user_groups
+            if not ok:
+                return False
+        return True
 
-    prune()
+    def prune(live):
+        """The greatest subset of ``live`` whose groups are all satisfiable;
+        dropping a group never makes another one satisfiable."""
+        while True:
+            kept = {g for g in live if satisfiable(g, live)}
+            if kept == live:
+                return live
+            live = kept
+
+    vertices = prune(vertices)
     edges: set[tuple[str, str]] = set()
     for g in vertices:
         for positive, lit in shape(g):
@@ -283,8 +279,7 @@ def group_phase(instance: ProblemInstance, q: ReachabilityQuery) -> PlanResult:
     discard = _scc_discard(vertices, edges)
     if discard:
         notes.append(NOTE_GROUP_CYCLE)
-        vertices -= discard
-        prune()  # discarding may strand positive dependencies
+        vertices = prune(vertices - discard)  # discarding may strand positive dependencies
         edges = {(a, b) for a, b in edges if a in vertices and b in vertices}
 
     order = _topo_order(vertices, edges)
@@ -360,14 +355,14 @@ def attr_phase(
             return state.user_values(att)
         return state.group_values(scope, att)
 
-    # vertices[scope] -> {(att, val)}; rule per vertex comes from pair_rule
-    vertices: dict[str, set[tuple[str, str]]] = {}
+    # the (scope, att, val) requirements; the rule of each comes from pair_rule
+    vertices: set[tuple[str, str, str]] = set()
     cycles: list[tuple[str, str]] = []  # requirements met again on their own trail
 
     def close(scope: str, att: str, val: str, trail: set):
         """Record the vertex and, transitively, every positive prerequisite."""
         pair = (att, val)
-        if pair in vertices.get(scope, set()):
+        if (scope, att, val) in vertices:
             return
         if pair in trail:
             cycles.append(pair)
@@ -384,7 +379,7 @@ def attr_phase(
         if not _value_wanted(q, att, val):
             raise _PhaseFailure(FORBIDDEN_EDGE)
         trail = trail | {pair}
-        for positive, lit in direct_conjunct_shape(rule.pre) or []:
+        for positive, lit in direct_conjunct_shape(rule.pre):
             if not isinstance(lit, DirectVal):
                 raise _PhaseFailure(MISSING_RULE)  # group literal in a value rule
             if positive:
@@ -393,7 +388,7 @@ def attr_phase(
             else:
                 if lit.val in current(scope, lit.att):
                     raise _PhaseFailure(NEGATIVE_CONJUNCT)
-        vertices.setdefault(scope, set()).add(pair)
+        vertices.add((scope, att, val))
 
     # required query pairs not currently effective
     toadd: list[tuple[str, str]] = []
@@ -421,7 +416,7 @@ def attr_phase(
             first_failure = None
             cyclic_choice = None
             for g in eff_groups:
-                snapshot = {s: set(ps) for s, ps in vertices.items()}
+                snapshot = set(vertices)
                 cycles.clear()
                 try:
                     close(g, att, val, set())
@@ -439,13 +434,10 @@ def attr_phase(
                 vertices = cyclic_choice
 
     # precedence graph over all needed vertices
-    all_vertices: set[tuple[str, str, str]] = {
-        (scope, att, val) for scope, pairs in vertices.items() for att, val in pairs
-    }
     edges: set[tuple[tuple, tuple]] = set()
-    for scope, att, val in all_vertices:
+    for scope, att, val in vertices:
         rule = pair_rule[att, val]
-        for positive, lit in direct_conjunct_shape(rule.pre) or []:
+        for positive, lit in direct_conjunct_shape(rule.pre):
             other = (scope, lit.att, lit.val)
             if positive:
                 if lit.val not in current(scope, lit.att):
@@ -453,10 +445,10 @@ def attr_phase(
             else:
                 # a rule negating its own target is fine: the guard runs
                 # before the add, so only distinct blockers need ordering
-                if other in all_vertices and other != (scope, att, val):
+                if other in vertices and other != (scope, att, val):
                     edges.add(((scope, att, val), other))  # add before the blocker
 
-    order = _topo_order(all_vertices, edges)
+    order = _topo_order(vertices, edges)
     if order is None:
         return PlanResult.failed(CYCLE_IN_VALSET)
 
@@ -481,8 +473,8 @@ def solve_srd_no_delete(instance: ProblemInstance, q: ReachabilityQuery) -> Plan
         gp = group_phase(instance, q)
         notes = gp.notes
         prefix = gp.plan.requests
-        for req in prefix:
-            state = step(state, instance.hierarchy, instance.rules, req)
+        for req in prefix:  # each one authorized when group_phase built it
+            state = apply_request(state, req)
     ap = attr_phase(instance, state, q)
     if not ap.reachable:
         return PlanResult.failed(ap.reason, notes=notes + ap.notes)
