@@ -21,7 +21,7 @@
 
 #define W 4
 #define VW (2 * W)
-#define TIME_CHECK_INTERVAL 2048
+#define TIME_CHECK_INTERVAL 16384  /* about this many candidate tests between clock readings */
 #define ADD 1      /* cand_flags: the request sets its bit (else clears it) */
 #define GUARDED 2  /* cand_flags: the guard is not always true */
 
@@ -37,7 +37,6 @@ struct gr_search {
     const int32_t *seg_offsets;    /* [n_groups] */
     const int32_t *closure_start;  /* [n_groups + 1], into closure */
     const int32_t *closure;        /* junior-or-equal groups of each group */
-    const uint64_t *senior;        /* [n_groups][W]: membership bits of groups senior-or-equal */
     int32_t n_cands;
     const int32_t *cand_bit;
     const int32_t *cand_flags;     /* ADD | GUARDED */
@@ -46,10 +45,9 @@ struct gr_search {
     const uint64_t *care;          /* [clauses][view_words] */
     const uint64_t *want;
     /* query: the goal holds when eff & goal_mask == goal_target over the
-     * user's effective value bits; enumerate != 0 has no goal and keeps
-     * every reachable state */
+     * user's effective value bits; an enumeration asks for a goal that never
+     * holds (mask 0, target 1) */
     const uint64_t *start;         /* [W] */
-    int32_t enumerate;
     const uint64_t *goal_mask;     /* [W] */
     const uint64_t *goal_target;   /* [W] */
     int32_t max_depth;
@@ -59,8 +57,8 @@ struct gr_search {
     int32_t *plan;                 /* [plan_len] candidate indices */
     int32_t plan_len;
     uint32_t n_states;
-    uint64_t *states;              /* enumeration only: [n_states][W] */
-    int32_t *links;                /* enumeration only: [n_states][3] as in struct run */
+    uint64_t *states;              /* a closed or depth-cut search: [n_states][W] */
+    int32_t *links;                /* a closed or depth-cut search: [n_states][3] as in struct run */
 };
 
 struct run {
@@ -95,34 +93,37 @@ static void eff_group_bits(const struct gr_search *s, const uint64_t *state, int
         or_bits(out, 0, state, s->seg_offsets[s->closure[i]], s->n_slots);
 }
 
-static void eff_user_bits(const struct gr_search *s, const uint64_t *state, uint64_t *out) {
-    memset(out, 0, (W + 1) * sizeof *out);
-    or_bits(out, 0, state, 0, s->n_slots);
+/* out |= the user's effective groups as bits: the union of the closures of the groups held. */
+static void eff_groups(const struct gr_search *s, const uint64_t *state, uint64_t *out) {
     for (int j = 0; j < s->n_groups; j++)
         if (get_bit(state, s->mem_offset + j))
-            eff_group_bits(s, state, j, out);
+            for (int i = s->closure_start[j]; i < s->closure_start[j + 1]; i++)
+                out[s->closure[i] >> 6] |= (uint64_t)1 << (s->closure[i] & 63);
+}
+
+static void eff_user_bits(const struct gr_search *s, const uint64_t *state, const uint64_t *groups,
+                          uint64_t *out) {
+    or_bits(out, 0, state, 0, s->n_slots);
+    for (int k = 0; k < s->n_groups; k++)
+        if (get_bit(groups, k))
+            or_bits(out, 0, state, s->seg_offsets[k], s->n_slots);
 }
 
 /* direct | eff << S | mem << 2S | effmem << (2S + G) into VW + 1 words. */
 static void make_view(const struct gr_search *s, const uint64_t *state, int subject, uint64_t *out) {
     int S = s->n_slots, G = s->n_groups;
     uint64_t eff[W + 1] = {0}, effmem[W + 1] = {0};
+    eff_groups(s, state, effmem);
     memset(out, 0, (VW + 1) * sizeof *out);
     if (subject < 0) {
         or_bits(out, 0, state, 0, S);
-        eff_user_bits(s, state, eff);
+        eff_user_bits(s, state, effmem, eff);
     } else {
         or_bits(out, 0, state, s->seg_offsets[subject], S);
         eff_group_bits(s, state, subject, eff);
     }
     or_bits(out, S, eff, 0, S);
     or_bits(out, 2 * S, state, s->mem_offset, G);
-    for (int j = 0; j < G; j++)
-        for (int w = 0; w < W; w++)
-            if (state[w] & s->senior[j * W + w]) {
-                effmem[j >> 6] |= (uint64_t)1 << (j & 63);
-                break;
-            }
     or_bits(out, 2 * S + G, effmem, 0, G);
 }
 
@@ -140,8 +141,9 @@ static int guard_holds(const struct gr_search *s, int c, const uint64_t *view) {
 }
 
 static int goal_holds(const struct gr_search *s, const uint64_t *state) {
-    uint64_t eff[W + 1];
-    eff_user_bits(s, state, eff);
+    uint64_t groups[W + 1] = {0}, eff[W + 1] = {0};
+    eff_groups(s, state, groups);
+    eff_user_bits(s, state, groups, eff);
     for (int w = 0; w < W; w++)
         if ((eff[w] & s->goal_mask[w]) != s->goal_target[w])
             return 0;
@@ -225,6 +227,7 @@ static int search(struct gr_search *s, struct run *r) {
     uint64_t succ[W], view[VW + 1];
     int depth_cut = 0;
     uint64_t n = 1, expanded = 0;
+    uint64_t every = TIME_CHECK_INTERVAL / (s->n_cands + 1) + 1;  /* states between clock readings */
     if (push_state(r, 0, s->start, -1, -1, 0) || table_insert(r, s->start, 0) < 0)
         return OUT_OF_MEMORY;
     double deadline = now_ms() + (double)s->max_millis;
@@ -235,7 +238,7 @@ static int search(struct gr_search *s, struct run *r) {
             depth_cut = 1;
             continue;
         }
-        if (++expanded % TIME_CHECK_INTERVAL == 0 && now_ms() > deadline) {
+        if (++expanded % every == 0 && now_ms() > deadline) {
             s->n_states = (uint32_t)n;
             return MILLIS_EXCEEDED;
         }
@@ -265,7 +268,7 @@ static int search(struct gr_search *s, struct run *r) {
             if (push_state(r, n, succ, (int32_t)head, c, depth + 1))
                 return OUT_OF_MEMORY;
             n++;
-            if (!s->enumerate && goal_holds(s, succ)) {
+            if (goal_holds(s, succ)) {
                 s->n_states = (uint32_t)n;
                 s->plan_len = depth + 1;
                 s->plan = malloc((size_t)s->plan_len * sizeof *s->plan);
@@ -278,12 +281,10 @@ static int search(struct gr_search *s, struct run *r) {
         }
     }
     s->n_states = (uint32_t)n;
-    if (s->enumerate) {  /* hand the states and their links over to the caller */
-        s->states = r->arena;
-        s->links = r->links;
-        r->arena = NULL;
-        r->links = NULL;
-    }
+    s->states = r->arena;  /* hand the states and their links over to the caller */
+    s->links = r->links;
+    r->arena = NULL;
+    r->links = NULL;
     return depth_cut ? DEPTH_EXCEEDED : UNREACHABLE;
 }
 
@@ -293,7 +294,7 @@ int gr_bfs(struct gr_search *s) {
     s->n_states = 1;
     s->states = NULL;
     s->links = NULL;
-    if (!s->enumerate && goal_holds(s, s->start))
+    if (goal_holds(s, s->start))
         return REACHABLE;
     struct run r = {0};
     r.capacity = 1 << 10;

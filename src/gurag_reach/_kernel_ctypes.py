@@ -28,12 +28,11 @@ class _Search(ctypes.Structure):
     _fields_ = [
         ("n_slots", ctypes.c_int32), ("n_groups", ctypes.c_int32),
         ("mem_offset", ctypes.c_int32), ("view_words", ctypes.c_int32),
-        ("seg_offsets", _i32), ("closure_start", _i32), ("closure", _i32), ("senior", _u64),
+        ("seg_offsets", _i32), ("closure_start", _i32), ("closure", _i32),
         ("n_cands", ctypes.c_int32), ("cand_bit", _i32),
         ("cand_flags", _i32), ("cand_subject", _i32),
         ("clause_start", _i32), ("care", _u64), ("want", _u64),
-        ("start", _u64), ("enumerate", ctypes.c_int32),
-        ("goal_mask", _u64), ("goal_target", _u64),
+        ("start", _u64), ("goal_mask", _u64), ("goal_target", _u64),
         ("max_depth", ctypes.c_int32), ("max_states", ctypes.c_uint32),
         ("max_millis", ctypes.c_int64),
         ("plan", _i32), ("plan_len", ctypes.c_int32), ("n_states", ctypes.c_uint32),
@@ -98,8 +97,8 @@ class CKernel:
         closure_start = [0]
         for closure in ci.closure_idx:
             closure_start.append(closure_start[-1] + len(closure))
-        if goal is None:
-            mask = target = 0
+        if goal is None:  # an enumeration asks for a goal that never holds
+            mask, target = 0, 1
         else:  # a relaxed query's target is its own mask
             mask, target = goal.mask if strict else goal.target, goal.target
         # the structure keeps every array assigned to it alive until it is dropped
@@ -108,11 +107,10 @@ class CKernel:
             view_words=view_words,
             seg_offsets=_ints(ci.seg_offsets), closure_start=_ints(closure_start),
             closure=_ints([k for closure in ci.closure_idx for k in closure]),
-            senior=_words([m << ci.mem_offset for m in ci.senior_mask], W),
             n_cands=len(bits), cand_bit=_ints(bits), cand_flags=_ints(flags),
             cand_subject=_ints(subjects), clause_start=_ints(clause_start),
             care=_words(cares, view_words), want=_words([want for _, want in clauses], view_words),
-            start=_words([start], W), enumerate=goal is None,
+            start=_words([start], W),
             goal_mask=_words([mask], W), goal_target=_words([target], W),
             max_depth=max_depth, max_states=max_states, max_millis=max_millis,
         )
@@ -123,7 +121,7 @@ class CKernel:
             n = s.n_states
             if code == REACHABLE:
                 return code, s.plan[:s.plan_len] if s.plan_len else [], n
-            if s.states:  # enumeration that closed or hit the depth bound
+            if goal is None and s.states:  # an enumeration that closed or hit the depth bound
                 depths = array("i", ctypes.string_at(s.links, 12 * n))[2::3]
                 return code, list(zip(_states(s.states, n), depths)), n
             return code, None, n

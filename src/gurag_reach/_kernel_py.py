@@ -16,8 +16,10 @@ The goal test is one comparison, ``eff & mask == target``, on the user's
 effective value bits ``eff``: the query's single ``QueryEntry`` gives the
 mask (for a relaxed query, the target itself) and the target.  A state
 without membership bits is its own ``eff`` below the mask; otherwise ``eff``
-ORs in the segments of the user's effective groups, looked up per membership
-word in a table local to the call.
+ORs in the segments of the user's effective groups, the union of the junior
+closures of the groups held.  A table local to the call derives that union
+once per membership word, and with it the ``mem`` and ``effmem`` bits of the
+guards' view words.
 """
 
 from __future__ import annotations
@@ -29,7 +31,11 @@ from .encoding import ALWAYS, CompiledInstance, QueryEntry
 
 KERNEL_NAME = "python"
 
-_TIME_CHECK_INTERVAL = 2048
+# Each expanded state tests every candidate, so reading the clock every
+# ``_TIME_CHECK_INTERVAL // (candidates + 1) + 1`` expanded states reads it
+# about every ``_TIME_CHECK_INTERVAL`` candidate tests; ``_kernel.c`` follows
+# the same rule.
+_TIME_CHECK_INTERVAL = 16384
 
 # Outcome codes shared with the compiled kernel
 REACHABLE = 0
@@ -37,39 +43,6 @@ UNREACHABLE = 1
 DEPTH_EXCEEDED = 2
 STATES_EXCEEDED = 3
 MILLIS_EXCEEDED = 4
-
-
-def _eff_group_bits(ci: CompiledInstance, state: int, j: int, smask: int) -> int:
-    bits = 0
-    for k in ci.closure_idx[j]:
-        bits |= (state >> ci.seg_offsets[k]) & smask
-    return bits
-
-
-def _eff_user_bits(ci: CompiledInstance, state: int, smask: int) -> int:
-    bits = state & smask
-    mem = state >> ci.mem_offset
-    for j in range(ci.n_groups):
-        if mem >> j & 1:
-            bits |= _eff_group_bits(ci, state, j, smask)
-    return bits
-
-
-def _view(ci: CompiledInstance, state: int, subject: int, smask: int) -> int:
-    """The word a guard reads: see ``encoding``."""
-    mem = state >> ci.mem_offset
-    if subject < 0:
-        direct = state & smask
-        eff = _eff_user_bits(ci, state, smask)
-    else:
-        direct = (state >> ci.seg_offsets[subject]) & smask
-        eff = _eff_group_bits(ci, state, subject, smask)
-    effmem = 0
-    for j, seniors in enumerate(ci.senior_mask):
-        if mem & seniors:
-            effmem |= 1 << j
-    s = ci.n_slots
-    return direct | eff << s | mem << 2 * s | effmem << (2 * s + ci.n_groups)
 
 
 def bfs(
@@ -86,28 +59,45 @@ def bfs(
     With a goal: returns (code, plan as candidate-index list, states_explored).
     Without (enumeration mode): returns (code, list of (state, depth), count).
     """
-    smask = ci.seg_mask()
+    s, smask, mem_offset, seg_offsets = ci.n_slots, ci.seg_mask(), ci.mem_offset, ci.seg_offsets
     # (candidate index, bit mask, add, subject, guard or None when always true)
     candidates = [(i, 1 << c.bit, c.add, c.subject, None if c.guard == ALWAYS else c.guard)
                   for i, c in enumerate(ci.candidates)]
+    # membership word -> (segment offsets of the user's effective groups,
+    #                     the view's ``mem << 2S | effmem << (2S + G)`` bits)
+    members = {0: ((), 0)}
 
-    mem_offset = ci.mem_offset
-    effective = {}  # membership word -> segment offsets of the user's effective groups
+    def member(mem: int) -> tuple[tuple[int, ...], int]:
+        """The entry of a membership word the table does not hold yet."""
+        groups = {k for j in range(ci.n_groups) if mem >> j & 1 for k in ci.closure_idx[j]}
+        effmem = sum([1 << k for k in groups])
+        entry = members[mem] = (tuple([seg_offsets[k] for k in groups]),
+                                (mem | effmem << ci.n_groups) << 2 * s)
+        return entry
 
     def eff_bits(state: int) -> int:
         """The user's effective value bits, with higher bits left over: mask them."""
         mem = state >> mem_offset
-        offsets = effective.get(mem)
-        if offsets is None:
-            offsets = effective[mem] = tuple({ci.seg_offsets[k] for j in range(ci.n_groups)
-                                              if mem >> j & 1 for k in ci.closure_idx[j]})
         eff = state
-        for off in offsets:
+        for off in (members.get(mem) or member(mem))[0]:
             eff |= state >> off
         return eff
 
+    def make_view(state: int, subject: int) -> int:
+        """The word a guard reads: see ``encoding``."""
+        mem = state >> mem_offset
+        offsets, above = members.get(mem) or member(mem)
+        own = state
+        if subject >= 0:  # a group's effective values: the segments of its junior closure
+            own = state >> seg_offsets[subject]
+            offsets = [seg_offsets[k] for k in ci.closure_idx[subject]]
+        eff = own
+        for off in offsets:
+            eff |= state >> off
+        return own & smask | (eff & smask) << s | above
+
     if goal is None:
-        # no state passes ``x & 0 == 1``, and none needs the membership table
+        # no state passes ``x & 0 == 1``, so the goal test needs no membership table
         mask, target, plain_below = 0, 1, 1 << ci.nbits
     else:
         # a relaxed query's target is its own mask
@@ -120,14 +110,14 @@ def bfs(
     frontier = [start]
     level_sizes = [1]
     deadline = time.monotonic() + max_millis / 1000.0
-    expanded = 0
+    expanded, every = 0, _TIME_CHECK_INTERVAL // (len(candidates) + 1) + 1
     depth = 0
 
     while frontier and depth < max_depth:
         nxt = []
         for state in frontier:
             expanded += 1
-            if expanded % _TIME_CHECK_INTERVAL == 0 and time.monotonic() > deadline:
+            if expanded % every == 0 and time.monotonic() > deadline:
                 return MILLIS_EXCEEDED, None, len(seen)
             views = {}
             for ci_idx, bit, add, subject, guard in candidates:
@@ -137,7 +127,7 @@ def bfs(
                 if guard is not None:
                     view = views.get(subject)
                     if view is None:
-                        view = views[subject] = _view(ci, state, subject, smask)
+                        view = views[subject] = make_view(state, subject)
                     for care, want in guard:
                         if view & care == want:
                             break

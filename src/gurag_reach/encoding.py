@@ -68,7 +68,7 @@ class QueryEntry(Frozen):
 
 class CompiledInstance(Record):
     _fields = ("groups", "slot", "att_spans", "n_slots", "n_groups", "nbits", "mem_offset",
-               "seg_offsets", "closure_idx", "senior_mask", "candidates")
+               "seg_offsets", "closure_idx", "candidates")
 
     def __init__(
         self,
@@ -81,7 +81,6 @@ class CompiledInstance(Record):
         mem_offset: int,
         seg_offsets: tuple[int, ...],             # per group index
         closure_idx: tuple[tuple[int, ...], ...],  # junior closure, as group indices
-        senior_mask: tuple[int, ...],             # membership mask of groups senior-or-equal
         candidates: tuple[Candidate, ...],
     ):
         self.groups = groups
@@ -93,7 +92,6 @@ class CompiledInstance(Record):
         self.mem_offset = mem_offset
         self.seg_offsets = seg_offsets
         self.closure_idx = closure_idx
-        self.senior_mask = senior_mask
         self.candidates = candidates
 
     def seg_mask(self) -> int:
@@ -169,13 +167,6 @@ def compile_instance(instance: ProblemInstance) -> CompiledInstance:
         tuple(sorted(gidx[j] for j in instance.hierarchy.junior_closure(g)))
         for g in groups
     )
-    senior_mask = []
-    for j in range(n_groups):
-        mask = 0
-        for k in range(n_groups):
-            if j in closure_idx[k]:
-                mask |= 1 << k
-        senior_mask.append(mask)
 
     def view_bit(lit: Precondition) -> int:
         if isinstance(lit, DirectVal):
@@ -215,6 +206,5 @@ def compile_instance(instance: ProblemInstance) -> CompiledInstance:
         mem_offset=mem_offset,
         seg_offsets=seg_offsets,
         closure_idx=closure_idx,
-        senior_mask=tuple(senior_mask),
         candidates=tuple(candidates),
     )

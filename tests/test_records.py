@@ -136,13 +136,12 @@ MUTABLE = [
     (ParseResult, (None, []), {"plans": [], "diagnostics": []},
      ("instance", "queries", "plans", "diagnostics"),
      "ParseResult(instance=None, queries=[], plans=[], diagnostics=[])"),
-    (CompiledInstance, (("G",), {("a", "v"): 0}, {"a": (0, 1)}, 1, 1, 3, 2, (1,), ((0,),), (1,)),
+    (CompiledInstance, (("G",), {("a", "v"): 0}, {"a": (0, 1)}, 1, 1, 3, 2, (1,), ((0,),)),
      {"candidates": ()},
      ("groups", "slot", "att_spans", "n_slots", "n_groups", "nbits", "mem_offset", "seg_offsets",
-      "closure_idx", "senior_mask", "candidates"),
+      "closure_idx", "candidates"),
      "CompiledInstance(groups=('G',), slot={('a', 'v'): 0}, att_spans={'a': (0, 1)}, n_slots=1, "
-     "n_groups=1, nbits=3, mem_offset=2, seg_offsets=(1,), closure_idx=((0,),), senior_mask=(1,), "
-     "candidates=())"),
+     "n_groups=1, nbits=3, mem_offset=2, seg_offsets=(1,), closure_idx=((0,),), candidates=())"),
     (CaseResult, ("any", 0, "agree"), {}, ("cls", "seed", "status", "detail"),
      "CaseResult(cls='any', seed=0, status='agree', detail='')"),
     (FuzzStats, (), {}, STATS_FIELDS,

@@ -1,13 +1,15 @@
+import ctypes
 import importlib.util
 import pathlib
 import random
+import re
 import sys
 import time
 from collections import deque
 
 import pytest
 
-from gurag_reach import _kernel_py, kernel
+from gurag_reach import _kernel_ctypes, _kernel_py, kernel
 from gurag_reach.encoding import ALWAYS, QueryEntry, compile_instance
 from gurag_reach.fuzz import CLASSES, generate
 from gurag_reach.model import DirectState, GroupHierarchy, ProblemInstance
@@ -119,7 +121,7 @@ class TestEncoding:
 
 
 def guard_holds(ci, cand, bits):
-    view = _kernel_py._view(ci, bits, cand.subject, ci.seg_mask())
+    view = _ref_view(ci, bits, cand.subject, ci.seg_mask())
     return any(view & care == want for care, want in cand.guard)
 
 
@@ -301,6 +303,27 @@ class TestKernelEquivalence:
             assert enumerate_reachable(inst, bounds, engine="python") == \
                 enumerate_reachable(inst, bounds, engine="compiled"), seed
 
+    def test_raw_bfs_tuples_identical(self, compiled_kernel):
+        # what ``perfbench`` compares: the tuples themselves, so a binding that
+        # kept the states the compiled kernel hands back in goal mode fails
+        codes = set()
+        cases = [generate(cls, seed) for cls in CLASSES for seed in range(60)]
+        cases += [wide_random_instance(seed) for seed in range(10)]
+        for inst, q in cases:
+            ci = compile_instance(inst)
+            start, goal = ci.encode_state(inst.initial_state), ci.compile_query(q)
+            for max_depth, max_states in ((32, 1 << 20), (2, 1 << 20), (32, 5)):
+                for g, strict in ((goal, True), (goal, False), (None, False)):
+                    args = (ci, start, g, strict, max_depth, max_states, 30_000)
+                    out = _kernel_py.bfs(*args)
+                    assert compiled_kernel.bfs(*args) == out, (q, args[2:])
+                    codes.add((g is None, out[0]))
+        # closed, depth-cut and state-cut searches, with a goal and enumerating
+        ends = {(enumerating, code) for enumerating in (False, True)
+                for code in (_kernel_py.UNREACHABLE, _kernel_py.DEPTH_EXCEEDED,
+                             _kernel_py.STATES_EXCEEDED)}
+        assert codes == ends | {(False, _kernel_py.REACHABLE)}
+
     def test_wide_instance_falls_back(self, compiled_kernel):
         vals = [f"v{i:03d}" for i in range(compiled_kernel.MAX_BITS + 1)]
         inst = ProblemInstance(
@@ -347,6 +370,12 @@ def _ref_eff_user_bits(ci, state, smask):
     return bits
 
 
+def _ref_senior_mask(ci):
+    """Per group j, the membership bits of the groups whose closure holds j."""
+    return [sum(1 << k for k, closure in enumerate(ci.closure_idx) if j in closure)
+            for j in range(ci.n_groups)]
+
+
 def _ref_view(ci, state, subject, smask):
     mem = state >> ci.mem_offset
     if subject < 0:
@@ -356,7 +385,7 @@ def _ref_view(ci, state, subject, smask):
         direct = (state >> ci.seg_offsets[subject]) & smask
         eff = _ref_eff_group_bits(ci, state, subject, smask)
     effmem = 0
-    for j, seniors in enumerate(ci.senior_mask):
+    for j, seniors in enumerate(_ref_senior_mask(ci)):
         if mem & seniors:
             effmem |= 1 << j
     s = ci.n_slots
@@ -547,6 +576,30 @@ def engine(request):
     return request.param
 
 
+class TestBinding:
+    C_TYPES = {"int32_t": ctypes.c_int32, "uint32_t": ctypes.c_uint32,
+               "int64_t": ctypes.c_int64, "uint64_t": ctypes.c_uint64}
+
+    def c_struct_fields(self, name):
+        """The (name, ctypes type) of each field of a struct in ``_kernel.c``."""
+        source = (ROOT / "src" / "gurag_reach" / "_kernel.c").read_text()
+        body = re.search(r"^struct %s \{\n(.*?)^\};" % name, source, re.S | re.M).group(1)
+        fields = []
+        for decl in re.sub(r"/\*.*?\*/", "", body, flags=re.S).split(";")[:-1]:
+            ctype, names = re.fullmatch(r"\s*(?:const\s+)?(\w+)\s+(.*?)\s*", decl, re.S).groups()
+            for field in names.split(","):
+                field = field.strip()
+                base = self.C_TYPES[ctype]
+                fields.append((field.lstrip("* "), ctypes.POINTER(base) if field[0] == "*" else base))
+        return fields
+
+    def test_search_structure_mirrors_the_c_struct(self):
+        # same names in the same order, with the same widths and signedness
+        fields = self.c_struct_fields("gr_search")
+        assert ("n_slots", ctypes.c_int32) in fields and ("states", _kernel_ctypes._u64) in fields
+        assert _kernel_ctypes._Search._fields_ == fields
+
+
 class TestBenchmarkExpectations:
     def test_independent_explores_every_state(self, engine):
         inst, q = bench_kernel.independent(12)
@@ -564,3 +617,12 @@ class TestBenchmarkExpectations:
         inst, q = bench_kernel.independent(20)
         out = bfs_solve(inst, q, SearchBounds(max_millis=1), engine=engine)
         assert isinstance(out, BoundExceeded) and out.bound == "millis"
+
+    def test_time_bound_counts_candidate_tests(self):
+        # few states, each testing 4,000 candidates: the clock has to be read
+        # within the first states, not after 2,048 of them
+        inst, q = bench_kernel.chain(4000)
+        begun = time.monotonic()
+        out = bfs_solve(inst, q, SearchBounds(max_depth=4001, max_millis=20), engine="python")
+        assert time.monotonic() - begun < 1
+        assert out == BoundExceeded("millis", out.states_explored)
