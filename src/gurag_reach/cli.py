@@ -223,6 +223,17 @@ COMMANDS = {"classify": classify, "solve": solve, "validate": validate, "oracle"
             "fmt": fmt, "fuzz": fuzz}
 
 
+def _count(text: str) -> int:
+    """A case count for ``fuzz``: a non-negative integer, else a usage error."""
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if count < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {count}")
+    return count
+
+
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gurag-reach",
@@ -273,7 +284,7 @@ def _parser() -> argparse.ArgumentParser:
                   [bounds], file=False)
     sub.add_argument("--class", dest="cls", default="nonneg", choices=CLASSES,
                      help="Rule-set class of the generated cases.")
-    sub.add_argument("--count", type=int, default=100, help="Number of cases.")
+    sub.add_argument("--count", type=_count, default=100, help="Number of cases.")
     sub.add_argument("--seed", type=int, default=0, help="Seed of the first case.")
     return parser
 

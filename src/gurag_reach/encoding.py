@@ -25,6 +25,7 @@ from .policy import (
     EffGroup,
     EffVal,
     Precondition,
+    Rule,
     clauses,
 )
 from .transition import ReachabilityQuery, Request
@@ -143,6 +144,21 @@ class CompiledInstance(Record):
         return QueryEntry(mask, target)
 
 
+def candidate_requests(instance: ProblemInstance) -> list[tuple[Request, Rule]]:
+    """Each concrete request a rule can authorize, with that rule, in search
+    order: by request, then by rule id.  A group-subject rule gives one
+    request per group."""
+    groups = sorted(instance.groups)
+    out = []
+    for rule in instance.rules:
+        rel = rule.relation
+        subjects = groups if rel.is_group_subject else [rule.target_group]
+        out += [(Request(rel, rule.role, rule.target_attr, rule.target_val, g), rule)
+                for g in subjects]
+    out.sort(key=lambda c: (c[0].sort_key, c[1].rule_id))
+    return out
+
+
 def compile_instance(instance: ProblemInstance) -> CompiledInstance:
     atts = tuple(sorted(instance.scopes))
     slot: dict[tuple[str, str], int] = {}
@@ -179,22 +195,21 @@ def compile_instance(instance: ProblemInstance) -> CompiledInstance:
             return 2 * n_slots + n_groups + gidx[lit.group]
         raise TypeError(f"unknown precondition node {lit!r}")  # pragma: no cover
 
-    candidates: list[Candidate] = []
-    for rule in instance.rules:
-        rel, att, val = rule.relation, rule.target_attr, rule.target_val
-        if rel.is_membership:
-            targets = [(mem_offset + gidx[rule.target_group], -1,
-                        Request(rel, rule.role, group=rule.target_group))]
-        elif rel.is_group_subject:
-            targets = [(seg_offsets[gidx[g]] + slot[att, val], gidx[g],
-                        Request(rel, rule.role, att=att, val=val, group=g)) for g in groups]
-        else:
-            targets = [(slot[att, val], -1, Request(rel, rule.role, att=att, val=val))]
+    guards = []
+    for rule in instance.rules:  # rule ids are declaration order
         guard = clauses(rule.pre, view_bit)
-        guard = ALWAYS if (0, 0) in guard else tuple(guard)
-        candidates += [Candidate(bit, not rel.is_delete, subject, guard, rule.rule_id, req)
-                       for bit, subject, req in targets]
-    candidates.sort(key=lambda c: (c.request.sort_key, c.rule_id))
+        guards.append(ALWAYS if (0, 0) in guard else tuple(guard))
+    candidates = []
+    for req, rule in candidate_requests(instance):
+        if req.kind.is_membership:
+            bit, subject = mem_offset + gidx[req.group], -1
+        elif req.kind.is_group_subject:
+            subject = gidx[req.group]
+            bit = seg_offsets[subject] + slot[req.att, req.val]
+        else:
+            bit, subject = slot[req.att, req.val], -1
+        candidates.append(Candidate(bit, not req.kind.is_delete, subject, guards[rule.rule_id],
+                                    rule.rule_id, req))
 
     return CompiledInstance(
         groups=groups,

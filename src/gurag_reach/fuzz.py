@@ -21,7 +21,7 @@ import random
 from typing import Optional
 
 from ._record import Record
-from .encoding import compile_instance
+from .encoding import candidate_requests
 from .model import DirectState, GroupHierarchy, ProblemInstance, effective_user_attr
 from .planner import (
     NOTE_GROUP_CYCLE,
@@ -116,16 +116,14 @@ def _gen_query(
     rng: random.Random, instance: ProblemInstance, strict_full: bool
 ) -> ReachabilityQuery:
     """Target sets biased toward reachable by simulating random requests."""
-    ci = compile_instance(instance)
+    requests = [req for req, _ in candidate_requests(instance)]
     state = instance.initial_state
     for _ in range(rng.randint(0, 8)):
-        cands = [
-            c for c in ci.candidates
-            if authorized_rules(state, instance.hierarchy, instance.rules, c.request)
-        ]
+        cands = [req for req in requests
+                 if authorized_rules(state, instance.hierarchy, instance.rules, req)]
         if not cands:
             break
-        state = apply_request(state, rng.choice(cands).request)
+        state = apply_request(state, rng.choice(cands))
 
     atts = list(instance.attributes)
     if not strict_full:

@@ -10,7 +10,11 @@ Two engines:
   Runs in two phases: a group-assignment phase ordered by a precedence graph
   over groups, whose groups on a cycle are discarded, then a backward-chaining
   phase over (scope, attribute, value) requirements ordered by a second
-  precedence graph.
+  precedence graph.  A query value with a canAddU rule is required of the
+  user; one with a canAddUG rule of the first effective group, in sorted
+  order, whose closure of prerequisites has no cycle.  If every group that
+  closes meets a cycle, the first such closure is kept and fails the cycle
+  check (``cycle-in-valset``); if none closes, the first failure is reported.
 
 Neither engine ever removes anything, so under a strict query both share one
 guard: a surplus effective value is final, and no addition or assignment that
@@ -99,6 +103,13 @@ def _rule_order_key(rule: Rule) -> tuple:
     )
 
 
+def _request(rule: Rule, subject: Optional[str] = None) -> Request:
+    """The request of ``rule`` on ``subject``: None for the user, else a group
+    (an assign rule names its own group)."""
+    return Request(rule.relation, rule.role, rule.target_attr, rule.target_val,
+                   rule.target_group or subject)
+
+
 # --------------------------------------------------------------------------
 # The strict-query guard shared by both engines; a relaxed query wants
 # every value
@@ -128,6 +139,19 @@ def _value_wanted(q: ReachabilityQuery, att: str, val: str) -> bool:
 # Forward fixpoint for negation-free rule sets
 # --------------------------------------------------------------------------
 
+def _open_subjects(rule: Rule, state: DirectState, h: GroupHierarchy,
+                   q: ReachabilityQuery) -> tuple[Optional[str], ...]:
+    """The subjects a rule could still change: the user (None) for an add or
+    an assign, the effective groups lacking the value for a group add."""
+    if rule.relation == Relation.ADD_U:
+        return () if rule.target_val in state.user_values(rule.target_attr) else (None,)
+    if rule.relation == Relation.ASSIGN:
+        g = rule.target_group
+        return () if g in state.user_groups or not _group_admissible(state, h, q, g) else (None,)
+    return tuple(g for g in sorted(effective_groups(state, h))
+                 if rule.target_val not in state.group_values(g, rule.target_attr))
+
+
 def solve_no_negation(instance: ProblemInstance, q: ReachabilityQuery) -> PlanResult:
     flags = check_restrictions(instance.rules)
     if not flags.no_negation:
@@ -154,32 +178,12 @@ def solve_no_negation(instance: ProblemInstance, q: ReachabilityQuery) -> PlanRe
     while True:
         fired = False
         for rule in add_rules:
-            if rule.relation == Relation.ADD_U:
-                if rule.target_val in state.user_values(rule.target_attr):
-                    continue
-                if not eval_precondition(rule.pre, state, h, None):
-                    continue
-                req = Request(Relation.ADD_U, rule.role,
-                              att=rule.target_attr, val=rule.target_val)
-            elif rule.relation == Relation.ADD_UG:
-                req = None
-                for g in sorted(effective_groups(state, h)):
-                    if rule.target_val in state.group_values(g, rule.target_attr):
-                        continue
-                    if not eval_precondition(rule.pre, state, h, g):
-                        continue
-                    req = Request(Relation.ADD_UG, rule.role, att=rule.target_attr,
-                                  val=rule.target_val, group=g)
+            for subject in _open_subjects(rule, state, h, q):
+                if eval_precondition(rule.pre, state, h, subject):
                     break
-                if req is None:
-                    continue
-            else:  # ASSIGN
-                g = rule.target_group
-                if g in state.user_groups or not _group_admissible(state, h, q, g):
-                    continue
-                if not eval_precondition(rule.pre, state, h, None):
-                    continue
-                req = Request(Relation.ASSIGN, rule.role, group=g)
+            else:
+                continue
+            req = _request(rule, subject)
             state = apply_request(state, req)
             requests.append(req)
             fired = True
@@ -230,7 +234,6 @@ def group_phase(instance: ProblemInstance, q: ReachabilityQuery) -> PlanResult:
     _require_srd(instance)
     h = instance.hierarchy
     state0 = instance.initial_state
-    notes: list[str] = []
 
     assign_rules = {r.target_group: r for r in instance.rules if r.relation == Relation.ASSIGN}
 
@@ -278,7 +281,6 @@ def group_phase(instance: ProblemInstance, q: ReachabilityQuery) -> PlanResult:
                     edges.add((g, lit.group))   # assign g while lit.group absent
     discard = _scc_discard(vertices, edges)
     if discard:
-        notes.append(NOTE_GROUP_CYCLE)
         vertices = prune(vertices - discard)  # discarding may strand positive dependencies
         edges = {(a, b) for a, b in edges if a in vertices and b in vertices}
 
@@ -288,13 +290,13 @@ def group_phase(instance: ProblemInstance, q: ReachabilityQuery) -> PlanResult:
     state = state0
     requests: list[Request] = []
     for g in order:
-        req = Request(Relation.ASSIGN, assign_rules[g].role, group=g)
+        req = _request(assign_rules[g])
         try:
             state = step(state, h, instance.rules, req)
         except NotAuthorized:
             continue  # a skipped dependency cascades; drop this assignment too
         requests.append(req)
-    return PlanResult.found(Plan(tuple(requests)), notes=tuple(notes))
+    return PlanResult.found(Plan(tuple(requests)), notes=(NOTE_GROUP_CYCLE,) if discard else ())
 
 
 def _topo_order(vertices, edges) -> Optional[list]:
@@ -343,104 +345,81 @@ def attr_phase(
     if eval_query(state, h, q):
         return PlanResult.found(Plan())
 
-    pair_rule: dict[tuple[str, str], Rule] = {}
-    for rule in instance.rules:
-        if rule.relation in (Relation.ADD_U, Relation.ADD_UG):
-            pair_rule[rule.target_attr, rule.target_val] = rule
-
+    pair_rule: dict[tuple[str, str], Rule] = {
+        (r.target_attr, r.target_val): r for r in instance.rules
+        if r.relation in (Relation.ADD_U, Relation.ADD_UG)}
     eff_groups = sorted(effective_groups(state, h))
 
-    def current(scope: str, att: str) -> frozenset[str]:
-        if scope == USER_SCOPE:
-            return state.user_values(att)
-        return state.group_values(scope, att)
+    def held(scope: str, att: str, val: str) -> bool:
+        return val in (state.user_values(att) if scope == USER_SCOPE
+                       else state.group_values(scope, att))
 
-    # the (scope, att, val) requirements; the rule of each comes from pair_rule
-    vertices: set[tuple[str, str, str]] = set()
-    cycles: list[tuple[str, str]] = []  # requirements met again on their own trail
-
-    def close(scope: str, att: str, val: str, trail: set):
-        """Record the vertex and, transitively, every positive prerequisite."""
-        pair = (att, val)
-        if (scope, att, val) in vertices:
-            return
-        if pair in trail:
-            cycles.append(pair)
-            return  # cyclic requirement; surfaces in the graph cycle check
-        rule = pair_rule.get(pair)
-        if rule is None:
-            raise _PhaseFailure(MISSING_RULE)
+    def closure(scope: str, att: str, val: str, have: set, trail: frozenset = frozenset()):
+        """The (scope, att, val) requirements beyond ``have`` that giving
+        scope the value needs: itself and, transitively, every positive
+        prerequisite not held.  Also whether one of them met its own trail,
+        a cyclic requirement that surfaces in the graph cycle check."""
+        if (scope, att, val) in have:
+            return set(), False
+        if (att, val) in trail:
+            return set(), True
+        rule = pair_rule.get((att, val))
         expected = Relation.ADD_U if scope == USER_SCOPE else Relation.ADD_UG
-        if rule.relation != expected:
-            # the single rule for this pair lives in the other sub-model, so
-            # this scope cannot acquire the value directly
+        if rule is None or rule.relation != expected:
+            # no rule, or the single rule for this pair lives in the other
+            # sub-model, so this scope cannot acquire the value directly
             raise _PhaseFailure(MISSING_RULE)
         # adding to the user or to any effective group makes it effective
         if not _value_wanted(q, att, val):
             raise _PhaseFailure(FORBIDDEN_EDGE)
-        trail = trail | {pair}
+        new, cyclic = set(), False
         for positive, lit in direct_conjunct_shape(rule.pre):
             if not isinstance(lit, DirectVal):
                 raise _PhaseFailure(MISSING_RULE)  # group literal in a value rule
-            if positive:
-                if lit.val not in current(scope, lit.att):
-                    close(scope, lit.att, lit.val, trail)
-            else:
-                if lit.val in current(scope, lit.att):
+            if not positive:
+                if held(scope, lit.att, lit.val):
                     raise _PhaseFailure(NEGATIVE_CONJUNCT)
-        vertices.add((scope, att, val))
+            elif not held(scope, lit.att, lit.val):
+                # copy ``have`` only once there is something to add: a long
+                # chain of single prerequisites then stays linear
+                more, more_cyclic = closure(scope, lit.att, lit.val, have | new if new else have,
+                                            trail | {(att, val)})
+                new = new | more if new else more
+                cyclic = cyclic or more_cyclic
+        new.add((scope, att, val))
+        return new, cyclic
 
-    # required query pairs not currently effective
-    toadd: list[tuple[str, str]] = []
+    # each required query pair not yet effective, with its closure in the
+    # first scope that closes without a cycle, else the first cyclic one
+    vertices: set[tuple[str, str, str]] = set()
     for att, vset in q.entries.items():
-        eff = effective_user_attr(state, h, att)
-        for val in sorted(vset - eff):
-            toadd.append((att, val))
-
-    for att, val in toadd:
-        rule = pair_rule.get((att, val))
-        if rule is None:
-            return PlanResult.failed(MISSING_RULE)
-        if rule.relation == Relation.ADD_U:
-            try:
-                close(USER_SCOPE, att, val, set())
-            except _PhaseFailure as f:
-                return PlanResult.failed(f.reason)
-        else:
-            # coverable through whichever effective group admits the full
-            # closure; the smallest such group is chosen deterministically.  A
-            # closure with a cyclic requirement fails the cycle check later,
-            # so it is kept only when no group closes without one.
-            if not eff_groups:
+        for val in sorted(vset - effective_user_attr(state, h, att)):
+            rule = pair_rule.get((att, val))
+            if rule is None:
                 return PlanResult.failed(MISSING_RULE)
-            first_failure = None
-            cyclic_choice = None
-            for g in eff_groups:
-                snapshot = set(vertices)
-                cycles.clear()
+            scopes = [USER_SCOPE] if rule.relation == Relation.ADD_U else eff_groups
+            failure = chosen = None
+            for scope in scopes:
                 try:
-                    close(g, att, val, set())
-                    if not cycles:
-                        break
-                    if cyclic_choice is None:
-                        cyclic_choice = vertices
+                    new, cyclic = closure(scope, att, val, vertices)
                 except _PhaseFailure as f:
-                    if first_failure is None:
-                        first_failure = f.reason
-                vertices = snapshot
-            else:
-                if cyclic_choice is None:
-                    return PlanResult.failed(first_failure)
-                vertices = cyclic_choice
+                    failure = failure or f.reason
+                    continue
+                if chosen is None or not cyclic:
+                    chosen = new
+                if not cyclic:
+                    break
+            if chosen is None:  # with no effective group to try, the pair is missing-rule
+                return PlanResult.failed(failure or MISSING_RULE)
+            vertices |= chosen
 
     # precedence graph over all needed vertices
     edges: set[tuple[tuple, tuple]] = set()
     for scope, att, val in vertices:
-        rule = pair_rule[att, val]
-        for positive, lit in direct_conjunct_shape(rule.pre):
+        for positive, lit in direct_conjunct_shape(pair_rule[att, val].pre):
             other = (scope, lit.att, lit.val)
             if positive:
-                if lit.val not in current(scope, lit.att):
+                if not held(scope, lit.att, lit.val):
                     edges.add((other, (scope, att, val)))  # prerequisite first
             else:
                 # a rule negating its own target is fine: the guard runs
@@ -451,31 +430,19 @@ def attr_phase(
     order = _topo_order(vertices, edges)
     if order is None:
         return PlanResult.failed(CYCLE_IN_VALSET)
-
-    requests = []
-    for scope, att, val in order:
-        rule = pair_rule[att, val]
-        if scope == USER_SCOPE:
-            requests.append(Request(Relation.ADD_U, rule.role, att=att, val=val))
-        else:
-            requests.append(Request(Relation.ADD_UG, rule.role, att=att, val=val, group=scope))
-    return PlanResult.found(Plan(tuple(requests)))
+    return PlanResult.found(Plan(tuple(_request(pair_rule[att, val], scope or None)
+                                       for scope, att, val in order)))
 
 
 def solve_srd_no_delete(instance: ProblemInstance, q: ReachabilityQuery) -> PlanResult:
     """Compose the group phase (only at the group-administration level) with
     the attribute phase."""
     flags = _require_srd(instance)
-    notes: tuple[str, ...] = ()
+    gp = group_phase(instance, q) if flags.level == Level.G1PLUS else PlanResult.found(Plan())
     state = instance.initial_state
-    prefix: tuple[Request, ...] = ()
-    if flags.level == Level.G1PLUS:
-        gp = group_phase(instance, q)
-        notes = gp.notes
-        prefix = gp.plan.requests
-        for req in prefix:  # each one authorized when group_phase built it
-            state = apply_request(state, req)
+    for req in gp.plan:  # each one authorized when group_phase built it
+        state = apply_request(state, req)
     ap = attr_phase(instance, state, q)
     if not ap.reachable:
-        return PlanResult.failed(ap.reason, notes=notes + ap.notes)
-    return PlanResult.found(Plan(prefix + ap.plan.requests), notes=notes + ap.notes)
+        return PlanResult.failed(ap.reason, notes=gp.notes)
+    return PlanResult.found(Plan(gp.plan.requests + ap.plan.requests), notes=gp.notes)

@@ -210,6 +210,13 @@ class TestFuzzCommand:
         doc = report(res)
         assert doc["total"] == 25 and doc["diverge"] == 0
 
+    @pytest.mark.parametrize("count", ["-3", "-1", "x"])
+    def test_malformed_count_is_usage_error(self, count):
+        res = run_cli("fuzz", "--count", count)
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert "argument --count" in res.stderr
+
 
 def test_missing_file_is_parse_error():
     res = run_cli("solve", "no/such/file.gurag")

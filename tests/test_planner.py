@@ -264,6 +264,21 @@ class TestGroupPhase:
         assert res.notes == (NOTE_GROUP_CYCLE,)
         assert [r.render() for r in res.plan] == ["assign(r, X)"]
 
+    def test_prune_after_discard_drops_stranded_groups(self):
+        # D and E need each other, so both are discarded; that strands A,
+        # which needs D.  Left in, A (ordered before its negated blocker B,
+        # after Z) would hold B back, fail at replay, and give C, Z, B.
+        inst = make(
+            [assign("A", conjunction([DirectGroup("D"), DirectGroup("Z"),
+                                      Not(DirectGroup("B"))])),
+             assign("B"), assign("C"), assign("Z"),
+             assign("D", DirectGroup("E")), assign("E", DirectGroup("D"))],
+            groups=("A", "B", "C", "D", "E", "Z"),
+        )
+        res = group_phase(inst, ReachabilityQuery({"a": frozenset()}, QueryType.RELAXED))
+        assert res.notes == (NOTE_GROUP_CYCLE,)
+        assert [r.group for r in res.plan] == ["B", "C", "Z"]
+
     def test_strict_admissibility_excludes_polluting_group(self):
         inst = make(
             [assign("G1"), assign("G2"), addu("x")],
