@@ -16,9 +16,6 @@ from typing import Optional
 from ._kernel_py import REACHABLE
 from .encoding import ALWAYS, CompiledInstance, QueryEntry
 
-W = 4             # 64-bit words per state, as in _kernel.c
-MAX_BITS = 64 * W
-
 _i32 = ctypes.POINTER(ctypes.c_int32)
 _u64 = ctypes.POINTER(ctypes.c_uint64)
 
@@ -27,7 +24,8 @@ class _Search(ctypes.Structure):
     """``struct gr_search`` of _kernel.c, field for field."""
     _fields_ = [
         ("n_slots", ctypes.c_int32), ("n_groups", ctypes.c_int32),
-        ("mem_offset", ctypes.c_int32), ("view_words", ctypes.c_int32),
+        ("mem_offset", ctypes.c_int32), ("words", ctypes.c_int32),
+        ("view_words", ctypes.c_int32),
         ("seg_offsets", _i32), ("closure_start", _i32), ("closure", _i32),
         ("n_cands", ctypes.c_int32), ("cand_bit", _i32),
         ("cand_flags", _i32), ("cand_subject", _i32),
@@ -53,17 +51,17 @@ def _words(values, n: int) -> ctypes.Array:
     return (ctypes.c_uint64 * len(raw)).from_buffer(raw)
 
 
-def _states(ptr, count: int) -> list[int]:
-    raw = array("Q", ctypes.string_at(ptr, 8 * W * count))
+def _states(ptr, count: int, words: int) -> list[int]:
+    size = 8 * words
+    raw = array("Q", ctypes.string_at(ptr, size * count))
     if sys.byteorder == "big":
         raw.byteswap()
     raw = raw.tobytes()
-    return [int.from_bytes(raw[i:i + 8 * W], "little") for i in range(0, len(raw), 8 * W)]
+    return [int.from_bytes(raw[i:i + size], "little") for i in range(0, len(raw), size)]
 
 
 class CKernel:
     KERNEL_NAME = "compiled"
-    MAX_BITS = MAX_BITS
 
     def __init__(self, path: str):
         lib = ctypes.CDLL(path)
@@ -83,8 +81,7 @@ class CKernel:
         max_millis: int,
     ):
         """Identical contract to the pure kernel's ``bfs``."""
-        if ci.nbits > MAX_BITS:
-            raise ValueError(f"instance needs {ci.nbits} bits; this kernel supports {MAX_BITS}")
+        words = max(1, -(-ci.nbits // 64))
         bits, flags, subjects, clause_start, clauses = [], [], [], [0], []
         for cand in ci.candidates:
             bits.append(cand.bit)
@@ -104,14 +101,14 @@ class CKernel:
         # the structure keeps every array assigned to it alive until it is dropped
         s = _Search(
             n_slots=ci.n_slots, n_groups=ci.n_groups, mem_offset=ci.mem_offset,
-            view_words=view_words,
+            words=words, view_words=view_words,
             seg_offsets=_ints(ci.seg_offsets), closure_start=_ints(closure_start),
             closure=_ints([k for closure in ci.closure_idx for k in closure]),
             n_cands=len(bits), cand_bit=_ints(bits), cand_flags=_ints(flags),
             cand_subject=_ints(subjects), clause_start=_ints(clause_start),
             care=_words(cares, view_words), want=_words([want for _, want in clauses], view_words),
-            start=_words([start], W),
-            goal_mask=_words([mask], W), goal_target=_words([target], W),
+            start=_words([start], words),
+            goal_mask=_words([mask], words), goal_target=_words([target], words),
             max_depth=max_depth, max_states=max_states, max_millis=max_millis,
         )
         code = self._bfs(ctypes.byref(s))
@@ -123,7 +120,7 @@ class CKernel:
                 return code, s.plan[:s.plan_len] if s.plan_len else [], n
             if goal is None and s.states:  # an enumeration that closed or hit the depth bound
                 depths = array("i", ctypes.string_at(s.links, 12 * n))[2::3]
-                return code, list(zip(_states(s.states, n), depths)), n
+                return code, list(zip(_states(s.states, n, words), depths)), n
             return code, None, n
         finally:
             self._free(ctypes.byref(s))

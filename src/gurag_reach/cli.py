@@ -115,7 +115,7 @@ def _bounds(args: argparse.Namespace) -> SearchBounds:
     try:
         return SearchBounds(args.max_depth, args.max_states, args.max_ms)
     except ValueError as exc:
-        _fail(f"error: {exc}", EXIT_PARSE)
+        _fail(f"error: {exc}", EXIT_BOUND)  # a usage error: code 2, as argparse gives
 
 
 def _report(doc: dict, elapsed_ms: Optional[float] = None):

@@ -1,10 +1,9 @@
-"""Search-kernel selection: compiled kernel when usable, pure Python otherwise.
+"""Search-kernel selection: the compiled kernel when built, pure Python otherwise.
 
 The compiled kernel is ``_kernel.c``, built by ``setup.py`` into a shared
 library next to this module and called through ``ctypes`` (imported only when
-that library exists, as it costs start-up time).  It handles states up to
-``MAX_BITS`` bits; wider instances fall back to the pure implementation
-transparently.  Outcomes are identical by contract (tested), only throughput
+that library exists, as it costs start-up time).  Both kernels take states of
+any width.  Outcomes are identical by contract (tested), only throughput
 differs.
 """
 
@@ -42,22 +41,21 @@ _compiled = _installed()
 HAVE_COMPILED = _compiled is not None
 
 
+# Neither function reads ``ci``, as both kernels take every instance.  They keep
+# it because perfbench/worker.py calls both with it and perfbench/pipeline.py
+# calls ``select``.
 def compiled_supports(ci: CompiledInstance) -> bool:
-    return _compiled is not None and ci.nbits <= _compiled.MAX_BITS
+    return _compiled is not None
 
 
 def select(ci: CompiledInstance, engine: Optional[str] = None):
-    """Pick the kernel for this instance; ``engine`` may force one."""
+    """Pick the kernel; ``engine`` may force one."""
     if engine in (None, "auto"):
-        return _compiled if compiled_supports(ci) else _kernel_py
+        return _kernel_py if _compiled is None else _compiled
     if engine == "python":
         return _kernel_py
     if engine == "compiled":
         if _compiled is None:
             raise RuntimeError("compiled kernel is not available in this build")
-        if ci.nbits > _compiled.MAX_BITS:
-            raise RuntimeError(
-                f"instance needs {ci.nbits} bits; compiled kernel supports {_compiled.MAX_BITS}"
-            )
         return _compiled
     raise ValueError(f"unknown kernel {engine!r}")

@@ -73,12 +73,14 @@ def golden():
 @pytest.fixture(scope="session")
 def compiled_library(tmp_path_factory):
     """The C kernel built from the checkout's ``_kernel.c`` into a temporary
-    directory and loaded the way ``kernel`` loads an installed build."""
+    directory and loaded the way ``kernel`` loads an installed build.  It is
+    compiled as strict C99 with every warning an error."""
     cc = shutil.which("gcc") or shutil.which("cc")
     if cc is None:
         pytest.skip("no C compiler found to build the compiled kernel")
     lib = tmp_path_factory.mktemp("kernel") / "_kernel.so"
-    subprocess.run([cc, "-O2", "-shared", "-fPIC", "-o", str(lib), str(KERNEL_SOURCE)], check=True)
+    subprocess.run([cc, "-std=c99", "-Wall", "-Wextra", "-Wpedantic", "-Werror", "-O2", "-shared",
+                    "-fPIC", "-o", str(lib), str(KERNEL_SOURCE)], check=True)
     return kernel.load(str(lib))
 
 

@@ -77,8 +77,16 @@ class TestSolve:
     def test_bounds_beyond_the_compiled_kernel_rejected(self):
         res = run_cli("solve", str(GOLDEN / "chain.gurag"), "--engine", "bfs",
                      "--max-states", "99999999999")
-        assert res.exit_code == 3
+        assert res.exit_code == 2
         assert res.stdout == ""
+
+    @pytest.mark.parametrize("argv", [("solve", str(GOLDEN / "chain.gurag"), "--max-depth", "0"),
+                                      ("fuzz", "--count", "1", "--max-ms", "-1")],
+                             ids=["solve-max-depth-0", "fuzz-max-ms-negative"])
+    def test_malformed_bounds_are_usage_errors(self, argv):
+        res = run_cli(*argv)
+        assert res.exit_code == 2
+        assert (res.stdout, res.stderr) == ("", "error: search bounds must be positive\n")
 
     def test_plan_failing_replay_is_not_printed(self, monkeypatch):
         solve = search.solve_no_negation

@@ -58,12 +58,12 @@ def chain_instance(n):
     return inst, ReachabilityQuery({"a": frozenset(vals)})
 
 
-def wide_random_instance(seed):
-    """A random instance of up to 256 bits: one attribute of many values, up to
-    three groups, random preconditions with negated conjunctions."""
+def wide_random_instance(seed, bits=256):
+    """A random instance of up to ``bits`` bits: one attribute of many values,
+    up to three groups, random preconditions with negated conjunctions."""
     rng = random.Random(seed)
     groups = [f"G{i}" for i in range(rng.randint(0, 3))]
-    width = (256 - len(groups)) // (1 + len(groups))
+    width = (bits - len(groups)) // (1 + len(groups))
     vals = [f"v{i:03d}" for i in range(rng.randint(width // 2, width))]
 
     def pre(membership, depth=0):
@@ -292,9 +292,9 @@ class TestKernelEquivalence:
             enumerate_reachable(inst, bounds, engine="compiled")
 
     def test_multiword_states_identical(self):
-        # states and guard views spanning several 64-bit words
+        # states and guard views spanning several 64-bit words, up to 900 bits
         for seed in range(40):
-            inst, q = wide_random_instance(seed)
+            inst, q = wide_random_instance(seed, (256, 600, 900)[seed % 3])
             for bounds in (SearchBounds(max_depth=6, max_states=3000),
                            SearchBounds(max_depth=2, max_states=3000)):
                 assert bfs_solve(inst, q, bounds, engine="python") == \
@@ -308,7 +308,7 @@ class TestKernelEquivalence:
         # kept the states the compiled kernel hands back in goal mode fails
         codes = set()
         cases = [generate(cls, seed) for cls in CLASSES for seed in range(60)]
-        cases += [wide_random_instance(seed) for seed in range(10)]
+        cases += [wide_random_instance(seed, bits) for seed in range(10) for bits in (256, 600, 900)]
         for inst, q in cases:
             ci = compile_instance(inst)
             start, goal = ci.encode_state(inst.initial_state), ci.compile_query(q)
@@ -324,16 +324,20 @@ class TestKernelEquivalence:
                              _kernel_py.STATES_EXCEEDED)}
         assert codes == ends | {(False, _kernel_py.REACHABLE)}
 
-    def test_wide_instance_falls_back(self, compiled_kernel):
-        vals = [f"v{i:03d}" for i in range(compiled_kernel.MAX_BITS + 1)]
-        inst = ProblemInstance(
-            scopes={"a": frozenset(vals)}, hierarchy=GroupHierarchy(frozenset()),
-            roles=frozenset({"r"}), rules=RuleSet(), initial_state=DirectState())
+    @pytest.mark.parametrize("n", [300, 700])
+    def test_chains_wider_than_256_bits_identical(self, n):
+        inst, q = chain_instance(n)
+        for bounds in (SearchBounds(), SearchBounds(max_depth=n // 2)):
+            assert bfs_solve(inst, q, bounds, engine="python") == \
+                bfs_solve(inst, q, bounds, engine="compiled")
+            assert enumerate_reachable(inst, bounds, engine="python") == \
+                enumerate_reachable(inst, bounds, engine="compiled")
+
+    def test_wide_instance_runs_compiled(self, compiled_kernel):
+        inst, _ = chain_instance(257)
         ci = compile_instance(inst)
-        assert not kernel.compiled_supports(ci)
-        assert kernel.select(ci, "auto").KERNEL_NAME == "python"
-        with pytest.raises(RuntimeError):
-            kernel.select(ci, "compiled")
+        assert ci.nbits == 257
+        assert kernel.select(ci, "auto") is kernel.select(ci, "compiled") is compiled_kernel
 
 
 # --- reference kernel --------------------------------------------------------
@@ -618,11 +622,11 @@ class TestBenchmarkExpectations:
         out = bfs_solve(inst, q, SearchBounds(max_millis=1), engine=engine)
         assert isinstance(out, BoundExceeded) and out.bound == "millis"
 
-    def test_time_bound_counts_candidate_tests(self):
+    def test_time_bound_counts_candidate_tests(self, engine):
         # few states, each testing 4,000 candidates: the clock has to be read
         # within the first states, not after 2,048 of them
         inst, q = bench_kernel.chain(4000)
         begun = time.monotonic()
-        out = bfs_solve(inst, q, SearchBounds(max_depth=4001, max_millis=20), engine="python")
+        out = bfs_solve(inst, q, SearchBounds(max_depth=4001, max_millis=20), engine=engine)
         assert time.monotonic() - begun < 1
         assert out == BoundExceeded("millis", out.states_explored)
