@@ -5,12 +5,15 @@ Two engines:
 * ``solve_no_negation``: forward fixpoint over add/assign rules, valid when no
   precondition uses negation.
 
-* ``solve_srd_no_delete``: valid when there are no delete/remove rules and each
-  value assignment (or group) has a single rule with direct-only conjuncts.
-  Runs in two phases: a group-assignment phase ordered by a precedence graph
-  over groups, whose groups on a cycle are discarded, then a backward-chaining
-  phase over (scope, attribute, value) requirements ordered by a second
-  precedence graph.  A query value with a canAddU rule is required of the
+* ``solve_srd_no_delete``: valid for the paper's SR_d class with no
+  delete/remove rules: each value assignment (or group) has a single rule, an
+  assign rule reads only the user's direct groups, and a value rule only its
+  subject's direct values, each literal possibly negated.  Group assignment
+  is then independent of the values, so it runs in two phases: a
+  group-assignment phase ordered by a precedence graph over groups, whose
+  groups on a cycle are discarded, then a backward-chaining phase over
+  (scope, attribute, value) requirements ordered by a second precedence
+  graph.  A query value with a canAddU rule is required of the
   user; one with a canAddUG rule of the first effective group, in sorted
   order, whose closure of prerequisites has no cycle.  If every group that
   closes meets a cycle, the first such closure is kept and fails the cycle
@@ -39,8 +42,6 @@ from .model import (
     effective_user_attr,
 )
 from .policy import (
-    DirectGroup,
-    DirectVal,
     Level,
     Relation,
     Rule,
@@ -49,13 +50,11 @@ from .policy import (
     eval_precondition,
 )
 from .transition import (
-    NotAuthorized,
     Plan,
     ReachabilityQuery,
     Request,
     apply_request,
     eval_query,
-    step,
 )
 
 # Unreachable reason codes (part of the contract)
@@ -247,12 +246,10 @@ def group_phase(instance: ProblemInstance, q: ReachabilityQuery) -> PlanResult:
 
     def satisfiable(g, live):
         """Whether g's single rule can hold when only the groups in ``live``
-        can be assigned; a held group is never removed."""
+        can be assigned; a held group is never removed, and g is not held."""
         for positive, lit in shape(g):
-            if not isinstance(lit, DirectGroup):  # read in the user's starting values
-                ok = (lit.val in state0.user_values(lit.att)) == positive
-            elif positive:
-                ok = lit.group == g or lit.group in state0.user_groups or lit.group in live
+            if positive:
+                ok = lit.group != g and (lit.group in state0.user_groups or lit.group in live)
             else:
                 ok = lit.group not in state0.user_groups
             if not ok:
@@ -272,13 +269,9 @@ def group_phase(instance: ProblemInstance, q: ReachabilityQuery) -> PlanResult:
     edges: set[tuple[str, str]] = set()
     for g in vertices:
         for positive, lit in shape(g):
-            if not isinstance(lit, DirectGroup) or lit.group == g:
-                continue
-            if lit.group in vertices:
-                if positive:
-                    edges.add((lit.group, g))   # dependency assigned first
-                else:
-                    edges.add((g, lit.group))   # assign g while lit.group absent
+            if lit.group != g and lit.group in vertices:
+                # a dependency is assigned first; g is assigned while a blocker is absent
+                edges.add((lit.group, g) if positive else (g, lit.group))
     discard = _scc_discard(vertices, edges)
     if discard:
         vertices = prune(vertices - discard)  # discarding may strand positive dependencies
@@ -287,16 +280,10 @@ def group_phase(instance: ProblemInstance, q: ReachabilityQuery) -> PlanResult:
     order = _topo_order(vertices, edges)
     assert order is not None  # cycles were just removed
 
-    state = state0
-    requests: list[Request] = []
-    for g in order:
-        req = _request(assign_rules[g])
-        try:
-            state = step(state, h, instance.rules, req)
-        except NotAuthorized:
-            continue  # a skipped dependency cascades; drop this assignment too
-        requests.append(req)
-    return PlanResult.found(Plan(tuple(requests)), notes=(NOTE_GROUP_CYCLE,) if discard else ())
+    # every positive dependency is held or assigned earlier, and every
+    # negated one is assigned later or never, so each assignment is authorized
+    plan = Plan(tuple(_request(assign_rules[g]) for g in order))
+    return PlanResult.found(plan, notes=(NOTE_GROUP_CYCLE,) if discard else ())
 
 
 def _topo_order(vertices, edges) -> Optional[list]:
@@ -374,8 +361,6 @@ def attr_phase(
             raise _PhaseFailure(FORBIDDEN_EDGE)
         new, cyclic = set(), False
         for positive, lit in direct_conjunct_shape(rule.pre):
-            if not isinstance(lit, DirectVal):
-                raise _PhaseFailure(MISSING_RULE)  # group literal in a value rule
             if not positive:
                 if held(scope, lit.att, lit.val):
                     raise _PhaseFailure(NEGATIVE_CONJUNCT)
@@ -440,7 +425,7 @@ def solve_srd_no_delete(instance: ProblemInstance, q: ReachabilityQuery) -> Plan
     flags = _require_srd(instance)
     gp = group_phase(instance, q) if flags.level == Level.G1PLUS else PlanResult.found(Plan())
     state = instance.initial_state
-    for req in gp.plan:  # each one authorized when group_phase built it
+    for req in gp.plan:  # group_phase orders each assignment after what authorizes it
         state = apply_request(state, req)
     ap = attr_phase(instance, state, q)
     if not ap.reachable:

@@ -157,9 +157,11 @@ def conjuncts(pre: Precondition) -> list[Precondition]:
     return [pre]
 
 
-def direct_conjunct_shape(pre: Precondition) -> Optional[list[tuple[bool, Precondition]]]:
+def direct_conjunct_shape(
+    pre: Precondition, kinds: type | tuple[type, ...] = (DirectVal, DirectGroup)
+) -> Optional[list[tuple[bool, Precondition]]]:
     """Decompose into (positive, literal) pairs if the formula is a conjunction of
-    possibly-negated Direct* literals (or True); None if it has any other shape."""
+    possibly-negated literals of ``kinds`` (or True); None if it has any other shape."""
     out: list[tuple[bool, Precondition]] = []
     for part in conjuncts(pre):
         positive = True
@@ -170,7 +172,7 @@ def direct_conjunct_shape(pre: Precondition) -> Optional[list[tuple[bool, Precon
             if not positive:
                 return None
             continue
-        if isinstance(part, (DirectVal, DirectGroup)):
+        if isinstance(part, kinds):
             out.append((positive, part))
         else:
             return None
@@ -284,15 +286,18 @@ class RuleSet(Frozen):
         )
         no_deletion = not any(rule.relation.is_delete for rule in self.rules)
 
-        # Single rule with direct conjuncts: every precondition is a conjunction
-        # of possibly-negated direct literals (negated direct literals are fine;
-        # only effective literals break the shape), and each value assignment or
-        # group has at most one add/assign rule.
+        # Single rule with direct conjuncts (the paper's SR_d): every
+        # precondition is a conjunction of possibly-negated direct literals of
+        # its own kind, memberships for a membership rule and the subject's
+        # values for a value rule, so group assignment is independent of the
+        # values; and each value assignment or group has at most one add/assign
+        # rule.
         single = True
         seen_pairs: set[tuple[str, str]] = set()
         seen_assign: set[str] = set()
         for rule in self.rules:
-            if direct_conjunct_shape(rule.pre) is None:
+            kind = DirectGroup if rule.relation.is_membership else DirectVal
+            if direct_conjunct_shape(rule.pre, kind) is None:
                 single = False
                 break
             if rule.relation in (Relation.ADD_U, Relation.ADD_UG):

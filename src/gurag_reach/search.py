@@ -73,7 +73,7 @@ def bfs_solve(
     """Shortest plan (lexicographically smallest among shortest) or exhaustion.
 
     ``engine`` selects the kernel: None/"auto" picks the compiled one when it
-    is available and applicable, "python" forces the fallback.
+    is built, "python" forces the fallback.
     """
     ci = compile_instance(instance)
     goal = ci.compile_query(q)

@@ -5,9 +5,11 @@ import sys
 import pytest
 
 from gurag_reach import kernel, search
+from gurag_reach.dsl import serialize
 from gurag_reach.transition import Plan
 
 from conftest import GOLDEN, MALFORMED, child_env, run_cli
+from test_planner_answers import srd_groups_case
 
 
 def report(result):
@@ -65,6 +67,20 @@ class TestSolve:
         res = run_cli("solve", str(GOLDEN / "roomadmin.gurag"),
                      "--engine", "nonneg")
         assert res.exit_code == 4
+
+    def test_assign_rule_reading_a_value_is_outside_srd(self, tmp_path):
+        # G3's assign rule reads a1, which the oracle's plan adds first
+        instance, q = srd_groups_case(254)
+        f = tmp_path / "reads_value.gurag"
+        f.write_text(serialize(instance, [q.relaxed_copy()]))
+        assert report(run_cli("classify", str(f)))["singleRuleDirect"] is False
+        assert run_cli("solve", str(f), "--engine", "srd").exit_code == 4
+        res = run_cli("solve", str(f))
+        assert res.exit_code == 0
+        doc = report(res)
+        assert doc["engine"] == "bfs"
+        assert doc["plan"] == report(run_cli("oracle", str(f)))["plan"]
+        assert doc["plan"] == ["addU(r, a, a1)", "assign(r, G3)"]
 
     def test_auto_falls_back_across_group_cycle(self):
         res = run_cli("solve", str(GOLDEN / "srd_cycle.gurag"))

@@ -28,8 +28,10 @@ from gurag_reach.policy import (
     TrueCond,
     conjunction,
 )
-from gurag_reach.search import Reachable, Unreachable, bfs_solve
+from gurag_reach.search import Reachable, Unreachable, analyze, bfs_solve
 from gurag_reach.transition import QueryType, ReachabilityQuery, Valid, validate_plan
+
+from test_planner_answers import srd_groups_case
 
 
 def make(rules, scopes=None, groups=(), seniority=(), state=None, roles=("r",)):
@@ -130,6 +132,21 @@ class TestSrdRestrictions:
         inst = make([addu("x", EffVal("a", "y"))])
         with pytest.raises(RestrictionViolation):
             solve_srd_no_delete(inst, ReachabilityQuery({}))
+
+    def test_auto_matches_oracle_across_assign_rules_reading_values(self):
+        # an assign rule that reads a value puts the instance outside the
+        # class: the group phase runs before any value is added, and on these
+        # five seeds every oracle plan adds the value before the assignment
+        wrong_once = (254, 2190, 2731, 2746, 2958)
+        for seed in sorted({*range(300), *wrong_once}):
+            instance, q = srd_groups_case(seed)
+            for query in (q, q.relaxed_copy()):
+                oracle = analyze(instance, query, "bfs")
+                assert oracle.outcome != "bound-exceeded", seed
+                assert analyze(instance, query).outcome == oracle.outcome, seed
+            if seed in wrong_once:
+                with pytest.raises(RestrictionViolation):
+                    solve_srd_no_delete(instance, q)
 
 
 class TestAttrPhase:
@@ -278,6 +295,18 @@ class TestGroupPhase:
         res = group_phase(inst, ReachabilityQuery({"a": frozenset()}, QueryType.RELAXED))
         assert res.notes == (NOTE_GROUP_CYCLE,)
         assert [r.group for r in res.plan] == ["B", "C", "Z"]
+
+    def test_self_dependent_group_strands_its_dependents(self):
+        # G1 needs itself, so it is never assigned, and neither is G2, which
+        # needs G1; G3 needs G2 absent and is assigned alone
+        inst = make(
+            [assign("G1", DirectGroup("G1")), assign("G2", DirectGroup("G1")),
+             assign("G3", Not(DirectGroup("G2")))],
+            groups=("G1", "G2", "G3"),
+        )
+        res = group_phase(inst, ReachabilityQuery({}, QueryType.RELAXED))
+        assert [r.render() for r in res.plan] == ["assign(r, G3)"]
+        assert res.notes == ()
 
     def test_strict_admissibility_excludes_polluting_group(self):
         inst = make(

@@ -7,7 +7,9 @@ the planners' answer repr for the case's query and for its relaxed copy:
 * ``srd``: ``solve_srd_no_delete``, ``group_phase`` and ``attr_phase`` (from
   the initial state) on fuzz seeds 0-499 of the class;
 * ``srd-groups``: the same three on the 3-5 group instances of
-  ``srd_groups_case`` for seeds 0-499, where fuzz has at most 2 groups.
+  ``srd_groups_case`` for seeds 0-499, where fuzz has at most 2 groups.  An
+  instance outside the srd class (an assign rule that reads a value) is
+  recorded as the ``RestrictionViolation`` the planners raise.
 
 Regenerate it with ``PYTHONPATH=src python tests/test_planner_answers.py``
 only when a change of plan, reason code or note is intended.
@@ -23,7 +25,13 @@ import pytest
 
 from gurag_reach import fuzz
 from gurag_reach.model import DirectState, GroupHierarchy, ProblemInstance
-from gurag_reach.planner import attr_phase, group_phase, solve_no_negation, solve_srd_no_delete
+from gurag_reach.planner import (
+    RestrictionViolation,
+    attr_phase,
+    group_phase,
+    solve_no_negation,
+    solve_srd_no_delete,
+)
 from gurag_reach.policy import DirectGroup, DirectVal, Not, Relation, Rule, RuleSet, conjunction
 from gurag_reach.transition import QueryType, ReachabilityQuery
 
@@ -32,8 +40,10 @@ SEEDS = range(500)
 
 
 def srd_groups_case(seed: int) -> tuple[ProblemInstance, ReachabilityQuery]:
-    """An instance of the srd class with 3-5 groups, seniority edges, assign
-    rules over memberships (and now and then a value), and a random query."""
+    """A deletion-free instance with 3-5 groups, seniority edges, one rule per
+    value pair and per group, assign rules over memberships (and now and then
+    a value, which puts the instance outside the srd class), and a random
+    query."""
     rng = random.Random(seed)
     groups = [f"G{i}" for i in range(rng.randint(3, 5))]
     seniority = {(a, b) for i, a in enumerate(groups) for b in groups[i + 1:]
@@ -80,8 +90,11 @@ def srd_groups_case(seed: int) -> tuple[ProblemInstance, ReachabilityQuery]:
 
 
 def srd_answer(instance, q):
-    return (solve_srd_no_delete(instance, q), group_phase(instance, q),
-            attr_phase(instance, instance.initial_state, q))
+    try:
+        return (solve_srd_no_delete(instance, q), group_phase(instance, q),
+                attr_phase(instance, instance.initial_state, q))
+    except RestrictionViolation as violation:
+        return violation
 
 
 CASES = {
@@ -115,11 +128,14 @@ def test_answers_match_frozen(name):
 
 
 def test_srd_groups_case_has_many_groups_and_is_srd():
-    for seed in range(50):
+    # in the srd class exactly when no assign rule reads a value
+    for seed in SEEDS:
         instance, _ = srd_groups_case(seed)
         flags = instance.rules.restrictions
+        reads_value = any(isinstance(node, DirectVal) for rule in instance.rules
+                          if rule.relation == Relation.ASSIGN for node in rule.pre.walk())
         assert 3 <= len(instance.groups) <= 5
-        assert flags.no_deletion and flags.single_rule_direct
+        assert flags.no_deletion and flags.single_rule_direct != reads_value, seed
 
 
 if __name__ == "__main__":

@@ -124,11 +124,14 @@ class TestClassification:
         rs = RuleSet.build([
             rule(Relation.ADD_U, Not(DirectVal("a", "x")), target_attr="a", target_val="y"),
             rule(Relation.DELETE_U, TrueCond(), target_attr="a", target_val="y"),
+            rule(Relation.ASSIGN, conjunction([DirectGroup("G2"), Not(DirectGroup("G1")),
+                                               TrueCond()]), target_group="G1"),
         ])
         flags = check_restrictions(rs)
         assert not flags.no_negation
         assert not flags.no_deletion
-        assert flags.single_rule_direct  # negated direct literals keep the shape
+        # negated direct literals of the rule's own kind keep the shape
+        assert flags.single_rule_direct
         # derived once per rule set, and not part of its equality
         assert check_restrictions(rs) is flags
         assert rs == RuleSet(rs.rules) and repr(rs) == repr(RuleSet(rs.rules))
@@ -153,4 +156,17 @@ class TestClassification:
         rs = RuleSet.build([
             rule(Relation.ADD_U, EffVal("a", "x"), target_attr="a", target_val="y"),
         ])
+        assert not check_restrictions(rs).single_rule_direct
+
+    @pytest.mark.parametrize("relation, pre", [
+        (Relation.ASSIGN, DirectVal("a", "x")),
+        (Relation.ASSIGN, Not(DirectVal("a", "x"))),
+        # rejected by instance validation, but classified on its own
+        (Relation.ADD_U, DirectGroup("G1")),
+    ], ids=["assign-value", "assign-negated-value", "addU-group"])
+    def test_single_rule_violated_by_literal_of_the_other_kind(self, relation, pre):
+        # an assign rule reads only memberships and a value rule only values
+        target = ({"target_group": "G1"} if relation.is_membership
+                  else {"target_attr": "a", "target_val": "y"})
+        rs = RuleSet.build([rule(relation, pre, **target)])
         assert not check_restrictions(rs).single_rule_direct
