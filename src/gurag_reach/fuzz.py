@@ -23,11 +23,6 @@ from typing import Optional
 from ._record import Record
 from .encoding import candidate_requests
 from .model import DirectState, GroupHierarchy, ProblemInstance, effective_user_attr
-from .planner import (
-    NOTE_GROUP_CYCLE,
-    solve_no_negation,
-    solve_srd_no_delete,
-)
 from .policy import (
     DirectGroup,
     DirectVal,
@@ -40,15 +35,8 @@ from .policy import (
     TrueCond,
     conjunction,
 )
-from .search import BoundExceeded, Reachable, SearchBounds, Unreachable, bfs_solve
-from .transition import (
-    QueryType,
-    ReachabilityQuery,
-    Valid,
-    apply_request,
-    authorized_rules,
-    validate_plan,
-)
+from .search import SearchBounds, analyze
+from .transition import QueryType, ReachabilityQuery, apply_request, authorized_rules
 
 CLASSES = ("nonneg", "srd", "any")
 
@@ -255,35 +243,29 @@ class FuzzStats(Record):
 
 
 def check_case(cls: str, seed: int, bounds: SearchBounds = SearchBounds()) -> CaseResult:
+    """Judge one generated case: the oracle's answer, and for ``nonneg`` and
+    ``srd`` the answer of the engine of that name, both through ``analyze``,
+    which replays every plan it returns."""
     instance, q = generate(cls, seed)
-    oracle = bfs_solve(instance, q, bounds)
+    try:
+        oracle = analyze(instance, q, "bfs", bounds)
+        if cls == "any":
+            return CaseResult(cls, seed, "agree")
+        if oracle.outcome == "bound-exceeded":
+            return CaseResult(cls, seed, "skipped", f"oracle hit {oracle.bound} bound")
+        answer = analyze(instance, q, cls, bounds)
+    except RuntimeError as exc:  # a plan that fails replay
+        return CaseResult(cls, seed, "invalid-plan", str(exc))
 
-    if cls == "any":
-        if isinstance(oracle, Reachable):
-            verdict = validate_plan(instance, oracle.plan, q)
-            if not isinstance(verdict, Valid):
-                return CaseResult(cls, seed, "invalid-plan", repr(verdict))
+    if answer.engine == "srd+bfs" and oracle.outcome == "reachable":
+        # the planner failed after discarding a group cycle, and bfs settled it
+        return CaseResult(cls, seed, "known-divergence", "cyclic group dependencies discarded")
+    if answer.outcome == oracle.outcome:
         return CaseResult(cls, seed, "agree")
-
-    if isinstance(oracle, BoundExceeded):
-        return CaseResult(cls, seed, "skipped", f"oracle hit {oracle.bound} bound")
-
-    result = (solve_no_negation if cls == "nonneg" else solve_srd_no_delete)(instance, q)
-    if result.reachable:
-        verdict = validate_plan(instance, result.plan, q)
-        if not isinstance(verdict, Valid):
-            return CaseResult(cls, seed, "invalid-plan", repr(verdict))
-        if isinstance(oracle, Unreachable):
-            return CaseResult(cls, seed, "diverge",
-                             "planner found a plan the oracle calls unreachable")
-        return CaseResult(cls, seed, "agree")
-    if isinstance(oracle, Reachable):
-        if cls == "srd" and NOTE_GROUP_CYCLE in result.notes:
-            return CaseResult(cls, seed, "known-divergence",
-                             f"cyclic group dependencies discarded; reason={result.reason}")
-        return CaseResult(cls, seed, "diverge",
-                         f"oracle reachable but planner failed: {result.reason}")
-    return CaseResult(cls, seed, "agree")
+    if answer.outcome == "reachable":
+        return CaseResult(cls, seed, "diverge", "planner found a plan the oracle calls unreachable")
+    return CaseResult(cls, seed, "diverge",
+                      f"oracle reachable but planner failed: {answer.reason}")
 
 
 def run_fuzz(cls: str, count: int, seed: int = 0,

@@ -41,14 +41,7 @@ from .model import (
     effective_groups,
     effective_user_attr,
 )
-from .policy import (
-    Level,
-    Relation,
-    Rule,
-    check_restrictions,
-    direct_conjunct_shape,
-    eval_precondition,
-)
+from .policy import Relation, Rule, check_restrictions, eval_precondition
 from .transition import (
     Plan,
     ReachabilityQuery,
@@ -196,15 +189,32 @@ def solve_no_negation(instance: ProblemInstance, q: ReachabilityQuery) -> PlanRe
 # Group phase for the no-delete / single-rule engine
 # --------------------------------------------------------------------------
 
-def _require_srd(instance: ProblemInstance):
-    flags = check_restrictions(instance.rules)
-    if not flags.no_deletion:
+def _require_srd(instance: ProblemInstance) -> tuple[dict, dict]:
+    """The rule set's SR_d table, (att, val) -> (rule, literals) and
+    group -> (rule, literals), if the srd engine applies."""
+    if not check_restrictions(instance.rules).no_deletion:
         raise RestrictionViolation("rule set contains delete/remove rules")
-    if not flags.single_rule_direct:
+    table = instance.rules.srd_table
+    if table is None:
         raise RestrictionViolation(
             "rule set violates single-rule-with-direct-conjuncts"
         )
-    return flags
+    return table
+
+
+def _precedence(vertices: set, deps) -> set[tuple]:
+    """Edges ordering the additions of ``vertices``, from the (vertex,
+    positive, other) literals ``deps``: a positive dependency on a vertex goes
+    first, a negated blocker goes after, and a rule's own negated target is
+    ignored, since its guard runs before the addition."""
+    edges = set()
+    for v, positive, other in deps:
+        if other in vertices:
+            if positive:
+                edges.add((other, v))  # a self-requirement stays a self-loop
+            elif other != v:
+                edges.add((v, other))
+    return edges
 
 
 def _scc_discard(vertices: set[str], edges: set[tuple[str, str]]) -> set[str]:
@@ -230,28 +240,18 @@ def _scc_discard(vertices: set[str], edges: set[tuple[str, str]]) -> set[str]:
 
 def group_phase(instance: ProblemInstance, q: ReachabilityQuery) -> PlanResult:
     """Assign-only plan ordered by the group precedence graph; never Unreachable."""
-    _require_srd(instance)
+    _, assign_rules = _require_srd(instance)
     h = instance.hierarchy
     state0 = instance.initial_state
-
-    assign_rules = {r.target_group: r for r in instance.rules if r.relation == Relation.ASSIGN}
-
-    vertices = {
-        g for g in assign_rules
-        if g not in state0.user_groups and _group_admissible(state0, h, q, g)
-    }
-
-    def shape(g):
-        return direct_conjunct_shape(assign_rules[g].pre)
 
     def satisfiable(g, live):
         """Whether g's single rule can hold when only the groups in ``live``
         can be assigned; a held group is never removed, and g is not held."""
-        for positive, lit in shape(g):
+        for positive, other in assign_rules[g][1]:
             if positive:
-                ok = lit.group != g and (lit.group in state0.user_groups or lit.group in live)
+                ok = other != g and (other in state0.user_groups or other in live)
             else:
-                ok = lit.group not in state0.user_groups
+                ok = other not in state0.user_groups
             if not ok:
                 return False
         return True
@@ -265,24 +265,27 @@ def group_phase(instance: ProblemInstance, q: ReachabilityQuery) -> PlanResult:
                 return live
             live = kept
 
-    vertices = prune(vertices)
-    edges: set[tuple[str, str]] = set()
-    for g in vertices:
-        for positive, lit in shape(g):
-            if lit.group != g and lit.group in vertices:
-                # a dependency is assigned first; g is assigned while a blocker is absent
-                edges.add((lit.group, g) if positive else (g, lit.group))
+    def edges_over(vertices):
+        # a dependency is assigned first; g is assigned while a blocker is absent
+        return _precedence(vertices, ((g, positive, other) for g in vertices
+                                      for positive, other in assign_rules[g][1]))
+
+    vertices = prune({
+        g for g in assign_rules
+        if g not in state0.user_groups and _group_admissible(state0, h, q, g)
+    })
+    edges = edges_over(vertices)
     discard = _scc_discard(vertices, edges)
     if discard:
         vertices = prune(vertices - discard)  # discarding may strand positive dependencies
-        edges = {(a, b) for a, b in edges if a in vertices and b in vertices}
+        edges = edges_over(vertices)
 
     order = _topo_order(vertices, edges)
     assert order is not None  # cycles were just removed
 
     # every positive dependency is held or assigned earlier, and every
     # negated one is assigned later or never, so each assignment is authorized
-    plan = Plan(tuple(_request(assign_rules[g]) for g in order))
+    plan = Plan(tuple(_request(assign_rules[g][0]) for g in order))
     return PlanResult.found(plan, notes=(NOTE_GROUP_CYCLE,) if discard else ())
 
 
@@ -323,7 +326,7 @@ class _PhaseFailure(Exception):
 def attr_phase(
     instance: ProblemInstance, start_state: DirectState, q: ReachabilityQuery
 ) -> PlanResult:
-    _require_srd(instance)
+    pair_rule, _ = _require_srd(instance)
     h = instance.hierarchy
     state = start_state
 
@@ -332,9 +335,6 @@ def attr_phase(
     if eval_query(state, h, q):
         return PlanResult.found(Plan())
 
-    pair_rule: dict[tuple[str, str], Rule] = {
-        (r.target_attr, r.target_val): r for r in instance.rules
-        if r.relation in (Relation.ADD_U, Relation.ADD_UG)}
     eff_groups = sorted(effective_groups(state, h))
 
     def held(scope: str, att: str, val: str) -> bool:
@@ -350,7 +350,7 @@ def attr_phase(
             return set(), False
         if (att, val) in trail:
             return set(), True
-        rule = pair_rule.get((att, val))
+        rule, lits = pair_rule.get((att, val), (None, ()))
         expected = Relation.ADD_U if scope == USER_SCOPE else Relation.ADD_UG
         if rule is None or rule.relation != expected:
             # no rule, or the single rule for this pair lives in the other
@@ -360,14 +360,14 @@ def attr_phase(
         if not _value_wanted(q, att, val):
             raise _PhaseFailure(FORBIDDEN_EDGE)
         new, cyclic = set(), False
-        for positive, lit in direct_conjunct_shape(rule.pre):
+        for positive, (latt, lval) in lits:
             if not positive:
-                if held(scope, lit.att, lit.val):
+                if held(scope, latt, lval):
                     raise _PhaseFailure(NEGATIVE_CONJUNCT)
-            elif not held(scope, lit.att, lit.val):
+            elif not held(scope, latt, lval):
                 # copy ``have`` only once there is something to add: a long
                 # chain of single prerequisites then stays linear
-                more, more_cyclic = closure(scope, lit.att, lit.val, have | new if new else have,
+                more, more_cyclic = closure(scope, latt, lval, have | new if new else have,
                                             trail | {(att, val)})
                 new = new | more if new else more
                 cyclic = cyclic or more_cyclic
@@ -379,7 +379,7 @@ def attr_phase(
     vertices: set[tuple[str, str, str]] = set()
     for att, vset in q.entries.items():
         for val in sorted(vset - effective_user_attr(state, h, att)):
-            rule = pair_rule.get((att, val))
+            rule, _ = pair_rule.get((att, val), (None, ()))
             if rule is None:
                 return PlanResult.failed(MISSING_RULE)
             scopes = [USER_SCOPE] if rule.relation == Relation.ADD_U else eff_groups
@@ -398,32 +398,20 @@ def attr_phase(
                 return PlanResult.failed(failure or MISSING_RULE)
             vertices |= chosen
 
-    # precedence graph over all needed vertices
-    edges: set[tuple[tuple, tuple]] = set()
-    for scope, att, val in vertices:
-        for positive, lit in direct_conjunct_shape(pair_rule[att, val].pre):
-            other = (scope, lit.att, lit.val)
-            if positive:
-                if not held(scope, lit.att, lit.val):
-                    edges.add((other, (scope, att, val)))  # prerequisite first
-            else:
-                # a rule negating its own target is fine: the guard runs
-                # before the add, so only distinct blockers need ordering
-                if other in vertices and other != (scope, att, val):
-                    edges.add(((scope, att, val), other))  # add before the blocker
-
-    order = _topo_order(vertices, edges)
+    # precedence graph over all needed vertices: no vertex is held, and every
+    # positive prerequisite that is not held is a vertex
+    order = _topo_order(vertices, _precedence(vertices, (
+        ((scope, att, val), positive, (scope, *pair))
+        for scope, att, val in vertices for positive, pair in pair_rule[att, val][1])))
     if order is None:
         return PlanResult.failed(CYCLE_IN_VALSET)
-    return PlanResult.found(Plan(tuple(_request(pair_rule[att, val], scope or None)
+    return PlanResult.found(Plan(tuple(_request(pair_rule[att, val][0], scope or None)
                                        for scope, att, val in order)))
 
 
 def solve_srd_no_delete(instance: ProblemInstance, q: ReachabilityQuery) -> PlanResult:
-    """Compose the group phase (only at the group-administration level) with
-    the attribute phase."""
-    flags = _require_srd(instance)
-    gp = group_phase(instance, q) if flags.level == Level.G1PLUS else PlanResult.found(Plan())
+    """Compose the group phase with the attribute phase."""
+    gp = group_phase(instance, q)
     state = instance.initial_state
     for req in gp.plan:  # group_phase orders each assignment after what authorizes it
         state = apply_request(state, req)

@@ -279,41 +279,46 @@ class RuleSet(Frozen):
         return self._index.get((req.kind, req.role, req.att, req.val, group), ())
 
     @cached_property
+    def srd_table(self) -> Optional[tuple[dict, dict]]:
+        """The rule table of the paper's SR_d class, or None outside it.
+
+        SR_d (single rule with direct conjuncts): every precondition is a
+        conjunction of possibly-negated direct literals of its own kind,
+        memberships for a membership rule and the subject's values for a value
+        rule, so group assignment is independent of the values; and each value
+        pair or group has at most one add/assign rule.  The table maps each
+        (att, val) to its canAddU or canAddUG rule, and each group to its
+        canAssign rule, with the rule's literals as (positive, (att, val)) and
+        (positive, group) pairs.
+        """
+        pairs: dict[tuple[str, str], tuple[Rule, list]] = {}
+        groups: dict[str, tuple[Rule, list]] = {}
+        for rule in self.rules:
+            membership = rule.relation.is_membership
+            shape = direct_conjunct_shape(rule.pre, DirectGroup if membership else DirectVal)
+            if shape is None:
+                return None
+            if rule.relation.is_delete:
+                continue
+            # one rule per (att, val) across both add relations: a value pair
+            # is addable through the user or through groups, never both
+            table, key = ((groups, rule.target_group) if membership
+                          else (pairs, (rule.target_attr, rule.target_val)))
+            if key in table:
+                return None
+            table[key] = (rule, [(positive, lit.group) for positive, lit in shape] if membership
+                          else [(positive, (lit.att, lit.val)) for positive, lit in shape])
+        return pairs, groups
+
+    @cached_property
     def restrictions(self) -> "RestrictionFlags":
         """The restriction flags and level, derived once per rule set."""
         no_negation = not any(
             isinstance(node, Not) for rule in self.rules for node in rule.pre.walk()
         )
         no_deletion = not any(rule.relation.is_delete for rule in self.rules)
-
-        # Single rule with direct conjuncts (the paper's SR_d): every
-        # precondition is a conjunction of possibly-negated direct literals of
-        # its own kind, memberships for a membership rule and the subject's
-        # values for a value rule, so group assignment is independent of the
-        # values; and each value assignment or group has at most one add/assign
-        # rule.
-        single = True
-        seen_pairs: set[tuple[str, str]] = set()
-        seen_assign: set[str] = set()
-        for rule in self.rules:
-            kind = DirectGroup if rule.relation.is_membership else DirectVal
-            if direct_conjunct_shape(rule.pre, kind) is None:
-                single = False
-                break
-            if rule.relation in (Relation.ADD_U, Relation.ADD_UG):
-                # one rule per (att, val) across both add relations: a value
-                # pair is addable through the user or through groups, never both
-                key = (rule.target_attr, rule.target_val)
-                if key in seen_pairs:
-                    single = False
-                    break
-                seen_pairs.add(key)
-            elif rule.relation == Relation.ASSIGN:
-                if rule.target_group in seen_assign:
-                    single = False
-                    break
-                seen_assign.add(rule.target_group)
-        return RestrictionFlags(no_negation, no_deletion, single, classify_level(self))
+        return RestrictionFlags(no_negation, no_deletion, self.srd_table is not None,
+                                classify_level(self))
 
 
 def eval_precondition(

@@ -25,10 +25,11 @@ class SearchBounds(Frozen):
     def __init__(self, max_depth: int = 32, max_states: int = 1 << 20, max_millis: int = 30_000):
         if max_depth <= 0 or max_states <= 0 or max_millis <= 0:
             raise ValueError("search bounds must be positive")
-        # the compiled kernel takes the depth as a C int and stores state
-        # indices in uint32 slots
-        if max_depth > 2**31 - 1 or max_states > 2**32 - 1:
-            raise ValueError("max depth must be below 2**31 and max states below 2**32")
+        # the compiled kernel takes the depth as a C int, stores state
+        # indices in uint32 slots and takes the time limit as an int64
+        if max_depth > 2**31 - 1 or max_states > 2**32 - 1 or max_millis > 2**63 - 1:
+            raise ValueError("max depth must be below 2**31, max states below 2**32 "
+                             "and max millis below 2**63")
         self.__dict__.update(max_depth=max_depth, max_states=max_states, max_millis=max_millis)
 
 

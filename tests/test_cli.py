@@ -96,6 +96,13 @@ class TestSolve:
         assert res.exit_code == 2
         assert res.stdout == ""
 
+    def test_time_bound_beyond_the_compiled_kernel_rejected(self):
+        # above int64, where the compiled kernel would wrap the limit
+        res = run_cli("oracle", str(GOLDEN / "chain.gurag"), "--max-ms", str(2**63 + 5))
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert "max millis below 2**63" in res.stderr
+
     @pytest.mark.parametrize("argv", [("solve", str(GOLDEN / "chain.gurag"), "--max-depth", "0"),
                                       ("fuzz", "--count", "1", "--max-ms", "-1")],
                              ids=["solve-max-depth-0", "fuzz-max-ms-negative"])

@@ -3,9 +3,11 @@ import sys
 
 import pytest
 
+from gurag_reach import search
 from gurag_reach.fuzz import CLASSES, check_case, generate, run_fuzz
 from gurag_reach.model import validate_instance
 from gurag_reach.policy import check_restrictions
+from gurag_reach.transition import Plan
 
 from conftest import child_env
 
@@ -82,3 +84,25 @@ def test_check_case_statuses_are_recorded():
 
 def test_case_result_is_deterministic():
     assert check_case("any", 17) == check_case("any", 17)
+
+
+def test_plan_failing_replay_is_an_invalid_plan(monkeypatch):
+    solve = search.solve_srd_no_delete
+
+    def dropping_first_request(instance, q):
+        res = solve(instance, q)
+        return type(res).found(Plan(res.plan.requests[1:]), res.notes)
+
+    assert len(solve(*generate("srd", 0)).plan) == 2
+    monkeypatch.setattr(search, "solve_srd_no_delete", dropping_first_request)
+    case = check_case("srd", 0)
+    assert case.status == "invalid-plan"
+    assert case.detail.startswith("srd plan")
+    stats = run_fuzz("srd", 1)
+    assert (stats.diverge, stats.failures) == (1, [case])
+
+
+def test_plan_found_only_after_the_srd_fallback_is_a_known_divergence():
+    # the group phase discards a cycle here and the oracle finds a plan
+    case = check_case("srd", 1815)
+    assert (case.status, case.detail) == ("known-divergence", "cyclic group dependencies discarded")

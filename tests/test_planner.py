@@ -190,6 +190,14 @@ class TestAttrPhase:
         assert res.reachable
         assert isinstance(validate_plan(inst, res.plan, q), Valid)
 
+    def test_self_requiring_rule_is_a_cycle(self):
+        # x is addable only once x is held: a self-loop in the precedence graph
+        inst = make([addu("x", DirectVal("a", "x"))])
+        q = ReachabilityQuery({"a": frozenset({"x"})})
+        res = attr_phase(inst, inst.initial_state, q)
+        assert res.reason == CYCLE_IN_VALSET
+        assert isinstance(bfs_solve(inst, q), Unreachable)
+
     def test_mutual_negation_is_a_cycle(self):
         inst = make([addu("y", Not(DirectVal("a", "z"))),
                      addu("z", Not(DirectVal("a", "y")))])

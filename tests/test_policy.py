@@ -1,5 +1,6 @@
 import pytest
 
+from gurag_reach import fuzz
 from gurag_reach.model import DirectState, GroupHierarchy
 from gurag_reach.policy import (
     And,
@@ -136,6 +137,34 @@ class TestClassification:
         assert check_restrictions(rs) is flags
         assert rs == RuleSet(rs.rules) and repr(rs) == repr(RuleSet(rs.rules))
 
+    def test_srd_table(self):
+        rs = RuleSet.build([
+            rule(Relation.ADD_U, Not(DirectVal("a", "x")), target_attr="a", target_val="y"),
+            rule(Relation.DELETE_U, TrueCond(), target_attr="a", target_val="y"),
+            rule(Relation.ADD_UG, TrueCond(), target_attr="a", target_val="x"),
+            rule(Relation.ASSIGN, conjunction([DirectGroup("G2"), Not(DirectGroup("G1")),
+                                               TrueCond()]), target_group="G1"),
+        ])
+        add_u, _, add_ug, assign = rs.rules
+        # the delete rule is checked for the class but has no entry
+        assert rs.srd_table == (
+            {("a", "y"): (add_u, [(False, ("a", "x"))]), ("a", "x"): (add_ug, [])},
+            {"G1": (assign, [(True, "G2"), (False, "G1")])},
+        )
+        assert rs.srd_table is rs.srd_table
+
+    @pytest.mark.parametrize("cls", fuzz.CLASSES)
+    def test_srd_table_exists_exactly_for_single_rule_direct(self, cls):
+        for seed in range(200):
+            rules = fuzz.generate(cls, seed)[0].rules
+            table = rules.srd_table
+            assert (table is not None) == check_restrictions(rules).single_rule_direct, seed
+            if table is not None:
+                pairs, groups = table
+                assert sorted(r.rule_id for r, _ in (*pairs.values(), *groups.values())) == [
+                    r.rule_id for r in rules
+                    if r.relation in (Relation.ADD_U, Relation.ADD_UG, Relation.ASSIGN)], seed
+
     def test_single_rule_violated_across_add_relations(self):
         # one pair addable both directly and through groups breaks the
         # single-rule restriction even though the relations differ
@@ -144,6 +173,7 @@ class TestClassification:
             rule(Relation.ADD_UG, TrueCond(), target_attr="a", target_val="x"),
         ])
         assert not check_restrictions(rs).single_rule_direct
+        assert rs.srd_table is None
 
     def test_single_rule_violated_by_duplicate_assign(self):
         rs = RuleSet.build([
@@ -151,12 +181,14 @@ class TestClassification:
             rule(Relation.ASSIGN, DirectGroup("G2"), target_group="G1"),
         ])
         assert not check_restrictions(rs).single_rule_direct
+        assert rs.srd_table is None
 
     def test_single_rule_violated_by_effective_literal(self):
         rs = RuleSet.build([
             rule(Relation.ADD_U, EffVal("a", "x"), target_attr="a", target_val="y"),
         ])
         assert not check_restrictions(rs).single_rule_direct
+        assert rs.srd_table is None
 
     @pytest.mark.parametrize("relation, pre", [
         (Relation.ASSIGN, DirectVal("a", "x")),
@@ -170,3 +202,4 @@ class TestClassification:
                   else {"target_attr": "a", "target_val": "y"})
         rs = RuleSet.build([rule(relation, pre, **target)])
         assert not check_restrictions(rs).single_rule_direct
+        assert rs.srd_table is None

@@ -213,11 +213,12 @@ class TestBfsSolve:
         with pytest.raises(ValueError):
             SearchBounds(max_depth=0)
 
-    @pytest.mark.parametrize("bounds", [{"max_depth": 2**31}, {"max_states": 2**32}])
+    @pytest.mark.parametrize("bounds", [{"max_depth": 2**31}, {"max_states": 2**32},
+                                        {"max_millis": 2**63}])
     def test_bounds_must_fit_the_compiled_kernel(self, bounds):
         with pytest.raises(ValueError):
             SearchBounds(**bounds)
-        SearchBounds(max_depth=2**31 - 1, max_states=2**32 - 1)
+        SearchBounds(max_depth=2**31 - 1, max_states=2**32 - 1, max_millis=2**63 - 1)
 
     def test_unknown_engine_rejected(self):
         inst, q = chain_instance(3)
@@ -621,6 +622,15 @@ class TestBenchmarkExpectations:
         inst, q = bench_kernel.independent(20)
         out = bfs_solve(inst, q, SearchBounds(max_millis=1), engine=engine)
         assert isinstance(out, BoundExceeded) and out.bound == "millis"
+
+    def test_largest_time_bound_never_stops_the_search(self, engine):
+        # the compiled kernel takes the limit as an int64; a larger one used
+        # to wrap there and stop the search after a few thousand states
+        inst, q = bench_kernel.independent(12)
+        out = bfs_solve(inst, q, SearchBounds(max_millis=2**63 - 1), engine=engine)
+        assert isinstance(out, Reachable) and out.states_explored == 4096
+        with pytest.raises(ValueError):
+            SearchBounds(max_millis=2**63 + 5)
 
     def test_time_bound_counts_candidate_tests(self, engine):
         # few states, each testing 4,000 candidates: the clock has to be read
