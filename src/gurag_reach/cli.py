@@ -97,7 +97,7 @@ def _load_instance(path: str) -> ParseResult:
 
 
 def _pick(path: str, what: str, items: list, index: int):
-    if not 0 <= index < len(items):
+    if index >= len(items):  # argparse has refused a negative index
         _fail(f"{path}: error: {what} index {index} out of range (file has {len(items)})",
               EXIT_PARSE)
     return items[index]
@@ -223,15 +223,15 @@ COMMANDS = {"classify": classify, "solve": solve, "validate": validate, "oracle"
             "fmt": fmt, "fuzz": fuzz}
 
 
-def _count(text: str) -> int:
-    """A case count for ``fuzz``: a non-negative integer, else a usage error."""
+def _non_negative(text: str) -> int:
+    """A case count or an index: a non-negative integer, else a usage error."""
     try:
-        count = int(text)
+        n = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if count < 0:
-        raise argparse.ArgumentTypeError(f"must not be negative: {count}")
-    return count
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {n}")
+    return n
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -259,7 +259,7 @@ def _parser() -> argparse.ArgumentParser:
     bounds.add_argument("--max-ms", type=int, default=default.max_millis,
                         help="Wall-clock limit of the search in milliseconds.")
     search = argparse.ArgumentParser(add_help=False)
-    search.add_argument("--query", type=int, default=0,
+    search.add_argument("--query", type=_non_negative, default=0,
                         help="Index of the query to solve (files may hold several).")
     search.add_argument("--kernel", default="auto", choices=["auto", "python", "compiled"],
                         help="Search kernel for the exhaustive engine.")
@@ -271,8 +271,8 @@ def _parser() -> argparse.ArgumentParser:
     sub.add_argument("--engine", default="auto", choices=["auto", "nonneg", "srd", "bfs"],
                      help="auto picks the cheapest engine the rule set admits.")
     sub = command("validate", "Replay a plan from the file and check it satisfies the query.")
-    sub.add_argument("--query", type=int, default=0, help="Index of the query.")
-    sub.add_argument("--plan", type=int, default=0, help="Index of the plan to validate.")
+    sub.add_argument("--query", type=_non_negative, default=0, help="Index of the query.")
+    sub.add_argument("--plan", type=_non_negative, default=0, help="Index of the plan to validate.")
     sub.add_argument("--timing", action="store_true", help="Include elapsedMs in the report.")
     command("oracle", "Exhaustive bounded search, ignoring any restriction structure.",
             [search, bounds]).set_defaults(engine="bfs")
@@ -284,7 +284,7 @@ def _parser() -> argparse.ArgumentParser:
                   [bounds], file=False)
     sub.add_argument("--class", dest="cls", default="nonneg", choices=CLASSES,
                      help="Rule-set class of the generated cases.")
-    sub.add_argument("--count", type=_count, default=100, help="Number of cases.")
+    sub.add_argument("--count", type=_non_negative, default=100, help="Number of cases.")
     sub.add_argument("--seed", type=int, default=0, help="Seed of the first case.")
     return parser
 

@@ -325,10 +325,12 @@ class _Parser:
 
     # preconditions
     def parse_precondition(self) -> Precondition:
-        parts = [self.parse_pre_term()]
+        # a parenthesized conjunction splices into its parts, so the tree is
+        # the one its flat spelling (as ``fmt`` prints it) parses to
+        parts = conjuncts(self.parse_pre_term())
         while self.tokens[self.pos].text == "and":  # only an identifier has that text
             self.pos += 1
-            parts.append(self.parse_pre_term())
+            parts += conjuncts(self.parse_pre_term())
         return conjunction(parts)
 
     def parse_pre_term(self) -> Precondition:

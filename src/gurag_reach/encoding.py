@@ -68,32 +68,61 @@ class QueryEntry(Frozen):
 
 
 class CompiledInstance(Record):
+    """An instance compiled to the bit form both kernels search."""
+
     _fields = ("groups", "slot", "att_spans", "n_slots", "n_groups", "nbits", "mem_offset",
                "seg_offsets", "closure_idx", "candidates")
 
-    def __init__(
-        self,
-        groups: tuple[str, ...],
-        slot: dict[tuple[str, str], int],
-        att_spans: dict[str, tuple[int, int]],    # att -> (slot offset, width)
-        n_slots: int,                             # S: total scope values
-        n_groups: int,
-        nbits: int,
-        mem_offset: int,
-        seg_offsets: tuple[int, ...],             # per group index
-        closure_idx: tuple[tuple[int, ...], ...],  # junior closure, as group indices
-        candidates: tuple[Candidate, ...],
-    ):
-        self.groups = groups
-        self.slot = slot
-        self.att_spans = att_spans
-        self.n_slots = n_slots
-        self.n_groups = n_groups
-        self.nbits = nbits
-        self.mem_offset = mem_offset
-        self.seg_offsets = seg_offsets
-        self.closure_idx = closure_idx
-        self.candidates = candidates
+    def __init__(self, instance: ProblemInstance):
+        self.slot = slot = {}            # (att, val) -> slot within an S-bit segment
+        self.att_spans = att_spans = {}  # att -> (slot offset, width)
+        cursor = 0
+        for att in sorted(instance.scopes):
+            vals = sorted(instance.scopes[att])
+            att_spans[att] = (cursor, len(vals))
+            for val in vals:
+                slot[att, val] = cursor
+                cursor += 1
+        self.n_slots = n_slots = cursor  # S: total scope values
+
+        self.groups = groups = tuple(sorted(instance.groups))
+        gidx = {g: j for j, g in enumerate(groups)}
+        self.n_groups = n_groups = len(groups)
+        self.seg_offsets = seg_offsets = tuple(n_slots * (1 + j) for j in range(n_groups))
+        self.mem_offset = mem_offset = n_slots * (1 + n_groups)
+        self.nbits = mem_offset + n_groups
+        self.closure_idx = tuple(
+            tuple(sorted(gidx[j] for j in instance.hierarchy.junior_closure(g)))
+            for g in groups
+        )
+
+        def view_bit(lit: Precondition) -> int:
+            if isinstance(lit, DirectVal):
+                return slot[lit.att, lit.val]
+            if isinstance(lit, EffVal):
+                return n_slots + slot[lit.att, lit.val]
+            if isinstance(lit, DirectGroup):
+                return 2 * n_slots + gidx[lit.group]
+            if isinstance(lit, EffGroup):
+                return 2 * n_slots + n_groups + gidx[lit.group]
+            raise TypeError(f"unknown precondition node {lit!r}")  # pragma: no cover
+
+        guards = []
+        for rule in instance.rules:  # rule ids are declaration order
+            guard = clauses(rule.pre, view_bit)
+            guards.append(ALWAYS if (0, 0) in guard else tuple(guard))
+        candidates = []
+        for req, rule in candidate_requests(instance):
+            if req.kind.is_membership:
+                bit, subject = mem_offset + gidx[req.group], -1
+            elif req.kind.is_group_subject:
+                subject = gidx[req.group]
+                bit = seg_offsets[subject] + slot[req.att, req.val]
+            else:
+                bit, subject = slot[req.att, req.val], -1
+            candidates.append(Candidate(bit, not req.kind.is_delete, subject, guards[rule.rule_id],
+                                        rule.rule_id, req))
+        self.candidates = tuple(candidates)
 
     def seg_mask(self) -> int:
         return (1 << self.n_slots) - 1
@@ -160,66 +189,4 @@ def candidate_requests(instance: ProblemInstance) -> list[tuple[Request, Rule]]:
 
 
 def compile_instance(instance: ProblemInstance) -> CompiledInstance:
-    atts = tuple(sorted(instance.scopes))
-    slot: dict[tuple[str, str], int] = {}
-    att_spans: dict[str, tuple[int, int]] = {}
-    cursor = 0
-    for att in atts:
-        vals = sorted(instance.scopes[att])
-        att_spans[att] = (cursor, len(vals))
-        for val in vals:
-            slot[att, val] = cursor
-            cursor += 1
-    n_slots = cursor
-
-    groups = tuple(sorted(instance.groups))
-    gidx = {g: j for j, g in enumerate(groups)}
-    n_groups = len(groups)
-    seg_offsets = tuple(n_slots * (1 + j) for j in range(n_groups))
-    mem_offset = n_slots * (1 + n_groups)
-    nbits = mem_offset + n_groups
-
-    closure_idx = tuple(
-        tuple(sorted(gidx[j] for j in instance.hierarchy.junior_closure(g)))
-        for g in groups
-    )
-
-    def view_bit(lit: Precondition) -> int:
-        if isinstance(lit, DirectVal):
-            return slot[lit.att, lit.val]
-        if isinstance(lit, EffVal):
-            return n_slots + slot[lit.att, lit.val]
-        if isinstance(lit, DirectGroup):
-            return 2 * n_slots + gidx[lit.group]
-        if isinstance(lit, EffGroup):
-            return 2 * n_slots + n_groups + gidx[lit.group]
-        raise TypeError(f"unknown precondition node {lit!r}")  # pragma: no cover
-
-    guards = []
-    for rule in instance.rules:  # rule ids are declaration order
-        guard = clauses(rule.pre, view_bit)
-        guards.append(ALWAYS if (0, 0) in guard else tuple(guard))
-    candidates = []
-    for req, rule in candidate_requests(instance):
-        if req.kind.is_membership:
-            bit, subject = mem_offset + gidx[req.group], -1
-        elif req.kind.is_group_subject:
-            subject = gidx[req.group]
-            bit = seg_offsets[subject] + slot[req.att, req.val]
-        else:
-            bit, subject = slot[req.att, req.val], -1
-        candidates.append(Candidate(bit, not req.kind.is_delete, subject, guards[rule.rule_id],
-                                    rule.rule_id, req))
-
-    return CompiledInstance(
-        groups=groups,
-        slot=slot,
-        att_spans=att_spans,
-        n_slots=n_slots,
-        n_groups=n_groups,
-        nbits=nbits,
-        mem_offset=mem_offset,
-        seg_offsets=seg_offsets,
-        closure_idx=closure_idx,
-        candidates=tuple(candidates),
-    )
+    return CompiledInstance(instance)

@@ -43,7 +43,7 @@ HAVE_COMPILED = _compiled is not None
 
 # Neither function reads ``ci``, as both kernels take every instance.  They keep
 # it because perfbench/worker.py calls both with it and perfbench/pipeline.py
-# calls ``select``.
+# calls ``select``; tests/test_benchmark_imports.py fails if either is removed.
 def compiled_supports(ci: CompiledInstance) -> bool:
     return _compiled is not None
 

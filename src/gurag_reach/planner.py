@@ -3,7 +3,7 @@
 Two engines:
 
 * ``solve_no_negation``: forward fixpoint over add/assign rules, valid when no
-  precondition uses negation.
+  precondition uses negation and there are no delete/remove rules.
 
 * ``solve_srd_no_delete``: valid for the paper's SR_d class with no
   delete/remove rules: each value assignment (or group) has a single rule, an
@@ -148,6 +148,8 @@ def solve_no_negation(instance: ProblemInstance, q: ReachabilityQuery) -> PlanRe
     flags = check_restrictions(instance.rules)
     if not flags.no_negation:
         raise RestrictionViolation("rule set uses negation in preconditions")
+    if not flags.no_deletion:
+        raise RestrictionViolation("rule set contains delete/remove rules")
 
     h = instance.hierarchy
     state = instance.initial_state

@@ -122,7 +122,8 @@ def analyze(
     """Decide reachability with one engine; every returned plan has replayed Valid.
 
     "auto" picks the cheapest engine the rule set admits.  A forced planner
-    whose restrictions do not hold raises ``RestrictionViolation``.
+    whose restrictions do not hold raises ``RestrictionViolation``, and an
+    unknown engine name ``ValueError``.
     """
     if engine == "auto":
         flags = instance.rules.restrictions
@@ -143,7 +144,7 @@ def analyze(
         else:
             result = Analysis("bfs", "bound-exceeded", states_explored=out.states_explored,
                               bound=out.bound, kernel=out.kernel)
-    else:
+    elif engine in ("nonneg", "srd"):
         res = (solve_no_negation if engine == "nonneg" else solve_srd_no_delete)(instance, q)
         if not res.reachable and engine == "srd" and NOTE_GROUP_CYCLE in res.notes:
             # the two-phase planner is incomplete across discarded group
@@ -154,6 +155,8 @@ def analyze(
                             settled.kernel)
         result = Analysis(engine, "reachable" if res.reachable else "unreachable",
                           res.plan, res.reason, res.notes)
+    else:
+        raise ValueError(f"unknown engine {engine!r}")
     if result.plan is not None:
         verdict = validate_plan(instance, result.plan, q)
         if isinstance(verdict, InvalidAt):

@@ -68,6 +68,17 @@ class TestSolve:
                      "--engine", "nonneg")
         assert res.exit_code == 4
 
+    def test_nonneg_refuses_delete_rules(self, tmp_path):
+        f = tmp_path / "delete.gurag"
+        f.write_text("attr a scope { x, y }\nrole r\nuser { a = { x }  groups = { } }\n"
+                     "rules {\n  rule canDeleteU a : r , true -> x\n"
+                     "  rule canAddU a : r , true -> y\n}\nquery strict { e_a(u) = { y } }\n")
+        assert report(run_cli("solve", str(f)))["plan"] == ["addU(r, a, y)", "deleteU(r, a, x)"]
+        res = run_cli("solve", str(f), "--engine", "nonneg")
+        assert res.exit_code == 4 and res.stdout == ""
+        assert res.stderr == ("error: engine 'nonneg' not applicable: "
+                              "rule set contains delete/remove rules\n")
+
     def test_assign_rule_reading_a_value_is_outside_srd(self, tmp_path):
         # G3's assign rule reads a1, which the oracle's plan adds first
         instance, q = srd_groups_case(254)
@@ -148,6 +159,19 @@ class TestSolve:
         res = run_cli("solve", str(GOLDEN / "bob.gurag"))
         assert res.exit_code == 3
 
+    @pytest.mark.parametrize("index", ["-1", "x"])
+    def test_malformed_query_index_is_usage_error(self, index):
+        res = run_cli("solve", str(GOLDEN / "chain.gurag"), "--query", index)
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert "argument --query" in res.stderr
+
+    def test_query_index_past_the_end_is_parse_error(self):
+        path = GOLDEN / "chain.gurag"
+        res = run_cli("solve", str(path), "--query", "1")
+        assert res.exit_code == 3 and res.stdout == ""
+        assert res.stderr == f"{path}: error: query index 1 out of range (file has 1)\n"
+
 
 class TestOracle:
     def test_pinned_anomaly_plan(self):
@@ -190,6 +214,19 @@ class TestValidate:
         doc = report(res)
         assert doc["verdict"] == "invalid"
         assert doc["failedAt"] == 0 and doc["reason"] == "no matching rule"
+
+    @pytest.mark.parametrize("option", ["--query", "--plan"])
+    def test_negative_index_is_usage_error(self, option):
+        res = run_cli("validate", str(GOLDEN / "empty.gurag"), option, "-1")
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert f"argument {option}" in res.stderr
+
+    def test_plan_index_past_the_end_is_parse_error(self):
+        path = GOLDEN / "empty.gurag"
+        res = run_cli("validate", str(path), "--plan", "1")
+        assert res.exit_code == 3 and res.stdout == ""
+        assert res.stderr == f"{path}: error: plan index 1 out of range (file has 1)\n"
 
     def test_query_unsatisfied(self, tmp_path):
         f = tmp_path / "u.gurag"
@@ -240,6 +277,21 @@ class TestFuzzCommand:
         assert res.exit_code == 0
         doc = report(res)
         assert doc["total"] == 25 and doc["diverge"] == 0
+
+    def test_reports_each_failure(self, monkeypatch):
+        solve = search.solve_srd_no_delete
+
+        def dropping_first_request(instance, q):
+            res = solve(instance, q)
+            return type(res).found(Plan(res.plan.requests[1:]), res.notes)
+
+        monkeypatch.setattr(search, "solve_srd_no_delete", dropping_first_request)
+        res = run_cli("fuzz", "--class", "srd", "--count", "1")
+        assert res.exit_code == 1
+        doc = report(res)
+        assert doc["diverge"] == 1
+        assert [(f["seed"], f["status"]) for f in doc["failures"]] == [(0, "invalid-plan")]
+        assert doc["failures"][0]["detail"].startswith("srd plan")
 
     @pytest.mark.parametrize("count", ["-3", "-1", "x"])
     def test_malformed_count_is_usage_error(self, count):

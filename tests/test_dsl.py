@@ -82,6 +82,19 @@ class TestParserDetails:
         assert result.ok
         assert result.instance.rules.rules[0].pre == Not(DirectVal("a", "x"))
 
+    def test_parenthesized_conjunction_splices_into_the_flat_tree(self):
+        head = "attr a scope { x, y, z }\nrole r\nrules {\n  rule canAddU a : r , "
+        nested = parse(head + "(x in direct(a) and y in direct(a)) and "
+                              "not(z in direct(a)) -> x\n}\n")
+        flat = parse(head + "x in direct(a) and y in direct(a) and not(z in direct(a)) -> x\n}\n")
+        assert nested.ok and flat.ok
+        assert nested.instance.rules.rules[0].pre == conjunction(
+            [DirectVal("a", "x"), DirectVal("a", "y"), Not(DirectVal("a", "z"))])
+        assert nested.instance == flat.instance
+        text = serialize(nested.instance, nested.queries, nested.plans)
+        assert parse(text).instance == nested.instance
+        assert text == serialize(flat.instance, flat.queries, flat.plans)
+
     def test_membership_literals_in_assign(self):
         text = ("attr a scope { x }\ngroup G1\ngroup G2\nrole r\n"
                 "rules {\n  rule canAssign : r , G1 in directUg and "

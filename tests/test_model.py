@@ -12,7 +12,7 @@ from gurag_reach.model import (
     effective_user_attr,
     validate_instance,
 )
-from gurag_reach.policy import RuleSet
+from gurag_reach.policy import DirectGroup, EffGroup, Relation, Rule, RuleSet, TrueCond
 
 
 def hierarchy():
@@ -133,3 +133,27 @@ def test_validate_instance_clean():
         initial_state=DirectState(user_attrs={"a": {"x"}}),
     )
     assert validate_instance(inst) == []
+
+
+def test_validate_instance_reports_each_rule_problem():
+    rules = RuleSet.build([
+        Rule(Relation.ADD_U, "r", TrueCond(), "nope", "x"),
+        Rule(Relation.ADD_U, "boss", TrueCond(), "a", "x"),
+        Rule(Relation.ASSIGN, "r", TrueCond(), target_group="Ghost"),
+        Rule(Relation.REMOVE, "r", EffGroup("Phantom"), target_group="G"),
+        Rule(Relation.ADD_U, "r", DirectGroup("G"), "a", "x"),
+    ])
+    inst = ProblemInstance(
+        scopes={"a": frozenset({"x"})},
+        hierarchy=GroupHierarchy(frozenset({"G"})),
+        roles=frozenset({"r"}),
+        rules=rules,
+        initial_state=DirectState(),
+    )
+    assert validate_instance(inst) == [
+        "rule #0: unknown attribute 'nope'",
+        "rule #1: unknown role 'boss'",
+        "rule #2: unknown group 'Ghost'",
+        "rule #3 precondition: unknown group 'Phantom'",
+        "rule #4: group membership literal outside an assign/remove rule",
+    ]

@@ -110,6 +110,19 @@ class TestSolveNoNegation:
         with pytest.raises(RestrictionViolation):
             solve_no_negation(inst, ReachabilityQuery({}))
 
+    def test_delete_rule_rejected(self):
+        # the oracle's plan adds y, then deletes x; a fixpoint that never
+        # removes anything would answer unreachable
+        inst = make([Rule(Relation.DELETE_U, "r", TrueCond(), target_attr="a", target_val="x"),
+                     addu("y")], state=DirectState(user_attrs={"a": {"x"}}))
+        q = ReachabilityQuery({"a": frozenset({"y"})})
+        plan = bfs_solve(inst, q).plan
+        assert [r.render() for r in plan] == ["addU(r, a, y)", "deleteU(r, a, x)"]
+        with pytest.raises(RestrictionViolation, match="delete/remove rules"):
+            solve_no_negation(inst, q)
+        with pytest.raises(RestrictionViolation, match="delete/remove rules"):
+            analyze(inst, q, "nonneg")
+
     def test_empty_plan_when_satisfied(self):
         inst = make([], state=DirectState(user_attrs={"a": {"x"}}))
         res = solve_no_negation(inst, ReachabilityQuery({"a": frozenset({"x"})}))

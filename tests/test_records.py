@@ -136,8 +136,8 @@ MUTABLE = [
     (ParseResult, (None, []), {"plans": [], "diagnostics": []},
      ("instance", "queries", "plans", "diagnostics"),
      "ParseResult(instance=None, queries=[], plans=[], diagnostics=[])"),
-    (CompiledInstance, (("G",), {("a", "v"): 0}, {"a": (0, 1)}, 1, 1, 3, 2, (1,), ((0,),)),
-     {"candidates": ()},
+    (CompiledInstance, (ProblemInstance({"a": ["v"]}, GroupHierarchy({"G"}), [], RuleSet(),
+                                        DirectState()),), {},
      ("groups", "slot", "att_spans", "n_slots", "n_groups", "nbits", "mem_offset", "seg_offsets",
       "closure_idx", "candidates"),
      "CompiledInstance(groups=('G',), slot={('a', 'v'): 0}, att_spans={'a': (0, 1)}, n_slots=1, "
@@ -155,6 +155,8 @@ IDS = [f"{row[0].__name__}-{i}" for i, row in enumerate(ROWS)]
 
 # the classes whose ``kernel`` field names the kernel that ran and is not compared
 KERNEL_FIELD = {Reachable, Unreachable, BoundExceeded}
+# the classes built from another value rather than from their fields
+BUILT = {CompiledInstance}
 
 
 def test_every_record_class_has_a_row():
@@ -166,6 +168,10 @@ def test_construction_and_repr(cls, args, kwargs, fields, text, frozen):
     x = cls(*args, **kwargs)
     if text is not None:
         assert repr(x) == text
+    if cls in BUILT:  # the same source builds an equal record
+        y = cls(*args, **kwargs)
+        assert repr(y) == repr(x) and y == x
+        return
     values = [getattr(x, name) for name in fields]
     # every field positionally, then every field by keyword, rebuilds an equal record
     assert repr(cls(*values)) == repr(x) and cls(*values) == x

@@ -239,6 +239,11 @@ class TestAnalyze:
         assert (res.engine, res.outcome, res.kernel) == (engine, "reachable", kernel_name)
         assert isinstance(validate_plan(doc.instance, res.plan, doc.queries[0]), Valid)
 
+    def test_unknown_engine_rejected(self, golden):
+        doc = golden("chain.gurag")
+        with pytest.raises(ValueError, match="unknown engine 'typo'"):
+            analyze(doc.instance, doc.queries[0], "typo")
+
 
 class TestEnumerate:
     def test_depths_are_minimal(self):
