@@ -61,7 +61,6 @@ from .search import (
     Unreachable,
     analyze,
     bfs_solve,
-    enumerate_reachable,
 )
 from .planner import (
     PlanResult,

@@ -4,7 +4,9 @@
  * FIFO order over states and the same candidate order per state, so the first
  * goal hit is the same lexicographically smallest shortest plan.  Plain C
  * without the Python C-API: kernel.py loads the shared library with ctypes and
- * makes one gr_bfs call per search, passing flat arrays.
+ * makes one gr_bfs call per search, passing flat arrays.  gr_bfs frees every
+ * buffer of its search before it returns; only a plan comes back, which
+ * gr_free releases.
  *
  * States are bit vectors of any width, `words` 64-bit words each; the visited
  * set is an open-addressing table of uint32 indices into a flat state arena.
@@ -44,20 +46,17 @@ struct gr_search {
     const uint64_t *care;          /* [clauses][view_words] */
     const uint64_t *want;
     /* query: the goal holds when eff & goal_mask == goal_target over the
-     * user's effective value bits; an enumeration asks for a goal that never
-     * holds (mask 0, target 1) */
+     * user's effective value bits */
     const uint64_t *start;         /* [words] */
     const uint64_t *goal_mask;     /* [words] */
     const uint64_t *goal_target;   /* [words] */
     int32_t max_depth;
     uint32_t max_states;
     int64_t max_millis;
-    /* results, released by gr_free */
+    /* results; gr_free releases the plan */
     int32_t *plan;                 /* [plan_len] candidate indices */
     int32_t plan_len;
     uint32_t n_states;
-    uint64_t *states;              /* a closed or depth-cut search: [n_states][words] */
-    int32_t *links;                /* a closed or depth-cut search: [n_states][3] as in struct run */
 };
 
 struct run {
@@ -290,10 +289,6 @@ static int search(struct gr_search *s, struct run *r) {
         }
     }
     s->n_states = (uint32_t)n;
-    s->states = r->arena;  /* hand the states and their links over to the caller */
-    s->links = r->links;
-    r->arena = NULL;
-    r->links = NULL;
     return depth_cut ? DEPTH_EXCEEDED : UNREACHABLE;
 }
 
@@ -301,8 +296,6 @@ int gr_bfs(struct gr_search *s) {
     s->plan = NULL;
     s->plan_len = 0;
     s->n_states = 1;
-    s->states = NULL;
-    s->links = NULL;
     struct run r = {0};
     r.words = s->words;
     r.capacity = 1 << 10;
@@ -321,9 +314,5 @@ int gr_bfs(struct gr_search *s) {
 
 void gr_free(struct gr_search *s) {
     free(s->plan);
-    free(s->states);
-    free(s->links);
     s->plan = NULL;
-    s->states = NULL;
-    s->links = NULL;
 }

@@ -2,8 +2,9 @@
 
 ``CKernel(path)`` wraps the shared library at ``path``.  Its ``bfs`` has the
 contract of ``_kernel_py.bfs``: the instance, start state and goal go to the
-library as flat arrays in one ``gr_bfs`` call, and the results come back
-through the same structure, whose buffers ``gr_free`` releases.
+library as flat arrays in one ``gr_bfs`` call, and the outcome, the number of
+states explored and any plan come back through the same structure; the plan is
+the only buffer the library hands back, and ``gr_free`` releases it.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import ctypes
 import sys
 from array import array
-from typing import Optional
 
 from ._kernel_py import REACHABLE
 from .encoding import ALWAYS, CompiledInstance, QueryEntry
@@ -34,7 +34,6 @@ class _Search(ctypes.Structure):
         ("max_depth", ctypes.c_int32), ("max_states", ctypes.c_uint32),
         ("max_millis", ctypes.c_int64),
         ("plan", _i32), ("plan_len", ctypes.c_int32), ("n_states", ctypes.c_uint32),
-        ("states", _u64), ("links", _i32),
     ]
 
 
@@ -51,15 +50,6 @@ def _words(values, n: int) -> ctypes.Array:
     return (ctypes.c_uint64 * len(raw)).from_buffer(raw)
 
 
-def _states(ptr, count: int, words: int) -> list[int]:
-    size = 8 * words
-    raw = array("Q", ctypes.string_at(ptr, size * count))
-    if sys.byteorder == "big":
-        raw.byteswap()
-    raw = raw.tobytes()
-    return [int.from_bytes(raw[i:i + size], "little") for i in range(0, len(raw), size)]
-
-
 class CKernel:
     KERNEL_NAME = "compiled"
 
@@ -74,7 +64,7 @@ class CKernel:
         self,
         ci: CompiledInstance,
         start: int,
-        goal: Optional[QueryEntry],
+        goal: QueryEntry,
         strict: bool,
         max_depth: int,
         max_states: int,
@@ -94,10 +84,8 @@ class CKernel:
         closure_start = [0]
         for closure in ci.closure_idx:
             closure_start.append(closure_start[-1] + len(closure))
-        if goal is None:  # an enumeration asks for a goal that never holds
-            mask, target = 0, 1
-        else:  # a relaxed query's target is its own mask
-            mask, target = goal.mask if strict else goal.target, goal.target
+        # a relaxed query's target is its own mask
+        mask, target = goal.mask if strict else goal.target, goal.target
         # the structure keeps every array assigned to it alive until it is dropped
         s = _Search(
             n_slots=ci.n_slots, n_groups=ci.n_groups, mem_offset=ci.mem_offset,
@@ -115,12 +103,8 @@ class CKernel:
         try:
             if code < 0:
                 raise MemoryError("the compiled kernel ran out of memory")
-            n = s.n_states
             if code == REACHABLE:
-                return code, s.plan[:s.plan_len] if s.plan_len else [], n
-            if goal is None and s.states:  # an enumeration that closed or hit the depth bound
-                depths = array("i", ctypes.string_at(s.links, 12 * n))[2::3]
-                return code, list(zip(_states(s.states, n, words), depths)), n
-            return code, None, n
+                return code, s.plan[:s.plan_len] if s.plan_len else [], s.n_states
+            return code, None, s.n_states
         finally:
             self._free(ctypes.byref(s))

@@ -1,16 +1,16 @@
 """Pure-Python breadth-first search kernel over bit-packed states.
 
-Reference implementation: arbitrary state width, no dependencies.  The
-compiled kernel must produce byte-identical outcomes.
+Reference implementation: arbitrary state width, no dependencies.  One call
+answers one query: whether a state meeting the goal is reachable, and by
+which plan.  The compiled kernel must produce byte-identical outcomes.
 
 The search runs level by level: the frontier of depth ``d`` is a list,
 expanded state by state with the candidates in their fixed order, and the
 states it discovers form the frontier of depth ``d + 1``.  That is the order
 of a FIFO queue, so the first goal hit yields the lexicographically smallest
 shortest plan.  One visited dict maps each discovered state to its
-``(parent state, candidate index)`` link (``None`` for the start); its
-insertion order is the discovery order, the plan is walked back through the
-links, and enumeration depths follow from the sizes of the levels.
+``(parent state, candidate index)`` link (``None`` for the start), and the
+plan is walked back through the links.
 
 The goal test is one comparison, ``eff & mask == target``, on the user's
 effective value bits ``eff``: the query's single ``QueryEntry`` gives the
@@ -25,7 +25,6 @@ guards' view words.
 from __future__ import annotations
 
 import time
-from typing import Optional
 
 from .encoding import ALWAYS, CompiledInstance, QueryEntry
 
@@ -48,17 +47,14 @@ MILLIS_EXCEEDED = 4
 def bfs(
     ci: CompiledInstance,
     start: int,
-    goal: Optional[QueryEntry],
+    goal: QueryEntry,
     strict: bool,
     max_depth: int,
     max_states: int,
     max_millis: int,
 ):
-    """Run BFS from ``start``.
-
-    With a goal: returns (code, plan as candidate-index list, states_explored).
-    Without (enumeration mode): returns (code, list of (state, depth), count).
-    """
+    """Run BFS from ``start`` to the goal; returns (code, plan as a list of
+    candidate indices or None, states explored)."""
     s, smask, mem_offset, seg_offsets = ci.n_slots, ci.seg_mask(), ci.mem_offset, ci.seg_offsets
     # (candidate index, bit mask, add, subject, guard or None when always true)
     candidates = [(i, 1 << c.bit, c.add, c.subject, None if c.guard == ALWAYS else c.guard)
@@ -96,19 +92,14 @@ def bfs(
             eff |= state >> off
         return own & smask | (eff & smask) << s | above
 
-    if goal is None:
-        # no state passes ``x & 0 == 1``, so the goal test needs no membership table
-        mask, target, plain_below = 0, 1, 1 << ci.nbits
-    else:
-        # a relaxed query's target is its own mask
-        mask, target = goal.mask if strict else goal.target, goal.target
-        plain_below = 1 << mem_offset  # states without membership bits
-        if eff_bits(start) & mask == target:
-            return REACHABLE, [], 1
+    # a relaxed query's target is its own mask
+    mask, target = goal.mask if strict else goal.target, goal.target
+    plain_below = 1 << mem_offset  # states without membership bits
+    if eff_bits(start) & mask == target:
+        return REACHABLE, [], 1
 
     seen = {start: None}
     frontier = [start]
-    level_sizes = [1]
     deadline = time.monotonic() + max_millis / 1000.0
     expanded, every = 0, _TIME_CHECK_INTERVAL // (len(candidates) + 1) + 1
     depth = 0
@@ -147,12 +138,7 @@ def bfs(
                     return REACHABLE, plan, len(seen)
                 nxt.append(succ)
         frontier = nxt
-        level_sizes.append(len(nxt))
         depth += 1
 
     # a nonempty frontier left at max_depth is the depth bound cutting the search
-    code = DEPTH_EXCEEDED if frontier else UNREACHABLE
-    if goal is not None:
-        return code, None, len(seen)
-    depths = [d for d, size in enumerate(level_sizes) for _ in range(size)]
-    return code, list(zip(seen, depths)), len(seen)
+    return DEPTH_EXCEEDED if frontier else UNREACHABLE, None, len(seen)

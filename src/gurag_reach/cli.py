@@ -152,8 +152,9 @@ def solve(args: argparse.Namespace) -> int:
         answer = analyze(result.instance, q, args.engine, bounds, args.kernel)
     except RestrictionViolation as exc:
         _fail(f"error: engine {args.engine!r} not applicable: {exc}", EXIT_RESTRICTION)
-    except RuntimeError as exc:  # an unavailable kernel or a plan that fails replay
-        _fail(f"error: {exc}", EXIT_INTERNAL)
+    except (RuntimeError, MemoryError) as exc:
+        # an unavailable kernel, a plan that fails replay, or a search out of memory
+        _fail(f"error: {str(exc) or 'out of memory'}", EXIT_INTERNAL)
     doc = {
         "engine": answer.engine,
         "outcome": answer.outcome,

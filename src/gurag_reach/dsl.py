@@ -23,8 +23,13 @@ tab and CR; lines end at LF.  Every other character is one
 text; the CLI rejects a file that is not UTF-8 with exit code 3.
 
 Parsing is total: malformed input produces positioned diagnostics, never an
-exception.  ``serialize`` emits the canonical form (sorted declarations, LF
-line endings) and round-trips bit-exactly with ``parse``.
+exception.  A precondition nests at most ``MAX_NESTING`` parentheses deep
+(``not(`` counts as one); one more is a ``parse-too-deep`` error.  ``true``
+and ``not`` are keywords only where the next token is not ``in``, so a value
+or group may bear either name.  No attribute may be named ``groups``, the key
+under which the user block lists the user's memberships.  ``serialize`` emits
+the canonical form (sorted declarations, LF line endings) and round-trips
+bit-exactly with ``parse``.
 """
 
 from __future__ import annotations
@@ -93,6 +98,10 @@ _TOPLEVEL = {
     "attr", "group", "senior", "role", "user", "groupstate", "rules", "query", "plan",
 }
 
+# deepest parenthesis nesting of one precondition; the parser and ``fmt``
+# recurse once per level
+MAX_NESTING = 100
+
 
 class Token(NamedTuple):
     kind: str   # "ident" | punctuation itself | "eof"
@@ -146,6 +155,7 @@ class _Parser:
     def __init__(self, source: str):
         self.tokens, self.diags = _lex(source)
         self.pos = 0
+        self.depth = 0  # parentheses open around the precondition being parsed
         # raw declarations, with positions for resolution diagnostics
         self.attrs: dict[str, set[str]] = {}
         self.groups: list[str] = []
@@ -239,6 +249,9 @@ class _Parser:
         name = self.expect("ident", "an attribute name")
         self.word(("scope",), "'scope'", "parse-expected")
         values, brace = self.parse_value_set()
+        if name.text == "groups":
+            self.error(name, "attribute name 'groups' is reserved for the user's groups",
+                       "reserved-attr")
         if name.text in self.attrs:
             self.error(name, f"duplicate attribute {name.text!r}", "dup-attr")
             return
@@ -337,20 +350,18 @@ class _Parser:
         subject = self.tokens[self.pos]
         if subject.kind == "(":
             self.pos += 1
-            inner = self.parse_precondition()
-            self.expect(")", "')'")
-            return inner
+            return self.parse_nested(subject)
         if subject.kind != "ident":
             raise _SyntaxError(subject, f"expected a precondition, found {subject.text!r}",
                                "parse-precondition")
         self.pos += 1
-        if subject.text == "true":
-            return TrueCond()
-        if subject.text == "not":
-            self.expect("(", "'(' after 'not'")
-            inner = self.parse_precondition()
-            self.expect(")", "')'")
-            return Not(inner)
+        # a keyword unless it is the subject of a literal; an identifier always
+        # has a next token, if only ``eof``
+        if self.tokens[self.pos].text != "in":
+            if subject.text == "true":
+                return TrueCond()
+            if subject.text == "not":
+                return Not(self.parse_nested(self.expect("(", "'(' after 'not'")))
         self.word(("in",), "'in'", "parse-precondition")
         kind = self.expect("ident", "'direct', 'effective', 'directUg' or 'effUg'")
         if kind.text in ("direct", "effective"):
@@ -366,6 +377,19 @@ class _Parser:
             return (DirectGroup if kind.text == "directUg" else EffGroup)(subject.text)
         raise _SyntaxError(kind, f"expected a membership kind, found {kind.text!r}",
                            "parse-precondition")
+
+    def parse_nested(self, opening: Token) -> Precondition:
+        """The precondition after the parenthesis ``opening``, and its ')'."""
+        if self.depth == MAX_NESTING:
+            raise _SyntaxError(opening, f"precondition nested more than {MAX_NESTING} "
+                               "parentheses deep", "parse-too-deep")
+        self.depth += 1
+        try:
+            inner = self.parse_precondition()
+            self.expect(")", "')'")
+        finally:
+            self.depth -= 1
+        return inner
 
     def parse_rules(self):
         self.pos += 1

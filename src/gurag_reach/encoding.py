@@ -141,28 +141,6 @@ class CompiledInstance(Record):
             bits |= 1 << (self.mem_offset + self.groups.index(g))
         return bits
 
-    def decode_state(self, bits: int) -> DirectState:
-        rev = {idx: pair for pair, idx in self.slot.items()}
-
-        def segment(off):
-            seg = (bits >> off) & self.seg_mask()
-            out: dict[str, set[str]] = {}
-            for i in range(self.n_slots):
-                if seg >> i & 1:
-                    att, val = rev[i]
-                    out.setdefault(att, set()).add(val)
-            return out
-
-        groups = frozenset(
-            g for j, g in enumerate(self.groups) if bits >> (self.mem_offset + j) & 1
-        )
-        group_attrs = {}
-        for j, g in enumerate(self.groups):
-            seg = segment(self.seg_offsets[j])
-            if seg:
-                group_attrs[g] = seg
-        return DirectState(segment(0), group_attrs, groups)
-
     def compile_query(self, q: ReachabilityQuery) -> QueryEntry:
         mask = target = 0
         for att, vset in q.entries.items():

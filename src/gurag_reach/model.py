@@ -201,6 +201,8 @@ def validate_instance(instance: ProblemInstance) -> list[str]:
     for att, scope in scopes.items():
         if not scope:
             problems.append(f"attribute {att!r} has an empty scope")
+    if "groups" in scopes:  # the text format's user block lists memberships under it
+        problems.append("attribute name 'groups' is reserved for the user's groups")
 
     def check_values(where: str, att: str, vals: Iterable[str]):
         if att not in scopes:

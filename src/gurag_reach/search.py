@@ -14,7 +14,7 @@ from typing import Optional, Union
 from . import _kernel_py, kernel
 from ._record import Frozen
 from .encoding import compile_instance
-from .model import ProblemInstance, canonical_key
+from .model import ProblemInstance
 from .planner import NOTE_GROUP_CYCLE, solve_no_negation, solve_srd_no_delete
 from .transition import InvalidAt, Plan, ReachabilityQuery, Valid, validate_plan
 
@@ -166,17 +166,3 @@ def analyze(
             raise RuntimeError(f"{engine} plan replays but leaves the query unsatisfied")
     return result
 
-
-def enumerate_reachable(
-    instance: ProblemInstance, bounds: SearchBounds = SearchBounds(), engine: Optional[str] = None
-) -> dict[bytes, int]:
-    """All states reachable within bounds, keyed canonically, with minimal depths."""
-    ci = compile_instance(instance)
-    start = ci.encode_state(instance.initial_state)
-    impl = kernel.select(ci, engine)
-    code, pairs, _ = impl.bfs(
-        ci, start, None, False, bounds.max_depth, bounds.max_states, bounds.max_millis
-    )
-    if pairs is None:
-        raise RuntimeError(f"enumeration exceeded the {_BOUND_NAMES[code]} bound")
-    return {canonical_key(ci.decode_state(s)).encode("utf-8"): d for s, d in pairs}

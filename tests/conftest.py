@@ -65,6 +65,16 @@ def load_golden(name):
     return result
 
 
+def nested_document(opener, depth):
+    """A document whose one rule adds ``y`` under the precondition ``x in
+    direct(a)`` wrapped in ``depth`` openers ``opener`` (such as ``(`` or
+    ``not(``) on line 5.  Under an even number of ``not`` the user, who holds
+    ``x``, reaches ``y``."""
+    pre = f"{opener * depth}x in direct(a){')' * (opener.count('(') * depth)}"
+    return ("attr a scope { x, y }\nrole r\nuser { a = { x } }\nrules {\n"
+            f"  rule canAddU a : r , {pre} -> y\n}}\nquery relaxed {{ e_a(u) = {{ y }} }}\n")
+
+
 @pytest.fixture
 def golden():
     return load_golden

@@ -4,11 +4,11 @@ import sys
 
 import pytest
 
-from gurag_reach import kernel, search
-from gurag_reach.dsl import serialize
+from gurag_reach import _kernel_py, kernel, search
+from gurag_reach.dsl import MAX_NESTING, serialize
 from gurag_reach.transition import Plan
 
-from conftest import GOLDEN, MALFORMED, child_env, run_cli
+from conftest import GOLDEN, MALFORMED, child_env, nested_document, run_cli
 from test_planner_answers import srd_groups_case
 
 
@@ -197,6 +197,19 @@ class TestOracle:
         assert res.stdout == ""
         assert res.stderr == "error: compiled kernel is not available in this build\n"
 
+    @pytest.mark.parametrize("error, line", [
+        (MemoryError("the compiled kernel ran out of memory"),
+         "error: the compiled kernel ran out of memory\n"),
+        (MemoryError(), "error: out of memory\n"),
+    ], ids=["compiled", "interpreter"])
+    def test_search_out_of_memory_is_an_internal_failure(self, monkeypatch, error, line):
+        def out_of_memory(*args):
+            raise error
+
+        monkeypatch.setattr(_kernel_py, "bfs", out_of_memory)
+        res = run_cli("oracle", str(GOLDEN / "chain.gurag"), "--kernel", "python")
+        assert (res.exit_code, res.stdout, res.stderr) == (5, "", line)
+
 
 class TestValidate:
     def test_valid_plan(self):
@@ -315,6 +328,19 @@ def test_non_utf8_file_is_positioned_parse_error(tmp_path, command):
     assert res.exit_code == 3
     assert res.stdout == ""
     assert res.stderr == f"{path}:4:10: error: not UTF-8: cannot decode byte 0xff [not-utf8]\n"
+
+
+@pytest.mark.parametrize("opener", ["(", "not("])
+def test_nesting_limit(tmp_path, opener):
+    path = tmp_path / "deep.gurag"
+    path.write_text(nested_document(opener, MAX_NESTING))
+    for command in ("classify", "solve", "oracle", "fmt"):
+        assert run_cli(command, str(path)).exit_code == 0, command
+    path.write_text(nested_document(opener, MAX_NESTING + 1))
+    for command in ("classify", "solve", "oracle", "fmt"):
+        res = run_cli(command, str(path))
+        assert (res.exit_code, res.stdout) == (3, ""), command
+        assert res.stderr.endswith(" [parse-too-deep]\n") and res.stderr.count("\n") == 1
 
 
 def test_version():

@@ -3,20 +3,21 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gurag_reach.dsl import Diagnostic, _lex, parse, render_precondition, serialize
+from gurag_reach.dsl import MAX_NESTING, Diagnostic, _lex, parse, render_precondition, serialize
 from gurag_reach.fuzz import CLASSES, generate
-from gurag_reach.model import validate_instance
+from gurag_reach.model import DirectState, GroupHierarchy, ProblemInstance, validate_instance
 from gurag_reach.policy import (
     DirectGroup,
     DirectVal,
     EffGroup,
     EffVal,
     Not,
+    RuleSet,
     TrueCond,
     conjunction,
 )
 
-from conftest import GOLDEN, MALFORMED
+from conftest import GOLDEN, MALFORMED, nested_document
 
 
 class TestGoldenRoundTrip:
@@ -120,6 +121,66 @@ class TestParserDetails:
         (d,) = [d for d in result.diagnostics if d.severity == "error"]
         assert (d.line, d.column) == (3, 14)
         assert d.code == "scope-violation"
+
+
+class TestNestingLimit:
+    TOO_DEEP = (f"error: precondition nested more than {MAX_NESTING} parentheses deep "
+                "[parse-too-deep]")
+
+    @pytest.mark.parametrize("opener", ["(", "not("])
+    def test_limit_parses_and_one_more_is_an_error(self, opener):
+        result = parse(nested_document(opener, MAX_NESTING))
+        assert result.ok, [d.render() for d in result.diagnostics]
+        text = serialize(result.instance, result.queries, result.plans)
+        assert parse(text).instance == result.instance
+        # reported at the parenthesis that opens one level too many
+        column = len("  rule canAddU a : r , ") + len(opener) * (MAX_NESTING + 1)
+        result = parse(nested_document(opener, MAX_NESTING + 1))
+        assert [d.render() for d in result.diagnostics] == [f"5:{column}: {self.TOO_DEEP}"]
+
+    def test_openers_count_together(self):
+        assert parse(nested_document("not((", MAX_NESTING // 2)).ok
+        result = parse(nested_document("not((", MAX_NESTING // 2 + 1))
+        assert [d.code for d in result.diagnostics] == ["parse-too-deep"]
+
+    def test_depth_does_not_carry_past_an_error(self):
+        deep = nested_document("(", MAX_NESTING + 1)
+        text = deep + nested_document("(", MAX_NESTING).split("\n", 3)[3]
+        result = parse(text)
+        assert [(d.line, d.code) for d in result.diagnostics] == [(5, "parse-too-deep")]
+
+
+class TestNamesTheFormatWrites:
+    def test_true_and_not_name_values_and_groups(self):
+        # either word is a keyword only where no ``in`` follows it
+        text = ("attr a scope { not, true }\ngroup not\ngroup true\nsenior true > not\n"
+                "role r\nuser { a = { true }  groups = { not } }\nrules {\n"
+                "  rule canAddU a : r , true in direct(a) and not(not in effective(a)) "
+                "and true -> not\n"
+                "  rule canAssign : r , not in directUg and not(true in effUg) -> true\n"
+                "}\nquery strict { e_a(u) = { not, true } }\n"
+                "plan { addU(r, a, not); assign(r, true) }\n")
+        result = parse(text)
+        assert result.ok, [d.render() for d in result.diagnostics]
+        rules = result.instance.rules.rules
+        assert rules[0].pre == conjunction([DirectVal("a", "true"), Not(EffVal("a", "not")),
+                                            TrueCond()])
+        assert rules[1].pre == conjunction([DirectGroup("not"), Not(EffGroup("true"))])
+        assert serialize(result.instance, result.queries, result.plans) == text
+
+    def test_attribute_named_groups_is_reserved(self):
+        # the user block lists memberships under that key, so it cannot also
+        # list the attribute's values
+        reserved = "attribute name 'groups' is reserved for the user's groups"
+        result = parse("attr groups scope { x }\nrole r\nuser { groups = { x } }\n")
+        assert [d.render() for d in result.diagnostics] == [
+            f"1:6: error: {reserved} [reserved-attr]",
+            "3:19: error: unknown group 'x' [unknown-group]"]
+        instance = ProblemInstance(
+            scopes={"groups": frozenset({"x"})}, hierarchy=GroupHierarchy(frozenset()),
+            roles=frozenset({"r"}), rules=RuleSet(),
+            initial_state=DirectState({"groups": {"x"}}))
+        assert validate_instance(instance) == [reserved]
 
 
 DECLARED = "attr a scope { x }\ngroup G\nrole r\n"

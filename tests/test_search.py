@@ -1,8 +1,12 @@
 import ctypes
 import importlib.util
+import itertools
+import json
 import pathlib
 import random
 import re
+import shutil
+import subprocess
 import sys
 import time
 from collections import deque
@@ -10,6 +14,7 @@ from collections import deque
 import pytest
 
 from gurag_reach import _kernel_ctypes, _kernel_py, kernel
+from gurag_reach.dsl import serialize
 from gurag_reach.encoding import ALWAYS, QueryEntry, compile_instance
 from gurag_reach.fuzz import CLASSES, generate
 from gurag_reach.model import DirectState, GroupHierarchy, ProblemInstance
@@ -33,11 +38,18 @@ from gurag_reach.search import (
     Unreachable,
     analyze,
     bfs_solve,
-    enumerate_reachable,
 )
-from gurag_reach.transition import Plan, QueryType, ReachabilityQuery, Valid, validate_plan
+from gurag_reach.transition import (
+    Plan,
+    QueryType,
+    ReachabilityQuery,
+    Valid,
+    apply_request,
+    authorized_rules,
+    validate_plan,
+)
 
-from conftest import GOLDEN, load_golden
+from conftest import GOLDEN, KERNEL_SOURCE, child_env, load_golden
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -102,17 +114,6 @@ def wide_random_instance(seed, bits=256):
 
 
 class TestEncoding:
-    def test_state_roundtrip(self):
-        inst, _ = generate("any", 7)
-        ci = compile_instance(inst)
-        bits = ci.encode_state(inst.initial_state)
-        assert ci.decode_state(bits) == inst.initial_state
-
-    def test_zero_state(self):
-        inst, _ = generate("any", 7)
-        ci = compile_instance(inst)
-        assert ci.decode_state(0) == DirectState()
-
     def test_candidates_sorted_deterministically(self):
         inst, _ = generate("any", 11)
         ci = compile_instance(inst)
@@ -129,8 +130,8 @@ def assert_guards_agree(instance, states):
     """Each candidate's clauses read, on every state, what its precondition says."""
     ci = compile_instance(instance)
     pre = {r.rule_id: r.pre for r in instance.rules}
-    for bits in states:
-        state = ci.decode_state(bits)
+    for state in states:
+        bits = ci.encode_state(state)
         for cand in ci.candidates:
             subject = None if cand.subject < 0 else ci.groups[cand.subject]
             assert guard_holds(ci, cand, bits) == eval_precondition(
@@ -138,12 +139,22 @@ def assert_guards_agree(instance, states):
 
 
 def reachable_states(instance):
-    """The states ``enumerate_reachable`` keys, as the kernel's bit words."""
-    ci = compile_instance(instance)
-    b = SearchBounds()
-    _, pairs, _ = _kernel_py.bfs(ci, ci.encode_state(instance.initial_state), None, False,
-                                 b.max_depth, b.max_states, b.max_millis)
-    return [bits for bits, _ in pairs]
+    """Every state reachable from the initial one, found breadth first through
+    the transition semantics on the candidates' requests."""
+    requests = [c.request for c in compile_instance(instance).candidates]
+    seen = {instance.initial_state}
+    frontier = [instance.initial_state]
+    while frontier:
+        nxt = []
+        for state in frontier:
+            for req in requests:
+                if authorized_rules(state, instance.hierarchy, instance.rules, req):
+                    succ = apply_request(state, req)
+                    if succ not in seen:
+                        seen.add(succ)
+                        nxt.append(succ)
+        frontier = nxt
+    return seen
 
 
 class TestGuards:
@@ -172,7 +183,13 @@ class TestGuards:
             hierarchy=GroupHierarchy(frozenset({"G1", "G2"}), frozenset({("G1", "G2")})),
             roles=frozenset({"r"}), rules=RuleSet.build(rules), initial_state=DirectState())
         ci = compile_instance(inst)
-        assert_guards_agree(inst, range(1 << ci.nbits))
+        values = [set(), {"x"}, {"y"}, {"x", "y"}]
+        memberships = [set(), {"G1"}, {"G2"}, {"G1", "G2"}]
+        states = [DirectState({"a": user}, {"G1": {"a": g1}, "G2": {"a": g2}}, groups)
+                  for user, g1, g2, groups in itertools.product(values, values, values,
+                                                                 memberships)]
+        assert len({ci.encode_state(state) for state in states}) == 1 << ci.nbits
+        assert_guards_agree(inst, states)
         guards = {c.rule_id: c.guard for c in ci.candidates}
         assert guards[2] == guards[3] == ()  # never holds
         assert guards[1] == ((1 << 3, 1 << 3),)  # y is slot 1, so effective y is view bit 2 + 1
@@ -245,19 +262,6 @@ class TestAnalyze:
             analyze(doc.instance, doc.queries[0], "typo")
 
 
-class TestEnumerate:
-    def test_depths_are_minimal(self):
-        inst, _ = chain_instance(4)
-        reach = enumerate_reachable(inst)
-        assert len(reach) == 5  # prefixes of the chain
-        assert sorted(reach.values()) == [0, 1, 2, 3, 4]
-
-    def test_raises_when_states_bound_hit(self):
-        inst, _ = chain_instance(6)
-        with pytest.raises(RuntimeError, match="states"):
-            enumerate_reachable(inst, SearchBounds(max_states=3))
-
-
 @pytest.mark.usefixtures("compiled_kernel")
 class TestKernelEquivalence:
     """The compiled kernel must be indistinguishable from the reference."""
@@ -270,13 +274,6 @@ class TestKernelEquivalence:
             b = bfs_solve(inst, q, engine="compiled")
             assert a == b, (cls, seed)
 
-    @pytest.mark.parametrize("cls", ["nonneg", "srd", "any"])
-    def test_enumerations_identical(self, cls):
-        for seed in range(60):
-            inst, _ = generate(cls, seed)
-            assert enumerate_reachable(inst, engine="python") == \
-                enumerate_reachable(inst, engine="compiled"), (cls, seed)
-
     def test_bound_outcomes_identical(self):
         inst, q = chain_instance(8)
         for bounds in (SearchBounds(max_depth=3), SearchBounds(max_states=4)):
@@ -284,18 +281,11 @@ class TestKernelEquivalence:
                 bfs_solve(inst, q, bounds, engine="compiled")
 
     def test_visited_table_growth(self):
-        # enough states to force several hash-table doublings
-        vals = [f"v{i:02d}" for i in range(13)]
-        rules = RuleSet.build([
-            Rule(Relation.ADD_U, "r", TrueCond(), target_attr="a", target_val=v)
-            for v in vals
-        ])
-        inst = ProblemInstance(
-            scopes={"a": frozenset(vals)}, hierarchy=GroupHierarchy(frozenset()),
-            roles=frozenset({"r"}), rules=rules, initial_state=DirectState())
-        bounds = SearchBounds(max_states=1 << 16)
-        assert enumerate_reachable(inst, bounds, engine="python") == \
-            enumerate_reachable(inst, bounds, engine="compiled")
+        # enough states to force several doublings of the 4,096-slot table
+        inst, q = bench_kernel.independent(13)
+        out = bfs_solve(inst, q, SearchBounds(max_states=1 << 16), engine="compiled")
+        assert out == bfs_solve(inst, q, SearchBounds(max_states=1 << 16), engine="python")
+        assert out.states_explored > 4096
 
     def test_multiword_states_identical(self):
         # states and guard views spanning several 64-bit words, up to 900 bits
@@ -305,13 +295,9 @@ class TestKernelEquivalence:
                            SearchBounds(max_depth=2, max_states=3000)):
                 assert bfs_solve(inst, q, bounds, engine="python") == \
                     bfs_solve(inst, q, bounds, engine="compiled"), seed
-            bounds = SearchBounds(max_depth=2, max_states=3000)
-            assert enumerate_reachable(inst, bounds, engine="python") == \
-                enumerate_reachable(inst, bounds, engine="compiled"), seed
 
     def test_raw_bfs_tuples_identical(self, compiled_kernel):
-        # what ``perfbench`` compares: the tuples themselves, so a binding that
-        # kept the states the compiled kernel hands back in goal mode fails
+        # what ``perfbench`` compares: the tuples themselves
         codes = set()
         cases = [generate(cls, seed) for cls in CLASSES for seed in range(60)]
         cases += [wide_random_instance(seed, bits) for seed in range(10) for bits in (256, 600, 900)]
@@ -319,16 +305,14 @@ class TestKernelEquivalence:
             ci = compile_instance(inst)
             start, goal = ci.encode_state(inst.initial_state), ci.compile_query(q)
             for max_depth, max_states in ((32, 1 << 20), (2, 1 << 20), (32, 5)):
-                for g, strict in ((goal, True), (goal, False), (None, False)):
-                    args = (ci, start, g, strict, max_depth, max_states, 30_000)
+                for strict in (True, False):
+                    args = (ci, start, goal, strict, max_depth, max_states, 30_000)
                     out = _kernel_py.bfs(*args)
                     assert compiled_kernel.bfs(*args) == out, (q, args[2:])
-                    codes.add((g is None, out[0]))
-        # closed, depth-cut and state-cut searches, with a goal and enumerating
-        ends = {(enumerating, code) for enumerating in (False, True)
-                for code in (_kernel_py.UNREACHABLE, _kernel_py.DEPTH_EXCEEDED,
-                             _kernel_py.STATES_EXCEEDED)}
-        assert codes == ends | {(False, _kernel_py.REACHABLE)}
+                    codes.add(out[0])
+        # found, closed, depth-cut and state-cut searches
+        assert codes == {_kernel_py.REACHABLE, _kernel_py.UNREACHABLE,
+                         _kernel_py.DEPTH_EXCEEDED, _kernel_py.STATES_EXCEEDED}
 
     @pytest.mark.parametrize("n", [300, 700])
     def test_chains_wider_than_256_bits_identical(self, n):
@@ -336,8 +320,6 @@ class TestKernelEquivalence:
         for bounds in (SearchBounds(), SearchBounds(max_depth=n // 2)):
             assert bfs_solve(inst, q, bounds, engine="python") == \
                 bfs_solve(inst, q, bounds, engine="compiled")
-            assert enumerate_reachable(inst, bounds, engine="python") == \
-                enumerate_reachable(inst, bounds, engine="compiled")
 
     def test_wide_instance_runs_compiled(self, compiled_kernel):
         inst, _ = chain_instance(257)
@@ -419,7 +401,7 @@ def reference_bfs(ci, start, goal, strict, max_depth, max_states, max_millis):
     candidates = [(i, 1 << c.bit, c.add, c.subject, None if c.guard == ALWAYS else c.guard)
                   for i, c in enumerate(ci.candidates)]
 
-    if goal is not None and _ref_goal_holds(ci, start, goal, strict, smask):
+    if _ref_goal_holds(ci, start, goal, strict, smask):
         return _kernel_py.REACHABLE, [], 1
 
     states = [start]
@@ -463,7 +445,7 @@ def reference_bfs(ci, start, goal, strict, max_depth, max_states, max_millis):
             parents.append(idx)
             via.append(ci_idx)
             depths.append(depth + 1)
-            if goal is not None and _ref_goal_holds(ci, succ, goal, strict, smask):
+            if _ref_goal_holds(ci, succ, goal, strict, smask):
                 plan = []
                 at = len(states) - 1
                 while at > 0:
@@ -473,9 +455,6 @@ def reference_bfs(ci, start, goal, strict, max_depth, max_states, max_millis):
                 return _kernel_py.REACHABLE, plan, len(states)
             queue.append(len(states) - 1)
 
-    if goal is None:
-        code = _kernel_py.DEPTH_EXCEEDED if depth_cut else _kernel_py.UNREACHABLE
-        return code, list(zip(states, depths)), len(states)
     if depth_cut:
         return _kernel_py.DEPTH_EXCEEDED, None, len(states)
     return _kernel_py.UNREACHABLE, None, len(states)
@@ -487,7 +466,7 @@ REFERENCE_BOUNDS = [SearchBounds(), SearchBounds(max_depth=1), SearchBounds(max_
 
 
 def assert_matches_reference(instance, q):
-    """Equal ``bfs`` tuples, strict and relaxed, with the goal and enumerating."""
+    """Equal ``bfs`` tuples, strict and relaxed."""
     ci = compile_instance(instance)
     start = ci.encode_state(instance.initial_state)
     goal, entries = ci.compile_query(q), reference_goal(ci, q)
@@ -496,8 +475,6 @@ def assert_matches_reference(instance, q):
         for strict in (True, False):
             assert _kernel_py.bfs(ci, start, goal, strict, *limits) == \
                 reference_bfs(ci, start, entries, strict, *limits), (strict, b)
-        assert _kernel_py.bfs(ci, start, None, False, *limits) == \
-            reference_bfs(ci, start, None, False, *limits), b
 
 
 def three_level_instance():
@@ -606,8 +583,63 @@ class TestBinding:
     def test_search_structure_mirrors_the_c_struct(self):
         # same names in the same order, with the same widths and signedness
         fields = self.c_struct_fields("gr_search")
-        assert ("n_slots", ctypes.c_int32) in fields and ("states", _kernel_ctypes._u64) in fields
+        assert ("n_slots", ctypes.c_int32) in fields and ("start", _kernel_ctypes._u64) in fields
         assert _kernel_ctypes._Search._fields_ == fields
+
+
+# Run in a child interpreter with AddressSanitizer preloaded: compares the raw
+# ``bfs`` tuples of the library named by argv[1] with the pure kernel's on
+# fuzz seeds 0-299 of each class and on the documents of the JSON list on
+# stdin, at three bounds, strict and relaxed; prints the number of calls.
+SANITIZED_CHECK = """
+import json, sys
+from gurag_reach import _kernel_py, kernel
+from gurag_reach.dsl import parse
+from gurag_reach.encoding import compile_instance
+from gurag_reach.fuzz import CLASSES, generate
+
+compiled = kernel.load(sys.argv[1])
+cases = [generate(cls, seed) for cls in CLASSES for seed in range(300)]
+cases += [(doc.instance, doc.queries[0]) for doc in map(parse, json.load(sys.stdin))]
+calls = 0
+for inst, q in cases:
+    ci = compile_instance(inst)
+    start, goal = ci.encode_state(inst.initial_state), ci.compile_query(q)
+    for max_depth, max_states in ((32, 1 << 20), (2, 1 << 20), (32, 5)):
+        for strict in (True, False):
+            args = (ci, start, goal, strict, max_depth, max_states, 30_000)
+            if compiled.bfs(*args) != _kernel_py.bfs(*args):
+                sys.exit(f"differs on {q} with {args[2:]}")
+            calls += 1
+print(calls)
+"""
+
+
+def test_sanitized_kernel_matches_the_pure_one(tmp_path):
+    """The compiled kernel built with AddressSanitizer and UndefinedBehaviorSanitizer:
+    a bad memory access, a double free or undefined behaviour aborts the child.
+    Leak checking is off, as it reports the interpreter's own allocations."""
+    cc = shutil.which("gcc")
+    if cc is None:
+        pytest.skip("no gcc to build a sanitized kernel")
+    runtimes = [subprocess.run([cc, f"-print-file-name={name}"], capture_output=True,
+                               text=True, check=True).stdout.strip()
+                for name in ("libasan.so", "libubsan.so")]
+    if not all(pathlib.Path(path).is_absolute() for path in runtimes):
+        pytest.skip("gcc has no sanitizer runtime")
+    lib = tmp_path / "_kernel_asan.so"
+    subprocess.run([cc, "-std=c99", "-O1", "-g", "-fno-omit-frame-pointer",
+                    "-fsanitize=address,undefined", "-fno-sanitize-recover=all", "-shared",
+                    "-fPIC", "-o", str(lib), str(KERNEL_SOURCE)], check=True)
+    # states and views of several 64-bit words
+    wide = [wide_random_instance(seed, bits) for seed in range(3) for bits in (256, 600, 900)]
+    wide += [chain_instance(n) for n in (300, 700)]
+    child = subprocess.run(
+        [sys.executable, "-c", SANITIZED_CHECK, str(lib)],
+        input=json.dumps([serialize(inst, [q]) for inst, q in wide]), capture_output=True,
+        text=True, env=child_env(LD_PRELOAD=runtimes[0], ASAN_OPTIONS="detect_leaks=0"))
+    assert child.returncode == 0 and not child.stderr, child.stderr
+    assert child.stdout == f"{6 * (3 * 300 + len(wide))}\n"
 
 
 class TestBenchmarkExpectations:
