@@ -24,7 +24,10 @@ text; the CLI rejects a file that is not UTF-8 with exit code 3.
 
 Parsing is total: malformed input produces positioned diagnostics, never an
 exception.  A precondition nests at most ``MAX_NESTING`` parentheses deep
-(``not(`` counts as one); one more is a ``parse-too-deep`` error.  ``true``
+(``not(`` counts as one); one more is a ``parse-too-deep`` error.  Nesting is
+the only recursion: a conjunction is one flat ``And`` whatever its length,
+and the group hierarchy's closures are built without recursion, so no
+conjunction is too long and no seniority chain too deep to parse.  ``true``
 and ``not`` are keywords only where the next token is not ``in``, so a value
 or group may bear either name.  No attribute may be named ``groups``, the key
 under which the user block lists the user's memberships.  ``serialize`` emits
@@ -338,12 +341,12 @@ class _Parser:
 
     # preconditions
     def parse_precondition(self) -> Precondition:
-        # a parenthesized conjunction splices into its parts, so the tree is
-        # the one its flat spelling (as ``fmt`` prints it) parses to
-        parts = conjuncts(self.parse_pre_term())
+        # ``And`` splices a parenthesized conjunction into its parts, so the
+        # tree is the one its flat spelling (as ``fmt`` prints it) parses to
+        parts = [self.parse_pre_term()]
         while self.tokens[self.pos].text == "and":  # only an identifier has that text
             self.pos += 1
-            parts += conjuncts(self.parse_pre_term())
+            parts.append(self.parse_pre_term())
         return conjunction(parts)
 
     def parse_pre_term(self) -> Precondition:

@@ -59,23 +59,29 @@ class GroupHierarchy(Frozen):
     def _closures(self) -> dict[str, frozenset[str]]:
         closures: dict[str, frozenset[str]] = {}
         visiting: set[str] = set()
-
-        def close(g: str) -> frozenset[str]:
-            if g in closures:
-                return closures[g]
-            if g in visiting:
-                raise ModelError(f"cycle in group hierarchy through {g!r}")
-            visiting.add(g)
-            acc = {g}
-            for junior in sorted(self._juniors[g]):
-                acc |= close(junior)
-            visiting.discard(g)
-            closures[g] = frozenset(acc)
-            return closures[g]
-
-        # sorted, so a cycle is reported through the same group under every hash seed
-        for g in sorted(self.groups):
-            close(g)
+        # depth first with an explicit stack of (group, juniors left to
+        # visit), so a deep hierarchy cannot exhaust the interpreter's stack;
+        # sorted, so a cycle is reported through the same group under every
+        # hash seed
+        for root in sorted(self.groups):
+            if root in closures:
+                continue
+            visiting.add(root)
+            stack = [(root, iter(sorted(self._juniors[root])))]
+            while stack:
+                g, juniors = stack[-1]
+                for junior in juniors:
+                    if junior in closures:
+                        continue
+                    if junior in visiting:
+                        raise ModelError(f"cycle in group hierarchy through {junior!r}")
+                    visiting.add(junior)
+                    stack.append((junior, iter(sorted(self._juniors[junior]))))
+                    break
+                else:  # every junior is closed
+                    stack.pop()
+                    visiting.discard(g)
+                    closures[g] = frozenset({g}.union(*(closures[j] for j in self._juniors[g])))
         return closures
 
     def junior_closure(self, g: str) -> frozenset[str]:

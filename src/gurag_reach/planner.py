@@ -343,37 +343,52 @@ def attr_phase(
         return val in (state.user_values(att) if scope == USER_SCOPE
                        else state.group_values(scope, att))
 
-    def closure(scope: str, att: str, val: str, have: set, trail: frozenset = frozenset()):
+    def closure(scope: str, att: str, val: str, have: set):
         """The (scope, att, val) requirements beyond ``have`` that giving
         scope the value needs: itself and, transitively, every positive
         prerequisite not held.  Also whether one of them met its own trail,
         a cyclic requirement that surfaces in the graph cycle check."""
-        if (scope, att, val) in have:
-            return set(), False
-        if (att, val) in trail:
-            return set(), True
-        rule, lits = pair_rule.get((att, val), (None, ()))
-        expected = Relation.ADD_U if scope == USER_SCOPE else Relation.ADD_UG
-        if rule is None or rule.relation != expected:
-            # no rule, or the single rule for this pair lives in the other
-            # sub-model, so this scope cannot acquire the value directly
-            raise _PhaseFailure(MISSING_RULE)
-        # adding to the user or to any effective group makes it effective
-        if not _value_wanted(q, att, val):
-            raise _PhaseFailure(FORBIDDEN_EDGE)
-        new, cyclic = set(), False
-        for positive, (latt, lval) in lits:
-            if not positive:
-                if held(scope, latt, lval):
-                    raise _PhaseFailure(NEGATIVE_CONJUNCT)
-            elif not held(scope, latt, lval):
-                # copy ``have`` only once there is something to add: a long
-                # chain of single prerequisites then stays linear
-                more, more_cyclic = closure(scope, latt, lval, have | new if new else have,
-                                            trail | {(att, val)})
-                new = new | more if new else more
-                cyclic = cyclic or more_cyclic
-        new.add((scope, att, val))
+        # depth first over the literals with an explicit stack; a requirement
+        # joins ``new`` once its prerequisites have, so ``have`` and ``new``
+        # hold every requirement settled before the one being entered
+        new: set[tuple[str, str, str]] = set()
+        trail: set[tuple[str, str]] = set()  # the pairs on the stack
+        stack: list = []  # (pair, its literals not yet checked)
+        cyclic = False
+
+        def enter(pair: tuple[str, str]):
+            nonlocal cyclic
+            if (scope, *pair) in have or (scope, *pair) in new:
+                return
+            if pair in trail:
+                cyclic = True
+                return
+            rule, lits = pair_rule.get(pair, (None, ()))
+            expected = Relation.ADD_U if scope == USER_SCOPE else Relation.ADD_UG
+            if rule is None or rule.relation != expected:
+                # no rule, or the single rule for this pair lives in the other
+                # sub-model, so this scope cannot acquire the value directly
+                raise _PhaseFailure(MISSING_RULE)
+            # adding to the user or to any effective group makes it effective
+            if not _value_wanted(q, *pair):
+                raise _PhaseFailure(FORBIDDEN_EDGE)
+            trail.add(pair)
+            stack.append((pair, iter(lits)))
+
+        enter((att, val))
+        while stack:
+            pair, lits = stack[-1]
+            for positive, lit in lits:
+                if not positive:
+                    if held(scope, *lit):
+                        raise _PhaseFailure(NEGATIVE_CONJUNCT)
+                elif not held(scope, *lit):
+                    enter(lit)  # and close it before the literals after it
+                    break
+            else:
+                stack.pop()
+                trail.discard(pair)
+                new.add((scope, *pair))
         return new, cyclic
 
     # each required query pair not yet effective, with its closure in the

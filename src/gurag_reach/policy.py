@@ -76,20 +76,27 @@ class Not(Precondition):
 
 
 class And(Precondition):
-    _fields = ("left", "right")
+    """The conjunction of two or more ``parts``; an ``And`` given as a part is
+    spliced in, so no ``And`` holds another directly."""
 
-    def __init__(self, left: Precondition, right: Precondition):
-        self.__dict__.update(left=left, right=right)
+    _fields = ("parts",)
+
+    def __init__(self, parts: tuple[Precondition, ...]):
+        parts = tuple(q for p in parts for q in (p.parts if isinstance(p, And) else (p,)))
+        if len(parts) < 2:
+            raise PolicyError("a conjunction needs two or more parts")
+        self.__dict__.update(parts=parts)
 
     def walk(self):
         yield self
-        yield from self.left.walk()
-        yield from self.right.walk()
+        for part in self.parts:
+            yield from part.walk()
 
     def holds(self, state, hierarchy, subject):
-        return self.left.holds(state, hierarchy, subject) and self.right.holds(
-            state, hierarchy, subject
-        )
+        for part in self.parts:
+            if not part.holds(state, hierarchy, subject):
+                return False
+        return True
 
 
 class DirectVal(Precondition):
@@ -141,20 +148,13 @@ class EffGroup(Precondition):
 
 
 def conjunction(parts: list[Precondition]) -> Precondition:
-    """N-ary conjunction stored as a right-nested binary tree."""
-    if not parts:
-        return TrueCond()
-    result = parts[-1]
-    for part in reversed(parts[:-1]):
-        result = And(part, result)
-    return result
+    """The conjunction of ``parts``: ``True`` for none, the part itself for one."""
+    return And(parts) if len(parts) > 1 else parts[0] if parts else TrueCond()
 
 
 def conjuncts(pre: Precondition) -> list[Precondition]:
-    """Flatten top-level conjunction back into its parts."""
-    if isinstance(pre, And):
-        return conjuncts(pre.left) + conjuncts(pre.right)
-    return [pre]
+    """The parts of a top-level conjunction, or ``[pre]``."""
+    return list(pre.parts) if isinstance(pre, And) else [pre]
 
 
 def direct_conjunct_shape(
@@ -200,14 +200,19 @@ def clauses(pre: Precondition, bit, positive: bool = True) -> list[tuple[int, in
     if not isinstance(pre, And):
         b = 1 << bit(pre)
         return [(b, b if positive else 0)]
-    left, right = clauses(pre.left, bit, positive), clauses(pre.right, bit, positive)
-    if positive:
-        out = [(c1 | c2, w1 | w2) for c1, w1 in left for c2, w2 in right
-               if not c1 & c2 & (w1 ^ w2)]
-    else:
-        out = left + right
-    if len(out) > MAX_CLAUSES:
-        raise PolicyError(f"precondition expands to more than {MAX_CLAUSES} clauses")
+    # the parts in order, so ``bit`` meets the literals left to right; then a
+    # fold from the right, as over the binary tree ``a and (b and (c ...))``
+    parts = [clauses(part, bit, positive) for part in pre.parts]
+    out = parts.pop()
+    while parts:
+        left = parts.pop()
+        if positive:
+            out = [(c1 | c2, w1 | w2) for c1, w1 in left for c2, w2 in out
+                   if not c1 & c2 & (w1 ^ w2)]
+        else:
+            out = left + out
+        if len(out) > MAX_CLAUSES:
+            raise PolicyError(f"precondition expands to more than {MAX_CLAUSES} clauses")
     return out
 
 

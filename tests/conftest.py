@@ -65,14 +65,19 @@ def load_golden(name):
     return result
 
 
-def nested_document(opener, depth):
-    """A document whose one rule adds ``y`` under the precondition ``x in
-    direct(a)`` wrapped in ``depth`` openers ``opener`` (such as ``(`` or
-    ``not(``) on line 5.  Under an even number of ``not`` the user, who holds
-    ``x``, reaches ``y``."""
-    pre = f"{opener * depth}x in direct(a){')' * (opener.count('(') * depth)}"
+def one_rule_document(pre):
+    """A document whose one rule, on line 5, adds ``y`` under the
+    precondition ``pre`` over the values ``x`` and ``y`` of ``a``; the user
+    holds ``x`` and the query asks for ``y``."""
     return ("attr a scope { x, y }\nrole r\nuser { a = { x } }\nrules {\n"
             f"  rule canAddU a : r , {pre} -> y\n}}\nquery relaxed {{ e_a(u) = {{ y }} }}\n")
+
+
+def nested_document(opener, depth):
+    """``one_rule_document`` under the precondition ``x in direct(a)``
+    wrapped in ``depth`` openers ``opener`` (such as ``(`` or ``not(``).
+    Under an even number of ``not`` the user reaches ``y``."""
+    return one_rule_document(f"{opener * depth}x in direct(a){')' * (opener.count('(') * depth)}")
 
 
 @pytest.fixture

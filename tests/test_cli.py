@@ -5,10 +5,10 @@ import sys
 import pytest
 
 from gurag_reach import _kernel_py, kernel, search
-from gurag_reach.dsl import MAX_NESTING, serialize
+from gurag_reach.dsl import MAX_NESTING, parse, serialize
 from gurag_reach.transition import Plan
 
-from conftest import GOLDEN, MALFORMED, child_env, nested_document, run_cli
+from conftest import GOLDEN, MALFORMED, child_env, nested_document, one_rule_document, run_cli
 from test_planner_answers import srd_groups_case
 
 
@@ -341,6 +341,57 @@ def test_nesting_limit(tmp_path, opener):
         res = run_cli(command, str(path))
         assert (res.exit_code, res.stdout) == (3, ""), command
         assert res.stderr.endswith(" [parse-too-deep]\n") and res.stderr.count("\n") == 1
+
+
+def conjunction_document(n, negated=False):
+    """``one_rule_document`` under ``n`` conjuncts ``x in direct(a)``, the
+    whole negated if ``negated``."""
+    pre = " and ".join(["x in direct(a)"] * n)
+    return one_rule_document(f"not({pre})" if negated else pre)
+
+
+def hierarchy_document(n):
+    """A seniority chain ``G0 > G1 > ...`` of ``n`` groups; the user, once
+    assigned ``G0``, holds ``G<n-1>``'s value ``y``."""
+    return ("attr a scope { y }\n" + "".join(f"group G{i}\n" for i in range(n))
+            + "".join(f"senior G{i} > G{i + 1}\n" for i in range(n - 1))
+            + f"role r\ngroupstate G{n - 1} {{ a = {{ y }} }}\n"
+            "rules {\n  rule canAssign : r , true -> G0\n}\nquery relaxed { e_a(u) = { y } }\n")
+
+
+def srd_chain_document(n):
+    """``n`` SR_d rules; the one adding ``v<i>`` needs ``v<i-1>`` and not ``z``."""
+    rules = [f"  rule canAddU a : r , v{i - 1} in direct(a) and not(z in direct(a)) -> v{i}\n"
+             for i in range(1, n)]
+    return ("attr a scope { z, " + ", ".join(f"v{i}" for i in range(n)) + " }\nrole r\n"
+            "rules {\n  rule canAddU a : r , not(z in direct(a)) -> v0\n" + "".join(rules)
+            + f"}}\nquery relaxed {{ e_a(u) = {{ v{n - 1} }} }}\n")
+
+
+@pytest.mark.parametrize("document, exits, engine", [
+    pytest.param(conjunction_document(10_000), (0, 0, 0, 0), "nonneg", id="conjunction"),
+    pytest.param(conjunction_document(1200, negated=True), (3, 3, 3, 0), None,
+                 id="negated-conjunction"),
+    pytest.param(hierarchy_document(1500), (0, 0, 0, 0), "nonneg", id="hierarchy"),
+    # the plan is 2,000 requests long, past the oracle's depth bound
+    pytest.param(srd_chain_document(2000), (0, 0, 2, 0), "srd", id="srd-chain"),
+])
+def test_long_input_does_not_exhaust_the_stack(tmp_path, document, exits, engine):
+    # only parentheses nest, so no length of conjunction, hierarchy or chain
+    # recurses deeper than MAX_NESTING
+    path = tmp_path / "long.gurag"
+    path.write_text(document)
+    results = {command: run_cli(command, str(path))
+               for command in ("classify", "solve", "oracle", "fmt")}
+    assert {c: r.exit_code for c, r in results.items()} == dict(zip(results, exits))
+    for res in results.values():
+        if res.exit_code == 3:
+            assert (res.stdout, res.stderr) == (
+                "", f"{path}: error: rule #0: precondition expands to more than 64 clauses\n")
+    if engine is not None:
+        assert report(results["solve"])["engine"] == engine
+        assert report(results["solve"])["outcome"] == "reachable"
+    assert parse(results["fmt"].stdout).instance == parse(document).instance
 
 
 def test_version():

@@ -66,15 +66,14 @@ class TestParserDetails:
         assert result.ok
         assert result.instance.scopes["roomAcc"] == {"1.02", "2.01"}
 
-    def test_nary_and_is_right_nested(self):
+    def test_nary_and_is_flat(self):
         text = ("attr a scope { x, y, z }\nrole r\n"
                 "rules {\n  rule canAddU a : r , x in direct(a) and "
                 "y in direct(a) and z in effective(a) -> x\n}\n")
         result = parse(text)
         assert result.ok
         pre = result.instance.rules.rules[0].pre
-        assert pre == conjunction([DirectVal("a", "x"), DirectVal("a", "y"),
-                                   EffVal("a", "z")])
+        assert pre.parts == (DirectVal("a", "x"), DirectVal("a", "y"), EffVal("a", "z"))
 
     def test_not_and_parentheses(self):
         text = ("attr a scope { x }\nrole r\n"

@@ -59,7 +59,7 @@ class TestPreconditionSemantics:
             eval_precondition(DirectGroup("G1"), self.state, H, subject="G2")
 
     def test_boolean_connectives(self):
-        pre = And(DirectVal("a", "x"), Not(DirectVal("a", "g")))
+        pre = And((DirectVal("a", "x"), Not(DirectVal("a", "g"))))
         assert eval_precondition(pre, self.state, H)
         assert eval_precondition(TrueCond(), DirectState(), H)
 
@@ -69,6 +69,14 @@ def test_conjunction_roundtrip():
     assert conjuncts(conjunction(parts)) == parts
     assert conjunction([]) == TrueCond()
     assert conjunction([parts[0]]) == parts[0]
+
+
+def test_and_splices_nested_conjunctions():
+    a, b, c = DirectVal("a", "x"), Not(DirectVal("a", "y")), EffGroup("G1")
+    assert And((And((a, b)), c)) == And((a, b, c))
+    assert And((a, And((b, c)))).parts == (a, b, c)
+    with pytest.raises(PolicyError):
+        And((a,))
 
 
 def test_direct_conjunct_shape():

@@ -60,8 +60,8 @@ FROZEN = [
     (Precondition, (), {}, (), "Precondition()"),
     (TrueCond, (), {}, (), "TrueCond()"),
     (Not, (DirectVal("a", "v"),), {}, ("child",), "Not(child=DirectVal(att='a', val='v'))"),
-    (And, (DirectVal("a", "v"),), {"right": EffGroup("G")}, ("left", "right"),
-     "And(left=DirectVal(att='a', val='v'), right=EffGroup(group='G'))"),
+    (And, ((DirectVal("a", "v"), EffGroup("G")),), {}, ("parts",),
+     "And(parts=(DirectVal(att='a', val='v'), EffGroup(group='G')))"),
     (DirectVal, ("a", "v"), {}, ("att", "val"), "DirectVal(att='a', val='v')"),
     (EffVal, (), {"att": "a", "val": "v"}, ("att", "val"), "EffVal(att='a', val='v')"),
     (DirectGroup, ("G",), {}, ("group",), "DirectGroup(group='G')"),

@@ -88,7 +88,7 @@ def wide_random_instance(seed, bits=256):
             return rng.choice((DirectVal, EffVal))("a", rng.choice(vals))
         if r < 0.65:
             return Not(pre(membership, depth + 1))
-        return And(pre(membership, depth + 1), pre(membership, depth + 1))
+        return And((pre(membership, depth + 1), pre(membership, depth + 1)))
 
     relations = [Relation.ADD_U, Relation.DELETE_U]
     if groups:
@@ -173,10 +173,11 @@ class TestGuards:
         # shapes the fuzz generator never makes: negation over a conjunction,
         # double negation, negated true, and a self-contradiction
         x, y = DirectVal("a", "x"), EffVal("a", "y")
-        pres = [Not(And(x, EffGroup("G2"))), Not(Not(y)), Not(TrueCond()), And(x, Not(x)),
-                Not(And(Not(DirectGroup("G1")), Not(And(y, Not(x)))))]
+        pres = [Not(And((x, EffGroup("G2")))), Not(Not(y)), Not(TrueCond()), And((x, Not(x))),
+                Not(And((Not(DirectGroup("G1")), Not(And((y, Not(x)))))))]
         rules = [Rule(Relation.ASSIGN, "r", p, target_group="G1") for p in pres]
-        rules += [Rule(Relation.ADD_UG, "r", Not(And(y, Not(x))), target_attr="a", target_val="x"),
+        rules += [Rule(Relation.ADD_UG, "r", Not(And((y, Not(x)))), target_attr="a",
+                       target_val="x"),
                   Rule(Relation.ADD_U, "r", Not(Not(x)), target_attr="a", target_val="y")]
         inst = ProblemInstance(
             scopes={"a": frozenset({"x", "y"})},
