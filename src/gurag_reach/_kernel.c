@@ -1,8 +1,13 @@
 /* Compiled breadth-first search kernel over bit-packed states.
  *
  * Same contract as ``bfs`` in _kernel_py.py: the same outcome codes, the same
- * FIFO order over states and the same candidate order per state, so the first
- * goal hit is the same lexicographically smallest shortest plan.  Plain C
+ * level-by-level order over states and the same candidate order per state, so
+ * the first goal hit is the same lexicographically smallest shortest plan.
+ * The states of one depth lie contiguous in the arena, and the first state of
+ * depth max_depth to come up stops the search with DEPTH_EXCEEDED.
+ * Each visited state keeps one link, the index of the candidate that reached
+ * it (-1 for the start); flipping that candidate's bit back gives the parent,
+ * so the plan is walked back from the goal through the visited set.  Plain C
  * without the Python C-API: kernel.py loads the shared library with ctypes and
  * makes one gr_bfs call per search, passing flat arrays.  gr_bfs frees every
  * buffer of its search before it returns; only a plan comes back, which
@@ -62,8 +67,8 @@ struct gr_search {
 struct run {
     int words;                     /* as in struct gr_search */
     uint64_t *arena;               /* [capacity][words]: states in discovery order */
-    int32_t *links;                /* [capacity][3]: parent, candidate, depth */
-    uint64_t capacity;
+    int32_t *via;                  /* [capacity]: the link, the candidate that reached each state */
+    uint64_t n, capacity;          /* states stored; room for */
     uint32_t *table;               /* stored index + 1; 0 means empty */
     uint64_t table_mask, table_count;
     uint64_t *scratch;             /* succ [words], view [2 * words + 1], tmp [2 * (words + 1)] */
@@ -202,23 +207,21 @@ static int table_insert(struct run *r, const uint64_t *v, uint32_t index) {
     return 1;
 }
 
-/* Appends state n; returns 0, or OUT_OF_MEMORY. */
-static int push_state(struct run *r, uint64_t n, const uint64_t *v, int32_t parent, int32_t cand, int32_t depth) {
-    if (n == r->capacity) {
+/* Appends state v, reached by candidate `via`; returns 0, or OUT_OF_MEMORY. */
+static int push_state(struct run *r, const uint64_t *v, int32_t via) {
+    if (r->n == r->capacity) {
         uint64_t *arena = realloc(r->arena, 2 * r->capacity * r->words * sizeof *arena);
         if (arena)
             r->arena = arena;
-        int32_t *links = realloc(r->links, 2 * r->capacity * 3 * sizeof *links);
-        if (links)
-            r->links = links;
-        if (!arena || !links)
+        int32_t *vias = realloc(r->via, 2 * r->capacity * sizeof *vias);
+        if (vias)
+            r->via = vias;
+        if (!arena || !vias)
             return OUT_OF_MEMORY;
         r->capacity *= 2;
     }
-    memcpy(r->arena + n * r->words, v, r->words * sizeof *v);
-    r->links[3 * n] = parent;
-    r->links[3 * n + 1] = cand;
-    r->links[3 * n + 2] = depth;
+    memcpy(r->arena + r->n * r->words, v, r->words * sizeof *v);
+    r->via[r->n++] = via;
     return 0;
 }
 
@@ -231,82 +234,78 @@ static double now_ms(void) {
 static int search(struct gr_search *s, struct run *r) {
     int words = s->words;
     uint64_t *succ = r->scratch, *view = succ + words, *tmp = view + 2 * words + 1;
+    if (push_state(r, s->start, -1) || table_insert(r, s->start, 0) < 0)
+        return OUT_OF_MEMORY;
     if (goal_holds(s, s->start, tmp))
         return REACHABLE;
-    int depth_cut = 0;
-    uint64_t n = 1, expanded = 0;
+    uint64_t head = 0;
     uint64_t every = TIME_CHECK_INTERVAL / (s->n_cands + 1) + 1;  /* states between clock readings */
-    if (push_state(r, 0, s->start, -1, -1, 0) || table_insert(r, s->start, 0) < 0)
-        return OUT_OF_MEMORY;
     double deadline = now_ms() + (double)s->max_millis;
 
-    for (uint64_t head = 0; head < n; head++) {
-        int32_t depth = r->links[3 * head + 2];
-        if (depth >= s->max_depth) {
-            depth_cut = 1;
-            continue;
-        }
-        if (++expanded % every == 0 && now_ms() > deadline) {
-            s->n_states = (uint32_t)n;
-            return MILLIS_EXCEEDED;
-        }
-        int view_of = -2;  /* the subject whose view of this state is in `view` */
-        for (int c = 0; c < s->n_cands; c++) {
-            const uint64_t *state = r->arena + head * words;  /* the arena moves as it grows */
-            int bit = s->cand_bit[c], flags = s->cand_flags[c];
-            if (get_bit(state, bit) == (flags & ADD))
-                continue;  /* the request would not change the state */
-            if (flags & GUARDED) {
-                if (view_of != s->cand_subject[c])
-                    make_view(s, state, view_of = s->cand_subject[c], view, tmp);
-                if (!guard_holds(s, c, view))
-                    continue;
-            }
-            memcpy(succ, state, words * sizeof *succ);
-            succ[bit >> 6] ^= (uint64_t)1 << (bit & 63);
-            int fresh = table_insert(r, succ, (uint32_t)n);
-            if (fresh < 0)
-                return OUT_OF_MEMORY;
-            if (!fresh)
-                continue;
-            if (n >= s->max_states) {
-                s->n_states = (uint32_t)n;
-                return STATES_EXCEEDED;
-            }
-            if (push_state(r, n, succ, (int32_t)head, c, depth + 1))
-                return OUT_OF_MEMORY;
-            n++;
-            if (goal_holds(s, succ, tmp)) {
-                s->n_states = (uint32_t)n;
-                s->plan_len = depth + 1;
-                s->plan = malloc((size_t)s->plan_len * sizeof *s->plan);
-                if (!s->plan)
+    /* level by level: the states [head, end) are the frontier of depth `depth` */
+    for (int32_t depth = 0; head < r->n; depth++) {
+        if (depth >= s->max_depth)
+            return DEPTH_EXCEEDED;
+        for (uint64_t end = r->n; head < end; head++) {
+            if ((head + 1) % every == 0 && now_ms() > deadline)
+                return MILLIS_EXCEEDED;
+            int view_of = -2;  /* the subject whose view of this state is in `view` */
+            for (int c = 0; c < s->n_cands; c++) {
+                const uint64_t *state = r->arena + head * words;  /* the arena moves as it grows */
+                int bit = s->cand_bit[c], flags = s->cand_flags[c];
+                if (get_bit(state, bit) == (flags & ADD))
+                    continue;  /* the request would not change the state */
+                if (flags & GUARDED) {
+                    if (view_of != s->cand_subject[c])
+                        make_view(s, state, view_of = s->cand_subject[c], view, tmp);
+                    if (!guard_holds(s, c, view))
+                        continue;
+                }
+                memcpy(succ, state, words * sizeof *succ);
+                succ[bit >> 6] ^= (uint64_t)1 << (bit & 63);
+                int fresh = table_insert(r, succ, (uint32_t)r->n);
+                if (fresh < 0)
                     return OUT_OF_MEMORY;
-                for (int64_t at = n - 1, i = s->plan_len - 1; at > 0; at = r->links[3 * at])
-                    s->plan[i--] = r->links[3 * at + 1];
-                return REACHABLE;
+                if (!fresh)
+                    continue;
+                if (r->n >= s->max_states)
+                    return STATES_EXCEEDED;
+                if (push_state(r, succ, c))
+                    return OUT_OF_MEMORY;
+                if (goal_holds(s, succ, tmp)) {
+                    s->plan_len = depth + 1;
+                    s->plan = malloc((size_t)s->plan_len * sizeof *s->plan);
+                    if (!s->plan)
+                        return OUT_OF_MEMORY;
+                    /* walk back: flip the link's bit to reach the parent, then read its link */
+                    for (int i = depth, at = c; i >= 0; i--) {
+                        s->plan[i] = at;
+                        succ[s->cand_bit[at] >> 6] ^= (uint64_t)1 << (s->cand_bit[at] & 63);
+                        at = r->via[r->table[probe(r, r->table, r->table_mask, succ)] - 1];
+                    }
+                    return REACHABLE;
+                }
             }
         }
     }
-    s->n_states = (uint32_t)n;
-    return depth_cut ? DEPTH_EXCEEDED : UNREACHABLE;
+    return UNREACHABLE;
 }
 
 int gr_bfs(struct gr_search *s) {
     s->plan = NULL;
     s->plan_len = 0;
-    s->n_states = 1;
     struct run r = {0};
     r.words = s->words;
     r.capacity = 1 << 10;
     r.arena = malloc(r.capacity * r.words * sizeof *r.arena);
-    r.links = malloc(r.capacity * 3 * sizeof *r.links);
+    r.via = malloc(r.capacity * sizeof *r.via);
     r.table_mask = (1 << 12) - 1;
     r.table = calloc(r.table_mask + 1, sizeof *r.table);
     r.scratch = malloc((5 * (size_t)r.words + 3) * sizeof *r.scratch);
-    int code = r.arena && r.links && r.table && r.scratch ? search(s, &r) : OUT_OF_MEMORY;
+    int code = r.arena && r.via && r.table && r.scratch ? search(s, &r) : OUT_OF_MEMORY;
+    s->n_states = (uint32_t)r.n;
     free(r.arena);
-    free(r.links);
+    free(r.via);
     free(r.table);
     free(r.scratch);
     return code;

@@ -8,9 +8,10 @@ The search runs level by level: the frontier of depth ``d`` is a list,
 expanded state by state with the candidates in their fixed order, and the
 states it discovers form the frontier of depth ``d + 1``.  That is the order
 of a FIFO queue, so the first goal hit yields the lexicographically smallest
-shortest plan.  One visited dict maps each discovered state to its
-``(parent state, candidate index)`` link (``None`` for the start), and the
-plan is walked back through the links.
+shortest plan.  One visited dict maps each discovered state to its one
+link: the index of the candidate that reached it, ``-1`` for the start.  A
+request flips exactly one bit, so flipping that candidate's bit back gives
+the parent, whose own link is read next; that walk yields the plan backwards.
 
 The goal test is one comparison, ``eff & mask == target``, on the user's
 effective value bits ``eff``: the query's single ``QueryEntry`` gives the
@@ -98,7 +99,7 @@ def bfs(
     if eff_bits(start) & mask == target:
         return REACHABLE, [], 1
 
-    seen = {start: None}
+    seen = {start: -1}
     frontier = [start]
     deadline = time.monotonic() + max_millis / 1000.0
     expanded, every = 0, _TIME_CHECK_INTERVAL // (len(candidates) + 1) + 1
@@ -126,14 +127,13 @@ def bfs(
                         continue
                 if len(seen) >= max_states:
                     return STATES_EXCEEDED, None, len(seen)
-                seen[succ] = (state, ci_idx)
+                seen[succ] = ci_idx
                 if (succ if succ < plain_below else eff_bits(succ)) & mask == target:
-                    plan = []
-                    link = seen[succ]
-                    while link is not None:
-                        at, c = link
+                    plan, at, c = [], succ, ci_idx
+                    while c >= 0:
                         plan.append(c)
-                        link = seen[at]
+                        at ^= candidates[c][1]
+                        c = seen[at]
                     plan.reverse()
                     return REACHABLE, plan, len(seen)
                 nxt.append(succ)

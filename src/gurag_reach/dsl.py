@@ -161,9 +161,9 @@ class _Parser:
         self.depth = 0  # parentheses open around the precondition being parsed
         # raw declarations, with positions for resolution diagnostics
         self.attrs: dict[str, set[str]] = {}
-        self.groups: list[str] = []
-        self.seniority: list[tuple[str, str]] = []
-        self.roles: list[str] = []
+        self.groups: set[str] = set()
+        self.seniority: set[tuple[str, str]] = set()
+        self.roles: set[str] = set()
         self.user_line: Optional[tuple[dict[str, set[str]], set[str]]] = None
         self.groupstates: dict[str, dict[str, set[str]]] = {}
         self.rules: list[Rule] = []
@@ -267,14 +267,14 @@ class _Parser:
             seen.add(tok.text)
         self.attrs[name.text] = seen
 
-    def declare(self, names: list[str], what: str, code: str):
+    def declare(self, names: set[str], what: str, code: str):
         """`group <name>` and `role <name>`."""
         self.pos += 1
         name = self.expect("ident", f"a {what} name")
         if name.text in names:
             self.error(name, f"duplicate {what} {name.text!r}", code)
             return
-        names.append(name.text)
+        names.add(name.text)
 
     def parse_group(self):
         self.declare(self.groups, "group", "dup-group")
@@ -294,7 +294,7 @@ class _Parser:
             self.error(senior, f"duplicate seniority edge {senior.text} > {junior.text}",
                        "dup-edge")
             return
-        self.seniority.append(edge)
+        self.seniority.add(edge)
 
     def parse_assignment_block(self, allow_groups: bool):
         """`{ att = { ... } ... [groups = { ... }] }` with resolution checks."""

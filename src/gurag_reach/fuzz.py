@@ -18,9 +18,8 @@ Everything is a pure function of the seed.
 from __future__ import annotations
 
 import random
-from typing import Optional
 
-from ._record import Record
+from ._record import Frozen
 from .encoding import candidate_requests
 from .model import DirectState, GroupHierarchy, ProblemInstance, effective_user_attr
 from .policy import (
@@ -202,44 +201,12 @@ def generate(cls: str, seed: int) -> tuple[ProblemInstance, ReachabilityQuery]:
 
 # --- Differential checking ---------------------------------------------------
 
-class CaseResult(Record):
+class CaseResult(Frozen):
     _fields = ("cls", "seed", "status", "detail")
 
     def __init__(self, cls: str, seed: int, status: str, detail: str = ""):
-        self.cls = cls
-        self.seed = seed
-        # "agree" | "diverge" | "known-divergence" | "skipped" | "invalid-plan"
-        self.status = status
-        self.detail = detail
-
-
-class FuzzStats(Record):
-    _fields = ("total", "agree", "diverge", "known", "skipped", "failures")
-
-    def __init__(self, total: int = 0, agree: int = 0, diverge: int = 0, known: int = 0,
-                 skipped: int = 0, failures: Optional[list[CaseResult]] = None):
-        self.total = total
-        self.agree = agree
-        self.diverge = diverge
-        self.known = known
-        self.skipped = skipped
-        self.failures = [] if failures is None else failures
-
-    def record(self, case: CaseResult):
-        self.total += 1
-        if case.status == "agree":
-            self.agree += 1
-        elif case.status == "known-divergence":
-            self.known += 1
-        elif case.status == "skipped":
-            self.skipped += 1
-        else:
-            self.diverge += 1
-            self.failures.append(case)
-
-    def summary(self) -> str:
-        return (f"total={self.total} agree={self.agree} known={self.known} "
-                f"skipped={self.skipped} diverge={self.diverge}")
+        # status: "agree" | "diverge" | "known-divergence" | "skipped" | "invalid-plan"
+        self.__dict__.update(cls=cls, seed=seed, status=status, detail=detail)
 
 
 def check_case(cls: str, seed: int, bounds: SearchBounds = SearchBounds()) -> CaseResult:
@@ -269,8 +236,6 @@ def check_case(cls: str, seed: int, bounds: SearchBounds = SearchBounds()) -> Ca
 
 
 def run_fuzz(cls: str, count: int, seed: int = 0,
-             bounds: SearchBounds = SearchBounds()) -> FuzzStats:
-    stats = FuzzStats()
-    for i in range(count):
-        stats.record(check_case(cls, seed + i, bounds))
-    return stats
+             bounds: SearchBounds = SearchBounds()) -> list[CaseResult]:
+    """The judged cases of ``count`` seeds from ``seed`` on, in seed order."""
+    return [check_case(cls, seed + i, bounds) for i in range(count)]

@@ -132,10 +132,9 @@ def step(
     state: DirectState, hierarchy: GroupHierarchy, rules: RuleSet, req: Request
 ) -> DirectState:
     """One transition; raises NotAuthorized when no rule admits the request."""
-    if not rules.matching(req):
-        raise NotAuthorized(req, "no matching rule")
     if not authorized_rules(state, hierarchy, rules, req):
-        raise NotAuthorized(req, "precondition failed")
+        reason = "precondition failed" if rules.matching(req) else "no matching rule"
+        raise NotAuthorized(req, reason)
     return apply_request(state, req)
 
 

@@ -291,6 +291,15 @@ class TestFuzzCommand:
         doc = report(res)
         assert doc["total"] == 25 and doc["diverge"] == 0
 
+    def test_counts_each_status(self):
+        # seed 1815 is a known divergence, and 12 states stop one oracle search
+        res = run_cli("fuzz", "--class", "srd", "--seed", "1800", "--count", "20",
+                      "--max-states", "12")
+        assert res.exit_code == 0
+        doc = report(res)
+        counts = [doc[key] for key in ("total", "agree", "knownDivergences", "skipped", "diverge")]
+        assert counts == [20, 18, 1, 1, 0] and doc["failures"] == []
+
     def test_reports_each_failure(self, monkeypatch):
         solve = search.solve_srd_no_delete
 

@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import time
+import tracemalloc
 from collections import deque
 
 import pytest
@@ -678,3 +679,20 @@ class TestBenchmarkExpectations:
         out = bfs_solve(inst, q, SearchBounds(max_depth=4001, max_millis=20), engine=engine)
         assert time.monotonic() - begun < 1
         assert out == BoundExceeded("millis", out.states_explored)
+
+
+def test_pure_kernel_keeps_one_small_link_per_visited_state():
+    # a visited state maps to the index of the candidate that reached it: on
+    # CPython 3.11 the search peaks at ~77 bytes a state, and a (parent state,
+    # candidate) tuple in each visited value would bring it to ~123
+    inst, q = bench_kernel.independent(14)
+    ci = compile_instance(inst)
+    goal, start = ci.compile_query(q), ci.encode_state(inst.initial_state)
+    tracemalloc.start()
+    try:
+        code, _, states = _kernel_py.bfs(ci, start, goal, True, 32, 1 << 20, 30_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, states) == (_kernel_py.REACHABLE, 1 << 14)
+    assert peak / states < 100
