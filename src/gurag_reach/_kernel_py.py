@@ -13,6 +13,24 @@ link: the index of the candidate that reached it, ``-1`` for the start.  A
 request flips exactly one bit, so flipping that candidate's bit back gives
 the parent, whose own link is read next; that walk yields the plan backwards.
 
+A state tests only its *live* candidates: those whose guard holds and whose
+request is not a no-op, as a bit mask over candidate indices.  A child
+differs from its parent in the one bit its candidate flipped, so it inherits
+the parent's live mask and re-tests only the candidates that bit can affect.
+A table local to the call gives, per candidate, ``(keep, on, recheck)``: the
+live bits the flip cannot change, the ``ALWAYS``-guarded writers of the bit
+that it turns on (writers in its own direction turn off), and the guarded
+writers and readers of the bit, re-tested on the child's view.  Readers come
+from each guard's ``care`` bits mapped to state bits, over-approximating
+where the view folds several state bits into one; the re-test is exact, so
+the live mask always is.  The start state (link ``-1``) tests every
+candidate.  The frontier is two flat lists, the states and each one's parent
+live mask.  A state's own mask is derived when it is expanded, and a row of
+the table when the first state reached through its candidate is.  Live
+candidates are walked in index order, 8 bits at a time, so plans,
+``statesExplored``, bound cuts and the goal test are those of testing every
+candidate at every state.  The compiled kernel still tests every candidate.
+
 The goal test is one comparison, ``eff & mask == target``, on the user's
 effective value bits ``eff``: the query's single ``QueryEntry`` gives the
 mask (for a relaxed query, the target itself) and the target.  A state
@@ -31,10 +49,9 @@ from .encoding import ALWAYS, CompiledInstance, QueryEntry
 
 KERNEL_NAME = "python"
 
-# Each expanded state tests every candidate, so reading the clock every
-# ``_TIME_CHECK_INTERVAL // (candidates + 1) + 1`` expanded states reads it
-# about every ``_TIME_CHECK_INTERVAL`` candidate tests; ``_kernel.c`` follows
-# the same rule.
+# Reading the clock every ``_TIME_CHECK_INTERVAL // (candidates + 1) + 1``
+# expanded states reads it at most every ``_TIME_CHECK_INTERVAL`` candidate
+# tests; ``_kernel.c``, which tests every candidate, follows the same rule.
 _TIME_CHECK_INTERVAL = 16384
 
 # Outcome codes shared with the compiled kernel
@@ -43,6 +60,96 @@ UNREACHABLE = 1
 DEPTH_EXCEEDED = 2
 STATES_EXCEEDED = 3
 MILLIS_EXCEEDED = 4
+
+# byte -> the indices of its set bits, in order: the bytes from 2^j up to
+# 2^(j + 1) hold j and the bits of the bytes below 2^j
+_BYTE_BITS = [()]
+for _j in range(8):
+    _BYTE_BITS += [bits + (_j,) for bits in _BYTE_BITS]
+
+
+class _LiveTable:
+    """How a step changes the live set.  ``rows[i]`` is ``(keep, on, recheck)``
+    for a state reached through candidate ``i``, built when the first such
+    state is expanded; the last row, read through link -1, is the start's.
+    The state's live mask is ``parent_live & keep | on``, plus each candidate
+    of ``recheck`` that passes its test ``(mask, flip, need, subject, guard)``:
+    ``state & flip == need`` (not a no-op), and ``guard``, None for
+    ``ALWAYS``, holds on the subject's view; ``mask`` is ``1 << j`` for
+    candidate ``j``."""
+
+    def __init__(self, ci: CompiledInstance):
+        self.ci = ci
+        self.tests = tests = []
+        self.adds = self.always = 0
+        self.writers = writers = {}  # state bit -> the candidates that write it
+        for i, c in enumerate(ci.candidates):
+            mask, flip = 1 << i, 1 << c.bit
+            writers[c.bit] = writers.get(c.bit, 0) | mask
+            guard = None if c.guard == ALWAYS else c.guard
+            if c.add:
+                self.adds |= mask
+            if guard is None:
+                self.always |= mask
+            tests.append((mask, flip, 0 if c.add else flip, c.subject, guard))
+        self.rows = [None] * len(tests) + [(0, 0, tuple(tests))]
+        self.readers = None  # state bit -> the guarded candidates that may read it
+
+    def _index_readers(self) -> dict[int, int]:
+        ci = self.ci
+        s, n_groups, mem_offset, seg_offsets = ci.n_slots, ci.n_groups, ci.mem_offset, ci.seg_offsets
+        smask, all_mem = (1 << s) - 1, ((1 << n_groups) - 1) << mem_offset
+        # times an S-bit word: a copy in the user's segment and in every group's
+        user_spread = sum([1 << off for off in seg_offsets], 1)
+        written = 0
+        for b in self.writers:
+            written |= 1 << b
+        readers = {}
+        for mask, _, _, subject, guard in self.tests:
+            if guard is None:
+                continue
+            care = 0
+            for part, _ in guard:
+                care |= part
+            direct, eff, mem = care & smask, care >> s & smask, care >> 2 * s
+            if mem >> n_groups:  # effmem bits: every membership bit
+                mem = all_mem
+            else:
+                mem <<= mem_offset
+            if subject < 0:  # any group may be effective: its segment and membership
+                reads = direct | eff * user_spread | (all_mem if eff else mem)
+            else:  # the subject's own segment is in its junior closure
+                reads = direct << seg_offsets[subject] | mem
+                for k in ci.closure_idx[subject]:
+                    reads |= eff << seg_offsets[k]
+            reads &= written
+            while reads:
+                low = reads & -reads
+                at = low.bit_length() - 1
+                readers[at] = readers.get(at, 0) | mask
+                reads ^= low
+        return readers
+
+    def build(self, i: int) -> tuple[int, int, tuple]:
+        """``rows[i]``: writers of the flipped bit in the same direction are
+        no-ops now (off), the ``ALWAYS``-guarded ones in the other direction
+        are live (on), and its guarded writers and readers are re-tested."""
+        if self.readers is None:
+            self.readers = self._index_readers()
+        c = self.ci.candidates[i]
+        full = (1 << len(self.tests)) - 1
+        same = self.writers[c.bit] & (self.adds if c.add else full ^ self.adds)
+        other = self.writers[c.bit] ^ same
+        on = other & self.always
+        recheck = other ^ on | (self.readers.get(c.bit, 0) | same) ^ same
+        keep = full ^ (same | on | recheck)
+        tests = []
+        while recheck:
+            low = recheck & -recheck
+            tests.append(self.tests[low.bit_length() - 1])
+            recheck ^= low
+        row = self.rows[i] = (keep, on, tuple(tests))
+        return row
 
 
 def bfs(
@@ -57,9 +164,6 @@ def bfs(
     """Run BFS from ``start`` to the goal; returns (code, plan as a list of
     candidate indices or None, states explored)."""
     s, smask, mem_offset, seg_offsets = ci.n_slots, ci.seg_mask(), ci.mem_offset, ci.seg_offsets
-    # (candidate index, bit mask, add, subject, guard or None when always true)
-    candidates = [(i, 1 << c.bit, c.add, c.subject, None if c.guard == ALWAYS else c.guard)
-                  for i, c in enumerate(ci.candidates)]
     # membership word -> (segment offsets of the user's effective groups,
     #                     the view's ``mem << 2S | effmem << (2S + G)`` bits)
     members = {0: ((), 0)}
@@ -99,45 +203,67 @@ def bfs(
     if eff_bits(start) & mask == target:
         return REACHABLE, [], 1
 
-    seen = {start: -1}
-    frontier = [start]
     deadline = time.monotonic() + max_millis / 1000.0
-    expanded, every = 0, _TIME_CHECK_INTERVAL // (len(candidates) + 1) + 1
+    table = _LiveTable(ci)
+    rows, flips = table.rows, [flip for _, flip, _, _, _ in table.tests]
+    seen = {start: -1}
+    frontier, lives = [start], [0]  # each state, and the live mask of its parent
+    expanded, every = 0, _TIME_CHECK_INTERVAL // (len(flips) + 1) + 1
     depth = 0
 
     while frontier and depth < max_depth:
-        nxt = []
-        for state in frontier:
+        nxt, nxt_lives = [], []
+        for state, live in zip(frontier, lives):
             expanded += 1
             if expanded % every == 0 and time.monotonic() > deadline:
                 return MILLIS_EXCEEDED, None, len(seen)
-            views = {}
-            for ci_idx, bit, add, subject, guard in candidates:
-                succ = state | bit if add else state & ~bit
-                if succ == state or succ in seen:
-                    continue
-                if guard is not None:
-                    view = views.get(subject)
-                    if view is None:
-                        view = views[subject] = make_view(state, subject)
-                    for care, want in guard:
-                        if view & care == want:
-                            break
-                    else:
+            link = seen[state]
+            keep, on, recheck = rows[link] or table.build(link)
+            live = live & keep | on
+            if recheck:
+                views = {}
+                for cand_bit, flip, need, subject, guard in recheck:
+                    if state & flip != need:
                         continue
-                if len(seen) >= max_states:
-                    return STATES_EXCEEDED, None, len(seen)
-                seen[succ] = ci_idx
-                if (succ if succ < plain_below else eff_bits(succ)) & mask == target:
-                    plan, at, c = [], succ, ci_idx
-                    while c >= 0:
-                        plan.append(c)
-                        at ^= candidates[c][1]
-                        c = seen[at]
-                    plan.reverse()
-                    return REACHABLE, plan, len(seen)
-                nxt.append(succ)
-        frontier = nxt
+                    if guard is not None:
+                        view = views.get(subject)
+                        if view is None:
+                            view = views[subject] = make_view(state, subject)
+                        for care, want in guard:
+                            if view & care == want:
+                                break
+                        else:
+                            continue
+                    live |= cand_bit
+            rest, base = live, 0
+            while rest:
+                byte = rest & 255
+                if not byte:  # jump to the chunk of the lowest live candidate
+                    skip = ((rest & -rest).bit_length() - 1) & -8
+                    rest >>= skip
+                    base += skip
+                    byte = rest & 255
+                for j in _BYTE_BITS[byte]:
+                    ci_idx = base + j
+                    succ = state ^ flips[ci_idx]
+                    if succ in seen:
+                        continue
+                    if len(seen) >= max_states:
+                        return STATES_EXCEEDED, None, len(seen)
+                    seen[succ] = ci_idx
+                    if (succ if succ < plain_below else eff_bits(succ)) & mask == target:
+                        plan, at, c = [], succ, ci_idx
+                        while c >= 0:
+                            plan.append(c)
+                            at ^= flips[c]
+                            c = seen[at]
+                        plan.reverse()
+                        return REACHABLE, plan, len(seen)
+                    nxt.append(succ)
+                    nxt_lives.append(live)
+                rest >>= 8
+                base += 8
+        frontier, lives = nxt, nxt_lives
         depth += 1
 
     # a nonempty frontier left at max_depth is the depth bound cutting the search

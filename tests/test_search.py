@@ -539,6 +539,81 @@ class TestMatchesReferenceKernel:
             assert_matches_reference(inst, ReachabilityQuery({"a": frozenset(vals)}))
 
 
+# --- live sets ---------------------------------------------------------------
+# The pure kernel re-tests a candidate only when the bit a step flipped may
+# change whether it is live.  In each instance below one kind of dependency
+# decides the answer: a kernel that missed it would leave a needed candidate
+# dead, or make a denied one live.
+
+def live_instance(rules, user="", groups=None, seniority=(), held=()):
+    """Attribute ``a`` with values w, x, y and z; ``user`` and each group of
+    ``groups`` hold the values named, and the user is in the groups ``held``."""
+    groups = groups or {}
+    return ProblemInstance(
+        scopes={"a": frozenset("wxyz")},
+        hierarchy=GroupHierarchy(frozenset(groups), frozenset(seniority)),
+        roles=frozenset({"r"}), rules=RuleSet.build(rules),
+        initial_state=DirectState({"a": set(user)}, {g: {"a": set(v)} for g, v in groups.items()},
+                                  frozenset(held)))
+
+
+def _add(val, pre=TrueCond(), relation=Relation.ADD_U):
+    return Rule(relation, "r", pre, target_attr="a", target_val=val)
+
+
+def _delete(val, pre=TrueCond()):
+    return Rule(Relation.DELETE_U, "r", pre, target_attr="a", target_val=val)
+
+
+def _assign(group, pre=TrueCond()):
+    return Rule(Relation.ASSIGN, "r", pre, target_group=group)
+
+
+# name -> (instance, the values the user must hold effectively, plan length or None)
+LIVE_DEPENDENCIES = {
+    # adding x to G makes the user's effective x hold: the guard reads G's segment
+    "group add enables user EffVal": (live_instance(
+        [_add("x", relation=Relation.ADD_UG), _add("y", EffVal("a", "x"))],
+        groups={"G": ""}, held={"G"}), "xy", 2),
+    # joining G, which holds x, makes the user's effective x hold
+    "assign enables user EffVal": (live_instance(
+        [_assign("G"), _add("y", EffVal("a", "x"))], groups={"G": "x"}), "xy", 2),
+    # joining A puts the user effectively in C, two levels down
+    "assign enables EffGroup through two levels": (live_instance(
+        [_assign("A"), _assign("D", EffGroup("C"))],
+        groups={"A": "", "B": "", "C": "", "D": "y"}, seniority={("A", "B"), ("B", "C")}), "y", 2),
+    # only B can take x; A's guard reads x in its junior B's segment
+    "group EffVal reads a junior's segment": (live_instance(
+        [_add("x", DirectVal("a", "w"), Relation.ADD_UG),
+         _add("y", And((EffVal("a", "x"), Not(DirectVal("a", "w")))), Relation.ADD_UG)],
+        groups={"A": "", "B": "w"}, seniority={("A", "B")}, held={"A"}), "wxy", 2),
+    # deleting x turns the unconditional add of x back on, two steps later
+    "delete re-enables an ALWAYS add": (live_instance(
+        [_delete("x"), _add("x"), _add("z", Not(DirectVal("a", "x"))),
+         _add("y", And((DirectVal("a", "x"), DirectVal("a", "z"))))], user="x"), "xyz", 4),
+    # deleting x lets the guarded add of x, whose guard already holds, fire again
+    "guarded writer re-tested after an ALWAYS one": (live_instance(
+        [_delete("x"), _add("x", DirectVal("a", "w")), _add("z", Not(DirectVal("a", "x"))),
+         _add("y", And((DirectVal("a", "x"), DirectVal("a", "z"))))], user="wx"), "wxyz", 4),
+    # deleting x must not turn on the add of x, whose guard never holds
+    "guarded writer stays off after an ALWAYS one": (live_instance(
+        [_delete("x"), _add("x", DirectVal("a", "w")), _add("y", Not(DirectVal("a", "x")))],
+        user="x"), "xy", None),
+}
+
+
+@pytest.mark.parametrize("name", LIVE_DEPENDENCIES)
+def test_live_set_follows_each_dependency(name):
+    inst, vals, steps = LIVE_DEPENDENCIES[name]
+    q = ReachabilityQuery({"a": frozenset(vals)})
+    out = bfs_solve(inst, q, engine="python")
+    if steps is None:
+        assert isinstance(out, Unreachable)
+    else:
+        assert isinstance(out, Reachable) and len(out.plan) == steps
+    assert_matches_reference(inst, q)
+
+
 # --- the benchmark's instances -----------------------------------------------
 
 def _load_script(path):
@@ -672,9 +747,9 @@ class TestBenchmarkExpectations:
             SearchBounds(max_millis=2**63 + 5)
 
     def test_time_bound_counts_candidate_tests(self, engine):
-        # few states, each testing 4,000 candidates: the clock has to be read
-        # within the first states, not after 2,048 of them
-        inst, q = bench_kernel.chain(4000)
+        # few states, each testing thousands of live candidates: the clock has
+        # to be read within the first states, not after 2,048 of them
+        inst, q = bench_kernel.independent(4000)
         begun = time.monotonic()
         out = bfs_solve(inst, q, SearchBounds(max_depth=4001, max_millis=20), engine=engine)
         assert time.monotonic() - begun < 1
@@ -683,8 +758,9 @@ class TestBenchmarkExpectations:
 
 def test_pure_kernel_keeps_one_small_link_per_visited_state():
     # a visited state maps to the index of the candidate that reached it: on
-    # CPython 3.11 the search peaks at ~77 bytes a state, and a (parent state,
-    # candidate) tuple in each visited value would bring it to ~123
+    # CPython 3.11 the search peaks at ~84 bytes a state with the frontier's
+    # parent live masks, where a (parent state, candidate) tuple in each
+    # visited value brought it to ~123 without them
     inst, q = bench_kernel.independent(14)
     ci = compile_instance(inst)
     goal, start = ci.compile_query(q), ci.encode_state(inst.initial_state)
@@ -696,3 +772,27 @@ def test_pure_kernel_keeps_one_small_link_per_visited_state():
         tracemalloc.stop()
     assert (code, states) == (_kernel_py.REACHABLE, 1 << 14)
     assert peak / states < 100
+
+
+def test_pure_kernel_tests_only_live_candidates():
+    # each state of chain(512) has one live candidate of 512: testing only the
+    # live ones is many times faster than testing all of them, as the
+    # reference kernel does (~20 times on CPython 3.11)
+    inst, q = bench_kernel.chain(512)
+    ci = compile_instance(inst)
+    start, goal, entries = ci.encode_state(inst.initial_state), ci.compile_query(q), \
+        reference_goal(ci, q)
+    limits = (True, 1000, 1 << 20, 30_000)
+
+    def fastest(search, goal):
+        runs = []
+        for _ in range(3):
+            begun = time.perf_counter()
+            out = search(ci, start, goal, *limits)
+            runs.append(time.perf_counter() - begun)
+        return min(runs), out
+
+    pure, out = fastest(_kernel_py.bfs, goal)
+    reference, expected = fastest(reference_bfs, entries)
+    assert out == expected and out[0] == _kernel_py.REACHABLE
+    assert 4 * pure <= reference, (pure, reference)
