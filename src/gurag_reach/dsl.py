@@ -22,6 +22,12 @@ tab and CR; lines end at LF.  Every other character is one
 ``lex-unexpected-char`` error.  Columns count characters from 1.  Input is
 text; the CLI rejects a file that is not UTF-8 with exit code 3.
 
+The parser reads the token texts from one C-level pass over the whole source
+and consumes them by index.  Line, column and first-on-line are computed by
+the positioned lexer ``_lex``, run at most once per parse and only when a
+diagnostic or error recovery needs them, or when the source holds a character
+``_lex`` reports; so a valid document never builds a ``Token``.
+
 Parsing is total: malformed input produces positioned diagnostics, never an
 exception.  A precondition nests at most ``MAX_NESTING`` parentheses deep
 (``not(`` counts as one); one more is a ``parse-too-deep`` error.  Nesting is
@@ -91,9 +97,28 @@ class ParseResult(Record):
 
 # --- Lexer -------------------------------------------------------------------
 
-# per line after its comment: blanks, then an identifier, a punctuation token
-# or one unexpected character; trailing blanks match nothing
+# Two lexers read one token sequence.  ``_texts`` gives only the texts, from
+# one pass over the whole source; that is all a valid document needs.
+# ``_lex`` gives positioned tokens, line by line; the parser runs it at most
+# once, for a source holding a character it reports, or when a diagnostic or
+# error recovery needs a position.  Token ``i`` of one is token ``i`` of the
+# other.
+
+# a comment, which runs to the end of its line
+_COMMENT = re.compile(r"#[^\n]*")
+# a character ``_lex`` reports: one that is no token's, no blank and no line
+# end, or a ``-`` that does not open ``->``
+_UNEXPECTED = re.compile(r"[^A-Za-z0-9_.{}=,;:>() \t\r\n-]|-(?!>)")
+# one token's text, in a source free of comments and unexpected characters
+_TEXT = re.compile(r"[A-Za-z0-9_.]+|->|[^ \t\r\n]")
+
+# ``_lex``, per line after its comment: blanks, then an identifier, a
+# punctuation token or one unexpected character; trailing blanks match nothing
 _TOKEN = re.compile(r"([ \t\r]*)(?:([A-Za-z0-9_.]+)|(->|[{}=,;:>()])|([^ \t\r]))")
+
+# the texts of the punctuation tokens and of ``eof``; every other text is an
+# identifier
+_PUNCT = frozenset(("{", "}", "=", ",", ";", ":", ">", "(", ")", "->", ""))
 
 _RELATIONS = {relation.value: relation for relation in Relation}
 
@@ -112,6 +137,18 @@ class Token(NamedTuple):
     line: int
     column: int
     first_on_line: bool
+
+
+def _texts(source: str) -> Optional[list[str]]:
+    """The texts of ``_lex``'s tokens, ``eof``'s ``""`` last, or ``None``
+    where ``_lex`` reports an unexpected character."""
+    if "#" in source:
+        source = _COMMENT.sub("", source)
+    if _UNEXPECTED.search(source):
+        return None
+    texts = _TEXT.findall(source)
+    texts.append("")
+    return texts
 
 
 def _lex(source: str) -> tuple[list[Token], list[Diagnostic]]:
@@ -143,23 +180,25 @@ def _lex(source: str) -> tuple[list[Token], list[Diagnostic]]:
 # --- Parser ------------------------------------------------------------------
 
 class _SyntaxError(Exception):
-    def __init__(self, token: Token, message: str, code: str):
-        self.token = token
+    def __init__(self, at: int, message: str, code: str):
+        self.at = at  # index of the token it is reported at
         self.message = message
         self.code = code
 
 
-def _expected(tok: Token, what: str) -> _SyntaxError:
-    return _SyntaxError(tok, f"expected {what}, found {tok.text or 'end of file'!r}",
-                        "parse-expected")
-
-
 class _Parser:
     def __init__(self, source: str):
-        self.tokens, self.diags = _lex(source)
+        self.source = source
+        texts = _texts(source)
+        if texts is None:
+            self.tokens, self.diags = _lex(source)
+            texts = [tok.text for tok in self.tokens]
+        else:
+            self.tokens, self.diags = None, []  # positions are lexed when first needed
+        self.texts = texts
         self.pos = 0
         self.depth = 0  # parentheses open around the precondition being parsed
-        # raw declarations, with positions for resolution diagnostics
+        # raw declarations; resolution diagnostics point at token indices
         self.attrs: dict[str, set[str]] = {}
         self.groups: set[str] = set()
         self.seniority: set[tuple[str, str]] = set()
@@ -170,111 +209,139 @@ class _Parser:
         self.queries: list[ReachabilityQuery] = []
         self.plans: list[Plan] = []
 
-    # token helpers: a production reads ``self.tokens[self.pos]`` and consumes
+    def token(self, at: int) -> Token:
+        """Token ``at`` with its position; the source is lexed at most once."""
+        if self.tokens is None:
+            self.tokens = _lex(self.source)[0]
+        return self.tokens[at]
+
+    # token helpers: a production reads ``self.texts[self.pos]`` and consumes
     # it with ``self.pos += 1`` only after it has looked at it, so the position
     # never passes ``eof``
-    def expect(self, kind: str, what: str) -> Token:
-        """Consume the next token, which must be of ``kind`` (never ``eof``)."""
-        tok = self.tokens[self.pos]
-        if tok.kind != kind:
-            raise _expected(tok, what)
-        self.pos += 1
-        return tok
+    def expected(self, at: int, what: str) -> _SyntaxError:
+        return _SyntaxError(at, f"expected {what}, found {self.texts[at] or 'end of file'!r}",
+                            "parse-expected")
 
-    def word(self, words: tuple[str, ...], what: str, code: str) -> Token:
+    def expect(self, punct: str, what: str) -> int:
+        """Consume the next token, which must be the punctuation ``punct``; its index."""
+        at = self.pos
+        if self.texts[at] != punct:
+            raise self.expected(at, what)
+        self.pos = at + 1
+        return at
+
+    def ident(self, what: str) -> int:
+        """Consume the next token, which must be an identifier; its index."""
+        at = self.pos
+        if self.texts[at] in _PUNCT:
+            raise self.expected(at, what)
+        self.pos = at + 1
+        return at
+
+    def word(self, words: tuple[str, ...], what: str, code: str) -> str:
         """Consume the next token, which must be one of the keywords ``words``."""
-        tok = self.expect("ident", what)
-        if tok.text not in words:
-            raise _SyntaxError(tok, f"expected {what}, found {tok.text!r}", code)
-        return tok
+        at = self.ident(what)
+        text = self.texts[at]
+        if text not in words:
+            raise _SyntaxError(at, f"expected {what}, found {text!r}", code)
+        return text
 
-    def error(self, tok: Token, message: str, code: str):
+    def error(self, at: int, message: str, code: str):
+        tok = self.token(at)
         self.diags.append(Diagnostic("error", tok.line, tok.column, message, code))
 
     # resolution checks: each reports one diagnostic and lets the parse go on
-    def known(self, tok: Token, names, what: str, code: str) -> bool:
-        """Whether ``tok`` names a declared ``what``."""
-        if tok.text in names:
+    def known(self, at: int, names, what: str, code: str) -> bool:
+        """Whether token ``at`` names a declared ``what``."""
+        text = self.texts[at]
+        if text in names:
             return True
-        self.error(tok, f"unknown {what} {tok.text!r}", code)
+        self.error(at, f"unknown {what} {text!r}", code)
         return False
 
     def in_scope(self, att: str, values) -> set[str]:
-        """The texts of the value tokens ``values`` that lie in ``att``'s scope."""
+        """The texts of the value tokens at ``values`` that lie in ``att``'s scope."""
         scope = self.attrs[att]
+        texts = self.texts
         vals = set()
-        for tok in values:
-            if tok.text in scope:
-                vals.add(tok.text)
+        for at in values:
+            if texts[at] in scope:
+                vals.add(texts[at])
             else:
-                self.error(tok, f"value {tok.text!r} outside scope of {att!r}",
+                self.error(at, f"value {texts[at]!r} outside scope of {att!r}",
                            "scope-violation")
         return vals
 
     def synchronize(self):
         """Skip to the next construct start so one error never hides the rest."""
+        texts = self.texts
         while True:
-            tok = self.tokens[self.pos]
-            if tok.kind == "eof" or (tok.first_on_line and tok.text in _TOPLEVEL):
+            text = texts[self.pos]
+            if not text or (text in _TOPLEVEL and self.token(self.pos).first_on_line):
                 return
             self.pos += 1
 
     # grammar
     def parse(self) -> ParseResult:
-        while (tok := self.tokens[self.pos]).kind != "eof":
+        texts = self.texts
+        while text := texts[self.pos]:
             try:
-                if tok.text not in _TOPLEVEL:
-                    raise _SyntaxError(tok, f"expected a declaration, found {tok.text!r}",
+                if text not in _TOPLEVEL:
+                    raise _SyntaxError(self.pos, f"expected a declaration, found {text!r}",
                                        "parse-toplevel")
-                getattr(self, "parse_" + tok.text)()
+                getattr(self, "parse_" + text)()
             except _SyntaxError as exc:
-                self.error(exc.token, exc.message, exc.code)
+                self.error(exc.at, exc.message, exc.code)
                 self.synchronize()
         instance = self.resolve()
         return ParseResult(instance, self.queries, self.plans, self.diags)
 
-    def parse_value_set(self) -> tuple[list[Token], Token]:
-        open_tok = self.expect("{", "'{'")
-        items: list[Token] = []
-        tokens = self.tokens
-        if tokens[self.pos].kind == "}":
+    def parse_value_set(self) -> tuple[list[int], int]:
+        """The indices of the values of a ``{ ... }`` set, and of its ``{``."""
+        brace = self.expect("{", "'{'")
+        items: list[int] = []
+        texts = self.texts
+        if texts[self.pos] == "}":
             self.pos += 1
-            return items, open_tok
+            return items, brace
         while True:
-            items.append(self.expect("ident", "a value"))
-            if tokens[self.pos].kind != ",":
+            items.append(self.ident("a value"))
+            if texts[self.pos] != ",":
                 self.expect("}", "'}' or ','")
-                return items, open_tok
+                return items, brace
             self.pos += 1
 
     def parse_attr(self):
         self.pos += 1
-        name = self.expect("ident", "an attribute name")
+        at = self.ident("an attribute name")
+        name = self.texts[at]
         self.word(("scope",), "'scope'", "parse-expected")
         values, brace = self.parse_value_set()
-        if name.text == "groups":
-            self.error(name, "attribute name 'groups' is reserved for the user's groups",
+        if name == "groups":
+            self.error(at, "attribute name 'groups' is reserved for the user's groups",
                        "reserved-attr")
-        if name.text in self.attrs:
-            self.error(name, f"duplicate attribute {name.text!r}", "dup-attr")
+        if name in self.attrs:
+            self.error(at, f"duplicate attribute {name!r}", "dup-attr")
             return
         if not values:
-            self.error(brace, f"attribute {name.text!r} has an empty scope", "empty-scope")
+            self.error(brace, f"attribute {name!r} has an empty scope", "empty-scope")
+        texts = self.texts
         seen = set()
-        for tok in values:
-            if tok.text in seen:
-                self.error(tok, f"duplicate scope value {tok.text!r}", "dup-value")
-            seen.add(tok.text)
-        self.attrs[name.text] = seen
+        for value in values:
+            if texts[value] in seen:
+                self.error(value, f"duplicate scope value {texts[value]!r}", "dup-value")
+            seen.add(texts[value])
+        self.attrs[name] = seen
 
     def declare(self, names: set[str], what: str, code: str):
         """`group <name>` and `role <name>`."""
         self.pos += 1
-        name = self.expect("ident", f"a {what} name")
-        if name.text in names:
-            self.error(name, f"duplicate {what} {name.text!r}", code)
+        at = self.ident(f"a {what} name")
+        name = self.texts[at]
+        if name in names:
+            self.error(at, f"duplicate {what} {name!r}", code)
             return
-        names.add(name.text)
+        names.add(name)
 
     def parse_group(self):
         self.declare(self.groups, "group", "dup-group")
@@ -284,105 +351,109 @@ class _Parser:
 
     def parse_senior(self):
         self.pos += 1
-        senior = self.expect("ident", "a group name")
+        senior = self.ident("a group name")
         self.expect(">", "'>'")
-        junior = self.expect("ident", "a group name")
-        for tok in (senior, junior):
-            self.known(tok, self.groups, "group", "unknown-group")
-        edge = (senior.text, junior.text)
+        junior = self.ident("a group name")
+        for at in (senior, junior):
+            self.known(at, self.groups, "group", "unknown-group")
+        edge = (self.texts[senior], self.texts[junior])
         if edge in self.seniority:
-            self.error(senior, f"duplicate seniority edge {senior.text} > {junior.text}",
-                       "dup-edge")
+            self.error(senior, f"duplicate seniority edge {edge[0]} > {edge[1]}", "dup-edge")
             return
         self.seniority.add(edge)
 
     def parse_assignment_block(self, allow_groups: bool):
         """`{ att = { ... } ... [groups = { ... }] }` with resolution checks."""
         self.expect("{", "'{'")
+        texts = self.texts
         attrs: dict[str, set[str]] = {}
         groups: Optional[set[str]] = None
-        while self.tokens[self.pos].kind != "}":
-            key = self.expect("ident", "an attribute name")
+        while texts[self.pos] != "}":
+            at = self.ident("an attribute name")
+            key = texts[at]
             self.expect("=", "'='")
             values, _ = self.parse_value_set()
-            if allow_groups and key.text == "groups":
+            if allow_groups and key == "groups":
                 if groups is not None:
-                    self.error(key, "duplicate 'groups' entry", "dup-entry")
-                for tok in values:
-                    self.known(tok, self.groups, "group", "unknown-group")
-                groups = {tok.text for tok in values}
-            elif key.text in attrs:
-                self.error(key, f"duplicate attribute entry {key.text!r}", "dup-entry")
-            elif self.known(key, self.attrs, "attribute", "unknown-attr"):
-                attrs[key.text] = self.in_scope(key.text, values)
+                    self.error(at, "duplicate 'groups' entry", "dup-entry")
+                for value in values:
+                    self.known(value, self.groups, "group", "unknown-group")
+                groups = {texts[value] for value in values}
+            elif key in attrs:
+                self.error(at, f"duplicate attribute entry {key!r}", "dup-entry")
+            elif self.known(at, self.attrs, "attribute", "unknown-attr"):
+                attrs[key] = self.in_scope(key, values)
             else:
-                attrs[key.text] = set()
+                attrs[key] = set()
         self.pos += 1
         return attrs, (groups if groups is not None else set())
 
     def parse_user(self):
-        tok = self.tokens[self.pos]
+        at = self.pos
         self.pos += 1
         attrs, groups = self.parse_assignment_block(allow_groups=True)
         if self.user_line is not None:
-            self.error(tok, "duplicate user block", "dup-user")
+            self.error(at, "duplicate user block", "dup-user")
             return
         self.user_line = (attrs, groups)
 
     def parse_groupstate(self):
         self.pos += 1
-        name = self.expect("ident", "a group name")
-        self.known(name, self.groups, "group", "unknown-group")
+        at = self.ident("a group name")
+        name = self.texts[at]
+        self.known(at, self.groups, "group", "unknown-group")
         attrs, _ = self.parse_assignment_block(allow_groups=False)
-        if name.text in self.groupstates:
-            self.error(name, f"duplicate groupstate for {name.text!r}", "dup-groupstate")
+        if name in self.groupstates:
+            self.error(at, f"duplicate groupstate for {name!r}", "dup-groupstate")
             return
-        self.groupstates[name.text] = attrs
+        self.groupstates[name] = attrs
 
     # preconditions
     def parse_precondition(self) -> Precondition:
         # ``And`` splices a parenthesized conjunction into its parts, so the
         # tree is the one its flat spelling (as ``fmt`` prints it) parses to
         parts = [self.parse_pre_term()]
-        while self.tokens[self.pos].text == "and":  # only an identifier has that text
+        while self.texts[self.pos] == "and":
             self.pos += 1
             parts.append(self.parse_pre_term())
         return conjunction(parts)
 
     def parse_pre_term(self) -> Precondition:
-        subject = self.tokens[self.pos]
-        if subject.kind == "(":
+        texts = self.texts
+        at = self.pos
+        subject = texts[at]
+        if subject == "(":
             self.pos += 1
-            return self.parse_nested(subject)
-        if subject.kind != "ident":
-            raise _SyntaxError(subject, f"expected a precondition, found {subject.text!r}",
+            return self.parse_nested(at)
+        if subject in _PUNCT:
+            raise _SyntaxError(at, f"expected a precondition, found {subject!r}",
                                "parse-precondition")
         self.pos += 1
         # a keyword unless it is the subject of a literal; an identifier always
         # has a next token, if only ``eof``
-        if self.tokens[self.pos].text != "in":
-            if subject.text == "true":
+        if texts[self.pos] != "in":
+            if subject == "true":
                 return TrueCond()
-            if subject.text == "not":
+            if subject == "not":
                 return Not(self.parse_nested(self.expect("(", "'(' after 'not'")))
         self.word(("in",), "'in'", "parse-precondition")
-        kind = self.expect("ident", "'direct', 'effective', 'directUg' or 'effUg'")
-        if kind.text in ("direct", "effective"):
+        kind_at = self.ident("'direct', 'effective', 'directUg' or 'effUg'")
+        kind = texts[kind_at]
+        if kind in ("direct", "effective"):
             self.expect("(", "'('")
-            att = self.expect("ident", "an attribute name")
+            att = self.ident("an attribute name")
             self.expect(")", "')'")
             if self.known(att, self.attrs, "attribute", "unknown-attr"):
-                self.in_scope(att.text, (subject,))
-            cls = DirectVal if kind.text == "direct" else EffVal
-            return cls(att.text, subject.text)
-        if kind.text in ("directUg", "effUg"):
-            self.known(subject, self.groups, "group", "unknown-group")
-            return (DirectGroup if kind.text == "directUg" else EffGroup)(subject.text)
-        raise _SyntaxError(kind, f"expected a membership kind, found {kind.text!r}",
+                self.in_scope(texts[att], (at,))
+            return (DirectVal if kind == "direct" else EffVal)(texts[att], subject)
+        if kind in ("directUg", "effUg"):
+            self.known(at, self.groups, "group", "unknown-group")
+            return (DirectGroup if kind == "directUg" else EffGroup)(subject)
+        raise _SyntaxError(kind_at, f"expected a membership kind, found {kind!r}",
                            "parse-precondition")
 
-    def parse_nested(self, opening: Token) -> Precondition:
-        """The precondition after the parenthesis ``opening``, and its ')'."""
+    def parse_nested(self, opening: int) -> Precondition:
+        """The precondition after the parenthesis at ``opening``, and its ')'."""
         if self.depth == MAX_NESTING:
             raise _SyntaxError(opening, f"precondition nested more than {MAX_NESTING} "
                                "parentheses deep", "parse-too-deep")
@@ -397,44 +468,46 @@ class _Parser:
     def parse_rules(self):
         self.pos += 1
         self.expect("{", "'{'")
-        while (tok := self.tokens[self.pos]).kind != "}":
-            if tok.kind == "eof":
-                raise _SyntaxError(tok, "unterminated rules block", "parse-unterminated")
-            if tok.text != "rule":
-                raise _SyntaxError(tok, f"expected 'rule', found {tok.text!r}", "parse-rule")
+        texts = self.texts
+        while (text := texts[self.pos]) != "}":
+            if not text:
+                raise _SyntaxError(self.pos, "unterminated rules block", "parse-unterminated")
+            if text != "rule":
+                raise _SyntaxError(self.pos, f"expected 'rule', found {text!r}", "parse-rule")
             self.parse_rule()
         self.pos += 1
 
     def parse_rule(self):
+        texts = self.texts
         self.pos += 1  # 'rule'
-        rel_tok = self.expect("ident", "a relation name")
-        relation = _RELATIONS.get(rel_tok.text)
+        rel_at = self.ident("a relation name")
+        relation = _RELATIONS.get(texts[rel_at])
         if relation is None:
-            raise _SyntaxError(rel_tok, f"unknown relation {rel_tok.text!r}",
+            raise _SyntaxError(rel_at, f"unknown relation {texts[rel_at]!r}",
                                "unknown-relation")
         membership = relation.is_membership
         if not membership:
-            att = self.expect("ident", "an attribute name")
+            att = self.ident("an attribute name")
             att_known = self.known(att, self.attrs, "attribute", "unknown-attr")
         self.expect(":", "':'")
-        role = self.expect("ident", "a role name")
+        role = self.ident("a role name")
         self.known(role, self.roles, "role", "unknown-role")
         self.expect(",", "','")
         pre = self.parse_precondition()
         self.expect("->", "'->'")
-        target = self.expect("ident", "a target value or group")
+        target = self.ident("a target value or group")
         if membership:
             self.known(target, self.groups, "group", "unknown-group")
-            rule = Rule(relation, role.text, pre, target_group=target.text,
+            rule = Rule(relation, texts[role], pre, target_group=texts[target],
                         rule_id=len(self.rules))
         else:
             if att_known:
-                self.in_scope(att.text, (target,))
-            rule = Rule(relation, role.text, pre, target_attr=att.text,
-                        target_val=target.text, rule_id=len(self.rules))
+                self.in_scope(texts[att], (target,))
+            rule = Rule(relation, texts[role], pre, target_attr=texts[att],
+                        target_val=texts[target], rule_id=len(self.rules))
             for node in pre.walk():
                 if isinstance(node, (DirectGroup, EffGroup)):
-                    self.error(rel_tok, "group membership literal outside an "
+                    self.error(rel_at, "group membership literal outside an "
                                "assign/remove rule", "group-literal-misplaced")
         self.rules.append(rule)
 
@@ -442,13 +515,14 @@ class _Parser:
         self.pos += 1
         kind = self.word(("strict", "relaxed"), "'strict' or 'relaxed'", "parse-query")
         self.expect("{", "'{'")
+        texts = self.texts
         entries: dict[str, frozenset[str]] = {}
-        while self.tokens[self.pos].kind != "}":
-            key = self.expect("ident", "'e_<attribute>(u)'")
-            if not key.text.startswith("e_") or len(key.text) <= 2:
-                raise _SyntaxError(key, f"expected 'e_<attribute>', found {key.text!r}",
+        while texts[self.pos] != "}":
+            key = self.ident("'e_<attribute>(u)'")
+            if not texts[key].startswith("e_") or len(texts[key]) <= 2:
+                raise _SyntaxError(key, f"expected 'e_<attribute>', found {texts[key]!r}",
                                    "parse-query")
-            att = key.text[2:]
+            att = texts[key][2:]
             self.expect("(", "'('")
             self.word(("u",), "'u'", "parse-query")
             self.expect(")", "')'")
@@ -461,10 +535,10 @@ class _Parser:
                 self.error(key, f"duplicate query entry for {att!r}", "dup-entry")
             else:
                 entries[att] = frozenset(self.in_scope(att, values))
-            if self.tokens[self.pos].kind == ",":
+            if texts[self.pos] == ",":
                 self.pos += 1
         self.pos += 1
-        qt = QueryType.STRICT if kind.text == "strict" else QueryType.RELAXED
+        qt = QueryType.STRICT if kind == "strict" else QueryType.RELAXED
         self.queries.append(ReachabilityQuery(entries, qt))
 
     # request name -> (relation, argument fields in the order a request renders
@@ -480,34 +554,37 @@ class _Parser:
     def parse_plan(self):
         self.pos += 1
         self.expect("{", "'{'")
+        texts = self.texts
         requests: list[Request] = []
-        while self.tokens[self.pos].kind != "}":
-            name = self.expect("ident", "a request")
-            spec = self._REQUEST_KINDS.get(name.text)
+        while texts[self.pos] != "}":
+            name = self.ident("a request")
+            spec = self._REQUEST_KINDS.get(texts[name])
             if spec is None:
-                raise _SyntaxError(name, f"unknown request kind {name.text!r}",
+                raise _SyntaxError(name, f"unknown request kind {texts[name]!r}",
                                    "unknown-request")
             relation, fields = spec
             self.expect("(", "'('")
-            args: dict[str, Token] = {}
+            args: dict[str, int] = {}
             for i, arg in enumerate(fields):
                 if i:
                     self.expect(",", "','")
-                args[arg] = self.expect("ident", "an argument")
+                args[arg] = self.ident("an argument")
             self.expect(")", "')'")
             requests.append(self.build_request(relation, args))
-            if self.tokens[self.pos].kind == ";":
+            if texts[self.pos] == ";":
                 self.pos += 1
         self.pos += 1
         self.plans.append(Plan(tuple(requests)))
 
-    def build_request(self, relation: Relation, args: dict[str, Token]) -> Request:
+    def build_request(self, relation: Relation, args: dict[str, int]) -> Request:
+        """The request whose argument tokens are at ``args``."""
         self.known(args["role"], self.roles, "role", "unknown-role")
         if "group" in args:
             self.known(args["group"], self.groups, "group", "unknown-group")
+        texts = self.texts
         if "att" in args and self.known(args["att"], self.attrs, "attribute", "unknown-attr"):
-            self.in_scope(args["att"].text, (args["val"],))
-        return Request(relation, **{arg: tok.text for arg, tok in args.items()})
+            self.in_scope(texts[args["att"]], (args["val"],))
+        return Request(relation, **{arg: texts[at] for arg, at in args.items()})
 
     def resolve(self) -> Optional[ProblemInstance]:
         if any(d.severity == "error" for d in self.diags):

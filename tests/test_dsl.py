@@ -3,7 +3,16 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gurag_reach.dsl import MAX_NESTING, Diagnostic, _lex, parse, render_precondition, serialize
+from gurag_reach import dsl
+from gurag_reach.dsl import (
+    MAX_NESTING,
+    Diagnostic,
+    _lex,
+    _texts,
+    parse,
+    render_precondition,
+    serialize,
+)
 from gurag_reach.fuzz import CLASSES, generate
 from gurag_reach.model import DirectState, GroupHierarchy, ProblemInstance, validate_instance
 from gurag_reach.policy import (
@@ -18,6 +27,7 @@ from gurag_reach.policy import (
 )
 
 from conftest import GOLDEN, MALFORMED, nested_document
+from test_search import bench_kernel
 
 
 class TestGoldenRoundTrip:
@@ -361,6 +371,27 @@ def test_lexer_matches_reference(source):
     assert (fields, diags) == reference_lex(source)
 
 
+def assert_texts_match_lex(source):
+    """``_texts`` gives ``_lex``'s token texts, or ``None`` where ``_lex``
+    reports a character."""
+    tokens, diags = _lex(source)
+    assert _texts(source) == (None if diags else [t.text for t in tokens])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text(alphabet=LEX_ALPHABET, max_size=80))
+def test_texts_match_lex(source):
+    assert_texts_match_lex(source)
+
+
+@pytest.mark.parametrize("source", [
+    "a#b c\nd", "x->y#->z\n", "a# -> $\nb", "a -#>\nb", "-#\n", "a-># x", "-->", "x --> y",
+    "x->->y", "a-\n>b", "#\n#\n", "",
+], ids=repr)
+def test_texts_match_lex_around_comments_and_dashes(source):
+    assert_texts_match_lex(source)
+
+
 VOCABULARY = (
     "attr", "scope", "group", "senior", "role", "user", "groups", "groupstate", "rules",
     "rule", "query", "strict", "relaxed", "plan", "canAddU", "canDeleteU", "canAddUG",
@@ -400,3 +431,48 @@ def test_parse_is_total_on_mutated_files(cls, seed, edits):
     last_line = source.count("\n") + 1
     for d in result.diagnostics:
         assert 1 <= d.line <= last_line and d.column >= 1, d
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(CLASSES), st.integers(0, 10_000),
+       st.lists(st.tuples(st.sampled_from(["delete", "insert", "replace"]),
+                          st.integers(0, 10_000), st.sampled_from(VOCABULARY)),
+                min_size=1, max_size=4))
+def test_texts_match_lex_on_mutated_files(cls, seed, edits):
+    instance, q = generate(cls, seed)
+    assert_texts_match_lex(mutate(serialize(instance, [q]), edits))
+
+
+class TestPositionsOnlyForDiagnostics:
+    """A valid document is parsed from its token texts alone; ``_lex`` runs
+    once, and only when a diagnostic or recovery needs positions."""
+
+    def test_valid_documents_never_call_the_positioned_lexer(self, monkeypatch):
+        def positioned_lexer(source):
+            raise AssertionError("a valid document was lexed for positions")
+
+        monkeypatch.setattr(dsl, "_lex", positioned_lexer)
+        texts = [path.read_text() for path in sorted(GOLDEN.glob("*.gurag"))]
+        documents = [bench_kernel.chain(512)]
+        documents += [generate(cls, seed) for cls in CLASSES for seed in range(100)]
+        texts += [serialize(instance, [q]) for instance, q in documents]
+        for text in texts:
+            result = parse(text)
+            assert result.ok and result.instance is not None
+
+    def test_a_diagnostic_after_comments_lexes_once(self, monkeypatch):
+        calls = []
+
+        def counting_lexer(source):
+            calls.append(source)
+            return _lex(source)
+
+        monkeypatch.setattr(dsl, "_lex", counting_lexer)
+        text = ("# roles come first\nrole r  # the only one\nattr a scope { x }\n"
+                "rules {  # one rule\n  rule canAddU a : q , true -> x  # q is not declared\n}\n"
+                "plan { addU(q, a, x) }\n")
+        assert [d.render() for d in parse(text).diagnostics] == [
+            "5:20: error: unknown role 'q' [unknown-role]",
+            "7:13: error: unknown role 'q' [unknown-role]",
+        ]
+        assert calls == [text]
