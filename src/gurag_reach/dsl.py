@@ -112,9 +112,9 @@ _UNEXPECTED = re.compile(r"[^A-Za-z0-9_.{}=,;:>() \t\r\n-]|-(?!>)")
 # one token's text, in a source free of comments and unexpected characters
 _TEXT = re.compile(r"[A-Za-z0-9_.]+|->|[^ \t\r\n]")
 
-# ``_lex``, per line after its comment: blanks, then an identifier, a
-# punctuation token or one unexpected character; trailing blanks match nothing
-_TOKEN = re.compile(r"([ \t\r]*)(?:([A-Za-z0-9_.]+)|(->|[{}=,;:>()])|([^ \t\r]))")
+# ``_lex``, per line after its comment: blanks, then an identifier or a
+# punctuation token, or one unexpected character; trailing blanks match nothing
+_TOKEN = re.compile(r"([ \t\r]*)(?:([A-Za-z0-9_.]+|->|[{}=,;:>()])|([^ \t\r]))")
 
 # the texts of the punctuation tokens and of ``eof``; every other text is an
 # identifier
@@ -132,8 +132,7 @@ MAX_NESTING = 100
 
 
 class Token(NamedTuple):
-    kind: str   # "ident" | punctuation itself | "eof"
-    text: str
+    text: str  # "" for eof
     line: int
     column: int
     first_on_line: bool
@@ -160,20 +159,17 @@ def _lex(source: str) -> tuple[list[Token], list[Diagnostic]]:
             line = line[:line.index("#")]
         column = 1
         first = True
-        for blank, ident, punct, bad in findall(line):
+        for blank, text, bad in findall(line):
             column += len(blank)
-            if ident:
-                append(new(Token, ("ident", ident, lineno, column, first)))
-                column += len(ident)
-            elif punct:
-                append(new(Token, (punct, punct, lineno, column, first)))
-                column += len(punct)
+            if text:
+                append(new(Token, (text, lineno, column, first)))
+                column += len(text)
             else:
                 diags.append(Diagnostic("error", lineno, column,
                                         f"unexpected character {bad!r}", "lex-unexpected-char"))
                 column += 1
             first = False
-    append(new(Token, ("eof", "", source.count("\n") + 1, 1, True)))
+    append(new(Token, ("", source.count("\n") + 1, 1, True)))
     return tokens, diags
 
 

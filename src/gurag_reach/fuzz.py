@@ -35,7 +35,7 @@ from .policy import (
     conjunction,
 )
 from .search import SearchBounds, analyze
-from .transition import QueryType, ReachabilityQuery, apply_request, authorized_rules
+from .transition import QueryType, ReachabilityQuery, WorkingState, authorized_rules
 
 CLASSES = ("nonneg", "srd", "any")
 
@@ -104,13 +104,13 @@ def _gen_query(
 ) -> ReachabilityQuery:
     """Target sets biased toward reachable by simulating random requests."""
     requests = [req for req, _ in candidate_requests(instance)]
-    state = instance.initial_state
+    state = WorkingState(instance.initial_state)
     for _ in range(rng.randint(0, 8)):
         cands = [req for req in requests
                  if authorized_rules(state, instance.hierarchy, instance.rules, req)]
         if not cands:
             break
-        state = apply_request(state, rng.choice(cands))
+        state.apply(rng.choice(cands))
 
     atts = list(instance.attributes)
     if not strict_full:

@@ -3,7 +3,10 @@
 Two engines:
 
 * ``solve_no_negation``: forward fixpoint over add/assign rules, valid when no
-  precondition uses negation and there are no delete/remove rules.
+  precondition uses negation and there are no delete/remove rules.  It fires
+  each request into one in-place ``WorkingState`` and keeps the set of target
+  values not yet effective, so a firing copies no state and evaluates no
+  query: the state updates cost time linear in the plan's length.
 
 * ``solve_srd_no_delete``: valid for the paper's SR_d class with no
   delete/remove rules: each value assignment (or group) has a single rule, an
@@ -46,7 +49,7 @@ from .transition import (
     Plan,
     ReachabilityQuery,
     Request,
-    apply_request,
+    WorkingState,
     eval_query,
 )
 
@@ -152,11 +155,16 @@ def solve_no_negation(instance: ProblemInstance, q: ReachabilityQuery) -> PlanRe
         raise RestrictionViolation("rule set contains delete/remove rules")
 
     h = instance.hierarchy
-    state = instance.initial_state
+    state = WorkingState(instance.initial_state)
 
     if _has_surplus(state, h, q):
         return PlanResult.failed(EXTRA_VALUES)
-    if eval_query(state, h, q):
+    # the target pairs not yet effective; the guard keeps every effective
+    # query value wanted, so a strict query's eff == vset iff vset <= eff,
+    # and the query holds exactly when ``missing`` is empty
+    missing = {(att, val) for att, vset in q.entries.items()
+               for val in vset - effective_user_attr(state, h, att)}
+    if not missing:
         return PlanResult.found(Plan())
 
     # an unwanted value stays unwanted, so its rules are never fired
@@ -178,10 +186,17 @@ def solve_no_negation(instance: ProblemInstance, q: ReachabilityQuery) -> PlanRe
             else:
                 continue
             req = _request(rule, subject)
-            state = apply_request(state, req)
+            state.apply(req)
             requests.append(req)
             fired = True
-            if eval_query(state, h, q):
+            if req.kind == Relation.ASSIGN:
+                # the user now inherits every value of the group's juniors
+                missing.difference_update(
+                    (att, val) for g in h.junior_closure(req.group)
+                    for att in q.entries for val in state.group_values(g, att))
+            else:  # a value added to the user or to an effective group
+                missing.discard((req.att, req.val))
+            if not missing:
                 return PlanResult.found(Plan(tuple(requests)))
         if not fired:
             return PlanResult.failed(FIXPOINT_EXHAUSTED)
@@ -429,10 +444,10 @@ def attr_phase(
 def solve_srd_no_delete(instance: ProblemInstance, q: ReachabilityQuery) -> PlanResult:
     """Compose the group phase with the attribute phase."""
     gp = group_phase(instance, q)
-    state = instance.initial_state
+    work = WorkingState(instance.initial_state)
     for req in gp.plan:  # group_phase orders each assignment after what authorizes it
-        state = apply_request(state, req)
-    ap = attr_phase(instance, state, q)
+        work.apply(req)
+    ap = attr_phase(instance, work.freeze(), q)
     if not ap.reachable:
         return PlanResult.failed(ap.reason, notes=gp.notes)
     return PlanResult.found(Plan(gp.plan.requests + ap.plan.requests), notes=gp.notes)

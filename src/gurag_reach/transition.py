@@ -4,12 +4,17 @@ A request changes exactly one direct value set or the membership set.
 Inserting a value that is already present (or removing an absent one) is a
 legal no-op transition.  A request is authorized when at least one rule of the
 matching relation, role and target has a satisfied precondition.
+
+``WorkingState.apply`` is the one state update.  ``apply_request`` runs it on
+a copy and returns a fresh ``DirectState``; ``validate_plan`` runs it on one
+working state for the whole plan and freezes that state once, so a replay
+costs time linear in the plan's length rather than a copy per request.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Mapping, Optional, Union
+from typing import AbstractSet, Mapping, Optional, Union
 
 from ._record import Frozen
 from .model import (
@@ -102,23 +107,51 @@ def authorized_rules(
             if eval_precondition(r.pre, state, hierarchy, subject)]
 
 
+class WorkingState:
+    """A direct state changed in place, one request at a time.
+
+    It reads like a ``DirectState`` (``user_values``, ``group_values``,
+    ``user_groups``), so preconditions, ``authorized_rules``, ``eval_query``
+    and the effective-value helpers take it as they are; the sets it hands
+    out are its own and must not be changed by the reader.  A replay or a
+    forward planner costs one copy in and one ``freeze`` out, and copies
+    nothing per request in between.
+    """
+
+    __slots__ = ("user_attrs", "group_attrs", "user_groups")
+
+    def __init__(self, state: DirectState):
+        self.user_attrs = {att: set(vals) for att, vals in state.user_attrs.items()}
+        self.group_attrs = {g: {att: set(vals) for att, vals in attrs.items()}
+                            for g, attrs in state.group_attrs.items()}
+        self.user_groups = set(state.user_groups)
+
+    def user_values(self, att: str) -> AbstractSet[str]:
+        return self.user_attrs.get(att, frozenset())
+
+    def group_values(self, g: str, att: str) -> AbstractSet[str]:
+        return self.group_attrs.get(g, {}).get(att, frozenset())
+
+    def apply(self, req: Request) -> None:
+        """The raw state update, ignoring authorization."""
+        kind = req.kind
+        if kind.is_membership:
+            items, item = self.user_groups, req.group
+        else:
+            attrs = (self.group_attrs.setdefault(req.group, {}) if kind.is_group_subject
+                     else self.user_attrs)
+            items, item = attrs.setdefault(req.att, set()), req.val
+        (items.discard if kind.is_delete else items.add)(item)
+
+    def freeze(self) -> DirectState:
+        return DirectState(self.user_attrs, self.group_attrs, self.user_groups)
+
+
 def apply_request(state: DirectState, req: Request) -> DirectState:
-    """The raw state update, ignoring authorization."""
-    if req.kind == Relation.ADD_U or req.kind == Relation.DELETE_U:
-        vals = set(state.user_values(req.att))
-        (vals.add if req.kind == Relation.ADD_U else vals.discard)(req.val)
-        user_attrs = dict(state.user_attrs)
-        user_attrs[req.att] = frozenset(vals)
-        return DirectState(user_attrs, state.group_attrs, state.user_groups)
-    if req.kind == Relation.ADD_UG or req.kind == Relation.DELETE_UG:
-        vals = set(state.group_values(req.group, req.att))
-        (vals.add if req.kind == Relation.ADD_UG else vals.discard)(req.val)
-        group_attrs = {g: dict(attrs) for g, attrs in state.group_attrs.items()}
-        group_attrs.setdefault(req.group, {})[req.att] = frozenset(vals)
-        return DirectState(state.user_attrs, group_attrs, state.user_groups)
-    membership = set(state.user_groups)
-    (membership.add if req.kind == Relation.ASSIGN else membership.discard)(req.group)
-    return DirectState(state.user_attrs, state.group_attrs, frozenset(membership))
+    """The raw state update, ignoring authorization; ``state`` is unchanged."""
+    work = WorkingState(state)
+    work.apply(req)
+    return work.freeze()
 
 
 class NotAuthorized(Exception):
@@ -128,12 +161,19 @@ class NotAuthorized(Exception):
         self.reason = reason
 
 
+def _denial(state, hierarchy: GroupHierarchy, rules: RuleSet, req: Request) -> Optional[str]:
+    """Why no rule admits the request, or None when one does."""
+    if authorized_rules(state, hierarchy, rules, req):
+        return None
+    return "precondition failed" if rules.matching(req) else "no matching rule"
+
+
 def step(
     state: DirectState, hierarchy: GroupHierarchy, rules: RuleSet, req: Request
 ) -> DirectState:
     """One transition; raises NotAuthorized when no rule admits the request."""
-    if not authorized_rules(state, hierarchy, rules, req):
-        reason = "precondition failed" if rules.matching(req) else "no matching rule"
+    reason = _denial(state, hierarchy, rules, req)
+    if reason is not None:
         raise NotAuthorized(req, reason)
     return apply_request(state, req)
 
@@ -179,12 +219,13 @@ Verdict = Union[Valid, InvalidAt, QueryUnsatisfied]
 
 def validate_plan(instance: ProblemInstance, plan: Plan, q: ReachabilityQuery) -> Verdict:
     """Replay every request through the transition semantics, then check the query."""
-    state = instance.initial_state
+    work = WorkingState(instance.initial_state)
     for i, req in enumerate(plan):
-        try:
-            state = step(state, instance.hierarchy, instance.rules, req)
-        except NotAuthorized as exc:
-            return InvalidAt(i, exc.reason)
+        reason = _denial(work, instance.hierarchy, instance.rules, req)
+        if reason is not None:
+            return InvalidAt(i, reason)
+        work.apply(req)
+    state = work.freeze()
     if eval_query(state, instance.hierarchy, q):
         return Valid(state)
     return QueryUnsatisfied(state)

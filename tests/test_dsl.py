@@ -227,7 +227,7 @@ class TestResolutionDiagnostics:
 
 def lexed(source):
     tokens, diags = _lex(source)
-    return ([(t.kind, t.text, t.line, t.column, t.first_on_line) for t in tokens],
+    return ([(t.text, t.line, t.column, t.first_on_line) for t in tokens],
             [(d.severity, d.line, d.column, d.message, d.code) for d in diags])
 
 
@@ -241,43 +241,41 @@ class TestLexerEdgeCases:
     def test_crlf_tabs_and_comment_with_punctuation(self):
         tokens, diags = lexed("attr a scope { x }\r\nrole\tr # c -> {\r\n")
         assert tokens == [
-            ("ident", "attr", 1, 1, True), ("ident", "a", 1, 6, False),
-            ("ident", "scope", 1, 8, False), ("{", "{", 1, 14, False),
-            ("ident", "x", 1, 16, False), ("}", "}", 1, 18, False),
-            ("ident", "role", 2, 1, True), ("ident", "r", 2, 6, False),
-            ("eof", "", 3, 1, True),
+            ("attr", 1, 1, True), ("a", 1, 6, False),
+            ("scope", 1, 8, False), ("{", 1, 14, False),
+            ("x", 1, 16, False), ("}", 1, 18, False),
+            ("role", 2, 1, True), ("r", 2, 6, False),
+            ("", 3, 1, True),
         ]
         assert diags == []
 
     def test_arrow_together_and_apart(self):
         tokens, diags = lexed("x -> y - > z\n")
         assert tokens == [
-            ("ident", "x", 1, 1, True), ("->", "->", 1, 3, False),
-            ("ident", "y", 1, 6, False), (">", ">", 1, 10, False),
-            ("ident", "z", 1, 12, False), ("eof", "", 2, 1, True),
+            ("x", 1, 1, True), ("->", 1, 3, False),
+            ("y", 1, 6, False), (">", 1, 10, False),
+            ("z", 1, 12, False), ("", 2, 1, True),
         ]
         assert diags == [unexpected(1, 8, "-")]
 
     def test_lone_dash_at_end_of_line(self):
         tokens, diags = lexed("a -\nb\n")
-        assert tokens == [("ident", "a", 1, 1, True), ("ident", "b", 2, 1, True),
-                          ("eof", "", 3, 1, True)]
+        assert tokens == [("a", 1, 1, True), ("b", 2, 1, True), ("", 3, 1, True)]
         assert diags == [unexpected(1, 3, "-")]
 
     def test_unexpected_character_then_trailing_blanks(self):
         tokens, diags = lexed("a $  \t\r\nb\n")
-        assert tokens == [("ident", "a", 1, 1, True), ("ident", "b", 2, 1, True),
-                          ("eof", "", 3, 1, True)]
+        assert tokens == [("a", 1, 1, True), ("b", 2, 1, True), ("", 3, 1, True)]
         assert diags == [unexpected(1, 3, "$")]
 
     def test_columns_count_characters_not_bytes(self):
         tokens, diags = lexed("é x $\n")
-        assert tokens == [("ident", "x", 1, 3, False), ("eof", "", 2, 1, True)]
+        assert tokens == [("x", 1, 3, False), ("", 2, 1, True)]
         assert diags == [unexpected(1, 1, "é"), unexpected(1, 5, "$")]
 
     def test_unexpected_character_first_on_line(self):
         tokens, diags = lexed("$ attr\n")
-        assert tokens == [("ident", "attr", 1, 3, False), ("eof", "", 2, 1, True)]
+        assert tokens == [("attr", 1, 3, False), ("", 2, 1, True)]
         assert diags == [unexpected(1, 1, "$")]
 
     def test_recovery_skips_a_keyword_that_is_not_first_on_line(self):
@@ -292,13 +290,12 @@ class TestLexerEdgeCases:
         assert [d.code for d in result.diagnostics] == ["parse-expected", "dup-role"]
 
     def test_empty_input(self):
-        assert lexed("") == ([("eof", "", 1, 1, True)], [])
+        assert lexed("") == ([("", 1, 1, True)], [])
 
     def test_no_final_newline(self):
         assert lexed("role r") == (
-            [("ident", "role", 1, 1, True), ("ident", "r", 1, 6, False),
-             ("eof", "", 1, 1, True)], [])
-        assert lexed("role r\n")[0][-1] == ("eof", "", 2, 1, True)
+            [("role", 1, 1, True), ("r", 1, 6, False), ("", 1, 1, True)], [])
+        assert lexed("role r\n")[0][-1] == ("", 2, 1, True)
 
 
 def test_render_precondition_true():
@@ -338,15 +335,15 @@ def reference_lex(source):
                 pos += 1
                 continue
             if line[pos:pos + 2] == "->":
-                tokens.append(("->", "->", lineno, pos + 1, first))
+                tokens.append(("->", lineno, pos + 1, first))
                 pos += 2
             elif ch in "{}=,;:>()":
-                tokens.append((ch, ch, lineno, pos + 1, first))
+                tokens.append((ch, lineno, pos + 1, first))
                 pos += 1
             else:
                 m = IDENT.match(line, pos)
                 if m:
-                    tokens.append(("ident", m.group(), lineno, pos + 1, first))
+                    tokens.append((m.group(), lineno, pos + 1, first))
                     pos = m.end()
                 else:
                     diags.append(Diagnostic("error", lineno, pos + 1,
@@ -354,7 +351,7 @@ def reference_lex(source):
                                             "lex-unexpected-char"))
                     pos += 1
             first = False
-    tokens.append(("eof", "", source.count("\n") + 1, 1, True))
+    tokens.append(("", source.count("\n") + 1, 1, True))
     return tokens, diags
 
 
@@ -367,7 +364,7 @@ LEX_ALPHABET = "{}=,;:>()-aZ09_. \t\r\n#$\u00e9\ufeff\x0b"
 @given(st.text(alphabet=LEX_ALPHABET, max_size=80))
 def test_lexer_matches_reference(source):
     tokens, diags = _lex(source)
-    fields = [(t.kind, t.text, t.line, t.column, t.first_on_line) for t in tokens]
+    fields = [(t.text, t.line, t.column, t.first_on_line) for t in tokens]
     assert (fields, diags) == reference_lex(source)
 
 

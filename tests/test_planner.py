@@ -32,6 +32,7 @@ from gurag_reach.search import Reachable, Unreachable, analyze, bfs_solve
 from gurag_reach.transition import QueryType, ReachabilityQuery, Valid, validate_plan
 
 from test_planner_answers import srd_groups_case
+from test_search import bench_kernel
 
 
 def make(rules, scopes=None, groups=(), seniority=(), state=None, roles=("r",)):
@@ -127,6 +128,39 @@ class TestSolveNoNegation:
         inst = make([], state=DirectState(user_attrs={"a": {"x"}}))
         res = solve_no_negation(inst, ReachabilityQuery({"a": frozenset({"x"})}))
         assert res.reachable and len(res.plan) == 0
+
+    @pytest.mark.parametrize("query_type", list(QueryType))
+    def test_assign_brings_last_value_from_two_levels_down(self, query_type):
+        # S > M > J, and only J holds y: assigning S makes y effective, so the
+        # plan ends there rather than exhausting the fixpoint
+        inst = make([addu("x"), assign("S", DirectVal("a", "x"))],
+                    groups=("S", "M", "J"), seniority=(("S", "M"), ("M", "J")),
+                    state=DirectState(group_attrs={"J": {"a": {"y"}}}))
+        q = ReachabilityQuery({"a": frozenset({"x", "y"})}, query_type)
+        res = solve_no_negation(inst, q)
+        assert [r.render() for r in res.plan] == ["addU(r, a, x)", "assign(r, S)"]
+        assert isinstance(validate_plan(inst, res.plan, q), Valid)
+
+
+def test_replay_and_nonneg_copy_no_state_per_request(monkeypatch):
+    # both work on one state in place: the replay builds its final state
+    # once, and the planner, which reports only a plan, builds none
+    inst, q = bench_kernel.chain(1024)
+    plan = solve_no_negation(inst, q).plan
+    assert len(plan) == 1024
+    built = []
+    init = DirectState.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(DirectState, "__init__", counting_init)
+    assert isinstance(validate_plan(inst, plan, q), Valid)
+    assert len(built) == 1
+    built.clear()
+    assert solve_no_negation(inst, q).plan == plan
+    assert len(built) == 0
 
 
 class TestSrdRestrictions:

@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
-from gurag_reach.model import DirectState, GroupHierarchy, ProblemInstance
+from gurag_reach.fuzz import CLASSES, generate
+from gurag_reach.model import DirectState, GroupHierarchy, ProblemInstance, canonical_key
 from gurag_reach.policy import (
     DirectVal,
     Not,
@@ -171,3 +174,84 @@ def test_request_render_formats():
     assert Request(Relation.DELETE_UG, "r", att="a", val="x", group="G1").render() \
         == "deleteUG(r, G1, a, x)"
     assert Request(Relation.REMOVE, "r", group="G1").render() == "remove(r, G1)"
+
+
+# --- Replay in place against a frozen-copy reference -------------------------
+
+def reference_apply(state, req):
+    """The state update as a fresh copy per request, the way replay once ran."""
+    if req.kind == Relation.ADD_U or req.kind == Relation.DELETE_U:
+        vals = set(state.user_values(req.att))
+        (vals.add if req.kind == Relation.ADD_U else vals.discard)(req.val)
+        user_attrs = dict(state.user_attrs)
+        user_attrs[req.att] = frozenset(vals)
+        return DirectState(user_attrs, state.group_attrs, state.user_groups)
+    if req.kind == Relation.ADD_UG or req.kind == Relation.DELETE_UG:
+        vals = set(state.group_values(req.group, req.att))
+        (vals.add if req.kind == Relation.ADD_UG else vals.discard)(req.val)
+        group_attrs = {g: dict(attrs) for g, attrs in state.group_attrs.items()}
+        group_attrs.setdefault(req.group, {})[req.att] = frozenset(vals)
+        return DirectState(state.user_attrs, group_attrs, state.user_groups)
+    membership = set(state.user_groups)
+    (membership.add if req.kind == Relation.ASSIGN else membership.discard)(req.group)
+    return DirectState(state.user_attrs, state.group_attrs, frozenset(membership))
+
+
+def reference_replay(inst, plan, q):
+    """``validate_plan`` as a fold of ``authorized_rules`` and ``reference_apply``."""
+    state = inst.initial_state
+    for i, req in enumerate(plan):
+        if not authorized_rules(state, inst.hierarchy, inst.rules, req):
+            matched = inst.rules.matching(req)
+            return InvalidAt(i, "precondition failed" if matched else "no matching rule")
+        state = reference_apply(state, req)
+    return (Valid if eval_query(state, inst.hierarchy, q) else QueryUnsatisfied)(state)
+
+
+def every_request(inst):
+    """Each request over the instance's roles, values and groups, whether a
+    rule matches it or not."""
+    pairs = [(att, val) for att in inst.attributes for val in sorted(inst.scopes[att])]
+    groups = sorted(inst.groups)
+    out = []
+    for kind in Relation:
+        for role in sorted(inst.roles):
+            if kind.is_membership:
+                out += [Request(kind, role, group=g) for g in groups]
+            elif kind.is_group_subject:
+                out += [Request(kind, role, att, val, g) for g in groups for att, val in pairs]
+            else:
+                out += [Request(kind, role, att, val) for att, val in pairs]
+    return out
+
+
+@pytest.mark.parametrize("cls", CLASSES)
+def test_replay_matches_frozen_copy_reference(cls):
+    replayed, verdicts = set(), set()
+    for seed in range(300):
+        inst, q = generate(cls, seed)
+        h, rules = inst.hierarchy, inst.rules
+        requests = every_request(inst)
+        rng = random.Random(seed)
+        # mostly authorized requests, and sometimes any request, which ends the replay
+        state, plan = inst.initial_state, []
+        for _ in range(rng.randint(0, 16)):
+            allowed = [req for req in requests if authorized_rules(state, h, rules, req)]
+            req = rng.choice(allowed if allowed and rng.random() < 0.8 else requests)
+            plan.append(req)
+            before = canonical_key(state)
+            out = apply_request(state, req)
+            assert type(out) is DirectState and out is not state
+            assert out == reference_apply(state, req)
+            assert canonical_key(state) == before
+            if req not in allowed:
+                break
+            replayed.add(req.kind)
+            state = out
+        for query in (q, q.relaxed_copy()):
+            verdict = validate_plan(inst, Plan(tuple(plan)), query)
+            assert verdict == reference_replay(inst, Plan(tuple(plan)), query), (cls, seed)
+            verdicts.add(getattr(verdict, "reason", type(verdict).__name__))
+    assert verdicts == {"Valid", "QueryUnsatisfied", "precondition failed", "no matching rule"}
+    assert replayed == (set(Relation) if cls == "any"
+                        else {Relation.ADD_U, Relation.ADD_UG, Relation.ASSIGN})
