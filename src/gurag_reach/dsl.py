@@ -22,11 +22,15 @@ tab and CR; lines end at LF.  Every other character is one
 ``lex-unexpected-char`` error.  Columns count characters from 1.  Input is
 text; the CLI rejects a file that is not UTF-8 with exit code 3.
 
-The parser reads the token texts from one C-level pass over the whole source
-and consumes them by index.  Line, column and first-on-line are computed by
-the positioned lexer ``_lex``, run at most once per parse and only when a
-diagnostic or error recovery needs them, or when the source holds a character
-``_lex`` reports; so a valid document never builds a ``Token``.
+The parser takes the token texts from ``str`` methods run over the whole
+source, with no call per token: a deletion table finds any character ``_lex``
+reports, blanks set the punctuation apart, and ``split`` cuts the texts.  It
+consumes them by index; a rule head and a value literal, whose tokens stand
+at fixed offsets, are compared in place, and the token helpers run only to
+report a token that does not match.  Line, column and first-on-line are
+computed by the positioned lexer ``_lex``, run at most once per parse and only
+when a diagnostic or error recovery needs them, or when the source holds a
+character ``_lex`` reports; so a valid document never builds a ``Token``.
 
 Parsing is total: malformed input produces positioned diagnostics, never an
 exception.  A precondition nests at most ``MAX_NESTING`` parentheses deep
@@ -98,7 +102,7 @@ class ParseResult(Record):
 # --- Lexer -------------------------------------------------------------------
 
 # Two lexers read one token sequence.  ``_texts`` gives only the texts, from
-# one pass over the whole source; that is all a valid document needs.
+# ``str`` methods over the whole source; that is all a valid document needs.
 # ``_lex`` gives positioned tokens, line by line; the parser runs it at most
 # once, for a source holding a character it reports, or when a diagnostic or
 # error recovery needs a position.  Token ``i`` of one is token ``i`` of the
@@ -106,11 +110,14 @@ class ParseResult(Record):
 
 # a comment, which runs to the end of its line
 _COMMENT = re.compile(r"#[^\n]*")
-# a character ``_lex`` reports: one that is no token's, no blank and no line
-# end, or a ``-`` that does not open ``->``
-_UNEXPECTED = re.compile(r"[^A-Za-z0-9_.{}=,;:>() \t\r\n-]|-(?!>)")
-# one token's text, in a source free of comments and unexpected characters
-_TEXT = re.compile(r"[A-Za-z0-9_.]+|->|[^ \t\r\n]")
+# deletes every character that may stand in a source free of comments: the
+# identifier characters, punctuation, blanks, line ends and ``-``; what is left
+# is a character ``_lex`` reports
+_LEXABLE = str.maketrans("", "", "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
+                         "0123456789_.{}=,;:>() \t\r\n-")
+# the punctuation that ``_texts`` sets apart with blanks; ``->`` is mended
+# after its ``>`` has been
+_SPACED = "{}=,;:>()"
 
 # ``_lex``, per line after its comment: blanks, then an identifier or a
 # punctuation token, or one unexpected character; trailing blanks match nothing
@@ -143,9 +150,14 @@ def _texts(source: str) -> Optional[list[str]]:
     where ``_lex`` reports an unexpected character."""
     if "#" in source:
         source = _COMMENT.sub("", source)
-    if _UNEXPECTED.search(source):
+    # a ``-`` that does not open ``->`` is reported too
+    if source.translate(_LEXABLE) or source.count("-") != source.count("->"):
         return None
-    texts = _TEXT.findall(source)
+    for punct in _SPACED:
+        source = source.replace(punct, f" {punct} ")
+    # space, tab, CR and LF are the only whitespace left, so ``split`` cuts
+    # where ``_lex`` does
+    texts = source.replace("- >", " -> ").split()
     texts.append("")
     return texts
 
@@ -255,6 +267,10 @@ class _Parser:
         self.error(at, f"unknown {what} {text!r}", code)
         return False
 
+    def outside_scope(self, att: str, at: int):
+        """Report the value token ``at``, which lies outside ``att``'s scope."""
+        self.error(at, f"value {self.texts[at]!r} outside scope of {att!r}", "scope-violation")
+
     def in_scope(self, att: str, values) -> set[str]:
         """The texts of the value tokens at ``values`` that lie in ``att``'s scope."""
         scope = self.attrs[att]
@@ -264,8 +280,7 @@ class _Parser:
             if texts[at] in scope:
                 vals.add(texts[at])
             else:
-                self.error(at, f"value {texts[at]!r} outside scope of {att!r}",
-                           "scope-violation")
+                self.outside_scope(att, at)
         return vals
 
     def synchronize(self):
@@ -408,7 +423,10 @@ class _Parser:
     def parse_precondition(self) -> Precondition:
         # ``And`` splices a parenthesized conjunction into its parts, so the
         # tree is the one its flat spelling (as ``fmt`` prints it) parses to
-        parts = [self.parse_pre_term()]
+        part = self.parse_pre_term()
+        if self.texts[self.pos] != "and":
+            return part
+        parts = [part]
         while self.texts[self.pos] == "and":
             self.pos += 1
             parts.append(self.parse_pre_term())
@@ -424,28 +442,41 @@ class _Parser:
         if subject in _PUNCT:
             raise _SyntaxError(at, f"expected a precondition, found {subject!r}",
                                "parse-precondition")
-        self.pos += 1
         # a keyword unless it is the subject of a literal; an identifier always
         # has a next token, if only ``eof``
-        if texts[self.pos] != "in":
+        if texts[at + 1] != "in":
+            self.pos = at + 1
             if subject == "true":
                 return TrueCond()
             if subject == "not":
                 return Not(self.parse_nested(self.expect("(", "'(' after 'not'")))
-        self.word(("in",), "'in'", "parse-precondition")
-        kind_at = self.ident("'direct', 'effective', 'directUg' or 'effUg'")
-        kind = texts[kind_at]
+            self.word(("in",), "'in'", "parse-precondition")  # raises
+        # the literal's tokens are read in place; the token helpers run only
+        # where one does not match, to report it as a step-by-step read would
+        kind = texts[at + 2]
         if kind in ("direct", "effective"):
-            self.expect("(", "'('")
-            att = self.ident("an attribute name")
-            self.expect(")", "')'")
-            if self.known(att, self.attrs, "attribute", "unknown-attr"):
-                self.in_scope(texts[att], (at,))
-            return (DirectVal if kind == "direct" else EffVal)(texts[att], subject)
+            if texts[at + 3] == "(" and texts[at + 4] not in _PUNCT and texts[at + 5] == ")":
+                att_at = at + 4
+                self.pos = at + 6
+            else:
+                self.pos = at + 3
+                self.expect("(", "'('")
+                att_at = self.ident("an attribute name")
+                self.expect(")", "')'")
+            att = texts[att_at]
+            if att not in self.attrs:
+                self.known(att_at, self.attrs, "attribute", "unknown-attr")
+            elif subject not in self.attrs[att]:
+                self.outside_scope(att, at)
+            return (DirectVal if kind == "direct" else EffVal)(att, subject)
         if kind in ("directUg", "effUg"):
-            self.known(at, self.groups, "group", "unknown-group")
+            self.pos = at + 3
+            if subject not in self.groups:
+                self.known(at, self.groups, "group", "unknown-group")
             return (DirectGroup if kind == "directUg" else EffGroup)(subject)
-        raise _SyntaxError(kind_at, f"expected a membership kind, found {kind!r}",
+        self.pos = at + 2
+        self.ident("'direct', 'effective', 'directUg' or 'effUg'")
+        raise _SyntaxError(at + 2, f"expected a membership kind, found {kind!r}",
                            "parse-precondition")
 
     def parse_nested(self, opening: int) -> Precondition:
@@ -475,36 +506,54 @@ class _Parser:
 
     def parse_rule(self):
         texts = self.texts
-        self.pos += 1  # 'rule'
-        rel_at = self.ident("a relation name")
+        rel_at = self.pos + 1  # after 'rule'
         relation = _RELATIONS.get(texts[rel_at])
-        if relation is None:
-            raise _SyntaxError(rel_at, f"unknown relation {texts[rel_at]!r}",
-                               "unknown-relation")
-        membership = relation.is_membership
-        if not membership:
-            att = self.ident("an attribute name")
-            att_known = self.known(att, self.attrs, "attribute", "unknown-attr")
-        self.expect(":", "':'")
-        role = self.ident("a role name")
-        self.known(role, self.roles, "role", "unknown-role")
-        self.expect(",", "','")
+        membership = relation is not None and relation.is_membership
+        # the head ``<relation> [<att>] : <role> ,`` is read in place; where it
+        # does not match, the token helpers read it again to report it
+        att = rel_at + 1
+        colon = rel_at + 1 if membership else rel_at + 2
+        if (relation is not None and (membership or texts[att] in self.attrs)
+                and texts[colon] == ":" and texts[colon + 1] in self.roles
+                and texts[colon + 2] == ","):
+            att_known = True
+            role = colon + 1
+            self.pos = colon + 3
+        else:
+            self.pos = rel_at
+            self.ident("a relation name")
+            if relation is None:
+                raise _SyntaxError(rel_at, f"unknown relation {texts[rel_at]!r}",
+                                   "unknown-relation")
+            if not membership:
+                att = self.ident("an attribute name")
+                att_known = self.known(att, self.attrs, "attribute", "unknown-attr")
+            self.expect(":", "':'")
+            role = self.ident("a role name")
+            self.known(role, self.roles, "role", "unknown-role")
+            self.expect(",", "','")
         pre = self.parse_precondition()
-        self.expect("->", "'->'")
-        target = self.ident("a target value or group")
+        target = self.pos + 1
+        if texts[target - 1] == "->" and texts[target] not in _PUNCT:
+            self.pos = target + 1
+        else:
+            self.expect("->", "'->'")
+            self.ident("a target value or group")  # raises
         if membership:
-            self.known(target, self.groups, "group", "unknown-group")
+            if texts[target] not in self.groups:
+                self.known(target, self.groups, "group", "unknown-group")
             rule = Rule(relation, texts[role], pre, target_group=texts[target],
                         rule_id=len(self.rules))
         else:
-            if att_known:
-                self.in_scope(texts[att], (target,))
+            if att_known and texts[target] not in self.attrs[texts[att]]:
+                self.outside_scope(texts[att], target)
             rule = Rule(relation, texts[role], pre, target_attr=texts[att],
                         target_val=texts[target], rule_id=len(self.rules))
-            for node in pre.walk():
-                if isinstance(node, (DirectGroup, EffGroup)):
-                    self.error(rel_at, "group membership literal outside an "
-                               "assign/remove rule", "group-literal-misplaced")
+            if not isinstance(pre, (TrueCond, DirectVal, EffVal)):
+                for node in pre.walk():
+                    if isinstance(node, (DirectGroup, EffGroup)):
+                        self.error(rel_at, "group membership literal outside an "
+                                   "assign/remove rule", "group-literal-misplaced")
         self.rules.append(rule)
 
     def parse_query(self):
@@ -579,7 +628,9 @@ class _Parser:
             self.known(args["group"], self.groups, "group", "unknown-group")
         texts = self.texts
         if "att" in args and self.known(args["att"], self.attrs, "attribute", "unknown-attr"):
-            self.in_scope(texts[args["att"]], (args["val"],))
+            att = texts[args["att"]]
+            if texts[args["val"]] not in self.attrs[att]:
+                self.outside_scope(att, args["val"])
         return Request(relation, **{arg: texts[at] for arg, at in args.items()})
 
     def resolve(self) -> Optional[ProblemInstance]:

@@ -198,7 +198,9 @@ def validate_instance(instance: ProblemInstance) -> list[str]:
     exceptions, so callers can report all problems at once.
     """
     # policy imports this module
-    from .policy import And, DirectGroup, DirectVal, EffGroup, EffVal, Not, PolicyError, clauses
+    from .policy import (
+        And, DirectGroup, DirectVal, EffGroup, EffVal, Not, PolicyError, TrueCond, clauses,
+    )
 
     problems: list[str] = []
     scopes = instance.scopes
@@ -230,7 +232,21 @@ def validate_instance(instance: ProblemInstance) -> list[str]:
         if g not in groups:
             problems.append(f"user membership: unknown group {g!r}")
 
+    roles = instance.roles
     for rule in instance.rules:
+        # a rule with a known role, a target in scope and a ``true`` or
+        # single-literal precondition that resolves has nothing to report, so
+        # it builds no message; every other rule is checked in full
+        pre = rule.pre
+        membership = rule.relation.is_membership
+        if rule.role in roles and (
+                rule.target_group in groups if membership
+                else rule.target_val in scopes.get(rule.target_attr, ())) and (
+                isinstance(pre, TrueCond)
+                or isinstance(pre, (DirectVal, EffVal)) and pre.val in scopes.get(pre.att, ())
+                or membership and isinstance(pre, (DirectGroup, EffGroup))
+                and pre.group in groups):
+            continue
         where = f"rule #{rule.rule_id}"
         if rule.role not in instance.roles:
             problems.append(f"{where}: unknown role {rule.role!r}")

@@ -155,8 +155,8 @@ def solve_no_negation(instance: ProblemInstance, q: ReachabilityQuery) -> PlanRe
         raise RestrictionViolation("rule set contains delete/remove rules")
 
     h = instance.hierarchy
-    state = WorkingState(instance.initial_state)
-
+    # the initial state itself is read until the first firing copies it
+    state = instance.initial_state
     if _has_surplus(state, h, q):
         return PlanResult.failed(EXTRA_VALUES)
     # the target pairs not yet effective; the guard keeps every effective
@@ -186,6 +186,8 @@ def solve_no_negation(instance: ProblemInstance, q: ReachabilityQuery) -> PlanRe
             else:
                 continue
             req = _request(rule, subject)
+            if not requests:  # the one working copy
+                state = WorkingState(state)
             state.apply(req)
             requests.append(req)
             fired = True

@@ -317,13 +317,30 @@ class RuleSet(Frozen):
 
     @cached_property
     def restrictions(self) -> "RestrictionFlags":
-        """The restriction flags and level, derived once per rule set."""
-        no_negation = not any(
-            isinstance(node, Not) for rule in self.rules for node in rule.pre.walk()
-        )
-        no_deletion = not any(rule.relation.is_delete for rule in self.rules)
-        return RestrictionFlags(no_negation, no_deletion, self.srd_table is not None,
-                                classify_level(self))
+        """The restriction flags and level, derived once per rule set in one
+        pass; only a compound precondition is walked.
+
+        The level is G1plus if membership is administered or group literals
+        appear, G1 if a value rule's precondition mentions a foreign
+        attribute, and G0 otherwise.
+        """
+        no_negation = no_deletion = True
+        group_level = cross_attribute = False
+        for rule in self.rules:
+            relation = rule.relation
+            no_deletion &= not relation.is_delete
+            group_level |= relation.is_membership
+            pre = rule.pre
+            for node in pre.walk() if isinstance(pre, (And, Not)) else (pre,):
+                if isinstance(node, Not):
+                    no_negation = False
+                elif isinstance(node, (DirectGroup, EffGroup)):
+                    group_level = True
+                elif isinstance(node, (DirectVal, EffVal)):
+                    cross_attribute |= node.att != rule.target_attr
+        level = (Level.G1PLUS if group_level else Level.G1 if cross_attribute
+                 else Level.G0)
+        return RestrictionFlags(no_negation, no_deletion, self.srd_table is not None, level)
 
 
 def eval_precondition(
@@ -352,18 +369,8 @@ class RestrictionFlags(Frozen):
 
 
 def classify_level(rules: RuleSet) -> Level:
-    """G1plus if membership is administered or group literals appear; G1 if a
-    value rule's precondition mentions a foreign attribute; G0 otherwise."""
-    cross_attribute = False
-    for rule in rules:
-        if rule.relation.is_membership:
-            return Level.G1PLUS
-        for node in rule.pre.walk():
-            if isinstance(node, (DirectGroup, EffGroup)):
-                return Level.G1PLUS
-            if isinstance(node, (DirectVal, EffVal)) and node.att != rule.target_attr:
-                cross_attribute = True
-    return Level.G1 if cross_attribute else Level.G0
+    """The rule set's level, as ``RuleSet.restrictions`` derives it."""
+    return rules.restrictions.level
 
 
 def check_restrictions(rules: RuleSet) -> RestrictionFlags:

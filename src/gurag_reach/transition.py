@@ -8,7 +8,8 @@ matching relation, role and target has a satisfied precondition.
 ``WorkingState.apply`` is the one state update.  ``apply_request`` runs it on
 a copy and returns a fresh ``DirectState``; ``validate_plan`` runs it on one
 working state for the whole plan and freezes that state once, so a replay
-costs time linear in the plan's length rather than a copy per request.
+costs time linear in the plan's length rather than a copy per request.  An
+empty plan is checked on the initial state itself and copies nothing.
 """
 
 from __future__ import annotations
@@ -219,13 +220,15 @@ Verdict = Union[Valid, InvalidAt, QueryUnsatisfied]
 
 def validate_plan(instance: ProblemInstance, plan: Plan, q: ReachabilityQuery) -> Verdict:
     """Replay every request through the transition semantics, then check the query."""
-    work = WorkingState(instance.initial_state)
-    for i, req in enumerate(plan):
-        reason = _denial(work, instance.hierarchy, instance.rules, req)
-        if reason is not None:
-            return InvalidAt(i, reason)
-        work.apply(req)
-    state = work.freeze()
+    state = instance.initial_state  # what an empty plan leaves, with no copy made
+    if plan:
+        work = WorkingState(state)
+        for i, req in enumerate(plan):
+            reason = _denial(work, instance.hierarchy, instance.rules, req)
+            if reason is not None:
+                return InvalidAt(i, reason)
+            work.apply(req)
+        state = work.freeze()
     if eval_query(state, instance.hierarchy, q):
         return Valid(state)
     return QueryUnsatisfied(state)

@@ -1,4 +1,5 @@
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -225,6 +226,88 @@ class TestResolutionDiagnostics:
         assert len(result.plans) + len(result.queries) == (0 if line.startswith("user") else 1)
 
 
+RULES_HEAD = "attr a scope { x, y }\ngroup G\nrole r\nrules {\n"
+
+
+class TestRuleAndLiteralDiagnostics:
+    """A rule head and a value literal are read at fixed offsets; where a token
+    does not match, the diagnostics and the error that stops the rule come
+    out as a step-by-step read gives them, in order, at the same tokens."""
+
+    @pytest.mark.parametrize("rule, expected", [
+        ('rule canAddU a : r , x in direct(a -> y',
+         ["5:36: error: expected ')', found '->' [parse-expected]"]),
+        ('rule canAddU a : r , x in direct a) -> y',
+         ["5:34: error: expected '(', found 'a' [parse-expected]"]),
+        ('rule canAddU a : r , x in direct(b) -> y',
+         ["5:34: error: unknown attribute 'b' [unknown-attr]"]),
+        ('rule canAddU a : r , z in effective(a) -> y',
+         ["5:22: error: value 'z' outside scope of 'a' [scope-violation]"]),
+        ('rule canAddU a : r , x in direct(,) -> y',
+         ["5:34: error: expected an attribute name, found ',' [parse-expected]"]),
+        ('rule canAddU a : r , x in direct(a)) -> y',
+         ["5:36: error: expected '->', found ')' [parse-expected]"]),
+        ('rule canAddU a : r , x in foo -> y',
+         ["5:27: error: expected a membership kind, found 'foo' [parse-precondition]"]),
+        ('rule canAddU a : r , x in -> y',
+         ["5:27: error: expected 'direct', 'effective', 'directUg' or 'effUg', found '->' "
+          "[parse-expected]"]),
+        ('rule canAddU a : r , x in directUg -> y',
+         ["5:22: error: unknown group 'x' [unknown-group]",
+          "5:6: error: group membership literal outside an assign/remove rule "
+          "[group-literal-misplaced]"]),
+        ('rule canAddU a : r , H in effUg and x in direct(a) -> y',
+         ["5:22: error: unknown group 'H' [unknown-group]",
+          "5:6: error: group membership literal outside an assign/remove rule "
+          "[group-literal-misplaced]"]),
+        ('rule canAddU a r , true -> y',
+         ["5:16: error: expected ':', found 'r' [parse-expected]"]),
+        ('rule canAddU b : q , true -> z',
+         ["5:14: error: unknown attribute 'b' [unknown-attr]",
+          "5:18: error: unknown role 'q' [unknown-role]"]),
+        ('rule canAddU a : q ; true -> y',
+         ["5:18: error: unknown role 'q' [unknown-role]",
+          "5:20: error: expected ',', found ';' [parse-expected]"]),
+        ('rule canAddU a : r , true -> z',
+         ["5:30: error: value 'z' outside scope of 'a' [scope-violation]"]),
+        ('rule canAddU a : r , true -> ,',
+         ["5:30: error: expected a target value or group, found ',' [parse-expected]"]),
+        ('rule canAddU a : r , true y',
+         ["5:27: error: expected '->', found 'y' [parse-expected]"]),
+        ('rule canAssign : r , true -> H', ["5:30: error: unknown group 'H' [unknown-group]"]),
+        ('rule canAssign a : r , true -> G',
+         ["5:16: error: expected ':', found 'a' [parse-expected]"]),
+        ('rule canAssign : r , H in directUg -> G',
+         ["5:22: error: unknown group 'H' [unknown-group]"]),
+        ('rule canFoo a : r , true -> y',
+         ["5:6: error: unknown relation 'canFoo' [unknown-relation]"]),
+        ('rule , a', ["5:6: error: expected a relation name, found ',' [parse-expected]"]),
+        ('rule canAddU a : r , not(x in direct(a)) -> zz',
+         ["5:45: error: value 'zz' outside scope of 'a' [scope-violation]"]),
+        ('rule canAddU a : r , x in direct(a',
+         ["6:1: error: expected ')', found '}' [parse-expected]"]),
+        ('rule canAddU a : r , x in direct(',
+         ["6:1: error: expected an attribute name, found '}' [parse-expected]"]),
+        ('rule canAddU a : r , x in',
+         ["6:1: error: expected 'direct', 'effective', 'directUg' or 'effUg', found '}' "
+          "[parse-expected]"]),
+        ('rule canAddU a : r', ["6:1: error: expected ',', found '}' [parse-expected]"]),
+        ('rule canAddU', ["6:1: error: expected an attribute name, found '}' [parse-expected]"]),
+    ], ids=repr)
+    def test_rendered_diagnostics(self, rule, expected):
+        result = parse(RULES_HEAD + rule + "\n}\n")
+        assert [d.render() for d in result.diagnostics] == expected
+        assert result.instance is None
+
+    def test_every_prefix_parses(self):
+        source = RULES_HEAD + (
+            "rule canAddU a : r , x in direct(a) and not(y in effective(a)) -> y\n"
+            "rule canAssign : r , G in directUg and G in effUg -> G\n}\n")
+        assert parse(source).ok
+        for end in range(len(source)):
+            parse(source[:end])  # must not raise
+
+
 def lexed(source):
     tokens, diags = _lex(source)
     return ([(t.text, t.line, t.column, t.first_on_line) for t in tokens],
@@ -386,6 +469,35 @@ def test_texts_match_lex(source):
     "x->->y", "a-\n>b", "#\n#\n", "",
 ], ids=repr)
 def test_texts_match_lex_around_comments_and_dashes(source):
+    assert_texts_match_lex(source)
+
+
+# the characters ``str.split`` cuts at, besides the blanks and line end ``_lex``
+# skips; ``_lex`` reports each one
+SPLIT_ONLY_BLANKS = ("\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680"
+                     + "".join(map(chr, range(0x2000, 0x200b)))
+                     + "\u2028\u2029\u202f\u205f\u3000")
+
+
+def test_split_only_blanks_are_every_blank_str_split_cuts_at():
+    blanks = {chr(i) for i in range(sys.maxunicode + 1) if chr(i).isspace()}
+    assert blanks - set(" \t\r\n") == set(SPLIT_ONLY_BLANKS)
+
+
+@pytest.mark.parametrize("blank", SPLIT_ONLY_BLANKS, ids=lambda c: f"U+{ord(c):04X}")
+@pytest.mark.parametrize("source", ["attr a{}scope {{ x }}", "{}", "x ->{}y", "-{}>"])
+def test_texts_match_lex_on_blanks_only_split_takes(source, blank):
+    source = source.format(blank)
+    assert _texts(source) is None
+    assert_texts_match_lex(source)
+
+
+# ``_texts`` pads ``>`` with blanks, then mends each ``- >`` into ``->``; a
+# ``-`` followed by a blank was never ``->`` and is reported
+@pytest.mark.parametrize("source", [
+    "x - > y", "x- >y", "x -\t> y", "x->y", "x ->> y", "x->-> y", "a>->b", "x -> > y",
+], ids=repr)
+def test_texts_match_lex_around_arrows(source):
     assert_texts_match_lex(source)
 
 

@@ -12,7 +12,9 @@ from gurag_reach.model import (
     effective_user_attr,
     validate_instance,
 )
-from gurag_reach.policy import DirectGroup, EffGroup, Relation, Rule, RuleSet, TrueCond
+from gurag_reach.policy import (
+    DirectGroup, DirectVal, EffGroup, EffVal, Relation, Rule, RuleSet, TrueCond,
+)
 
 
 def hierarchy():
@@ -142,6 +144,12 @@ def test_validate_instance_reports_each_rule_problem():
         Rule(Relation.ASSIGN, "r", TrueCond(), target_group="Ghost"),
         Rule(Relation.REMOVE, "r", EffGroup("Phantom"), target_group="G"),
         Rule(Relation.ADD_U, "r", DirectGroup("G"), "a", "x"),
+        # each in a shape a well-formed rule shares, one problem apart
+        Rule(Relation.ADD_U, "r", DirectVal("a", "zz"), "a", "x"),
+        Rule(Relation.ASSIGN, "r", EffGroup("G"), target_group="G"),  # well formed
+        Rule(Relation.ADD_U, "r", EffVal("nope", "x"), "a", "x"),
+        Rule(Relation.ADD_UG, "r", TrueCond(), "a", "zz"),
+        Rule(Relation.ADD_U, "r", EffVal("a", "x"), "a", "x"),  # well formed
     ])
     inst = ProblemInstance(
         scopes={"a": frozenset({"x"})},
@@ -156,4 +164,7 @@ def test_validate_instance_reports_each_rule_problem():
         "rule #2: unknown group 'Ghost'",
         "rule #3 precondition: unknown group 'Phantom'",
         "rule #4: group membership literal outside an assign/remove rule",
+        "rule #5 precondition: value 'zz' outside scope of 'a'",
+        "rule #7 precondition: unknown attribute 'nope'",
+        "rule #8: value 'zz' outside scope of 'a'",
     ]

@@ -29,7 +29,16 @@ from gurag_reach.policy import (
     conjunction,
 )
 from gurag_reach.search import Reachable, Unreachable, analyze, bfs_solve
-from gurag_reach.transition import QueryType, ReachabilityQuery, Valid, validate_plan
+from gurag_reach.transition import (
+    Plan,
+    QueryType,
+    QueryUnsatisfied,
+    ReachabilityQuery,
+    Request,
+    Valid,
+    WorkingState,
+    validate_plan,
+)
 
 from test_planner_answers import srd_groups_case
 from test_search import bench_kernel
@@ -161,6 +170,31 @@ def test_replay_and_nonneg_copy_no_state_per_request(monkeypatch):
     built.clear()
     assert solve_no_negation(inst, q).plan == plan
     assert len(built) == 0
+
+
+def test_empty_plan_and_unfired_planner_copy_no_state(monkeypatch):
+    # an empty plan is checked on the initial state itself, and the planner
+    # copies the state only when it fires its first request
+    inst = make([addu("x", DirectVal("a", "y"))], state=DirectState({"a": {"z"}}))
+    copies = []
+    init = WorkingState.__init__
+
+    def counting_init(self, state):
+        copies.append(state)
+        init(self, state)
+
+    monkeypatch.setattr(WorkingState, "__init__", counting_init)
+    wanted = ReachabilityQuery({"a": frozenset({"x"})}, QueryType.RELAXED)
+    held = ReachabilityQuery({"a": frozenset({"z"})})
+    assert validate_plan(inst, Plan(), wanted) == QueryUnsatisfied(inst.initial_state)
+    assert validate_plan(inst, Plan(), held) == Valid(inst.initial_state)
+    assert solve_no_negation(inst, held).plan == Plan()
+    # nothing can fire: x needs y, which no rule adds
+    assert solve_no_negation(inst, wanted).reason == FIXPOINT_EXHAUSTED
+    assert copies == []
+    assert solve_no_negation(make([addu("x")]), wanted).plan == Plan(
+        (Request(Relation.ADD_U, "r", "a", "x"),))
+    assert len(copies) == 1
 
 
 class TestSrdRestrictions:

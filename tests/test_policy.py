@@ -145,6 +145,24 @@ class TestClassification:
         assert check_restrictions(rs) is flags
         assert rs == RuleSet(rs.rules) and repr(rs) == repr(RuleSet(rs.rules))
 
+    @pytest.mark.parametrize("pre, target, no_negation, level", [
+        # a negation nested under a conjunction
+        (conjunction([DirectVal("a", "x"), Not(DirectVal("a", "y"))]), "z", False, Level.G0),
+        # a foreign attribute read only under a negation
+        (Not(DirectVal("b", "x")), "y", False, Level.G1),
+        (conjunction([DirectVal("a", "x"), EffVal("b", "x")]), "y", True, Level.G1),
+        # a group literal only inside a negated conjunction of a value rule
+        (Not(conjunction([DirectVal("a", "x"), EffGroup("G1")])), "y", False, Level.G1PLUS),
+    ], ids=["not-under-and", "cross-under-not", "cross-under-and", "group-under-not-and"])
+    def test_restriction_flags_of_compound_preconditions(self, pre, target, no_negation, level):
+        rs = RuleSet.build([
+            rule(Relation.ADD_U, DirectVal("a", "x"), target_attr="a", target_val="x"),
+            rule(Relation.ADD_U, pre, target_attr="a", target_val=target),
+        ])
+        flags = check_restrictions(rs)
+        assert (flags.no_negation, flags.no_deletion, flags.level) == (no_negation, True, level)
+        assert classify_level(rs) == level
+
     def test_srd_table(self):
         rs = RuleSet.build([
             rule(Relation.ADD_U, Not(DirectVal("a", "x")), target_attr="a", target_val="y"),
