@@ -31,6 +31,24 @@ candidates are walked in index order, 8 bits at a time, so plans,
 ``statesExplored``, bound cuts and the goal test are those of testing every
 candidate at every state.  The compiled kernel still tests every candidate.
 
+A state also skips the edges that can only lead to visited states, by a
+sleep set (Godefroid and Wolper, CAV 1991).  Let ``s`` be reached from its
+parent ``p`` through candidate ``c``.  Then ``s`` skips each live candidate
+``c' < c`` that was live at ``p`` and writes no state bit that ``c``'s guard
+may read, by the table's readers map (reads through junior closures too).
+Why ``s ^ c'`` is visited by the time ``s`` is expanded: ``p`` came to ``c'``
+before ``c``, so ``p ^ c'`` was visited before ``s`` was (``p`` may have
+skipped ``c'``, but only because, by this same argument, ``p ^ c'`` was
+visited already) and is expanded first.  ``c`` is live there, since flipping
+``c'``'s bit changes neither ``c``'s guard nor ``c``'s own bit (a writer of
+that bit live at both ``p`` and ``s`` would be a no-op at one of them), and
+``(p ^ c') ^ c`` is ``s ^ c'``.  So only edges into visited states are
+dropped: the visited dict, each link and the discovery order, and with them
+plans, ``statesExplored``, the bound cuts and the clock reads per expanded
+state, are those of testing every live candidate.  The skip is derived only
+on a state that shares a live candidate with its parent, which no state of a
+chain does, from one mask per candidate, built the first time it is needed.
+
 The goal test is one comparison, ``eff & mask == target``, on the user's
 effective value bits ``eff``: the query's single ``QueryEntry`` gives the
 mask (for a relaxed query, the target itself) and the target.  A state
@@ -151,6 +169,16 @@ class _LiveTable:
         row = self.rows[i] = (keep, on, tuple(tests))
         return row
 
+    def sleep(self, i: int) -> int:
+        """The sleep mask of a state reached through candidate ``i``: the
+        candidates below ``i`` that write no state bit ``i``'s guard may read,
+        by the readers map ``build`` indexed."""
+        mask, sleep = 1 << i, (1 << i) - 1
+        for at, readers in self.readers.items():
+            if readers & mask:
+                sleep &= ~self.writers[at]
+        return sleep
+
 
 def bfs(
     ci: CompiledInstance,
@@ -205,7 +233,7 @@ def bfs(
 
     deadline = time.monotonic() + max_millis / 1000.0
     table = _LiveTable(ci)
-    rows, flips = table.rows, [flip for _, flip, _, _, _ in table.tests]
+    rows, sleeps, flips = table.rows, {}, [flip for _, flip, _, _, _ in table.tests]
     seen = {start: -1}
     frontier, lives = [start], [0]  # each state, and the live mask of its parent
     expanded, every = 0, _TIME_CHECK_INTERVAL // (len(flips) + 1) + 1
@@ -213,13 +241,13 @@ def bfs(
 
     while frontier and depth < max_depth:
         nxt, nxt_lives = [], []
-        for state, live in zip(frontier, lives):
+        for state, parent_live in zip(frontier, lives):
             expanded += 1
             if expanded % every == 0 and time.monotonic() > deadline:
                 return MILLIS_EXCEEDED, None, len(seen)
             link = seen[state]
             keep, on, recheck = rows[link] or table.build(link)
-            live = live & keep | on
+            live = parent_live & keep | on
             if recheck:
                 views = {}
                 for cand_bit, flip, need, subject, guard in recheck:
@@ -236,6 +264,12 @@ def bfs(
                             continue
                     live |= cand_bit
             rest, base = live, 0
+            if live & parent_live:  # skip what the parent's earlier children reach
+                try:
+                    sleep = sleeps[link]
+                except KeyError:
+                    sleep = sleeps[link] = table.sleep(link)
+                rest &= ~(parent_live & sleep)
             while rest:
                 byte = rest & 255
                 if not byte:  # jump to the chunk of the lowest live candidate

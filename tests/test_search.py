@@ -467,12 +467,12 @@ REFERENCE_BOUNDS = [SearchBounds(), SearchBounds(max_depth=1), SearchBounds(max_
                     SearchBounds(max_states=7)]
 
 
-def assert_matches_reference(instance, q):
+def assert_matches_reference(instance, q, bounds=REFERENCE_BOUNDS):
     """Equal ``bfs`` tuples, strict and relaxed."""
     ci = compile_instance(instance)
     start = ci.encode_state(instance.initial_state)
     goal, entries = ci.compile_query(q), reference_goal(ci, q)
-    for b in REFERENCE_BOUNDS:
+    for b in bounds:
         limits = (b.max_depth, b.max_states, b.max_millis)
         for strict in (True, False):
             assert _kernel_py.bfs(ci, start, goal, strict, *limits) == \
@@ -538,12 +538,35 @@ class TestMatchesReferenceKernel:
         for vals in ({"y"}, {"x", "y"}):
             assert_matches_reference(inst, ReachabilityQuery({"a": frozenset(vals)}))
 
+    def test_commuting_adds_and_deletes(self):
+        # every state of 2^8 is reached from each neighbour; the cuts land
+        # inside levels 2, 4 and 5 (level sizes 1, 8, 28, 56, 70, ...)
+        vals = [f"v{i:02d}" for i in range(8)]
+        rules = [Rule(rel, "r", TrueCond(), target_attr="a", target_val=v)
+                 for v in vals for rel in (Relation.ADD_U, Relation.DELETE_U)]
+        inst = ProblemInstance(
+            scopes={"a": frozenset(vals)}, hierarchy=GroupHierarchy(frozenset()),
+            roles=frozenset({"r"}), rules=RuleSet.build(rules),
+            initial_state=DirectState({"a": {"v06", "v07"}}))
+        bounds = REFERENCE_BOUNDS + [SearchBounds(max_states=n) for n in (20, 100, 200)]
+        assert_matches_reference(inst, ReachabilityQuery({"a": frozenset({"v00", "v01"})}),
+                                 bounds)
+
+    def test_criterion8_cuts(self):
+        # ~26 of 29 candidates live at every state, none guarded
+        bounds = [SearchBounds(max_states=1000), SearchBounds(max_states=4099),
+                  SearchBounds(max_depth=3)]
+        assert_matches_reference(*perfbench_gen.criterion8_wide(), bounds)
+
 
 # --- live sets ---------------------------------------------------------------
 # The pure kernel re-tests a candidate only when the bit a step flipped may
 # change whether it is live.  In each instance below one kind of dependency
 # decides the answer: a kernel that missed it would leave a needed candidate
-# dead, or make a denied one live.
+# dead, or make a denied one live.  It also skips, at a state reached through
+# candidate c, each live c' < c that was live at the parent and writes no bit
+# c's guard may read (a sleep set).  In each "sleep" case every shortest plan
+# runs through a state that a skip without the condition named never reaches.
 
 def live_instance(rules, user="", groups=None, seniority=(), held=()):
     """Attribute ``a`` with values w, x, y and z; ``user`` and each group of
@@ -561,8 +584,8 @@ def _add(val, pre=TrueCond(), relation=Relation.ADD_U):
     return Rule(relation, "r", pre, target_attr="a", target_val=val)
 
 
-def _delete(val, pre=TrueCond()):
-    return Rule(Relation.DELETE_U, "r", pre, target_attr="a", target_val=val)
+def _delete(val, pre=TrueCond(), relation=Relation.DELETE_U):
+    return Rule(relation, "r", pre, target_attr="a", target_val=val)
 
 
 def _assign(group, pre=TrueCond()):
@@ -599,6 +622,28 @@ LIVE_DEPENDENCIES = {
     "guarded writer stays off after an ALWAYS one": (live_instance(
         [_delete("x"), _add("x", DirectVal("a", "w")), _add("y", Not(DirectVal("a", "x")))],
         user="x"), "xy", None),
+    # sleep sets: adding x turns on the add of w, which was not live at the parent
+    "sleep reads the parent's live mask": (live_instance(
+        [_add("w", DirectVal("a", "x")), _add("x")]), "wx", 2),
+    # adding w, then x: only the later add may skip the earlier one
+    "sleep only below the step's candidate": (live_instance([_add("w"), _add("x")]), "wx", 2),
+    # adding x turns off the add of y: add y, then x
+    "sleep keeps what the step's guard reads": (live_instance(
+        [_add("x"), _add("y", Not(DirectVal("a", "x")))]), "xy", 2),
+    # deleting x from B, the user's junior group through A, keeps the user
+    # out of D: join D, then delete
+    "sleep keeps a user EffVal through a junior": (live_instance(
+        [_delete("x", relation=Relation.DELETE_UG), _assign("D", EffVal("a", "x"))],
+        groups={"A": "", "B": "x", "D": "y"}, seniority={("A", "B")}, held={"A"}), "y", 2),
+    # only B can take x, and x in A's junior B stops A deleting w: delete, then add
+    "sleep keeps a group EffVal through a junior": (live_instance(
+        [_add("x", DirectVal("a", "z"), Relation.ADD_UG),
+         _delete("w", Not(EffVal("a", "x")), Relation.DELETE_UG)],
+        groups={"A": "w", "B": "z"}, seniority={("A", "B")}, held={"A"}), "xz", 2),
+    # joining A puts the user in C, which stops leaving D: leave, then join
+    "sleep keeps an EffGroup": (live_instance(
+        [_assign("A"), Rule(Relation.REMOVE, "r", Not(EffGroup("C")), target_group="D")],
+        groups={"A": "w", "C": "", "D": "y"}, seniority={("A", "C")}, held={"D"}), "w", 2),
 }
 
 
@@ -612,6 +657,20 @@ def test_live_set_follows_each_dependency(name):
     else:
         assert isinstance(out, Reachable) and len(out.plan) == steps
     assert_matches_reference(inst, q)
+
+
+def test_sleep_masks_of_four_candidates():
+    # candidate i sleeps on the candidates below it that write no bit its
+    # guard reads; delete w writes add w's bit, which parent and child
+    # liveness already rule out, so no term drops it here
+    inst = live_instance([_add("w"), _add("x", DirectVal("a", "w")),
+                          _add("y", Not(DirectVal("a", "x"))),
+                          _delete("w", And((DirectVal("a", "x"), DirectVal("a", "y"))))])
+    ci = compile_instance(inst)
+    assert [c.request.val for c in ci.candidates] == ["w", "x", "y", "w"]
+    table = _kernel_py._LiveTable(ci)
+    table.build(0)  # indexes the guards' reads
+    assert [table.sleep(i) for i in range(4)] == [0b0000, 0b0000, 0b0001, 0b0001]
 
 
 # --- the benchmark's instances -----------------------------------------------
