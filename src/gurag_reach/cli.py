@@ -278,9 +278,10 @@ def _parser() -> argparse.ArgumentParser:
     command("oracle", "Exhaustive bounded search, ignoring any restriction structure.",
             [search, bounds]).set_defaults(engine="bfs")
     sub = command("fmt", "Reprint a file in canonical form (sorted declarations, fixed spacing).")
-    sub.add_argument("--check", action="store_true",
-                     help="Exit 1 if the file is not already canonical; write nothing.")
-    sub.add_argument("--in-place", action="store_true", help="Rewrite the file canonically.")
+    mode = sub.add_mutually_exclusive_group()
+    mode.add_argument("--check", action="store_true",
+                      help="Exit 1 if the file is not already canonical; write nothing.")
+    mode.add_argument("--in-place", action="store_true", help="Rewrite the file canonically.")
     sub = command("fuzz", "Generate seeded cases and compare the planners against the oracle.",
                   [bounds], file=False)
     sub.add_argument("--class", dest="cls", default="nonneg", choices=CLASSES,

@@ -44,7 +44,7 @@ from .model import (
     effective_groups,
     effective_user_attr,
 )
-from .policy import Relation, Rule, check_restrictions, eval_precondition
+from .policy import Relation, Rule, check_restrictions
 from .transition import (
     Plan,
     ReachabilityQuery,
@@ -88,16 +88,6 @@ class PlanResult(Frozen):
         return PlanResult(reason=reason, notes=notes)
 
 
-def _rule_order_key(rule: Rule) -> tuple:
-    return (
-        rule.relation.order,
-        rule.target_attr or "",
-        rule.target_val or "",
-        rule.target_group or "",
-        rule.rule_id,
-    )
-
-
 def _request(rule: Rule, subject: Optional[str] = None) -> Request:
     """The request of ``rule`` on ``subject``: None for the user, else a group
     (an assign rule names its own group)."""
@@ -134,20 +124,15 @@ def _value_wanted(q: ReachabilityQuery, att: str, val: str) -> bool:
 # Forward fixpoint for negation-free rule sets
 # --------------------------------------------------------------------------
 
-def _open_subjects(rule: Rule, state: DirectState, h: GroupHierarchy,
-                   q: ReachabilityQuery) -> tuple[Optional[str], ...]:
-    """The subjects a rule could still change: the user (None) for an add or
-    an assign, the effective groups lacking the value for a group add."""
-    if rule.relation == Relation.ADD_U:
-        return () if rule.target_val in state.user_values(rule.target_attr) else (None,)
-    if rule.relation == Relation.ASSIGN:
-        g = rule.target_group
-        return () if g in state.user_groups or not _group_admissible(state, h, q, g) else (None,)
-    return tuple(g for g in sorted(effective_groups(state, h))
-                 if rule.target_val not in state.group_values(g, rule.target_attr))
-
-
 def solve_no_negation(instance: ProblemInstance, q: ReachabilityQuery) -> PlanResult:
+    """The forward fixpoint: sweep the wanted add and assign rules in a fixed
+    order, firing each rule that can still change a subject, until the query
+    holds or a sweep fires nothing.
+
+    Each rule's relation, target and bound ``pre.holds`` are read once per
+    run, and a sweep calls them directly; requests are applied to one
+    ``WorkingState``.
+    """
     flags = check_restrictions(instance.rules)
     if not flags.no_negation:
         raise RestrictionViolation("rule set uses negation in preconditions")
@@ -167,37 +152,53 @@ def solve_no_negation(instance: ProblemInstance, q: ReachabilityQuery) -> PlanRe
     if not missing:
         return PlanResult.found(Plan())
 
-    # an unwanted value stays unwanted, so its rules are never fired
-    add_rules = sorted(
-        (r for r in instance.rules
-         if r.relation == Relation.ASSIGN
-         or (r.relation in (Relation.ADD_U, Relation.ADD_UG)
-             and _value_wanted(q, r.target_attr, r.target_val))),
-        key=_rule_order_key,
-    )
+    # the wanted rules in sweep order (relation, target, id), each with its
+    # role, relation, target and bound ``pre.holds`` read once; an unwanted
+    # value stays unwanted, so its rules are never fired
+    firing = [entry[5:] for entry in sorted(
+        (r.relation.order, r.target_attr or "", r.target_val or "", r.target_group or "",
+         r.rule_id, r.role, r.relation, r.target_attr, r.target_val, r.target_group, r.pre.holds)
+        for r in instance.rules
+        if r.relation == Relation.ASSIGN
+        or (r.relation in (Relation.ADD_U, Relation.ADD_UG)
+            and _value_wanted(q, r.target_attr, r.target_val)))]
+    add_u, assign = Relation.ADD_U, Relation.ASSIGN
     requests: list[Request] = []
 
     while True:
         fired = False
-        for rule in add_rules:
-            for subject in _open_subjects(rule, state, h, q):
-                if eval_precondition(rule.pre, state, h, subject):
-                    break
+        for role, kind, att, val, group, holds in firing:
+            # a rule fires on the first subject it could still change whose
+            # precondition holds: the user for an add or an assign, else the
+            # first effective group, in sorted order, lacking the value
+            if kind is add_u:
+                if val in state.user_values(att) or not holds(state, h, None):
+                    continue
+                subject = None
+            elif kind is assign:
+                if (group in state.user_groups or not _group_admissible(state, h, q, group)
+                        or not holds(state, h, None)):
+                    continue
+                subject = None
             else:
-                continue
-            req = _request(rule, subject)
+                for subject in sorted(effective_groups(state, h)):
+                    if val not in state.group_values(subject, att) and holds(state, h, subject):
+                        break
+                else:
+                    continue
+            req = Request(kind, role, att, val, group or subject)
             if not requests:  # the one working copy
                 state = WorkingState(state)
             state.apply(req)
             requests.append(req)
             fired = True
-            if req.kind == Relation.ASSIGN:
+            if kind is assign:
                 # the user now inherits every value of the group's juniors
                 missing.difference_update(
-                    (att, val) for g in h.junior_closure(req.group)
-                    for att in q.entries for val in state.group_values(g, att))
+                    (a, v) for g in h.junior_closure(group)
+                    for a in q.entries for v in state.group_values(g, a))
             else:  # a value added to the user or to an effective group
-                missing.discard((req.att, req.val))
+                missing.discard((att, val))
             if not missing:
                 return PlanResult.found(Plan(tuple(requests)))
         if not fired:

@@ -270,18 +270,21 @@ class RuleSet(Frozen):
 
     @cached_property
     def _index(self) -> dict[tuple, tuple[Rule, ...]]:
+        # keyed on the relation's ``order``: an int hashes in C, a member
+        # through ``Enum.__hash__``
         index: dict[tuple, list[Rule]] = {}
         for r in self.rules:
-            key = (r.relation, r.role, r.target_attr, r.target_val, r.target_group)
+            key = (r.relation.order, r.role, r.target_attr, r.target_val, r.target_group)
             index.setdefault(key, []).append(r)
         return {key: tuple(rules) for key, rules in index.items()}
 
     def matching(self, req) -> tuple[Rule, ...]:
         """Rules of the request's relation, role and target, in rule-id order."""
+        kind = req.kind
         # canAddUG/canDeleteUG rules apply to every group, so a request's
         # group is not part of their key
-        group = req.group if req.kind.is_membership else None
-        return self._index.get((req.kind, req.role, req.att, req.val, group), ())
+        group = req.group if kind.is_membership else None
+        return self._index.get((kind.order, req.role, req.att, req.val, group), ())
 
     @cached_property
     def srd_table(self) -> Optional[tuple[dict, dict]]:
@@ -294,17 +297,19 @@ class RuleSet(Frozen):
         pair or group has at most one add/assign rule.  The table maps each
         (att, val) to its canAddU or canAddUG rule, and each group to its
         canAssign rule, with the rule's literals as (positive, (att, val)) and
-        (positive, group) pairs.
+        (positive, group) pairs.  Only the srd engine reads it: ``restrictions``
+        decides the class with the same per-rule test, ``_srd_literals``, and
+        builds no table.
         """
         pairs: dict[tuple[str, str], tuple[Rule, list]] = {}
         groups: dict[str, tuple[Rule, list]] = {}
         for rule in self.rules:
-            membership = rule.relation.is_membership
-            shape = direct_conjunct_shape(rule.pre, DirectGroup if membership else DirectVal)
+            shape = _srd_literals(rule)
             if shape is None:
                 return None
             if rule.relation.is_delete:
                 continue
+            membership = rule.relation.is_membership
             # one rule per (att, val) across both add relations: a value pair
             # is addable through the user or through groups, never both
             table, key = ((groups, rule.target_group) if membership
@@ -322,14 +327,25 @@ class RuleSet(Frozen):
 
         The level is G1plus if membership is administered or group literals
         appear, G1 if a value rule's precondition mentions a foreign
-        attribute, and G0 otherwise.
+        attribute, and G0 otherwise.  ``single_rule_direct`` is SR_d as
+        ``srd_table`` defines it: every rule passes ``_srd_literals`` and no
+        two add/assign rules share a target; the table itself is not built.
         """
-        no_negation = no_deletion = True
+        no_negation = no_deletion = srd = True
         group_level = cross_attribute = False
+        targets: set = set()  # of the add/assign rules: groups and (att, val) pairs
         for rule in self.rules:
             relation = rule.relation
             no_deletion &= not relation.is_delete
             group_level |= relation.is_membership
+            if srd:
+                if _srd_literals(rule) is None:
+                    srd = False
+                elif not relation.is_delete:
+                    target = (rule.target_group if relation.is_membership
+                              else (rule.target_attr, rule.target_val))
+                    srd = target not in targets
+                    targets.add(target)
             pre = rule.pre
             for node in pre.walk() if isinstance(pre, (And, Not)) else (pre,):
                 if isinstance(node, Not):
@@ -340,7 +356,21 @@ class RuleSet(Frozen):
                     cross_attribute |= node.att != rule.target_attr
         level = (Level.G1PLUS if group_level else Level.G1 if cross_attribute
                  else Level.G0)
-        return RestrictionFlags(no_negation, no_deletion, self.srd_table is not None, level)
+        return RestrictionFlags(no_negation, no_deletion, srd, level)
+
+
+def _srd_literals(rule: Rule) -> Optional[list[tuple[bool, Precondition]]]:
+    """The rule's precondition as SR_d's (positive, literal) pairs, or None
+    when it is not a conjunction of possibly-negated direct literals of the
+    rule's own kind."""
+    kind = DirectGroup if rule.relation.is_membership else DirectVal
+    pre = rule.pre
+    # a bare literal or ``true`` needs no walk
+    if pre.__class__ is kind:
+        return [(True, pre)]
+    if pre.__class__ is TrueCond:
+        return []
+    return direct_conjunct_shape(pre, kind)
 
 
 def eval_precondition(

@@ -33,6 +33,9 @@ REQUEST_NAMES = {
     Relation.ADD_UG: "addUG", Relation.DELETE_UG: "deleteUG",
     Relation.ASSIGN: "assign", Relation.REMOVE: "remove",
 }
+# the same names by ``Relation.order``, which ``render`` reads without
+# hashing a member
+_NAME_BY_ORDER = tuple(REQUEST_NAMES[kind] for kind in Relation)
 
 
 class Request(Frozen):
@@ -55,8 +58,8 @@ class Request(Frozen):
 
     def render(self) -> str:
         # the fields a kind leaves None are exactly those its call omits
-        args = (self.role, self.group, self.att, self.val)
-        return f"{REQUEST_NAMES[self.kind]}({', '.join(a for a in args if a is not None)})"
+        args = [a for a in (self.role, self.group, self.att, self.val) if a is not None]
+        return f"{_NAME_BY_ORDER[self.kind.order]}({', '.join(args)})"
 
 
 class Plan(Frozen):
@@ -163,10 +166,14 @@ class NotAuthorized(Exception):
 
 
 def _denial(state, hierarchy: GroupHierarchy, rules: RuleSet, req: Request) -> Optional[str]:
-    """Why no rule admits the request, or None when one does."""
-    if authorized_rules(state, hierarchy, rules, req):
-        return None
-    return "precondition failed" if rules.matching(req) else "no matching rule"
+    """Why no rule admits the request, or None when one does; the rules are
+    tried in id order up to the first that holds."""
+    matched = rules.matching(req)
+    subject = req.group if req.kind.is_group_subject else None
+    for rule in matched:
+        if rule.pre.holds(state, hierarchy, subject):
+            return None
+    return "precondition failed" if matched else "no matching rule"
 
 
 def step(

@@ -276,6 +276,14 @@ class TestFmt:
         assert res.exit_code == 0
         assert f.read_text().startswith("attr a scope { x }\n")
 
+    def test_check_with_in_place_is_a_usage_error(self, tmp_path):
+        f = tmp_path / "messy.gurag"
+        f.write_text("role r\nattr a scope { x }\n")
+        res = run_cli("fmt", "--check", "--in-place", str(f))
+        assert res.exit_code == 2
+        assert "not allowed with argument" in res.stderr and res.stdout == ""
+        assert f.read_text() == "role r\nattr a scope { x }\n"
+
     def test_parse_error_exit_code_and_diagnostics(self):
         path = MALFORMED / "m01.gurag"
         res = run_cli("fmt", str(path))

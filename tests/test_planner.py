@@ -172,6 +172,42 @@ def test_replay_and_nonneg_copy_no_state_per_request(monkeypatch):
     assert len(built) == 0
 
 
+def test_step_paths_hash_no_relation(monkeypatch):
+    # the planner, replay and rendering look rules and names up by plain
+    # fields; hashing an enum member runs ``Enum.__hash__`` in Python
+    group_inst = make([addu("x"), assign("G1", DirectVal("a", "x")),
+                       addug("y", DirectVal("a", "z")), addug("z")],
+                      groups=("G1", "G2"), seniority=(("G1", "G2"),))
+    group_q = ReachabilityQuery({"a": frozenset({"x", "y", "z"})}, QueryType.RELAXED)
+    chain_inst, chain_q = bench_kernel.chain(300)
+    calls = []
+    enum_hash = Relation.__hash__
+
+    def counting_hash(self):
+        calls.append(self)
+        return enum_hash(self)
+
+    monkeypatch.setattr(Relation, "__hash__", counting_hash)
+    assert {Relation.ADD_U: 1}[Relation.ADD_U] == 1 and len(calls) == 2
+    calls.clear()
+    every_kind = [Request(Relation.DELETE_U, "r", "a", "x"),
+                  Request(Relation.DELETE_UG, "r", "a", "x", "G1"),
+                  Request(Relation.REMOVE, "r", group="G1")]
+    for inst, q in ((chain_inst, chain_q), (group_inst, group_q)):
+        # fresh rule sets, so their flags and index are built under the count
+        inst = ProblemInstance(inst.scopes, inst.hierarchy, inst.roles,
+                               RuleSet(inst.rules.rules), inst.initial_state)
+        plan = solve_no_negation(inst, q).plan
+        assert isinstance(validate_plan(inst, plan, q), Valid)
+        assert isinstance(validate_plan(inst, Plan(plan.requests + (plan.requests[0],)), q),
+                          Valid)
+        assert validate_plan(inst, Plan(tuple(every_kind)), q).reason == "no matching rule"
+        rendered = [req.render() for req in (*plan, *every_kind)]
+    assert calls == []
+    assert {req.kind for req in plan} == {Relation.ADD_U, Relation.ASSIGN, Relation.ADD_UG}
+    assert rendered[-3:] == ["deleteU(r, a, x)", "deleteUG(r, G1, a, x)", "remove(r, G1)"]
+
+
 def test_empty_plan_and_unfired_planner_copy_no_state(monkeypatch):
     # an empty plan is checked on the initial state itself, and the planner
     # copies the state only when it fires its first request

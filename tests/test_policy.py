@@ -23,11 +23,22 @@ from gurag_reach.policy import (
     eval_precondition,
 )
 
+from test_planner_answers import SEEDS as SRD_GROUPS_SEEDS, srd_groups_case
+
 H = GroupHierarchy(frozenset({"G1", "G2"}), frozenset({("G1", "G2")}))
 
 
 def rule(relation, pre, **kw):
     return Rule(relation, "r", pre, **kw)
+
+
+def srd_flag_and_table(rules):
+    """The SR_d flag of one fresh rule set, which must be decided without
+    building its table, and the table of a second fresh one."""
+    first = RuleSet(rules.rules)
+    flag = first.restrictions.single_rule_direct
+    assert "srd_table" not in first.__dict__
+    return flag, RuleSet(rules.rules).srd_table
 
 
 class TestPreconditionSemantics:
@@ -181,15 +192,67 @@ class TestClassification:
 
     @pytest.mark.parametrize("cls", fuzz.CLASSES)
     def test_srd_table_exists_exactly_for_single_rule_direct(self, cls):
-        for seed in range(200):
+        for seed in range(2000):
             rules = fuzz.generate(cls, seed)[0].rules
-            table = rules.srd_table
-            assert (table is not None) == check_restrictions(rules).single_rule_direct, seed
+            flag, table = srd_flag_and_table(rules)
+            assert (table is not None) == flag, seed
             if table is not None:
                 pairs, groups = table
                 assert sorted(r.rule_id for r, _ in (*pairs.values(), *groups.values())) == [
                     r.rule_id for r in rules
                     if r.relation in (Relation.ADD_U, Relation.ADD_UG, Relation.ASSIGN)], seed
+
+    def test_srd_table_exists_exactly_for_single_rule_direct_on_srd_groups(self):
+        # the 3-5 group envelope, where an assign rule now and then reads a value
+        kinds = set()
+        for seed in SRD_GROUPS_SEEDS:
+            flag, table = srd_flag_and_table(srd_groups_case(seed)[0].rules)
+            assert (table is not None) == flag, seed
+            kinds.add(flag)
+        assert kinds == {True, False}
+
+    @pytest.mark.parametrize("rules, single_rule_direct", [
+        ([rule(Relation.ADD_U, Not(TrueCond()), target_attr="a", target_val="y")], False),
+        ([rule(Relation.ADD_U, conjunction([DirectVal("a", "x"), Not(TrueCond())]),
+               target_attr="a", target_val="y")], False),
+        ([rule(Relation.ADD_U, Not(Not(TrueCond())), target_attr="a", target_val="y")], True),
+        ([rule(Relation.ADD_U, Not(Not(DirectVal("a", "x"))), target_attr="a",
+               target_val="y")], True),
+        ([rule(Relation.ASSIGN, Not(Not(DirectGroup("G2"))), target_group="G1")], True),
+        ([rule(Relation.ADD_U, Not(Not(EffVal("a", "x"))), target_attr="a",
+               target_val="y")], False),
+        ([rule(Relation.ADD_UG, EffVal("a", "x"), target_attr="a", target_val="y")], False),
+        ([rule(Relation.ASSIGN, EffGroup("G2"), target_group="G1")], False),
+        ([rule(Relation.ASSIGN, conjunction([DirectGroup("G2"), Not(EffGroup("G2"))]),
+               target_group="G1")], False),
+        ([rule(Relation.ASSIGN, DirectVal("a", "x"), target_group="G1")], False),
+        ([rule(Relation.ADD_UG, DirectGroup("G1"), target_attr="a", target_val="y")], False),
+        # a delete rule is checked for its shape, but shares targets freely
+        ([rule(Relation.ADD_U, TrueCond(), target_attr="a", target_val="y"),
+          rule(Relation.DELETE_U, EffVal("a", "x"), target_attr="a", target_val="y")], False),
+        ([rule(Relation.ASSIGN, TrueCond(), target_group="G1"),
+          rule(Relation.REMOVE, Not(DirectVal("a", "x")), target_group="G1")], False),
+        ([rule(Relation.ADD_U, TrueCond(), target_attr="a", target_val="y"),
+          rule(Relation.DELETE_U, DirectVal("a", "x"), target_attr="a", target_val="y"),
+          rule(Relation.DELETE_U, TrueCond(), target_attr="a", target_val="y")], True),
+        ([rule(Relation.ADD_U, TrueCond(), target_attr="a", target_val="y"),
+          rule(Relation.ADD_UG, DirectVal("a", "x"), target_attr="a", target_val="y")], False),
+        ([rule(Relation.ADD_UG, TrueCond(), target_attr="a", target_val="y"),
+          rule(Relation.ADD_UG, TrueCond(), target_attr="a", target_val="y")], False),
+        ([rule(Relation.ADD_U, TrueCond(), target_attr="a", target_val="x"),
+          rule(Relation.ADD_UG, TrueCond(), target_attr="a", target_val="y"),
+          rule(Relation.ASSIGN, TrueCond(), target_group="G1"),
+          rule(Relation.ASSIGN, TrueCond(), target_group="G2")], True),
+    ], ids=["not-true", "not-true-under-and", "double-not-true", "double-not-value",
+            "double-not-group", "double-not-effective", "eff-value", "eff-group",
+            "eff-group-under-and", "assign-reads-value", "addUG-reads-group",
+            "delete-reads-effective", "remove-reads-value", "deletes-share-a-target",
+            "pair-through-addU-and-addUG", "pair-twice-through-addUG", "distinct-targets"])
+    def test_single_rule_direct_by_hand(self, rules, single_rule_direct):
+        rs = RuleSet.build(rules)
+        flag, table = srd_flag_and_table(rs)
+        assert flag == single_rule_direct
+        assert (table is not None) == single_rule_direct
 
     def test_single_rule_violated_across_add_relations(self):
         # one pair addable both directly and through groups breaks the

@@ -4,7 +4,9 @@ import pytest
 
 from gurag_reach.fuzz import CLASSES, generate
 from gurag_reach.model import DirectState, GroupHierarchy, ProblemInstance, canonical_key
+from gurag_reach.dsl import parse
 from gurag_reach.policy import (
+    DirectGroup,
     DirectVal,
     Not,
     Relation,
@@ -174,6 +176,62 @@ def test_request_render_formats():
     assert Request(Relation.DELETE_UG, "r", att="a", val="x", group="G1").render() \
         == "deleteUG(r, G1, a, x)"
     assert Request(Relation.REMOVE, "r", group="G1").render() == "remove(r, G1)"
+
+
+# each request kind with a precondition on its subject that holds, one that
+# does not, and a request whose target no rule names: the user's values, the
+# target group's values and the user's memberships
+DENIAL_CASES = {
+    "user": (Request(Relation.ADD_U, "r", att="a", val="x"),
+             DirectVal("b", "z"), DirectVal("a", "y"),
+             {"target_attr": "a", "target_val": "x"},
+             Request(Relation.ADD_U, "r", att="a", val="y")),
+    "group-subject": (Request(Relation.ADD_UG, "r", att="a", val="x", group="G1"),
+                      DirectVal("b", "z"), DirectVal("a", "y"),
+                      {"target_attr": "a", "target_val": "x"},
+                      Request(Relation.ADD_UG, "r", att="a", val="y", group="G1")),
+    "membership": (Request(Relation.ASSIGN, "r", group="G1"),
+                   DirectGroup("G2"), DirectGroup("G1"),
+                   {"target_group": "G1"},
+                   Request(Relation.ASSIGN, "r", group="G2")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DENIAL_CASES))
+def test_replay_denial_reasons(case):
+    req, holds, fails, target, unmatched = DENIAL_CASES[case]
+    # the group's own b = z, and the user's, reached through neither subject's a
+    state = DirectState(user_attrs={"b": {"z"}}, group_attrs={"G1": {"b": {"z"}}},
+                        user_groups={"G2"})
+    q = ReachabilityQuery({})
+
+    def replay(pres, request=req):
+        inst = instance([Rule(req.kind, "r", pre, **target) for pre in pres], state)
+        return validate_plan(inst, Plan((request,)), q)
+
+    # only the second rule holds, and the first is passed over
+    assert isinstance(replay([fails, holds]), Valid)
+    assert isinstance(replay([holds, fails]), Valid)
+    assert replay([fails, fails]) == InvalidAt(0, "precondition failed")
+    assert replay([fails, holds], unmatched) == InvalidAt(0, "no matching rule")
+
+
+def test_render_parses_back_for_every_relation():
+    requests = (
+        Request(Relation.ADD_U, "r", att="a", val="x"),
+        Request(Relation.DELETE_U, "r", att="b", val="z"),
+        Request(Relation.ADD_UG, "r", att="a", val="y", group="G1"),
+        Request(Relation.DELETE_UG, "r", att="b", val="z", group="G2"),
+        Request(Relation.ASSIGN, "r", group="G2"),
+        Request(Relation.REMOVE, "r", group="G1"),
+    )
+    assert {req.kind for req in requests} == set(Relation)
+    document = ("attr a scope { x, y }\nattr b scope { z }\ngroup G1\ngroup G2\nrole r\n"
+                "query relaxed { e_a(u) = { x } }\n"
+                f"plan {{ {'; '.join(req.render() for req in requests)} }}\n")
+    result = parse(document)
+    assert result.ok, result.diagnostics
+    assert result.plans[0].requests == requests
 
 
 # --- Replay in place against a frozen-copy reference -------------------------
