@@ -311,6 +311,12 @@ int gr_bfs(struct gr_search *s) {
     return code;
 }
 
+/* The size of struct gr_search, which _kernel_ctypes.py compares with its
+ * _Search, so that a library built from another layout is refused. */
+size_t gr_search_size(void) {
+    return sizeof(struct gr_search);
+}
+
 void gr_free(struct gr_search *s) {
     free(s->plan);
     s->plan = NULL;

@@ -55,7 +55,10 @@ class CKernel:
 
     def __init__(self, path: str):
         lib = ctypes.CDLL(path)
-        self._bfs, self._free = lib.gr_bfs, lib.gr_free
+        self._bfs, self._free, size = lib.gr_bfs, lib.gr_free, lib.gr_search_size
+        size.argtypes, size.restype = [], ctypes.c_size_t
+        if size() != ctypes.sizeof(_Search):  # a build of another _kernel.c
+            raise OSError(f"{path}: struct gr_search is not _Search; rebuild it")
         self._bfs.argtypes = self._free.argtypes = [ctypes.POINTER(_Search)]
         self._bfs.restype = ctypes.c_int
         self._free.restype = None

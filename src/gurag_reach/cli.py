@@ -25,7 +25,6 @@ from typing import NoReturn, Optional
 from . import __version__
 from .dsl import Diagnostic, ParseResult, parse, serialize
 from .fuzz import CLASSES, run_fuzz
-from .model import validate_instance
 from .planner import RestrictionViolation
 from .policy import check_restrictions
 from .search import SearchBounds, analyze
@@ -63,19 +62,20 @@ def _emit_diagnostics(path: str, diags: list[Diagnostic]):
         print(f"{path}:{d.line}:{d.column}: {sev}: {d.message} [{d.code}]", file=sys.stderr)
 
 
-def _load(path: str) -> tuple[str, ParseResult]:
-    """The text of the file and its parse; exits 3 unless it parses cleanly."""
+def _load(path: str) -> tuple[bytes, ParseResult]:
+    """The file's bytes and the parse of its text, CRLF and lone CR read as LF;
+    exits 3 unless it parses cleanly, the one check before any engine runs."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            source = fh.read()
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        # no byte of a multi-byte UTF-8 character is a CR or an LF
+        source = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n").decode("utf-8")
     except OSError as exc:
         _fail(f"{path}: {exc.strerror}", EXIT_PARSE)
     except UnicodeDecodeError as exc:
-        # read() decodes the whole file at once, so exc.object holds all of it;
-        # count lines after text mode's line-end translation, and columns in
-        # characters, as the parser does
+        # exc.object holds the whole file with its line ends read as LF;
+        # columns count characters, as the parser does
         before = exc.object[:exc.start].decode("utf-8")
-        before = before.replace("\r\n", "\n").replace("\r", "\n")
         _emit_diagnostics(path, [Diagnostic(
             "error", before.count("\n") + 1, len(before) - before.rfind("\n"),
             f"not UTF-8: cannot decode byte 0x{exc.object[exc.start]:02x}", "not-utf8")])
@@ -84,16 +84,7 @@ def _load(path: str) -> tuple[str, ParseResult]:
     _emit_diagnostics(path, result.diagnostics)
     if not result.ok:
         sys.exit(EXIT_PARSE)
-    return source, result
-
-
-def _load_instance(path: str) -> ParseResult:
-    """``_load``, and also exits 3 when the instance is inconsistent."""
-    result = _load(path)[1]
-    problems = validate_instance(result.instance)
-    if problems:
-        _fail("\n".join(f"{path}: error: {p}" for p in problems), EXIT_PARSE)
-    return result
+    return raw, result
 
 
 def _pick(path: str, what: str, items: list, index: int):
@@ -104,8 +95,8 @@ def _pick(path: str, what: str, items: list, index: int):
 
 
 def _load_query(args: argparse.Namespace) -> tuple[ParseResult, ReachabilityQuery]:
-    """``_load_instance`` and the query that ``--query`` picks from the file."""
-    result = _load_instance(args.file)
+    """``_load`` and the query that ``--query`` picks from the file."""
+    result = _load(args.file)[1]
     if not result.queries:
         _fail(f"{args.file}: error: no query in file", EXIT_PARSE)
     return result, _pick(args.file, "query", result.queries, args.query)
@@ -126,7 +117,7 @@ def _report(doc: dict, elapsed_ms: Optional[float] = None):
 
 
 def classify(args: argparse.Namespace) -> int:
-    instance = _load_instance(args.file).instance
+    instance = _load(args.file)[1].instance
     flags = check_restrictions(instance.rules)
     _report({
         "level": flags.level.value,
@@ -190,12 +181,12 @@ def validate(args: argparse.Namespace) -> int:
 
 
 def fmt(args: argparse.Namespace) -> int:
-    source, result = _load(args.file)
+    raw, result = _load(args.file)
     canon = serialize(result.instance, result.queries, result.plans)
-    if args.check:
-        return EXIT_OK if canon == source else EXIT_NEGATIVE
+    if args.check:  # canonical means the same bytes, line ends included
+        return EXIT_OK if canon.encode("utf-8") == raw else EXIT_NEGATIVE
     if args.in_place:
-        with open(args.file, "w", encoding="utf-8") as fh:
+        with open(args.file, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(canon)
     else:
         print(canon, end="")

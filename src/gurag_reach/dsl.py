@@ -37,12 +37,13 @@ exception.  A precondition nests at most ``MAX_NESTING`` parentheses deep
 (``not(`` counts as one); one more is a ``parse-too-deep`` error.  Nesting is
 the only recursion: a conjunction is one flat ``And`` whatever its length,
 and the group hierarchy's closures are built without recursion, so no
-conjunction is too long and no seniority chain too deep to parse.  ``true``
-and ``not`` are keywords only where the next token is not ``in``, so a value
-or group may bear either name.  No attribute may be named ``groups``, the key
-under which the user block lists the user's memberships.  ``serialize`` emits
-the canonical form (sorted declarations, LF line endings) and round-trips
-bit-exactly with ``parse``.
+conjunction is too long and no seniority chain too deep to parse.  A rule past
+``policy.MAX_CLAUSES`` clauses is a ``too-many-clauses`` error, so a clean parse
+is an instance that every engine accepts.  ``true`` and ``not`` are keywords
+only where the next token is not ``in``, so a value or group may bear either
+name.  No attribute may be named ``groups``, the key of the user's memberships
+in the user block.  ``serialize`` emits the canonical form (sorted
+declarations, LF line endings) and round-trips bit-exactly with ``parse``.
 """
 
 from __future__ import annotations
@@ -59,15 +60,17 @@ from .policy import (
     EffGroup,
     EffVal,
     Not,
+    PolicyError,
     Precondition,
     Relation,
     Rule,
     RuleSet,
     TrueCond,
+    clauses,
     conjunction,
     conjuncts,
 )
-from .transition import REQUEST_NAMES, Plan, QueryType, ReachabilityQuery, Request
+from .transition import Plan, QueryType, ReachabilityQuery, Request
 
 
 class Diagnostic(Frozen):
@@ -206,6 +209,9 @@ class _Parser:
         self.texts = texts
         self.pos = 0
         self.depth = 0  # parentheses open around the precondition being parsed
+        # whether the rule being parsed holds a ``not(`` of a conjunction,
+        # the one kind of precondition that can exceed the clause bound
+        self.negated_and = False
         # raw declarations; resolution diagnostics point at token indices
         self.attrs: dict[str, set[str]] = {}
         self.groups: set[str] = set()
@@ -449,7 +455,9 @@ class _Parser:
             if subject == "true":
                 return TrueCond()
             if subject == "not":
-                return Not(self.parse_nested(self.expect("(", "'(' after 'not'")))
+                inner = self.parse_nested(self.expect("(", "'(' after 'not'"))
+                self.negated_and |= isinstance(inner, And)
+                return Not(inner)
             self.word(("in",), "'in'", "parse-precondition")  # raises
         # the literal's tokens are read in place; the token helpers run only
         # where one does not match, to report it as a step-by-step read would
@@ -554,6 +562,13 @@ class _Parser:
                     if isinstance(node, (DirectGroup, EffGroup)):
                         self.error(rel_at, "group membership literal outside an "
                                    "assign/remove rule", "group-literal-misplaced")
+        if self.negated_and:  # else the precondition is at most one clause
+            self.negated_and = False
+            literals: dict = {}
+            try:
+                clauses(pre, lambda lit: literals.setdefault(lit, len(literals)))
+            except PolicyError as exc:
+                self.error(rel_at, str(exc), "too-many-clauses")
         self.rules.append(rule)
 
     def parse_query(self):
@@ -586,15 +601,7 @@ class _Parser:
         qt = QueryType.STRICT if kind == "strict" else QueryType.RELAXED
         self.queries.append(ReachabilityQuery(entries, qt))
 
-    # request name -> (relation, argument fields in the order a request renders
-    # them): a membership request names role and group, a group-subject one
-    # role, group, attribute and value, and the rest role, attribute and value
-    _REQUEST_KINDS = {
-        name: (rel, ("role", "group") if rel.is_membership
-               else ("role", "group", "att", "val") if rel.is_group_subject
-               else ("role", "att", "val"))
-        for rel, name in REQUEST_NAMES.items()
-    }
+    _REQUEST_KINDS = {rel.request_name: rel for rel in Relation}
 
     def parse_plan(self):
         self.pos += 1
@@ -603,14 +610,13 @@ class _Parser:
         requests: list[Request] = []
         while texts[self.pos] != "}":
             name = self.ident("a request")
-            spec = self._REQUEST_KINDS.get(texts[name])
-            if spec is None:
+            relation = self._REQUEST_KINDS.get(texts[name])
+            if relation is None:
                 raise _SyntaxError(name, f"unknown request kind {texts[name]!r}",
                                    "unknown-request")
-            relation, fields = spec
             self.expect("(", "'('")
             args: dict[str, int] = {}
-            for i, arg in enumerate(fields):
+            for i, arg in enumerate(relation.request_fields):
                 if i:
                     self.expect(",", "','")
                 args[arg] = self.ident("an argument")

@@ -18,7 +18,7 @@ from .encoding import CompiledInstance
 
 
 def load(path: str):
-    """The compiled kernel in the shared library at ``path``."""
+    """The compiled kernel in the library at ``path``; OSError unless built from ``_kernel.c``."""
     from ._kernel_ctypes import CKernel
 
     return CKernel(path)

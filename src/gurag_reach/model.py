@@ -194,8 +194,9 @@ class ProblemInstance(Frozen):
 def validate_instance(instance: ProblemInstance) -> list[str]:
     """Check every cross-reference and invariant; returns human-readable violations.
 
-    An empty list means the instance is well formed.  Errors are data, not
-    exceptions, so callers can report all problems at once.
+    An empty list means the instance is well formed.  This is the check for an
+    instance built in code; one that ``dsl.parse`` returns cleanly passes it.
+    Errors are data, not exceptions, so callers can report all problems at once.
     """
     # policy imports this module
     from .policy import (

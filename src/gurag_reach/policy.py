@@ -36,6 +36,13 @@ class Relation(enum.Enum):
         # whether preconditions are evaluated against the target group
         self.is_group_subject = value in ("canAddUG", "canDeleteUG")
         self.is_delete = value in ("canDeleteU", "canDeleteUG", "canRemove")
+        # the request it admits, as the text format and rendered plans name
+        # it (``canAddU`` admits ``addU``), and that request's arguments in
+        # the order it renders them
+        self.request_name = value[3].lower() + value[4:]
+        self.request_fields = (("role", "group") if self.is_membership
+                               else ("role", "group", "att", "val") if self.is_group_subject
+                               else ("role", "att", "val"))
 
 
 # --- Precondition formula AST -------------------------------------------------

@@ -24,18 +24,7 @@ from .model import (
     ProblemInstance,
     effective_user_attr,
 )
-from .policy import Relation, RuleSet, eval_precondition
-
-
-# the request names of the text format and of rendered plans
-REQUEST_NAMES = {
-    Relation.ADD_U: "addU", Relation.DELETE_U: "deleteU",
-    Relation.ADD_UG: "addUG", Relation.DELETE_UG: "deleteUG",
-    Relation.ASSIGN: "assign", Relation.REMOVE: "remove",
-}
-# the same names by ``Relation.order``, which ``render`` reads without
-# hashing a member
-_NAME_BY_ORDER = tuple(REQUEST_NAMES[kind] for kind in Relation)
+from .policy import PolicyError, Relation, RuleSet, eval_precondition
 
 
 class Request(Frozen):
@@ -43,12 +32,12 @@ class Request(Frozen):
 
     def __init__(self, kind: Relation, role: str, att: Optional[str] = None,
                  val: Optional[str] = None, group: Optional[str] = None):
-        if kind.is_membership:
-            assert group is not None and att is None and val is None
-        elif kind.is_group_subject:
-            assert group is not None and att is not None and val is not None
-        else:
-            assert group is None and att is not None and val is not None
+        # a membership request names a group only, a group-subject one a
+        # group and an (attribute, value) pair, and the rest a pair only
+        pair = not kind.is_membership
+        if ((group is None) == (kind.is_membership or kind.is_group_subject)
+                or (att is None) == pair or (val is None) == pair):
+            raise PolicyError(f"wrong fields for {kind.request_name}: {group=}, {att=}, {val=}")
         self.__dict__.update(kind=kind, role=role, att=att, val=val, group=group)
 
     @property
@@ -59,7 +48,7 @@ class Request(Frozen):
     def render(self) -> str:
         # the fields a kind leaves None are exactly those its call omits
         args = [a for a in (self.role, self.group, self.att, self.val) if a is not None]
-        return f"{_NAME_BY_ORDER[self.kind.order]}({', '.join(args)})"
+        return f"{self.kind.request_name}({', '.join(args)})"
 
 
 class Plan(Frozen):

@@ -85,17 +85,22 @@ def golden():
     return load_golden
 
 
-@pytest.fixture(scope="session")
-def compiled_library(tmp_path_factory):
-    """The C kernel built from the checkout's ``_kernel.c`` into a temporary
-    directory and loaded the way ``kernel`` loads an installed build.  It is
-    compiled as strict C99 with every warning an error."""
+def build_kernel(source, lib):
+    """Compile the C kernel at ``source`` into the shared library ``lib`` as
+    strict C99 with every warning an error; skips the test without a C compiler."""
     cc = shutil.which("gcc") or shutil.which("cc")
     if cc is None:
         pytest.skip("no C compiler found to build the compiled kernel")
-    lib = tmp_path_factory.mktemp("kernel") / "_kernel.so"
     subprocess.run([cc, "-std=c99", "-Wall", "-Wextra", "-Wpedantic", "-Werror", "-O2", "-shared",
-                    "-fPIC", "-o", str(lib), str(KERNEL_SOURCE)], check=True)
+                    "-fPIC", "-o", str(lib), str(source)], check=True)
+
+
+@pytest.fixture(scope="session")
+def compiled_library(tmp_path_factory):
+    """The C kernel built from the checkout's ``_kernel.c`` into a temporary
+    directory and loaded the way ``kernel`` loads an installed build."""
+    lib = tmp_path_factory.mktemp("kernel") / "_kernel.so"
+    build_kernel(KERNEL_SOURCE, lib)
     return kernel.load(str(lib))
 
 

@@ -27,7 +27,7 @@ from gurag_reach.policy import (
     conjunction,
 )
 
-from conftest import GOLDEN, MALFORMED, nested_document
+from conftest import GOLDEN, MALFORMED, nested_document, one_rule_document
 from test_search import bench_kernel
 
 
@@ -550,6 +550,39 @@ def test_parse_is_total_on_mutated_files(cls, seed, edits):
 def test_texts_match_lex_on_mutated_files(cls, seed, edits):
     instance, q = generate(cls, seed)
     assert_texts_match_lex(mutate(serialize(instance, [q]), edits))
+
+
+class TestClauseBound:
+    """The parser reports a precondition past ``MAX_CLAUSES`` clauses, and
+    expands only the rules that hold a negated conjunction."""
+
+    def test_reported_at_the_relation_of_each_rule_past_the_bound(self):
+        over = "not(" + " and ".join(f"x{i} in direct(a)" for i in range(65)) + ")"
+        text = ("attr a scope { " + ", ".join(f"x{i}" for i in range(65)) + " }\nrole r\n"
+                f"rules {{\n  rule canAddU a : r , {over} -> x0\n"
+                "  rule canDeleteU a : r , not(x0 in direct(a) and x1 in direct(a)) -> x0\n"
+                f"  rule canDeleteU a : r , true and {over} -> x1\n}}\n")
+        result = parse(text)
+        assert result.instance is None
+        assert [d.render() for d in result.diagnostics] == [
+            f"{line}:8: error: precondition expands to more than 64 clauses [too-many-clauses]"
+            for line in (4, 6)]
+
+    def test_rules_without_a_negated_conjunction_are_not_expanded(self, monkeypatch):
+        calls = []
+
+        def counting_clauses(pre, bit):
+            calls.append(pre)
+            return []
+
+        monkeypatch.setattr(dsl, "clauses", counting_clauses)
+        documents = [bench_kernel.chain(512)]
+        documents += [generate(cls, seed) for cls in CLASSES for seed in range(100)]
+        for instance, q in documents:
+            assert parse(serialize(instance, [q])).ok
+        assert calls == []
+        parse(one_rule_document("not(x in direct(a) and y in direct(a))"))
+        assert len(calls) == 1
 
 
 class TestPositionsOnlyForDiagnostics:

@@ -9,6 +9,9 @@ positions, messages and error recovery on many more.
 
 Regenerate it with ``PYTHONPATH=src python tests/test_mutated_diagnostics.py``
 only when a change of diagnostic text, position or recovery is intended.
+
+The same corpus, widened, pins the parser as the one well-formedness gate:
+whatever parses cleanly passes every later check.
 """
 
 import hashlib
@@ -18,8 +21,11 @@ import random
 import sys
 
 from gurag_reach.dsl import parse, serialize
+from gurag_reach.encoding import compile_instance
 from gurag_reach.fuzz import CLASSES, generate
+from gurag_reach.model import validate_instance
 
+from conftest import GOLDEN, MALFORMED, one_rule_document
 from test_dsl import VOCABULARY, mutate
 
 FROZEN = pathlib.Path(__file__).parent / "data" / "mutated_diagnostics.json"
@@ -34,9 +40,14 @@ def mutated_case(case: int) -> tuple[str, int, list[tuple[str, int, str]]]:
     return CLASSES[case % len(CLASSES)], rng.randrange(10_000), edits
 
 
-def mutated_source(cls: str, seed: int, edits) -> str:
+def fuzz_document(cls: str, seed: int) -> str:
+    """The serialized ``fuzz.generate`` document of a class and seed, with its query."""
     instance, q = generate(cls, seed)
-    return mutate(serialize(instance, [q]), edits)
+    return serialize(instance, [q])
+
+
+def mutated_source(cls: str, seed: int, edits) -> str:
+    return mutate(fuzz_document(cls, seed), edits)
 
 
 def outcome(case: int) -> dict:
@@ -60,6 +71,38 @@ def test_diagnostics_match_frozen():
     frozen = json.loads(FROZEN.read_text())
     differing = [case for case, entry in enumerate(frozen) if outcome(case) != entry]
     assert not differing, f"outcomes differ at cases {differing[:10]}"
+
+
+def negated_conjunction_documents():
+    """One-rule documents whose negated conjunctions expand to 64 clauses or
+    fewer, or to more; (whether within the bound, document)."""
+    pair = "not(x in direct(a) and y in direct(a))"
+    for n in (63, 64, 65, 1200):  # n clauses
+        yield n <= 64, one_rule_document(f"not({' and '.join(['x in direct(a)'] * n)})")
+    for n in (6, 7):  # 2**n clauses
+        yield n <= 6, one_rule_document(" and ".join([pair] * n))
+        yield n <= 6, one_rule_document(f"not(not({' and '.join([pair] * n)}))")
+    # under a negated conjunction each not(a and b) is a and b again, one clause
+    yield True, one_rule_document(f"not({' and '.join([pair] * 7)})")
+
+
+def test_clean_parse_passes_every_later_check():
+    """``parse(text).ok`` is the one well-formedness gate: an instance that
+    parses cleanly passes ``validate_instance``, and compiles for the kernels."""
+    documents = [path.read_text() for directory in (GOLDEN, MALFORMED)
+                 for path in sorted(directory.glob("*.gurag"))]
+    documents += [mutated_source(*mutated_case(case)) for case in range(CASES + 2_000)]
+    documents += [fuzz_document(cls, seed) for cls in CLASSES for seed in range(2_000)]
+    bounded = list(negated_conjunction_documents())
+    assert [parse(document).ok for _, document in bounded] == [ok for ok, _ in bounded]
+    clean = 0
+    for document in documents + [document for _, document in bounded]:
+        result = parse(document)
+        if result.ok:
+            clean += 1
+            assert validate_instance(result.instance) == [], document
+            compile_instance(result.instance)
+    assert clean > 6_000
 
 
 if __name__ == "__main__":

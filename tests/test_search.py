@@ -11,6 +11,7 @@ import sys
 import time
 import tracemalloc
 from collections import deque
+from importlib.machinery import EXTENSION_SUFFIXES
 
 import pytest
 
@@ -50,7 +51,7 @@ from gurag_reach.transition import (
     validate_plan,
 )
 
-from conftest import GOLDEN, KERNEL_SOURCE, child_env, load_golden
+from conftest import GOLDEN, KERNEL_SOURCE, build_kernel, child_env, load_golden
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -721,6 +722,28 @@ class TestBinding:
         fields = self.c_struct_fields("gr_search")
         assert ("n_slots", ctypes.c_int32) in fields and ("start", _kernel_ctypes._u64) in fields
         assert _kernel_ctypes._Search._fields_ == fields
+
+
+def test_library_of_another_struct_layout_is_refused(tmp_path, monkeypatch):
+    # an in-tree build of an older _kernel.c outlives checkouts, as *.so is
+    # not tracked; a library whose struct gr_search differs is never called
+    source = KERNEL_SOURCE.read_text()
+    assert source.count("    uint32_t n_states;\n") == 1
+    stale = tmp_path / "_kernel.c"
+    stale.write_text(source.replace("    uint32_t n_states;\n",
+                                    "    uint32_t n_states;\n    int64_t removed_field;\n"))
+    name = "_kernel" + EXTENSION_SUFFIXES[0]
+    build_kernel(stale, tmp_path / name)
+    with pytest.raises(OSError, match="struct gr_search is not _Search"):
+        kernel.load(str(tmp_path / name))
+    # the package falls back to the pure kernel when such a build lies next
+    # to it, and takes a build of the current source
+    monkeypatch.setattr(kernel, "__file__", str(tmp_path / "kernel.py"))
+    assert kernel._installed() is None
+    (tmp_path / "current").mkdir()
+    build_kernel(KERNEL_SOURCE, tmp_path / "current" / name)
+    monkeypatch.setattr(kernel, "__file__", str(tmp_path / "current" / "kernel.py"))
+    assert kernel._installed() is not None
 
 
 # Run in a child interpreter with AddressSanitizer preloaded: compares the raw

@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -9,6 +11,7 @@ from gurag_reach.policy import (
     DirectGroup,
     DirectVal,
     Not,
+    PolicyError,
     Relation,
     Rule,
     RuleSet,
@@ -29,6 +32,8 @@ from gurag_reach.transition import (
     step,
     validate_plan,
 )
+
+from conftest import child_env
 
 H = GroupHierarchy(frozenset({"G1", "G2"}), frozenset({("G1", "G2")}))
 
@@ -66,10 +71,29 @@ class TestApplyRequest:
         assert s.user_groups == frozenset()
 
     def test_request_shape_enforced(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(PolicyError):
             Request(Relation.ADD_U, "r", att="a", val="x", group="G1")
-        with pytest.raises(AssertionError):
+        with pytest.raises(PolicyError):
             Request(Relation.ASSIGN, "r", att="a", val="x")
+
+    def test_request_shape_enforced_without_asserts(self):
+        # ``python -O`` strips assert statements; the shape check is not one
+        code = ("from gurag_reach.policy import PolicyError, Relation\n"
+                "from gurag_reach.transition import Request\n"
+                "for kind, fields in ((Relation.ADD_U, dict(att='a', val='x', group='G1')),\n"
+                "                     (Relation.ADD_UG, dict(att='a', val='x')),\n"
+                "                     (Relation.ASSIGN, dict(att='a', val='x'))):\n"
+                "    try:\n"
+                "        Request(kind, 'r', **fields)\n"
+                "    except PolicyError as exc:\n"
+                "        print(exc)\n")
+        res = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                             env=child_env())
+        assert (res.returncode, res.stderr) == (0, "")
+        assert res.stdout == (
+            "wrong fields for addU: group='G1', att='a', val='x'\n"
+            "wrong fields for addUG: group=None, att='a', val='x'\n"
+            "wrong fields for assign: group=None, att='a', val='x'\n")
 
 
 class TestStep:
