@@ -25,12 +25,18 @@ text; the CLI rejects a file that is not UTF-8 with exit code 3.
 The parser takes the token texts from ``str`` methods run over the whole
 source, with no call per token: a deletion table finds any character ``_lex``
 reports, blanks set the punctuation apart, and ``split`` cuts the texts.  It
-consumes them by index; a rule head and a value literal, whose tokens stand
-at fixed offsets, are compared in place, and the token helpers run only to
-report a token that does not match.  Line, column and first-on-line are
-computed by the positioned lexer ``_lex``, run at most once per parse and only
-when a diagnostic or error recovery needs them, or when the source holds a
-character ``_lex`` reports; so a valid document never builds a ``Token``.
+consumes them by index.  Where tokens stand at fixed offsets they are compared
+in place: a rule head, a value literal, and the whole of a rule with nothing
+to report whose body is ``true`` or one value literal.  A value set is a
+slice of the texts: its first few values are compared in place, and the rest
+of a long set is checked with list methods (a comma at every other position,
+no punctuation among the values), then with ``set`` operations for duplicates
+and scopes.  The token helpers run only to report what such a read refuses,
+so they give the diagnostics and recovery of a token-by-token read.  Line,
+column and first-on-line are computed by the positioned lexer ``_lex``, run at
+most once per parse and only when a diagnostic or error recovery needs them,
+or when the source holds a character ``_lex`` reports; so a valid document
+never builds a ``Token``.
 
 Parsing is total: malformed input produces positioned diagnostics, never an
 exception.  A precondition nests at most ``MAX_NESTING`` parentheses deep
@@ -131,6 +137,11 @@ _TOKEN = re.compile(r"([ \t\r]*)(?:([A-Za-z0-9_.]+|->|[{}=,;:>()])|([^ \t\r]))")
 _PUNCT = frozenset(("{", "}", "=", ",", ";", ":", ">", "(", ")", "->", ""))
 
 _RELATIONS = {relation.value: relation for relation in Relation}
+
+# the values of a set compared in place before the rest is checked as a
+# slice; a set of a few values is read faster in place, a long one faster as
+# slices
+_SHORT_SET = 4
 
 _TOPLEVEL = {
     "attr", "group", "senior", "role", "user", "groupstate", "rules", "query", "plan",
@@ -277,16 +288,18 @@ class _Parser:
         """Report the value token ``at``, which lies outside ``att``'s scope."""
         self.error(at, f"value {self.texts[at]!r} outside scope of {att!r}", "scope-violation")
 
-    def in_scope(self, att: str, values) -> set[str]:
-        """The texts of the value tokens at ``values`` that lie in ``att``'s scope."""
+    def in_scope(self, att: str, values: list[str], brace: int) -> set[str]:
+        """The values of the set at ``brace`` that lie in ``att``'s scope."""
         scope = self.attrs[att]
-        texts = self.texts
+        vals = set(values)
+        if vals <= scope:
+            return vals
         vals = set()
-        for at in values:
-            if texts[at] in scope:
-                vals.add(texts[at])
+        for k, value in enumerate(values):
+            if value in scope:
+                vals.add(value)
             else:
-                self.outside_scope(att, at)
+                self.outside_scope(att, brace + 1 + 2 * k)
         return vals
 
     def synchronize(self):
@@ -313,19 +326,45 @@ class _Parser:
         instance = self.resolve()
         return ParseResult(instance, self.queries, self.plans, self.diags)
 
-    def parse_value_set(self) -> tuple[list[int], int]:
-        """The indices of the values of a ``{ ... }`` set, and of its ``{``."""
+    def parse_value_set(self) -> tuple[list[str], int]:
+        """The values of a ``{ ... }`` set, in order, and the index of its
+        ``{``; value ``k`` is token ``brace + 1 + 2 * k``."""
         brace = self.expect("{", "'{'")
-        items: list[int] = []
         texts = self.texts
-        if texts[self.pos] == "}":
-            self.pos += 1
-            return items, brace
+        end = brace + 1
+        if texts[end] == "}":
+            self.pos = end + 1
+            return [], brace
+        # a well-formed set alternates values and commas up to its ``}``.  Its
+        # first ``_SHORT_SET`` values are compared in place; the rest of a
+        # longer set is checked as one slice, in C: up to the first ``}``, a
+        # comma at every other position and no punctuation among the values.
+        # A set either check refuses is read again token by token, to report it.
+        while texts[end] not in _PUNCT:
+            sep = texts[end + 1]
+            if sep == "}":
+                self.pos = end + 2
+                return texts[brace + 1:end + 1:2], brace
+            if sep != ",":
+                break
+            end += 2
+            if end > brace + 2 * _SHORT_SET:
+                try:
+                    close = texts.index("}", end)
+                except ValueError:
+                    break
+                rest = texts[end:close]
+                if (len(rest) % 2 and rest[1::2].count(",") == len(rest) // 2
+                        and _PUNCT.isdisjoint(rest[::2])):
+                    self.pos = close + 1
+                    return texts[brace + 1:close:2], brace
+                break
+        self.pos = brace + 1
         while True:
-            items.append(self.ident("a value"))
+            self.ident("a value")
             if texts[self.pos] != ",":
                 self.expect("}", "'}' or ','")
-                return items, brace
+                return texts[brace + 1:self.pos - 1:2], brace
             self.pos += 1
 
     def parse_attr(self):
@@ -342,12 +381,14 @@ class _Parser:
             return
         if not values:
             self.error(brace, f"attribute {name!r} has an empty scope", "empty-scope")
-        texts = self.texts
-        seen = set()
-        for value in values:
-            if texts[value] in seen:
-                self.error(value, f"duplicate scope value {texts[value]!r}", "dup-value")
-            seen.add(texts[value])
+        seen = set(values)
+        if len(seen) < len(values):  # report each repeat at its token
+            seen = set()
+            for k, value in enumerate(values):
+                if value in seen:
+                    self.error(brace + 1 + 2 * k, f"duplicate scope value {value!r}",
+                               "dup-value")
+                seen.add(value)
         self.attrs[name] = seen
 
     def declare(self, names: set[str], what: str, code: str):
@@ -389,17 +430,18 @@ class _Parser:
             at = self.ident("an attribute name")
             key = texts[at]
             self.expect("=", "'='")
-            values, _ = self.parse_value_set()
+            values, brace = self.parse_value_set()
             if allow_groups and key == "groups":
                 if groups is not None:
                     self.error(at, "duplicate 'groups' entry", "dup-entry")
-                for value in values:
-                    self.known(value, self.groups, "group", "unknown-group")
-                groups = {texts[value] for value in values}
+                if not self.groups.issuperset(values):
+                    for k in range(len(values)):
+                        self.known(brace + 1 + 2 * k, self.groups, "group", "unknown-group")
+                groups = set(values)
             elif key in attrs:
                 self.error(at, f"duplicate attribute entry {key!r}", "dup-entry")
             elif self.known(at, self.attrs, "attribute", "unknown-attr"):
-                attrs[key] = self.in_scope(key, values)
+                attrs[key] = self.in_scope(key, values, brace)
             else:
                 attrs[key] = set()
         self.pos += 1
@@ -514,6 +556,7 @@ class _Parser:
 
     def parse_rule(self):
         texts = self.texts
+        attrs = self.attrs
         rel_at = self.pos + 1  # after 'rule'
         relation = _RELATIONS.get(texts[rel_at])
         membership = relation is not None and relation.is_membership
@@ -521,12 +564,37 @@ class _Parser:
         # does not match, the token helpers read it again to report it
         att = rel_at + 1
         colon = rel_at + 1 if membership else rel_at + 2
-        if (relation is not None and (membership or texts[att] in self.attrs)
+        scope = None  # of the rule's attribute
+        if (relation is not None and (membership or (scope := attrs.get(texts[att])) is not None)
                 and texts[colon] == ":" and texts[colon + 1] in self.roles
                 and texts[colon + 2] == ","):
-            att_known = True
             role = colon + 1
-            self.pos = colon + 3
+            at = colon + 3
+            # so is the rest of a rule with nothing to report whose body is
+            # ``true`` or one value literal: each index is read only after the
+            # one before it proved not to be ``eof``, the last token
+            subject = texts[at]
+            if subject == "true" and texts[at + 1] == "->":
+                pre, target = TrueCond(), at + 2
+            elif (subject not in _PUNCT and texts[at + 1] == "in"
+                  and ((kind := texts[at + 2]) == "direct" or kind == "effective")
+                  and texts[at + 3] == "(" and (pre_scope := attrs.get(texts[at + 4])) is not None
+                  and subject in pre_scope and texts[at + 5] == ")" and texts[at + 6] == "->"):
+                pre = (DirectVal if kind == "direct" else EffVal)(texts[at + 4], subject)
+                target = at + 7
+            else:
+                pre = None
+            if pre is not None and texts[target] in (self.groups if membership else scope):
+                self.pos = target + 1
+                rules = self.rules
+                if membership:
+                    rule = Rule(relation, texts[role], pre, None, None, texts[target], len(rules))
+                else:
+                    rule = Rule(relation, texts[role], pre, texts[att], texts[target], None,
+                                len(rules))
+                rules.append(rule)
+                return
+            self.pos = at
         else:
             self.pos = rel_at
             self.ident("a relation name")
@@ -535,7 +603,8 @@ class _Parser:
                                    "unknown-relation")
             if not membership:
                 att = self.ident("an attribute name")
-                att_known = self.known(att, self.attrs, "attribute", "unknown-attr")
+                if self.known(att, attrs, "attribute", "unknown-attr"):
+                    scope = attrs[texts[att]]
             self.expect(":", "':'")
             role = self.ident("a role name")
             self.known(role, self.roles, "role", "unknown-role")
@@ -550,13 +619,12 @@ class _Parser:
         if membership:
             if texts[target] not in self.groups:
                 self.known(target, self.groups, "group", "unknown-group")
-            rule = Rule(relation, texts[role], pre, target_group=texts[target],
-                        rule_id=len(self.rules))
+            rule = Rule(relation, texts[role], pre, None, None, texts[target], len(self.rules))
         else:
-            if att_known and texts[target] not in self.attrs[texts[att]]:
+            if scope is not None and texts[target] not in scope:
                 self.outside_scope(texts[att], target)
-            rule = Rule(relation, texts[role], pre, target_attr=texts[att],
-                        target_val=texts[target], rule_id=len(self.rules))
+            rule = Rule(relation, texts[role], pre, texts[att], texts[target], None,
+                        len(self.rules))
             if not isinstance(pre, (TrueCond, DirectVal, EffVal)):
                 for node in pre.walk():
                     if isinstance(node, (DirectGroup, EffGroup)):
@@ -587,14 +655,14 @@ class _Parser:
             self.word(("u",), "'u'", "parse-query")
             self.expect(")", "')'")
             self.expect("=", "'='")
-            values, _ = self.parse_value_set()
+            values, brace = self.parse_value_set()
             # reported at the key token, which spells the attribute as e_<att>
             if att not in self.attrs:
                 self.error(key, f"unknown attribute {att!r}", "unknown-attr")
             elif att in entries:
                 self.error(key, f"duplicate query entry for {att!r}", "dup-entry")
             else:
-                entries[att] = frozenset(self.in_scope(att, values))
+                entries[att] = frozenset(self.in_scope(att, values, brace))
             if texts[self.pos] == ",":
                 self.pos += 1
         self.pos += 1

@@ -26,6 +26,7 @@ from .policy import (
     EffVal,
     Precondition,
     Rule,
+    TrueCond,
     clauses,
 )
 from .transition import ReachabilityQuery, Request
@@ -109,19 +110,34 @@ class CompiledInstance(Record):
 
         guards = []
         for rule in instance.rules:  # rule ids are declaration order
-            guard = clauses(rule.pre, view_bit)
-            guards.append(ALWAYS if (0, 0) in guard else tuple(guard))
-        candidates = []
-        for req, rule in candidate_requests(instance):
-            if req.kind.is_membership:
-                bit, subject = mem_offset + gidx[req.group], -1
-            elif req.kind.is_group_subject:
-                subject = gidx[req.group]
-                bit = seg_offsets[subject] + slot[req.att, req.val]
+            pre = rule.pre
+            kind = pre.__class__
+            # ``true`` and a value literal are one clause each, as ``clauses``
+            # would give them, without its walk
+            if kind is TrueCond:
+                guards.append(ALWAYS)
+            elif kind is DirectVal or kind is EffVal:
+                b = 1 << (slot[pre.att, pre.val] if kind is DirectVal
+                          else n_slots + slot[pre.att, pre.val])
+                guards.append(((b, b),))
             else:
-                bit, subject = slot[req.att, req.val], -1
-            candidates.append(Candidate(bit, not req.kind.is_delete, subject, guards[rule.rule_id],
-                                        rule.rule_id, req))
+                guard = clauses(pre, view_bit)
+                guards.append(ALWAYS if (0, 0) in guard else tuple(guard))
+        candidates = []
+        for key in _request_keys(instance):
+            group, rule = key[6], key[7]
+            rel = rule.relation
+            if rel.is_membership:
+                bit, subject = mem_offset + gidx[group], -1
+            elif rel.is_group_subject:
+                subject = gidx[group]
+                bit = seg_offsets[subject] + slot[rule.target_attr, rule.target_val]
+            else:
+                bit, subject = slot[rule.target_attr, rule.target_val], -1
+            rule_id = rule.rule_id
+            candidates.append(Candidate(
+                bit, not rel.is_delete, subject, guards[rule_id], rule_id,
+                Request(rel, rule.role, rule.target_attr, rule.target_val, group)))
         self.candidates = tuple(candidates)
 
     def seg_mask(self) -> int:
@@ -151,18 +167,35 @@ class CompiledInstance(Record):
         return QueryEntry(mask, target)
 
 
+def _request_keys(instance: ProblemInstance) -> list[tuple]:
+    """One flat key per concrete request a rule can authorize, sorted: the
+    request's ``Request.sort_key`` and the rule's id, which no two requests
+    share, then the request's group (or None) and the rule, which the sort
+    never reaches.  A group-subject rule gives one request per group."""
+    groups = sorted(instance.groups)
+    keys = []
+    for rule in instance.rules:
+        rel = rule.relation
+        order, att, val = rel.order, rule.target_attr or "", rule.target_val or ""
+        role, rule_id = rule.role, rule.rule_id
+        if rel.is_group_subject:
+            keys += [(order, att, val, g, role, rule_id, g, rule) for g in groups]
+        else:
+            g = rule.target_group
+            keys.append((order, att, val, g or "", role, rule_id, g, rule))
+    keys.sort()
+    return keys
+
+
 def candidate_requests(instance: ProblemInstance) -> list[tuple[Request, Rule]]:
     """Each concrete request a rule can authorize, with that rule, in search
     order: by request, then by rule id.  A group-subject rule gives one
     request per group."""
-    groups = sorted(instance.groups)
     out = []
-    for rule in instance.rules:
-        rel = rule.relation
-        subjects = groups if rel.is_group_subject else [rule.target_group]
-        out += [(Request(rel, rule.role, rule.target_attr, rule.target_val, g), rule)
-                for g in subjects]
-    out.sort(key=lambda c: (c[0].sort_key, c[1].rule_id))
+    for key in _request_keys(instance):
+        group, rule = key[6], key[7]
+        out.append((Request(rule.relation, rule.role, rule.target_attr, rule.target_val, group),
+                    rule))
     return out
 
 

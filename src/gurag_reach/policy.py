@@ -265,7 +265,7 @@ class RuleSet(Frozen):
         for i, rule in enumerate(rules):
             numbered.append(
                 Rule(rule.relation, rule.role, rule.pre, rule.target_attr,
-                     rule.target_val, rule.target_group, rule_id=i)
+                     rule.target_val, rule.target_group, i)
             )
         return cls(tuple(numbered))
 
@@ -343,24 +343,34 @@ class RuleSet(Frozen):
         targets: set = set()  # of the add/assign rules: groups and (att, val) pairs
         for rule in self.rules:
             relation = rule.relation
+            membership = relation.is_membership
             no_deletion &= not relation.is_delete
-            group_level |= relation.is_membership
+            group_level |= membership
+            pre = rule.pre
+            kind = pre.__class__
             if srd:
-                if _srd_literals(rule) is None:
+                # ``true`` and a bare literal of the rule's own kind pass
+                # ``_srd_literals`` without a call
+                if (kind is not TrueCond and kind is not (DirectGroup if membership else DirectVal)
+                        and _srd_literals(rule) is None):
                     srd = False
                 elif not relation.is_delete:
-                    target = (rule.target_group if relation.is_membership
+                    target = (rule.target_group if membership
                               else (rule.target_attr, rule.target_val))
                     srd = target not in targets
                     targets.add(target)
-            pre = rule.pre
-            for node in pre.walk() if isinstance(pre, (And, Not)) else (pre,):
-                if isinstance(node, Not):
-                    no_negation = False
-                elif isinstance(node, (DirectGroup, EffGroup)):
-                    group_level = True
-                elif isinstance(node, (DirectVal, EffVal)):
-                    cross_attribute |= node.att != rule.target_attr
+            if kind is DirectVal or kind is EffVal:
+                cross_attribute |= pre.att != rule.target_attr
+            elif kind is DirectGroup or kind is EffGroup:
+                group_level = True
+            else:
+                for node in pre.walk():
+                    if isinstance(node, Not):
+                        no_negation = False
+                    elif isinstance(node, (DirectGroup, EffGroup)):
+                        group_level = True
+                    elif isinstance(node, (DirectVal, EffVal)):
+                        cross_attribute |= node.att != rule.target_attr
         level = (Level.G1PLUS if group_level else Level.G1 if cross_attribute
                  else Level.G0)
         return RestrictionFlags(no_negation, no_deletion, srd, level)

@@ -1,3 +1,4 @@
+import random
 import re
 import sys
 
@@ -306,6 +307,201 @@ class TestRuleAndLiteralDiagnostics:
         assert parse(source).ok
         for end in range(len(source)):
             parse(source[:end])  # must not raise
+
+
+SETS_HEAD = "attr a scope { x, y, z }\ngroup G\nrole r\n"
+# the text on line 4 before the value set, and after it
+SET_PLACES = {
+    "attr": ("attr b scope ", ""),
+    "user": ("user { a = ", " }"),
+    "user-groups": ("user { groups = ", " }"),
+    "groupstate": ("groupstate G { a = ", " }"),
+    "query": ("query strict { e_a(u) = ", " }"),
+}
+# the sets; the last three leave the set, and the block around it, open
+SETS = {
+    "empty": "{ }",
+    "trailing-comma": "{ x, }",
+    "doubled-comma": "{ x,, y }",
+    "missing-comma": "{ x y }",
+    "equals": "{ x, = }",
+    "arrow": "{ x -> y }",
+    "nested": "{ x, { y } }",
+    "duplicate": "{ x, y, x }",
+    "outside-scope": "{ w, x, v }",
+    "unterminated-at-eof": "{ x, y",
+    "unterminated-before-declaration": "{ x, y\nrole q",
+    "comma-before-declaration": "{ x,\nrole q",
+}
+OPEN_SETS = ("unterminated-at-eof", "unterminated-before-declaration",
+             "comma-before-declaration")
+EXPECTED_AT_EOF = "5:1: error: expected '}' or ',', found 'end of file' [parse-expected]"
+EXPECTED_ROLE = "5:1: error: expected '}' or ',', found 'role' [parse-expected]"
+EXPECTED_Q = "5:6: error: expected '}' or ',', found 'q' [parse-expected]"
+
+
+# the diagnostics of each set in each place, as a token-by-token read gives them
+VALUE_SET_DIAGNOSTICS = [
+    ("attr", "empty", ["4:14: error: attribute 'b' has an empty scope [empty-scope]"]),
+    ("attr", "trailing-comma", ["4:19: error: expected a value, found '}' [parse-expected]"]),
+    ("attr", "doubled-comma", ["4:18: error: expected a value, found ',' [parse-expected]"]),
+    ("attr", "missing-comma",
+     ["4:18: error: expected '}' or ',', found 'y' [parse-expected]"]),
+    ("attr", "equals", ["4:19: error: expected a value, found '=' [parse-expected]"]),
+    ("attr", "arrow", ["4:18: error: expected '}' or ',', found '->' [parse-expected]"]),
+    ("attr", "nested", ["4:19: error: expected a value, found '{' [parse-expected]"]),
+    ("attr", "duplicate", ["4:22: error: duplicate scope value 'x' [dup-value]"]),
+    ("attr", "outside-scope", []),
+    ("attr", "unterminated-at-eof", [EXPECTED_AT_EOF]),
+    ("attr", "unterminated-before-declaration", [EXPECTED_ROLE]),
+    ("attr", "comma-before-declaration", [EXPECTED_Q]),
+    ("user", "empty", []),
+    ("user", "trailing-comma", ["4:17: error: expected a value, found '}' [parse-expected]"]),
+    ("user", "doubled-comma", ["4:16: error: expected a value, found ',' [parse-expected]"]),
+    ("user", "missing-comma",
+     ["4:16: error: expected '}' or ',', found 'y' [parse-expected]"]),
+    ("user", "equals", ["4:17: error: expected a value, found '=' [parse-expected]"]),
+    ("user", "arrow", ["4:16: error: expected '}' or ',', found '->' [parse-expected]"]),
+    ("user", "nested", ["4:17: error: expected a value, found '{' [parse-expected]"]),
+    ("user", "duplicate", []),
+    ("user", "outside-scope",
+     ["4:14: error: value 'w' outside scope of 'a' [scope-violation]",
+      "4:20: error: value 'v' outside scope of 'a' [scope-violation]"]),
+    ("user", "unterminated-at-eof", [EXPECTED_AT_EOF]),
+    ("user", "unterminated-before-declaration", [EXPECTED_ROLE]),
+    ("user", "comma-before-declaration", [EXPECTED_Q]),
+    ("user-groups", "empty", []),
+    ("user-groups", "trailing-comma",
+     ["4:22: error: expected a value, found '}' [parse-expected]"]),
+    ("user-groups", "doubled-comma",
+     ["4:21: error: expected a value, found ',' [parse-expected]"]),
+    ("user-groups", "missing-comma",
+     ["4:21: error: expected '}' or ',', found 'y' [parse-expected]"]),
+    ("user-groups", "equals", ["4:22: error: expected a value, found '=' [parse-expected]"]),
+    ("user-groups", "arrow",
+     ["4:21: error: expected '}' or ',', found '->' [parse-expected]"]),
+    ("user-groups", "nested", ["4:22: error: expected a value, found '{' [parse-expected]"]),
+    ("user-groups", "duplicate",
+     ["4:19: error: unknown group 'x' [unknown-group]",
+      "4:22: error: unknown group 'y' [unknown-group]",
+      "4:25: error: unknown group 'x' [unknown-group]"]),
+    ("user-groups", "outside-scope",
+     ["4:19: error: unknown group 'w' [unknown-group]",
+      "4:22: error: unknown group 'x' [unknown-group]",
+      "4:25: error: unknown group 'v' [unknown-group]"]),
+    ("user-groups", "unterminated-at-eof", [EXPECTED_AT_EOF]),
+    ("user-groups", "unterminated-before-declaration", [EXPECTED_ROLE]),
+    ("user-groups", "comma-before-declaration", [EXPECTED_Q]),
+    ("groupstate", "empty", []),
+    ("groupstate", "trailing-comma",
+     ["4:25: error: expected a value, found '}' [parse-expected]"]),
+    ("groupstate", "doubled-comma",
+     ["4:24: error: expected a value, found ',' [parse-expected]"]),
+    ("groupstate", "missing-comma",
+     ["4:24: error: expected '}' or ',', found 'y' [parse-expected]"]),
+    ("groupstate", "equals", ["4:25: error: expected a value, found '=' [parse-expected]"]),
+    ("groupstate", "arrow",
+     ["4:24: error: expected '}' or ',', found '->' [parse-expected]"]),
+    ("groupstate", "nested", ["4:25: error: expected a value, found '{' [parse-expected]"]),
+    ("groupstate", "duplicate", []),
+    ("groupstate", "outside-scope",
+     ["4:22: error: value 'w' outside scope of 'a' [scope-violation]",
+      "4:28: error: value 'v' outside scope of 'a' [scope-violation]"]),
+    ("groupstate", "unterminated-at-eof", [EXPECTED_AT_EOF]),
+    ("groupstate", "unterminated-before-declaration", [EXPECTED_ROLE]),
+    ("groupstate", "comma-before-declaration", [EXPECTED_Q]),
+    ("query", "empty", []),
+    ("query", "trailing-comma", ["4:30: error: expected a value, found '}' [parse-expected]"]),
+    ("query", "doubled-comma", ["4:29: error: expected a value, found ',' [parse-expected]"]),
+    ("query", "missing-comma",
+     ["4:29: error: expected '}' or ',', found 'y' [parse-expected]"]),
+    ("query", "equals", ["4:30: error: expected a value, found '=' [parse-expected]"]),
+    ("query", "arrow", ["4:29: error: expected '}' or ',', found '->' [parse-expected]"]),
+    ("query", "nested", ["4:30: error: expected a value, found '{' [parse-expected]"]),
+    ("query", "duplicate", []),
+    ("query", "outside-scope",
+     ["4:27: error: value 'w' outside scope of 'a' [scope-violation]",
+      "4:33: error: value 'v' outside scope of 'a' [scope-violation]"]),
+    ("query", "unterminated-at-eof", [EXPECTED_AT_EOF]),
+    ("query", "unterminated-before-declaration", [EXPECTED_ROLE]),
+    ("query", "comma-before-declaration", [EXPECTED_Q]),
+]
+
+
+class TestValueSetDiagnostics:
+    """A value set is read as one slice of the token texts when it is well
+    formed; every other set is read token by token, so its diagnostics and
+    the recovery after them are the step-by-step read's."""
+
+    @pytest.mark.parametrize("place, name, expected", VALUE_SET_DIAGNOSTICS,
+                             ids=lambda x: x if isinstance(x, str) else None)
+    def test_rendered_diagnostics(self, place, name, expected):
+        before, after = SET_PLACES[place]
+        text = SETS_HEAD + before + SETS[name] + ("" if name in OPEN_SETS else after) + "\n"
+        result = parse(text)
+        assert [d.render() for d in result.diagnostics] == expected
+        assert (result.instance is None) == bool(expected)
+
+    def test_every_set_is_covered(self):
+        assert {(place, name) for place, name, _ in VALUE_SET_DIAGNOSTICS} == {
+            (place, name) for place in SET_PLACES for name in SETS}
+
+
+def shuffled(make, n):
+    """``make(n)`` with its rules declared in a seeded order."""
+    instance, q = make(n)
+    rules = list(instance.rules)
+    random.Random(f"{make.__name__}({n})").shuffle(rules)
+    return ProblemInstance(instance.scopes, instance.hierarchy, instance.roles,
+                           RuleSet.build(rules), instance.initial_state), q
+
+
+def edited_chain(*edits):
+    """``shuffled(chain, 512)``'s text with one or more edits near the end of
+    a 512-value set: a duplicate scope value, an out-of-scope user value or
+    an out-of-scope query value."""
+    instance, q = shuffled(bench_kernel.chain, 512)
+    lines = serialize(instance, [q]).split("\n")
+    values = ", ".join(sorted(instance.scopes["a"]))
+    assert lines[0] == f"attr a scope {{ {values} }}" and lines[2].startswith("user {")
+    assert lines[-2] == f"query strict {{ e_a(u) = {{ {values} }} }}"
+    if "duplicate" in edits:
+        lines[0] = lines[0].replace(", v97,", ", v97, v97,")
+    if "user" in edits:
+        lines[2] = f"user {{ a = {{ {values.replace(', v97,', ', v97, zz,')} }}  groups = {{ }} }}"
+    if "query" in edits:
+        lines[-2] = lines[-2].replace(", v98,", ", v98, zz,")
+    return "\n".join(lines)
+
+
+class TestLargeDocuments:
+    """Documents with 100 and 512 values in one set and as many rules, in a
+    seeded order, as the benchmark's generators build them."""
+
+    @pytest.mark.parametrize("n", [100, 512])
+    @pytest.mark.parametrize("make", [bench_kernel.chain, bench_kernel.independent],
+                             ids=lambda b: b.__name__)
+    def test_round_trip(self, make, n):
+        instance, q = shuffled(make, n)
+        text = serialize(instance, [q])
+        result = parse(text)
+        assert result.ok, [d.render() for d in result.diagnostics]
+        assert result.instance == instance and result.queries == [q]
+        assert serialize(result.instance, result.queries, result.plans) == text
+
+    @pytest.mark.parametrize("edits, expected", [
+        (("duplicate",), ["1:2978: error: duplicate scope value 'v97' [dup-value]"]),
+        (("user",), ["3:2976: error: value 'zz' outside scope of 'a' [scope-violation]"]),
+        (("query",), ["518:2994: error: value 'zz' outside scope of 'a' [scope-violation]"]),
+        (("duplicate", "user", "query"),
+         ["1:2978: error: duplicate scope value 'v97' [dup-value]",
+          "3:2976: error: value 'zz' outside scope of 'a' [scope-violation]",
+          "518:2994: error: value 'zz' outside scope of 'a' [scope-violation]"]),
+    ], ids=lambda x: "+".join(x) if isinstance(x, tuple) else None)
+    def test_diagnostics_near_the_end_of_a_large_set(self, edits, expected):
+        result = parse(edited_chain(*edits))
+        assert [d.render() for d in result.diagnostics] == expected
+        assert result.instance is None
 
 
 def lexed(source):

@@ -16,7 +16,7 @@ from importlib.machinery import EXTENSION_SUFFIXES
 import pytest
 
 from gurag_reach import _kernel_ctypes, _kernel_py, kernel
-from gurag_reach.dsl import serialize
+from gurag_reach.dsl import parse, serialize
 from gurag_reach.encoding import ALWAYS, QueryEntry, compile_instance
 from gurag_reach.fuzz import CLASSES, generate
 from gurag_reach.model import DirectState, GroupHierarchy, ProblemInstance
@@ -31,6 +31,7 @@ from gurag_reach.policy import (
     Rule,
     RuleSet,
     TrueCond,
+    conjunction,
     eval_precondition,
 )
 from gurag_reach.search import (
@@ -329,6 +330,52 @@ class TestKernelEquivalence:
         ci = compile_instance(inst)
         assert ci.nbits == 257
         assert kernel.select(ci, "auto") is kernel.select(ci, "compiled") is compiled_kernel
+
+
+def with_tautology(instance):
+    """``instance`` with each rule's precondition ``pre`` written as
+    ``pre and not(t and not(t))``, where ``t`` is the rule's own target
+    literal, or ``G in directUg`` for an assign/remove rule on ``G``: the same
+    rules, each under a guard that expands to more clauses."""
+    rules = []
+    for rule in instance.rules:
+        t = (DirectGroup(rule.target_group) if rule.relation.is_membership
+             else DirectVal(rule.target_attr, rule.target_val))
+        pre = conjunction([rule.pre, Not(conjunction([t, Not(t)]))])
+        rules.append(Rule(rule.relation, rule.role, pre, rule.target_attr, rule.target_val,
+                          rule.target_group, rule.rule_id))
+    return ProblemInstance(instance.scopes, instance.hierarchy, instance.roles,
+                           RuleSet(rules), instance.initial_state)
+
+
+class TestMultiClauseGuards:
+    """``fuzz.generate`` writes no negated conjunction, so no fuzz guard has
+    more than one clause per literal of its precondition; rewritten with a
+    tautology, every fuzz rule carries a multi-clause guard end to end."""
+
+    @pytest.mark.parametrize("cls", CLASSES)
+    def test_tautology_changes_no_answer(self, cls, compiled_kernel):
+        multi_clause = 0
+        for seed in range(200):
+            inst, q = generate(cls, seed)
+            taut = with_tautology(inst)
+            ci, ci_taut = compile_instance(inst), compile_instance(taut)
+            multi_clause += sum(len(c.guard) > 1 for c in ci_taut.candidates)
+            start, goal = ci.encode_state(inst.initial_state), ci.compile_query(q)
+            for strict in (True, False):
+                args = (start, goal, strict, 32, 1 << 20, 30_000)
+                out = _kernel_py.bfs(ci, *args)
+                assert _kernel_py.bfs(ci_taut, *args) == out, (cls, seed, strict)
+                assert compiled_kernel.bfs(ci_taut, *args) == out, (cls, seed, strict)
+            assert analyze(taut, q, "bfs", kernel="python") == \
+                analyze(inst, q, "bfs", kernel="python")
+            assert analyze(taut, q).outcome == analyze(inst, q).outcome
+            text = serialize(taut, [q])
+            result = parse(text)
+            assert result.ok, [d.render() for d in result.diagnostics]
+            assert result.instance == taut and result.queries == [q]
+            assert serialize(result.instance, result.queries) == text
+        assert multi_clause > 200
 
 
 # --- reference kernel --------------------------------------------------------
