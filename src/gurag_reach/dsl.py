@@ -25,18 +25,20 @@ text; the CLI rejects a file that is not UTF-8 with exit code 3.
 The parser takes the token texts from ``str`` methods run over the whole
 source, with no call per token: a deletion table finds any character ``_lex``
 reports, blanks set the punctuation apart, and ``split`` cuts the texts.  It
-consumes them by index.  Where tokens stand at fixed offsets they are compared
-in place: a rule head, a value literal, and the whole of a rule with nothing
-to report whose body is ``true`` or one value literal.  A value set is a
-slice of the texts: its first few values are compared in place, and the rest
-of a long set is checked with list methods (a comma at every other position,
-no punctuation among the values), then with ``set`` operations for duplicates
-and scopes.  The token helpers run only to report what such a read refuses,
-so they give the diagnostics and recovery of a token-by-token read.  Line,
-column and first-on-line are computed by the positioned lexer ``_lex``, run at
-most once per parse and only when a diagnostic or error recovery needs them,
-or when the source holds a character ``_lex`` reports; so a valid document
-never builds a ``Token``.
+consumes them by index and reads each production once.  Where tokens stand
+at fixed offsets they are compared in place, in order: a rule head with its
+``-> target``, a value literal, and the values and commas of a set.  At the
+first token that does not match, the parser raises the error a token helper
+would raise there and recovers from that token, so the diagnostics and
+recovery are those of a token-by-token read.  Two shortcuts only accept: the
+whole of a rule with nothing to report whose body is ``true`` or one value
+literal, and the rest of a long value set, checked as one slice with list
+methods (a comma at every other position, no punctuation among the values).
+What either refuses is read on in place.  Duplicates and scopes are checked
+with ``set`` operations.  Line, column and first-on-line are computed by the
+positioned lexer ``_lex``, run at most once per parse and only when a
+diagnostic or error recovery needs them, or when the source holds a character
+``_lex`` reports; so a valid document never builds a ``Token``.
 
 Parsing is total: malformed input produces positioned diagnostics, never an
 exception.  A precondition nests at most ``MAX_NESTING`` parentheses deep
@@ -244,6 +246,8 @@ class _Parser:
     # it with ``self.pos += 1`` only after it has looked at it, so the position
     # never passes ``eof``
     def expected(self, at: int, what: str) -> _SyntaxError:
+        """The error at token ``at``, which is not ``what``; recovery starts there."""
+        self.pos = at
         return _SyntaxError(at, f"expected {what}, found {self.texts[at] or 'end of file'!r}",
                             "parse-expected")
 
@@ -335,37 +339,32 @@ class _Parser:
         if texts[end] == "}":
             self.pos = end + 1
             return [], brace
-        # a well-formed set alternates values and commas up to its ``}``.  Its
-        # first ``_SHORT_SET`` values are compared in place; the rest of a
-        # longer set is checked as one slice, in C: up to the first ``}``, a
-        # comma at every other position and no punctuation among the values.
-        # A set either check refuses is read again token by token, to report it.
-        while texts[end] not in _PUNCT:
+        # values and commas alternate up to the ``}``; each is compared in
+        # place.  Past the first ``_SHORT_SET`` values, the rest of the set is
+        # checked once as one slice, in C: up to the first ``}``, a comma at
+        # every other position and no punctuation among the values.  A tail
+        # that check refuses is read on in place, to the token to report.
+        tail = brace + 1 + 2 * _SHORT_SET
+        while True:
+            if texts[end] in _PUNCT:
+                raise self.expected(end, "a value")
             sep = texts[end + 1]
-            if sep == "}":
+            if sep != ",":
+                if sep != "}":
+                    raise self.expected(end + 1, "'}' or ','")
                 self.pos = end + 2
                 return texts[brace + 1:end + 1:2], brace
-            if sep != ",":
-                break
             end += 2
-            if end > brace + 2 * _SHORT_SET:
+            if end == tail:
                 try:
                     close = texts.index("}", end)
-                except ValueError:
-                    break
+                except ValueError:  # the set is never closed
+                    continue
                 rest = texts[end:close]
                 if (len(rest) % 2 and rest[1::2].count(",") == len(rest) // 2
                         and _PUNCT.isdisjoint(rest[::2])):
                     self.pos = close + 1
                     return texts[brace + 1:close:2], brace
-                break
-        self.pos = brace + 1
-        while True:
-            self.ident("a value")
-            if texts[self.pos] != ",":
-                self.expect("}", "'}' or ','")
-                return texts[brace + 1:self.pos - 1:2], brace
-            self.pos += 1
 
     def parse_attr(self):
         self.pos += 1
@@ -501,21 +500,20 @@ class _Parser:
                 self.negated_and |= isinstance(inner, And)
                 return Not(inner)
             self.word(("in",), "'in'", "parse-precondition")  # raises
-        # the literal's tokens are read in place; the token helpers run only
-        # where one does not match, to report it as a step-by-step read would
+        # the literal's tokens are compared in place, each as the token
+        # helpers would compare it
         kind = texts[at + 2]
         if kind in ("direct", "effective"):
-            if texts[at + 3] == "(" and texts[at + 4] not in _PUNCT and texts[at + 5] == ")":
-                att_at = at + 4
-                self.pos = at + 6
-            else:
-                self.pos = at + 3
-                self.expect("(", "'('")
-                att_at = self.ident("an attribute name")
-                self.expect(")", "')'")
-            att = texts[att_at]
+            if texts[at + 3] != "(":
+                raise self.expected(at + 3, "'('")
+            att = texts[at + 4]
+            if att in _PUNCT:
+                raise self.expected(at + 4, "an attribute name")
+            if texts[at + 5] != ")":
+                raise self.expected(at + 5, "')'")
+            self.pos = at + 6
             if att not in self.attrs:
-                self.known(att_at, self.attrs, "attribute", "unknown-attr")
+                self.known(at + 4, self.attrs, "attribute", "unknown-attr")
             elif subject not in self.attrs[att]:
                 self.outside_scope(att, at)
             return (DirectVal if kind == "direct" else EffVal)(att, subject)
@@ -524,8 +522,9 @@ class _Parser:
             if subject not in self.groups:
                 self.known(at, self.groups, "group", "unknown-group")
             return (DirectGroup if kind == "directUg" else EffGroup)(subject)
-        self.pos = at + 2
-        self.ident("'direct', 'effective', 'directUg' or 'effUg'")
+        if kind in _PUNCT:
+            raise self.expected(at + 2, "'direct', 'effective', 'directUg' or 'effUg'")
+        self.pos = at + 3
         raise _SyntaxError(at + 2, f"expected a membership kind, found {kind!r}",
                            "parse-precondition")
 
@@ -557,87 +556,84 @@ class _Parser:
     def parse_rule(self):
         texts = self.texts
         attrs = self.attrs
+        # the head ``<relation> [<att>] : <role> ,`` is compared in place,
+        # each token as the token helpers would compare it
         rel_at = self.pos + 1  # after 'rule'
         relation = _RELATIONS.get(texts[rel_at])
-        membership = relation is not None and relation.is_membership
-        # the head ``<relation> [<att>] : <role> ,`` is read in place; where it
-        # does not match, the token helpers read it again to report it
+        if relation is None:
+            if texts[rel_at] in _PUNCT:
+                raise self.expected(rel_at, "a relation name")
+            self.pos = rel_at + 1
+            raise _SyntaxError(rel_at, f"unknown relation {texts[rel_at]!r}", "unknown-relation")
+        membership = relation.is_membership
         att = rel_at + 1
-        colon = rel_at + 1 if membership else rel_at + 2
-        scope = None  # of the rule's attribute
-        if (relation is not None and (membership or (scope := attrs.get(texts[att])) is not None)
-                and texts[colon] == ":" and texts[colon + 1] in self.roles
-                and texts[colon + 2] == ","):
-            role = colon + 1
-            at = colon + 3
-            # so is the rest of a rule with nothing to report whose body is
-            # ``true`` or one value literal: each index is read only after the
-            # one before it proved not to be ``eof``, the last token
-            subject = texts[at]
-            if subject == "true" and texts[at + 1] == "->":
-                pre, target = TrueCond(), at + 2
-            elif (subject not in _PUNCT and texts[at + 1] == "in"
-                  and ((kind := texts[at + 2]) == "direct" or kind == "effective")
-                  and texts[at + 3] == "(" and (pre_scope := attrs.get(texts[at + 4])) is not None
-                  and subject in pre_scope and texts[at + 5] == ")" and texts[at + 6] == "->"):
-                pre = (DirectVal if kind == "direct" else EffVal)(texts[at + 4], subject)
-                target = at + 7
-            else:
-                pre = None
-            if pre is not None and texts[target] in (self.groups if membership else scope):
-                self.pos = target + 1
-                rules = self.rules
-                if membership:
-                    rule = Rule(relation, texts[role], pre, None, None, texts[target], len(rules))
-                else:
-                    rule = Rule(relation, texts[role], pre, texts[att], texts[target], None,
-                                len(rules))
-                rules.append(rule)
-                return
-            self.pos = at
-        else:
-            self.pos = rel_at
-            self.ident("a relation name")
-            if relation is None:
-                raise _SyntaxError(rel_at, f"unknown relation {texts[rel_at]!r}",
-                                   "unknown-relation")
-            if not membership:
-                att = self.ident("an attribute name")
-                if self.known(att, attrs, "attribute", "unknown-attr"):
-                    scope = attrs[texts[att]]
-            self.expect(":", "':'")
-            role = self.ident("a role name")
-            self.known(role, self.roles, "role", "unknown-role")
-            self.expect(",", "','")
-        pre = self.parse_precondition()
-        target = self.pos + 1
-        if texts[target - 1] == "->" and texts[target] not in _PUNCT:
-            self.pos = target + 1
-        else:
-            self.expect("->", "'->'")
-            self.ident("a target value or group")  # raises
         if membership:
-            if texts[target] not in self.groups:
-                self.known(target, self.groups, "group", "unknown-group")
-            rule = Rule(relation, texts[role], pre, None, None, texts[target], len(self.rules))
+            colon, targets = att, self.groups
         else:
-            if scope is not None and texts[target] not in scope:
-                self.outside_scope(texts[att], target)
-            rule = Rule(relation, texts[role], pre, texts[att], texts[target], None,
-                        len(self.rules))
-            if not isinstance(pre, (TrueCond, DirectVal, EffVal)):
+            # the scope of the rule's attribute, ``None`` if it is unknown
+            colon, targets = att + 1, attrs.get(texts[att])
+            if targets is None:
+                if texts[att] in _PUNCT:
+                    raise self.expected(att, "an attribute name")
+                self.known(att, attrs, "attribute", "unknown-attr")
+        if texts[colon] != ":":
+            raise self.expected(colon, "':'")
+        role = colon + 1
+        if texts[role] not in self.roles:
+            if texts[role] in _PUNCT:
+                raise self.expected(role, "a role name")
+            self.known(role, self.roles, "role", "unknown-role")
+        if texts[colon + 2] != ",":
+            raise self.expected(colon + 2, "','")
+        at = colon + 3
+        # a body of ``true`` or one value literal with nothing to report, and
+        # a target in ``targets``, is accepted in place: each index is read
+        # only after the one before it proved not to be ``eof``, the last
+        # token.  Any other body is read by the precondition's productions,
+        # and then ``-> <target>`` in place.
+        subject = texts[at]
+        if subject == "true" and texts[at + 1] == "->":
+            pre, target = TrueCond(), at + 2
+        elif (subject not in _PUNCT and texts[at + 1] == "in"
+              and ((kind := texts[at + 2]) == "direct" or kind == "effective")
+              and texts[at + 3] == "(" and (pre_scope := attrs.get(texts[at + 4])) is not None
+              and subject in pre_scope and texts[at + 5] == ")" and texts[at + 6] == "->"):
+            pre = (DirectVal if kind == "direct" else EffVal)(texts[at + 4], subject)
+            target = at + 7
+        else:
+            pre = None
+        if pre is None or targets is None or texts[target] not in targets:
+            self.pos = at
+            pre = self.parse_precondition()
+            target = self.pos + 1
+            if texts[target - 1] != "->":
+                raise self.expected(target - 1, "'->'")
+            if texts[target] in _PUNCT:
+                raise self.expected(target, "a target value or group")
+            if targets is not None and texts[target] not in targets:
+                if membership:
+                    self.known(target, targets, "group", "unknown-group")
+                else:
+                    self.outside_scope(texts[att], target)
+            if not membership and not isinstance(pre, (TrueCond, DirectVal, EffVal)):
                 for node in pre.walk():
                     if isinstance(node, (DirectGroup, EffGroup)):
                         self.error(rel_at, "group membership literal outside an "
                                    "assign/remove rule", "group-literal-misplaced")
-        if self.negated_and:  # else the precondition is at most one clause
-            self.negated_and = False
-            literals: dict = {}
-            try:
-                clauses(pre, lambda lit: literals.setdefault(lit, len(literals)))
-            except PolicyError as exc:
-                self.error(rel_at, str(exc), "too-many-clauses")
-        self.rules.append(rule)
+            if self.negated_and:  # else the precondition is at most one clause
+                self.negated_and = False
+                literals: dict = {}
+                try:
+                    clauses(pre, lambda lit: literals.setdefault(lit, len(literals)))
+                except PolicyError as exc:
+                    self.error(rel_at, str(exc), "too-many-clauses")
+        self.pos = target + 1
+        rules = self.rules
+        if membership:
+            rule = Rule(relation, texts[role], pre, None, None, texts[target], len(rules))
+        else:
+            rule = Rule(relation, texts[role], pre, texts[att], texts[target], None, len(rules))
+        rules.append(rule)
 
     def parse_query(self):
         self.pos += 1

@@ -6,6 +6,7 @@ import pytest
 
 from gurag_reach import _kernel_py, kernel, search
 from gurag_reach.dsl import MAX_NESTING, parse, serialize
+from gurag_reach.planner import PlanResult
 from gurag_reach.transition import Plan
 
 from conftest import GOLDEN, MALFORMED, child_env, nested_document, one_rule_document, run_cli
@@ -340,6 +341,21 @@ class TestFuzzCommand:
         assert doc["diverge"] == 1
         assert [(f["seed"], f["status"]) for f in doc["failures"]] == [(0, "invalid-plan")]
         assert doc["failures"][0]["detail"].startswith("srd plan")
+
+    # nonneg seed 0 is reachable and seed 1 unreachable, by planner and oracle
+    @pytest.mark.parametrize("name, patched, detail", [
+        ("bfs_solve", lambda *args: search.Unreachable(0),
+         "planner found a plan the oracle calls unreachable"),
+        ("solve_no_negation", lambda instance, q: PlanResult.failed("patched out"),
+         "oracle reachable but planner failed: patched out"),
+    ], ids=["oracle-unreachable", "planner-failed"])
+    def test_reports_each_divergence(self, monkeypatch, name, patched, detail):
+        monkeypatch.setattr(search, name, patched)
+        res = run_cli("fuzz", "--class", "nonneg", "--count", "2")
+        assert res.exit_code == 1
+        doc = report(res)
+        assert (doc["agree"], doc["diverge"]) == (1, 1)
+        assert doc["failures"] == [{"seed": 0, "status": "diverge", "detail": detail}]
 
     @pytest.mark.parametrize("count", ["-3", "-1", "x"])
     def test_malformed_count_is_usage_error(self, count):

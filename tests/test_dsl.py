@@ -232,8 +232,9 @@ RULES_HEAD = "attr a scope { x, y }\ngroup G\nrole r\nrules {\n"
 
 class TestRuleAndLiteralDiagnostics:
     """A rule head and a value literal are read at fixed offsets; where a token
-    does not match, the diagnostics and the error that stops the rule come
-    out as a step-by-step read gives them, in order, at the same tokens."""
+    does not match, the diagnostics, the error that stops the rule and the
+    recovery after it come out as a step-by-step read gives them, in order,
+    at the same tokens."""
 
     @pytest.mark.parametrize("rule, expected", [
         ('rule canAddU a : r , x in direct(a -> y',
@@ -294,6 +295,16 @@ class TestRuleAndLiteralDiagnostics:
           "[parse-expected]"]),
         ('rule canAddU a : r', ["6:1: error: expected ',', found '}' [parse-expected]"]),
         ('rule canAddU', ["6:1: error: expected an attribute name, found '}' [parse-expected]"]),
+        # recovery starts at the reported token, past a declaration that
+        # begins a line before it
+        ('rule canAddU\nrole r , true -> y',
+         ["6:1: error: unknown attribute 'role' [unknown-attr]",
+          "6:6: error: expected ':', found 'r' [parse-expected]"]),
+        ('rule canAddU a : r , x in direct(\nrole r',
+         ["6:6: error: expected ')', found 'r' [parse-expected]"]),
+        ('rule canAddU a : r ,\nrole in -> y',
+         ["6:9: error: expected 'direct', 'effective', 'directUg' or 'effUg', found '->' "
+          "[parse-expected]"]),
     ], ids=repr)
     def test_rendered_diagnostics(self, rule, expected):
         result = parse(RULES_HEAD + rule + "\n}\n")
@@ -332,12 +343,54 @@ SETS = {
     "unterminated-at-eof": "{ x, y",
     "unterminated-before-declaration": "{ x, y\nrole q",
     "comma-before-declaration": "{ x,\nrole q",
+    # recovery from the reported ``r`` skips the ``role`` line
+    "declaration-word-as-value": "{ x,\nrole r }",
 }
+# sets of seven or eight values whose error comes after the fourth, in the
+# tail that the slice check refuses or where no ``}`` follows (the attribute
+# line holds an earlier one)
+LONG_SET = "{ v1, v2, v3, v4, v5, v6, "
+SETS.update({
+    "long-missing-comma": LONG_SET + "v7 v8 }",
+    "long-trailing-comma": LONG_SET + "v7, }",
+    "long-arrow-between": LONG_SET + "v7 -> v8 }",
+    "long-doubled-comma": LONG_SET + ", v7 }",
+    "long-equals": LONG_SET + "=, v7 }",
+    "long-arrow": LONG_SET + "->, v7 }",
+    "long-brace": LONG_SET + "{, v7 }",
+    "long-unterminated-at-eof": LONG_SET + "v7",
+    "long-unterminated-before-declaration": LONG_SET + "v7\nrole r",
+    "long-declaration-word-as-value": LONG_SET + "\nrole r }",
+})
 OPEN_SETS = ("unterminated-at-eof", "unterminated-before-declaration",
-             "comma-before-declaration")
+             "comma-before-declaration", "long-unterminated-at-eof",
+             "long-unterminated-before-declaration")
 EXPECTED_AT_EOF = "5:1: error: expected '}' or ',', found 'end of file' [parse-expected]"
 EXPECTED_ROLE = "5:1: error: expected '}' or ',', found 'role' [parse-expected]"
 EXPECTED_Q = "5:6: error: expected '}' or ',', found 'q' [parse-expected]"
+# recovery starts at the ``role`` line, which redeclares ``r``
+EXPECTED_ROLE_R = [EXPECTED_ROLE, "5:6: error: duplicate role 'r' [dup-role]"]
+EXPECTED_R = ["5:6: error: expected '}' or ',', found 'r' [parse-expected]"]
+
+
+def long_set_diagnostics(place, column):
+    """The diagnostics of each long set in ``place``, where its seventh value
+    is at ``column`` of line 4."""
+    def expected(offset, what, found):
+        return [f"4:{column + offset}: error: expected {what}, found {found!r} "
+                "[parse-expected]"]
+    return [
+        (place, "long-missing-comma", expected(3, "'}' or ','", "v8")),
+        (place, "long-trailing-comma", expected(4, "a value", "}")),
+        (place, "long-arrow-between", expected(3, "'}' or ','", "->")),
+        (place, "long-doubled-comma", expected(0, "a value", ",")),
+        (place, "long-equals", expected(0, "a value", "=")),
+        (place, "long-arrow", expected(0, "a value", "->")),
+        (place, "long-brace", expected(0, "a value", "{")),
+        (place, "long-unterminated-at-eof", [EXPECTED_AT_EOF]),
+        (place, "long-unterminated-before-declaration", EXPECTED_ROLE_R),
+        (place, "long-declaration-word-as-value", EXPECTED_R),
+    ]
 
 
 # the diagnostics of each set in each place, as a token-by-token read gives them
@@ -425,13 +478,19 @@ VALUE_SET_DIAGNOSTICS = [
     ("query", "unterminated-at-eof", [EXPECTED_AT_EOF]),
     ("query", "unterminated-before-declaration", [EXPECTED_ROLE]),
     ("query", "comma-before-declaration", [EXPECTED_Q]),
+    *[(place, "declaration-word-as-value", EXPECTED_R) for place in SET_PLACES],
+    *long_set_diagnostics("attr", 40),
+    *long_set_diagnostics("user", 38),
+    *long_set_diagnostics("user-groups", 43),
+    *long_set_diagnostics("groupstate", 46),
+    *long_set_diagnostics("query", 51),
 ]
 
 
 class TestValueSetDiagnostics:
-    """A value set is read as one slice of the token texts when it is well
-    formed; every other set is read token by token, so its diagnostics and
-    the recovery after them are the step-by-step read's."""
+    """A value set is compared in place, and the tail of a long one checked
+    as one slice; the first token either read refuses is reported, with the
+    diagnostics and the recovery after it of a step-by-step read."""
 
     @pytest.mark.parametrize("place, name, expected", VALUE_SET_DIAGNOSTICS,
                              ids=lambda x: x if isinstance(x, str) else None)

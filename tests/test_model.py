@@ -13,7 +13,7 @@ from gurag_reach.model import (
     validate_instance,
 )
 from gurag_reach.policy import (
-    DirectGroup, DirectVal, EffGroup, EffVal, Relation, Rule, RuleSet, TrueCond,
+    And, DirectGroup, DirectVal, EffGroup, EffVal, Not, Relation, Rule, RuleSet, TrueCond,
 )
 
 
@@ -137,6 +137,9 @@ def test_validate_instance_clean():
     assert validate_instance(inst) == []
 
 
+NOT_PAIR = Not(And((DirectVal("a", "x"), EffVal("a", "x"))))
+
+
 def test_validate_instance_reports_each_rule_problem():
     rules = RuleSet.build([
         Rule(Relation.ADD_U, "r", TrueCond(), "nope", "x"),
@@ -150,6 +153,9 @@ def test_validate_instance_reports_each_rule_problem():
         Rule(Relation.ADD_U, "r", EffVal("nope", "x"), "a", "x"),
         Rule(Relation.ADD_UG, "r", TrueCond(), "a", "zz"),
         Rule(Relation.ADD_U, "r", EffVal("a", "x"), "a", "x"),  # well formed
+        # negated pairs expand to 2**7 clauses, past the bound of 64, and to 2**6
+        Rule(Relation.ADD_U, "r", And((NOT_PAIR,) * 7), "a", "x"),
+        Rule(Relation.ADD_U, "r", And((NOT_PAIR,) * 6), "a", "x"),  # well formed
     ])
     inst = ProblemInstance(
         scopes={"a": frozenset({"x"})},
@@ -167,4 +173,5 @@ def test_validate_instance_reports_each_rule_problem():
         "rule #5 precondition: value 'zz' outside scope of 'a'",
         "rule #7 precondition: unknown attribute 'nope'",
         "rule #8: value 'zz' outside scope of 'a'",
+        "rule #10: precondition expands to more than 64 clauses",
     ]
