@@ -53,12 +53,12 @@ def chain(n: int) -> tuple[ProblemInstance, ReachabilityQuery]:
     return inst, ReachabilityQuery({"a": frozenset(vals)})
 
 
-def run(inst, q, engine, bounds, repeat):
+def run(inst, q, kernel, bounds, repeat):
     times = []
     outcome = None
     for _ in range(repeat):
         t0 = time.perf_counter()
-        outcome = bfs_solve(inst, q, bounds, engine=engine)
+        outcome = bfs_solve(inst, q, bounds, kernel=kernel)
         times.append(time.perf_counter() - t0)
     return min(times), outcome
 

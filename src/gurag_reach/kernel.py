@@ -4,14 +4,15 @@ The compiled kernel is ``_kernel.c``, built by ``setup.py`` into a shared
 library next to this module and called through ``ctypes`` (imported only when
 that library exists, as it costs start-up time).  Both kernels take states of
 any width.  Outcomes are identical by contract (tested), only throughput
-differs.
+differs: the compiled kernel's per-call marshalling makes it the slower one on
+small searches, and it is faster on large ones.  "auto" picks it whenever it
+is built.
 """
 
 from __future__ import annotations
 
 import os
 from importlib.machinery import EXTENSION_SUFFIXES
-from typing import Optional
 
 from . import _kernel_py
 from .encoding import CompiledInstance
@@ -48,14 +49,15 @@ def compiled_supports(ci: CompiledInstance) -> bool:
     return _compiled is not None
 
 
-def select(ci: CompiledInstance, engine: Optional[str] = None):
-    """Pick the kernel; ``engine`` may force one."""
-    if engine in (None, "auto"):
+def select(ci: CompiledInstance, kernel: str = "auto"):
+    """The kernel named ``kernel``: "auto" is the compiled one when it is
+    built and the pure one otherwise; "python" and "compiled" force one."""
+    if kernel == "auto":
         return _kernel_py if _compiled is None else _compiled
-    if engine == "python":
+    if kernel == "python":
         return _kernel_py
-    if engine == "compiled":
+    if kernel == "compiled":
         if _compiled is None:
             raise RuntimeError("compiled kernel is not available in this build")
         return _compiled
-    raise ValueError(f"unknown kernel {engine!r}")
+    raise ValueError(f"unknown kernel {kernel!r}")

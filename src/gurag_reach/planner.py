@@ -44,7 +44,7 @@ from .model import (
     effective_groups,
     effective_user_attr,
 )
-from .policy import Relation, Rule, check_restrictions
+from .policy import Relation, Rule
 from .transition import (
     Plan,
     ReachabilityQuery,
@@ -133,7 +133,7 @@ def solve_no_negation(instance: ProblemInstance, q: ReachabilityQuery) -> PlanRe
     run, and a sweep calls them directly; requests are applied to one
     ``WorkingState``.
     """
-    flags = check_restrictions(instance.rules)
+    flags = instance.rules.restrictions
     if not flags.no_negation:
         raise RestrictionViolation("rule set uses negation in preconditions")
     if not flags.no_deletion:
@@ -212,7 +212,7 @@ def solve_no_negation(instance: ProblemInstance, q: ReachabilityQuery) -> PlanRe
 def _require_srd(instance: ProblemInstance) -> tuple[dict, dict]:
     """The rule set's SR_d table, (att, val) -> (rule, literals) and
     group -> (rule, literals), if the srd engine applies."""
-    if not check_restrictions(instance.rules).no_deletion:
+    if not instance.rules.restrictions.no_deletion:
         raise RestrictionViolation("rule set contains delete/remove rules")
     table = instance.rules.srd_table
     if table is None:
@@ -344,11 +344,10 @@ class _PhaseFailure(Exception):
 
 
 def attr_phase(
-    instance: ProblemInstance, start_state: DirectState, q: ReachabilityQuery
+    instance: ProblemInstance, state: DirectState | WorkingState, q: ReachabilityQuery
 ) -> PlanResult:
     pair_rule, _ = _require_srd(instance)
     h = instance.hierarchy
-    state = start_state
 
     if _has_surplus(state, h, q):
         return PlanResult.failed(EXTRA_VALUES)
@@ -450,7 +449,7 @@ def solve_srd_no_delete(instance: ProblemInstance, q: ReachabilityQuery) -> Plan
     work = WorkingState(instance.initial_state)
     for req in gp.plan:  # group_phase orders each assignment after what authorizes it
         work.apply(req)
-    ap = attr_phase(instance, work.freeze(), q)
+    ap = attr_phase(instance, work, q)
     if not ap.reachable:
         return PlanResult.failed(ap.reason, notes=gp.notes)
     return PlanResult.found(Plan(gp.plan.requests + ap.plan.requests), notes=gp.notes)

@@ -4,7 +4,9 @@ A rule set is classified along two independent axes: its *level* (whether
 preconditions may mention attributes other than the rule's own target, and
 whether group membership is administered at all) and its *restriction flags*
 (no negation anywhere, no delete/remove rules, single-rule-with-direct-conjuncts).
-The planners consult these classifications to decide applicability.
+``RuleSet.restrictions`` derives both in one pass, and the planners' gates and
+``analyze``'s engine choice read it; ``_srd_literals`` is the one per-rule
+SR_d shape test, shared by ``restrictions`` and ``RuleSet.srd_table``.
 """
 
 from __future__ import annotations
@@ -162,28 +164,6 @@ def conjunction(parts: list[Precondition]) -> Precondition:
 def conjuncts(pre: Precondition) -> list[Precondition]:
     """The parts of a top-level conjunction, or ``[pre]``."""
     return list(pre.parts) if isinstance(pre, And) else [pre]
-
-
-def direct_conjunct_shape(
-    pre: Precondition, kinds: type | tuple[type, ...] = (DirectVal, DirectGroup)
-) -> Optional[list[tuple[bool, Precondition]]]:
-    """Decompose into (positive, literal) pairs if the formula is a conjunction of
-    possibly-negated literals of ``kinds`` (or True); None if it has any other shape."""
-    out: list[tuple[bool, Precondition]] = []
-    for part in conjuncts(pre):
-        positive = True
-        while isinstance(part, Not):
-            positive = not positive
-            part = part.child
-        if isinstance(part, TrueCond):
-            if not positive:
-                return None
-            continue
-        if isinstance(part, kinds):
-            out.append((positive, part))
-        else:
-            return None
-    return out
 
 
 MAX_CLAUSES = 64
@@ -378,16 +358,21 @@ class RuleSet(Frozen):
 
 def _srd_literals(rule: Rule) -> Optional[list[tuple[bool, Precondition]]]:
     """The rule's precondition as SR_d's (positive, literal) pairs, or None
-    when it is not a conjunction of possibly-negated direct literals of the
-    rule's own kind."""
+    when it is not a conjunction of ``true`` and possibly-negated direct
+    literals of the rule's own kind: memberships for a membership rule, the
+    subject's values for a value rule."""
     kind = DirectGroup if rule.relation.is_membership else DirectVal
-    pre = rule.pre
-    # a bare literal or ``true`` needs no walk
-    if pre.__class__ is kind:
-        return [(True, pre)]
-    if pre.__class__ is TrueCond:
-        return []
-    return direct_conjunct_shape(pre, kind)
+    out: list[tuple[bool, Precondition]] = []
+    for part in conjuncts(rule.pre):
+        positive = True
+        while isinstance(part, Not):
+            positive = not positive
+            part = part.child
+        if isinstance(part, kind):
+            out.append((positive, part))
+        elif not (positive and isinstance(part, TrueCond)):
+            return None
+    return out
 
 
 def eval_precondition(

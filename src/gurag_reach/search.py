@@ -4,16 +4,19 @@ The reachability problem is PSPACE-complete in general, so the exhaustive
 search is bounded; Unreachable is only ever claimed when the full reachable
 space was closed within the bounds.  The inner loop runs either in the
 compiled kernel or the pure-Python fallback (see ``kernel``); both produce
-identical outcomes.
+identical outcomes.  ``bfs_solve`` and ``analyze`` name that choice
+``kernel``, one of "auto", "python" and "compiled"; ``engine`` is
+``analyze``'s choice among the bfs oracle and the planners.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Union
 
-from . import _kernel_py, kernel
+from . import _kernel_py
 from ._record import Frozen
 from .encoding import compile_instance
+from .kernel import select
 from .model import ProblemInstance
 from .planner import NOTE_GROUP_CYCLE, solve_no_negation, solve_srd_no_delete
 from .transition import InvalidAt, Plan, ReachabilityQuery, Valid, validate_plan
@@ -33,9 +36,12 @@ class SearchBounds(Frozen):
         self.__dict__.update(max_depth=max_depth, max_states=max_states, max_millis=max_millis)
 
 
-# ``kernel`` names the kernel that ran; outcomes of different kernels compare equal
+# ``kernel`` names the kernel that ran; outcomes of different kernels compare equal.
+# Each class names its ``outcome`` as ``Analysis`` reports it, and has ``plan``
+# and ``bound`` as None where it has none.
 class Reachable(Frozen, compare=("plan", "states_explored")):
     _fields = ("plan", "states_explored", "kernel")
+    outcome, bound = "reachable", None
 
     def __init__(self, plan: Plan, states_explored: int, kernel: str = ""):
         self.__dict__.update(plan=plan, states_explored=states_explored, kernel=kernel)
@@ -43,6 +49,7 @@ class Reachable(Frozen, compare=("plan", "states_explored")):
 
 class Unreachable(Frozen, compare=("states_explored",)):
     _fields = ("states_explored", "kernel")
+    outcome, plan, bound = "unreachable", None, None
 
     def __init__(self, states_explored: int, kernel: str = ""):
         self.__dict__.update(states_explored=states_explored, kernel=kernel)
@@ -50,6 +57,7 @@ class Unreachable(Frozen, compare=("states_explored",)):
 
 class BoundExceeded(Frozen, compare=("bound", "states_explored")):
     _fields = ("bound", "states_explored", "kernel")
+    outcome, plan = "bound-exceeded", None
 
     def __init__(self, bound: str, states_explored: int, kernel: str = ""):
         # bound: "depth" | "states" | "millis"
@@ -69,17 +77,16 @@ def bfs_solve(
     instance: ProblemInstance,
     q: ReachabilityQuery,
     bounds: SearchBounds = SearchBounds(),
-    engine: Optional[str] = None,
+    kernel: str = "auto",
 ) -> SearchOutcome:
     """Shortest plan (lexicographically smallest among shortest) or exhaustion.
 
-    ``engine`` selects the kernel: None/"auto" picks the compiled one when it
-    is built, "python" forces the fallback.
+    ``kernel`` names the search kernel as ``kernel.select`` takes it.
     """
     ci = compile_instance(instance)
     goal = ci.compile_query(q)
     start = ci.encode_state(instance.initial_state)
-    impl = kernel.select(ci, engine)
+    impl = select(ci, kernel)
     code, plan_idx, explored = impl.bfs(
         ci, start, goal, q.strict, bounds.max_depth, bounds.max_states, bounds.max_millis
     )
@@ -135,15 +142,8 @@ def analyze(
             engine = "bfs"
     if engine == "bfs":
         out = bfs_solve(instance, q, bounds, kernel)
-        if isinstance(out, Reachable):
-            result = Analysis("bfs", "reachable", out.plan, states_explored=out.states_explored,
-                              kernel=out.kernel)
-        elif isinstance(out, Unreachable):
-            result = Analysis("bfs", "unreachable", states_explored=out.states_explored,
-                              kernel=out.kernel)
-        else:
-            result = Analysis("bfs", "bound-exceeded", states_explored=out.states_explored,
-                              bound=out.bound, kernel=out.kernel)
+        result = Analysis("bfs", out.outcome, out.plan, states_explored=out.states_explored,
+                          bound=out.bound, kernel=out.kernel)
     elif engine in ("nonneg", "srd"):
         res = (solve_no_negation if engine == "nonneg" else solve_srd_no_delete)(instance, q)
         if not res.reachable and engine == "srd" and NOTE_GROUP_CYCLE in res.notes:

@@ -19,7 +19,7 @@ from gurag_reach.policy import (
     classify_level,
     conjunction,
     conjuncts,
-    direct_conjunct_shape,
+    _srd_literals,
     eval_precondition,
 )
 
@@ -66,8 +66,9 @@ class TestPreconditionSemantics:
         assert eval_precondition(EffGroup("G2"), self.state, H)
 
     def test_membership_literal_rejected_for_group_subject(self):
-        with pytest.raises(PolicyError):
-            eval_precondition(DirectGroup("G1"), self.state, H, subject="G2")
+        for literal in (DirectGroup("G1"), EffGroup("G1")):
+            with pytest.raises(PolicyError, match="evaluated for a group subject"):
+                eval_precondition(literal, self.state, H, subject="G2")
 
     def test_boolean_connectives(self):
         pre = And((DirectVal("a", "x"), Not(DirectVal("a", "g"))))
@@ -90,15 +91,29 @@ def test_and_splices_nested_conjunctions():
         And((a,))
 
 
-def test_direct_conjunct_shape():
-    ok = conjunction([DirectVal("a", "x"), Not(DirectGroup("G1"))])
-    shape = direct_conjunct_shape(ok)
-    assert shape == [(True, DirectVal("a", "x")), (False, DirectGroup("G1"))]
-    # effective literals break the shape
-    assert direct_conjunct_shape(EffVal("a", "x")) is None
-    # negated True breaks it too
-    assert direct_conjunct_shape(Not(TrueCond())) is None
-    assert direct_conjunct_shape(TrueCond()) == []
+def test_srd_literals_shape():
+    # a value rule reads its subject's direct values, ``true`` adds nothing,
+    # and a literal under an odd number of ``not`` is negated
+    value = rule(Relation.ADD_U, conjunction([DirectVal("a", "x"), TrueCond(),
+                                              Not(Not(Not(DirectVal("a", "y"))))]),
+                 target_attr="a", target_val="z")
+    assert _srd_literals(value) == [(True, DirectVal("a", "x")), (False, DirectVal("a", "y"))]
+    # an assign rule reads the user's direct groups
+    assign = rule(Relation.ASSIGN, conjunction([DirectGroup("G2"), Not(DirectGroup("G1"))]),
+                  target_group="G1")
+    assert _srd_literals(assign) == [(True, DirectGroup("G2")), (False, DirectGroup("G1"))]
+    assert _srd_literals(rule(Relation.ADD_UG, TrueCond(), target_attr="a", target_val="x")) == []
+    # a literal of the other kind, an effective literal and a negated true
+    # each break the shape
+    value_target, group_target = {"target_attr": "a", "target_val": "z"}, {"target_group": "G1"}
+    for broken in [
+        rule(Relation.ADD_U, conjunction([DirectVal("a", "x"), DirectGroup("G1")]), **value_target),
+        rule(Relation.ASSIGN, DirectVal("a", "x"), **group_target),
+        rule(Relation.ADD_U, EffVal("a", "x"), **value_target),
+        rule(Relation.ASSIGN, Not(EffGroup("G2")), **group_target),
+        rule(Relation.ADD_UG, Not(TrueCond()), **value_target),
+    ]:
+        assert _srd_literals(broken) is None, broken
 
 
 class TestRuleShape:

@@ -241,10 +241,14 @@ class TestBfsSolve:
             SearchBounds(**bounds)
         SearchBounds(max_depth=2**31 - 1, max_states=2**32 - 1, max_millis=2**63 - 1)
 
-    def test_unknown_engine_rejected(self):
+    def test_unknown_kernel_rejected(self):
+        # "auto" is the one spelling of the default
         inst, q = chain_instance(3)
-        with pytest.raises(ValueError):
-            bfs_solve(inst, q, engine="turbo")
+        for name in ("turbo", None):
+            with pytest.raises(ValueError, match="unknown kernel"):
+                bfs_solve(inst, q, kernel=name)
+            with pytest.raises(ValueError, match="unknown kernel"):
+                kernel.select(compile_instance(inst), name)
 
 
 class TestAnalyze:
@@ -274,21 +278,21 @@ class TestKernelEquivalence:
     def test_solve_outcomes_identical(self, cls):
         for seed in range(120):
             inst, q = generate(cls, seed)
-            a = bfs_solve(inst, q, engine="python")
-            b = bfs_solve(inst, q, engine="compiled")
+            a = bfs_solve(inst, q, kernel="python")
+            b = bfs_solve(inst, q, kernel="compiled")
             assert a == b, (cls, seed)
 
     def test_bound_outcomes_identical(self):
         inst, q = chain_instance(8)
         for bounds in (SearchBounds(max_depth=3), SearchBounds(max_states=4)):
-            assert bfs_solve(inst, q, bounds, engine="python") == \
-                bfs_solve(inst, q, bounds, engine="compiled")
+            assert bfs_solve(inst, q, bounds, kernel="python") == \
+                bfs_solve(inst, q, bounds, kernel="compiled")
 
     def test_visited_table_growth(self):
         # enough states to force several doublings of the 4,096-slot table
         inst, q = bench_kernel.independent(13)
-        out = bfs_solve(inst, q, SearchBounds(max_states=1 << 16), engine="compiled")
-        assert out == bfs_solve(inst, q, SearchBounds(max_states=1 << 16), engine="python")
+        out = bfs_solve(inst, q, SearchBounds(max_states=1 << 16), kernel="compiled")
+        assert out == bfs_solve(inst, q, SearchBounds(max_states=1 << 16), kernel="python")
         assert out.states_explored > 4096
 
     def test_multiword_states_identical(self):
@@ -297,8 +301,8 @@ class TestKernelEquivalence:
             inst, q = wide_random_instance(seed, (256, 600, 900)[seed % 3])
             for bounds in (SearchBounds(max_depth=6, max_states=3000),
                            SearchBounds(max_depth=2, max_states=3000)):
-                assert bfs_solve(inst, q, bounds, engine="python") == \
-                    bfs_solve(inst, q, bounds, engine="compiled"), seed
+                assert bfs_solve(inst, q, bounds, kernel="python") == \
+                    bfs_solve(inst, q, bounds, kernel="compiled"), seed
 
     def test_raw_bfs_tuples_identical(self, compiled_kernel):
         # what ``perfbench`` compares: the tuples themselves
@@ -322,8 +326,8 @@ class TestKernelEquivalence:
     def test_chains_wider_than_256_bits_identical(self, n):
         inst, q = chain_instance(n)
         for bounds in (SearchBounds(), SearchBounds(max_depth=n // 2)):
-            assert bfs_solve(inst, q, bounds, engine="python") == \
-                bfs_solve(inst, q, bounds, engine="compiled")
+            assert bfs_solve(inst, q, bounds, kernel="python") == \
+                bfs_solve(inst, q, bounds, kernel="compiled")
 
     def test_wide_instance_runs_compiled(self, compiled_kernel):
         inst, _ = chain_instance(257)
@@ -576,7 +580,7 @@ class TestMatchesReferenceKernel:
     def test_three_level_hierarchy(self, entries):
         inst = three_level_instance()
         q = ReachabilityQuery({att: frozenset(vals) for att, vals in entries.items()})
-        assert isinstance(bfs_solve(inst, q, engine="python"), Reachable)
+        assert isinstance(bfs_solve(inst, q, kernel="python"), Reachable)
         assert_matches_reference(inst, q)
 
     def test_two_rules_for_one_request(self):
@@ -699,7 +703,7 @@ LIVE_DEPENDENCIES = {
 def test_live_set_follows_each_dependency(name):
     inst, vals, steps = LIVE_DEPENDENCIES[name]
     q = ReachabilityQuery({"a": frozenset(vals)})
-    out = bfs_solve(inst, q, engine="python")
+    out = bfs_solve(inst, q, kernel="python")
     if steps is None:
         assert isinstance(out, Unreachable)
     else:
@@ -740,7 +744,7 @@ perfbench_gen = _load_script(ROOT / "perfbench" / "gen.py")
 
 
 @pytest.fixture(params=["python", "compiled"])
-def engine(request):
+def each_kernel(request):
     """Each kernel in turn, the compiled one built from the checkout."""
     if request.param == "compiled":
         request.getfixturevalue("compiled_kernel")
@@ -791,6 +795,29 @@ def test_library_of_another_struct_layout_is_refused(tmp_path, monkeypatch):
     build_kernel(KERNEL_SOURCE, tmp_path / "current" / name)
     monkeypatch.setattr(kernel, "__file__", str(tmp_path / "current" / "kernel.py"))
     assert kernel._installed() is not None
+
+
+def test_out_of_memory_raises_and_frees_the_plan(compiled_library, monkeypatch):
+    # ``gr_bfs`` returns a negative code when an allocation fails, possibly
+    # after it allocated the plan; the binding raises MemoryError and still
+    # has ``gr_free`` release that plan
+    libc = ctypes.CDLL(None)
+    libc.malloc.argtypes, libc.malloc.restype = [ctypes.c_size_t], ctypes.c_void_p
+    searched = []
+
+    def failing_bfs(ref):
+        search = ref._obj
+        search.plan = ctypes.cast(libc.malloc(16), _kernel_ctypes._i32)
+        searched.append(search)
+        return -1
+
+    monkeypatch.setattr(compiled_library, "_bfs", failing_bfs)
+    inst, q = chain_instance(3)
+    ci = compile_instance(inst)
+    with pytest.raises(MemoryError, match="ran out of memory"):
+        compiled_library.bfs(ci, ci.encode_state(inst.initial_state), ci.compile_query(q), True,
+                             32, 1 << 20, 30_000)
+    assert len(searched) == 1 and not searched[0].plan  # gr_free clears what it frees
 
 
 # Run in a child interpreter with AddressSanitizer preloaded: compares the raw
@@ -849,38 +876,38 @@ def test_sanitized_kernel_matches_the_pure_one(tmp_path):
 
 
 class TestBenchmarkExpectations:
-    def test_independent_explores_every_state(self, engine):
+    def test_independent_explores_every_state(self, each_kernel):
         inst, q = bench_kernel.independent(12)
         plan = Plan(tuple(c.request for c in compile_instance(inst).candidates))
         assert len(plan) == 12
-        assert bfs_solve(inst, q, engine=engine) == Reachable(plan, 4096)
+        assert bfs_solve(inst, q, kernel=each_kernel) == Reachable(plan, 4096)
 
-    def test_criterion8_stops_at_the_state_bound(self, engine):
+    def test_criterion8_stops_at_the_state_bound(self, each_kernel):
         inst, q = perfbench_gen.criterion8_wide()
-        assert bfs_solve(inst, q, SearchBounds(max_states=4096), engine=engine) == \
+        assert bfs_solve(inst, q, SearchBounds(max_states=4096), kernel=each_kernel) == \
             BoundExceeded("states", 4096)
 
-    def test_time_bound(self, engine):
+    def test_time_bound(self, each_kernel):
         # the states explored before the clock is read depend on the machine
         inst, q = bench_kernel.independent(20)
-        out = bfs_solve(inst, q, SearchBounds(max_millis=1), engine=engine)
+        out = bfs_solve(inst, q, SearchBounds(max_millis=1), kernel=each_kernel)
         assert isinstance(out, BoundExceeded) and out.bound == "millis"
 
-    def test_largest_time_bound_never_stops_the_search(self, engine):
+    def test_largest_time_bound_never_stops_the_search(self, each_kernel):
         # the compiled kernel takes the limit as an int64; a larger one used
         # to wrap there and stop the search after a few thousand states
         inst, q = bench_kernel.independent(12)
-        out = bfs_solve(inst, q, SearchBounds(max_millis=2**63 - 1), engine=engine)
+        out = bfs_solve(inst, q, SearchBounds(max_millis=2**63 - 1), kernel=each_kernel)
         assert isinstance(out, Reachable) and out.states_explored == 4096
         with pytest.raises(ValueError):
             SearchBounds(max_millis=2**63 + 5)
 
-    def test_time_bound_counts_candidate_tests(self, engine):
+    def test_time_bound_counts_candidate_tests(self, each_kernel):
         # few states, each testing thousands of live candidates: the clock has
         # to be read within the first states, not after 2,048 of them
         inst, q = bench_kernel.independent(4000)
         begun = time.monotonic()
-        out = bfs_solve(inst, q, SearchBounds(max_depth=4001, max_millis=20), engine=engine)
+        out = bfs_solve(inst, q, SearchBounds(max_depth=4001, max_millis=20), kernel=each_kernel)
         assert time.monotonic() - begun < 1
         assert out == BoundExceeded("millis", out.states_explored)
 
