@@ -13,6 +13,32 @@ where ``direct``/``eff`` are the subject's direct and effective value bits,
 user is effectively in group ``j``.  A clause holds when ``view & care ==
 want``.  Both the pure-Python and the compiled kernel consume this
 representation.
+
+A segment has slots only for the *kept* scope values: those that some rule
+targets (add or delete) or that some segment of the initial state holds.  They
+are numbered attribute by attribute, each attribute's values sorted, so each
+attribute's kept values are contiguous (its ``att_spans`` entry).  Every other
+value is *idle* and maps to one shared slot after the kept ones, present only
+when some value is idle; S counts the kept values and that slot.
+
+Why this changes no answer.  No candidate writes the shared slot in any
+segment, as a candidate writes only its rule's target, and the start state
+does not hold it, so it is 0 in every reachable state, just as each idle
+value's own bit was under one slot per value.  So a guard literal on an idle
+value, direct or effective, in any segment, reads 0 where it read 0 before,
+and every guard holds on the same reachable states.  A query target naming an
+idle value gets the shared bit, which no effective set holds; a strict query
+has it outside ``mask`` too, since the attribute's span covers only its kept
+values, so that goal never holds, as before.  An idle value outside a strict
+query's target was 0 under the mask and is left out of it now.  The candidates
+and their order are unchanged.  A guard's clauses may not be: one that asks
+for one idle value and against another now reads one bit both ways and is
+dropped as self-contradictory, but it never held.  So each guard and the goal
+take the same value on every reachable state, and a guard still depends only
+on the bits its ``care`` words name, which is all the pure kernel's live and
+sleep tables need of it.  Both kernels therefore visit the same states in the
+same order: plans, ``statesExplored`` and bound cuts are those of one slot per
+value, on narrower states.
 """
 
 from __future__ import annotations
@@ -75,16 +101,36 @@ class CompiledInstance(Record):
                "seg_offsets", "closure_idx", "candidates")
 
     def __init__(self, instance: ProblemInstance):
-        self.slot = slot = {}            # (att, val) -> slot within an S-bit segment
-        self.att_spans = att_spans = {}  # att -> (slot offset, width)
+        # (att, val) -> slot within an S-bit segment; every idle value -> the
+        # one shared slot after the kept ones
+        self.slot = slot = {}
+        # att -> (slot offset, width) of its kept values, which are contiguous
+        self.att_spans = att_spans = {}
+        init = instance.initial_state
+        kept = {(rule.target_attr, rule.target_val) for rule in instance.rules.rules}
+        for att, vals in init.user_attrs.items():
+            for val in vals:
+                kept.add((att, val))
+        for attrs in init.group_attrs.values():
+            for att, vals in attrs.items():
+                for val in vals:
+                    kept.add((att, val))
+        idle = []
         cursor = 0
         for att in sorted(instance.scopes):
-            vals = sorted(instance.scopes[att])
-            att_spans[att] = (cursor, len(vals))
-            for val in vals:
-                slot[att, val] = cursor
-                cursor += 1
-        self.n_slots = n_slots = cursor  # S: total scope values
+            first = cursor
+            for val in sorted(instance.scopes[att]):
+                key = (att, val)
+                if key in kept:
+                    slot[key] = cursor
+                    cursor += 1
+                else:
+                    idle.append(key)
+            att_spans[att] = (first, cursor - first)
+        if idle:
+            slot.update(dict.fromkeys(idle, cursor))
+            cursor += 1
+        self.n_slots = n_slots = cursor  # S: kept values, plus the idle slot if any
 
         self.groups = groups = tuple(sorted(instance.groups))
         gidx = {g: j for j, g in enumerate(groups)}
@@ -144,25 +190,35 @@ class CompiledInstance(Record):
         return (1 << self.n_slots) - 1
 
     def encode_state(self, state: DirectState) -> int:
+        """``state`` as a state word; ``ValueError`` if it holds an idle value,
+        whose shared slot must stay 0."""
         bits = 0
         for att, vals in state.user_attrs.items():
             for val in vals:
-                bits |= 1 << self.slot[att, val]
+                bits |= 1 << self._kept_slot(att, val)
         for g, attrs in state.group_attrs.items():
             off = self.seg_offsets[self.groups.index(g)]
             for att, vals in attrs.items():
                 for val in vals:
-                    bits |= 1 << (off + self.slot[att, val])
+                    bits |= 1 << (off + self._kept_slot(att, val))
         for g in state.user_groups:
             bits |= 1 << (self.mem_offset + self.groups.index(g))
         return bits
+
+    def _kept_slot(self, att: str, val: str) -> int:
+        at = self.slot[att, val]
+        off, width = self.att_spans[att]
+        if not off <= at < off + width:
+            raise ValueError(f"{att}={val} is idle: no rule writes it and the initial "
+                             "state does not hold it")
+        return at
 
     def compile_query(self, q: ReachabilityQuery) -> QueryEntry:
         mask = target = 0
         for att, vset in q.entries.items():
             off, width = self.att_spans[att]
             mask |= ((1 << width) - 1) << off
-            for val in vset:
+            for val in vset:  # an idle value's bit, the shared slot, lies outside every mask
                 target |= 1 << self.slot[att, val]
         return QueryEntry(mask, target)
 

@@ -136,7 +136,7 @@ RECORDS = [
                                         DirectState()),), {},
      ("groups", "slot", "att_spans", "n_slots", "n_groups", "nbits", "mem_offset", "seg_offsets",
       "closure_idx", "candidates"),
-     "CompiledInstance(groups=('G',), slot={('a', 'v'): 0}, att_spans={'a': (0, 1)}, n_slots=1, "
+     "CompiledInstance(groups=('G',), slot={('a', 'v'): 0}, att_spans={'a': (0, 0)}, n_slots=1, "
      "n_groups=1, nbits=3, mem_offset=2, seg_offsets=(1,), closure_idx=((0,),), candidates=())"),
     (CaseResult, ("any", 0, "agree"), {}, ("cls", "seed", "status", "detail"),
      "CaseResult(cls='any', seed=0, status='agree', detail='')"),

@@ -952,3 +952,125 @@ def test_pure_kernel_tests_only_live_candidates():
     reference, expected = fastest(reference_bfs, entries)
     assert out == expected and out[0] == _kernel_py.REACHABLE
     assert 4 * pure <= reference, (pure, reference)
+
+
+# --- idle values -------------------------------------------------------------
+# A scope value that no rule writes and no segment of the initial state holds
+# is idle: every idle value shares one slot, always 0.  Its "keeper twin" adds,
+# per idle value v of a, the rule ``v in direct(a) -> v``, which never fires
+# (it adds only what is held) but gives v a slot of its own.  The twin must
+# answer every query as the instance does.
+
+def idle_values(instance):
+    """The idle (att, val) pairs of ``instance``, sorted."""
+    kept = {(rule.target_attr, rule.target_val) for rule in instance.rules}
+    state = instance.initial_state
+    kept |= {(att, val) for attrs in (state.user_attrs, *state.group_attrs.values())
+             for att, vals in attrs.items() for val in vals}
+    return sorted((att, val) for att, vals in instance.scopes.items() for val in vals
+                  if (att, val) not in kept)
+
+
+def keeper_twin(instance):
+    role = min(instance.roles)
+    keepers = [Rule(Relation.ADD_U, role, DirectVal(att, val), target_attr=att, target_val=val)
+               for att, val in idle_values(instance)]
+    return ProblemInstance(instance.scopes, instance.hierarchy, instance.roles,
+                           RuleSet.build(list(instance.rules) + keepers), instance.initial_state)
+
+
+TWIN_BOUNDS = [SearchBounds(), SearchBounds(max_depth=2), SearchBounds(max_states=5)]
+
+
+def assert_twin_agrees(instance, q, kernel_name, bounds=TWIN_BOUNDS):
+    """The instance compiles to its kept values plus one shared slot, its twin
+    to one slot per value, and both give equal outcomes, strict and relaxed, at
+    each bound; returns the instance's outcomes."""
+    idle, twin = idle_values(instance), keeper_twin(instance)
+    values, n_groups = sum(map(len, instance.scopes.values())), len(instance.groups)
+    ci, ci_twin = compile_instance(instance), compile_instance(twin)
+    assert ci_twin.n_slots == values and ci_twin.nbits == values * (1 + n_groups) + n_groups
+    assert ci.n_slots == values - len(idle) + bool(idle)
+    outcomes = []
+    for query in (ReachabilityQuery(q.entries), q.relaxed_copy()):
+        for b in bounds:
+            out = bfs_solve(instance, query, b, kernel_name)
+            assert out == bfs_solve(twin, query, b, kernel_name), (query, b)
+            outcomes.append(out)
+    return outcomes
+
+
+def unwritten_instance():
+    """The user holds w and group G, which the user may join, holds x; no rule
+    writes either.  z, u and v are idle.  One guard reads ``(z and not u) or
+    x``, whose first clause reads the shared slot both ways."""
+    z_not_u = And((DirectVal("a", "z"), Not(DirectVal("b", "u"))))
+    rules = [
+        _assign("G", And((DirectVal("a", "w"), Not(DirectVal("b", "u"))))),
+        _add("y", EffVal("a", "x")),
+        _add("y", Not(And((Not(z_not_u), Not(EffVal("a", "x"))))), Relation.ADD_UG),
+        _delete("y", And((EffVal("a", "y"), Not(EffVal("a", "z")))), Relation.DELETE_UG),
+        Rule(Relation.REMOVE, "r", EffVal("b", "v"), target_group="G"),
+    ]
+    return ProblemInstance(
+        scopes={"a": frozenset("wxyz"), "b": frozenset("uv")},
+        hierarchy=GroupHierarchy(frozenset({"G", "H"}), frozenset({("G", "H")})),
+        roles=frozenset({"r"}), rules=RuleSet.build(rules),
+        initial_state=DirectState({"a": {"w"}}, {"G": {"a": {"x"}}, "H": {"a": {"x"}}}))
+
+
+class TestIdleValues:
+    def test_layout(self):
+        inst = unwritten_instance()
+        assert idle_values(inst) == [("a", "z"), ("b", "u"), ("b", "v")]
+        ci = compile_instance(inst)
+        # w, x, y kept in a; b has none; z, u and v share slot 3
+        assert ci.att_spans == {"a": (0, 3), "b": (3, 0)}
+        assert [ci.slot[key] for key in sorted(ci.slot)] == [0, 1, 2, 3, 3, 3]
+        assert (ci.n_slots, ci.nbits) == (4, 14)
+        # the collapsed clause is dropped; in the twin it stays
+        guard = {c.rule_id: c.guard for c in ci.candidates}[2]
+        twin_guard = {c.rule_id: c.guard for c in compile_instance(keeper_twin(inst)).candidates}[2]
+        assert (len(guard), len(twin_guard)) == (1, 2)
+
+    def test_widths_of_the_benchmark_instances(self):
+        # criterion 8: 9 kept values of 50 and one idle slot, in 3 segments, plus 2 groups
+        assert compile_instance(perfbench_gen.criterion8_wide()[0]).nbits == 32
+        for n in (1, 12, 64):
+            assert compile_instance(bench_kernel.chain(n)[0]).nbits == n
+            assert compile_instance(bench_kernel.independent(n)[0]).nbits == n
+
+    def test_encode_state_refuses_an_idle_value(self):
+        inst = unwritten_instance()
+        ci = compile_instance(inst)
+        assert ci.encode_state(inst.initial_state) == 0b1 | 0b10 << 4 | 0b10 << 8
+        for state in (DirectState({"a": {"w", "z"}}), DirectState({}, {"H": {"b": {"u"}}})):
+            with pytest.raises(ValueError, match="idle"):
+                ci.encode_state(state)
+
+    @pytest.mark.parametrize("cls", CLASSES)
+    def test_keeper_twin_on_fuzz(self, cls, each_kernel):
+        twins = 0
+        for seed in range(500):
+            inst, q = generate(cls, seed)
+            if idle_values(inst):
+                assert_twin_agrees(inst, q, each_kernel)
+                twins += 1
+        assert twins > 100
+
+    @pytest.mark.parametrize("entries,outcomes", [
+        # the target holds idle z: never, strict or relaxed
+        ({"a": "wxyz"}, ("unreachable",) * 2),
+        # a's idle z lies outside the strict target: reached as in the twin
+        ({"a": "wxy"}, ("reachable",) * 2),
+        ({"a": "wxy", "b": ""}, ("reachable",) * 2),
+        ({"b": "v"}, ("unreachable",) * 2),
+    ])
+    def test_queries_naming_idle_values(self, each_kernel, entries, outcomes):
+        inst = unwritten_instance()
+        q = ReachabilityQuery({att: frozenset(vals) for att, vals in entries.items()})
+        bounds = TWIN_BOUNDS[:1] + [SearchBounds(max_depth=1), SearchBounds(max_states=3)]
+        out = assert_twin_agrees(inst, q, each_kernel, bounds)
+        # strict then relaxed, each uncut, then cut by depth and by states
+        assert (out[0].outcome, out[3].outcome) == outcomes
+        assert [o.bound for o in out] == [None, "depth", "states"] * 2
