@@ -10,12 +10,19 @@ otherwise follows the tty).
 
 Exit codes: 0 reachable/valid/clean, 1 unreachable/invalid, 2 bound
 exceeded or a command-line usage error, 3 parse error, 4 restriction
-violation, 5 internal failure.
+violation, 5 internal failure, output that cannot be written included.
+
+``run`` is the process entry of ``gurag-reach`` and ``python -m
+gurag_reach.cli``; it freezes the heap the imports built.  ``main`` serves
+in-process callers and leaves the garbage collector alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
+import gc
 import json
 import os
 import sys
@@ -288,5 +295,29 @@ def main(argv: Optional[list[str]] = None) -> int:
     return COMMANDS[args.command](args)
 
 
+def run() -> NoReturn:
+    """Exit with ``main``'s code on ``sys.argv[1:]`` once stdout is flushed.
+
+    What the imports built lives until exit, so ``gc.freeze()`` takes it out
+    of the collector's view: neither this run's collections nor the
+    interpreter's shutdown ones traverse it, and exit reclaims its cyclic
+    garbage with the process.  Output that cannot be written exits 5.
+    """
+    gc.freeze()
+    if sys.stdout is None:  # the interpreter started with stdout closed
+        _fail(f"error: cannot write stdout: {os.strerror(errno.EBADF)}", EXIT_INTERNAL)
+    try:
+        try:
+            code = main()
+        finally:  # also after a SystemExit, such as argparse's
+            sys.stdout.flush()
+    except OSError as exc:  # a report, or the file ``fmt --in-place`` writes
+        with contextlib.suppress(OSError):
+            sys.stdout.close()  # drops what is still buffered, so exit retries no write
+        _fail(f"error: cannot write {exc.filename or 'stdout'}: {exc.strerror or exc}",
+              EXIT_INTERNAL)
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -1,10 +1,16 @@
+import errno
+import gc
+import io
 import json
+import os
+import shutil
 import subprocess
 import sys
+from contextlib import redirect_stderr
 
 import pytest
 
-from gurag_reach import _kernel_py, kernel, search
+from gurag_reach import _kernel_py, cli, kernel, search
 from gurag_reach.dsl import MAX_NESTING, parse, serialize
 from gurag_reach.planner import PlanResult
 from gurag_reach.transition import Plan
@@ -469,3 +475,102 @@ def test_hierarchy_cycle_diagnostic_ignores_hash_seed():
             for seed in (0, 3)]
     expected = f"{path}:1:1: error: cycle in group hierarchy through 'G1' [hierarchy-cycle]\n"
     assert [(r.returncode, r.stderr) for r in runs] == [(3, expected)] * 2
+
+
+class _FullDisk(io.StringIO):
+    """A stdout on a full disk: every write fails."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+class TestProcessEntry:
+    """``run``, the entry of ``gurag-reach`` and ``python -m gurag_reach.cli``."""
+
+    @staticmethod
+    def run_entry(monkeypatch, *argv, stdout):
+        """``run`` on ``argv`` in this process with ``stdout`` and no freeze:
+        its exit code and stderr."""
+        monkeypatch.setattr(gc, "freeze", lambda: None)
+        monkeypatch.setattr(sys, "argv", ["gurag-reach", *argv])
+        monkeypatch.setattr(sys, "stdout", stdout)
+        err = io.StringIO()
+        with redirect_stderr(err), pytest.raises(SystemExit) as exc:
+            cli.run()
+        return exc.value.code, err.getvalue()
+
+    def test_main_leaves_the_collector_alone(self):
+        before = gc.get_freeze_count(), gc.isenabled()
+        assert run_cli("solve", str(GOLDEN / "chain.gurag")).exit_code == 0
+        assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+    def test_run_freezes_before_main_and_exits_with_its_code(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+        monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 4)
+        with pytest.raises(SystemExit) as exc:
+            cli.run()
+        assert (calls, exc.value.code) == (["freeze", "main"], 4)
+
+    @pytest.mark.parametrize("command", ["solve", "fmt"])
+    def test_report_on_a_full_disk_is_an_internal_failure(self, monkeypatch, command):
+        path = str(GOLDEN / "chain.gurag")
+        assert self.run_entry(monkeypatch, command, path, stdout=_FullDisk()) == (
+            5, "error: cannot write stdout: No space left on device\n")
+
+    def test_stdout_closed_at_start_is_an_internal_failure(self, monkeypatch):
+        assert self.run_entry(monkeypatch, "solve", str(GOLDEN / "chain.gurag"), stdout=None) == (
+            5, "error: cannot write stdout: Bad file descriptor\n")
+
+    def test_in_place_write_failure_is_an_internal_failure(self, monkeypatch, tmp_path):
+        path = tmp_path / "chain.gurag"
+        shutil.copy(GOLDEN / "chain.gurag", path)
+        before = path.read_bytes()
+
+        def refuse_writes(file, mode="r", **kwargs):
+            if "w" in mode:
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), file)
+            return open(file, mode, **kwargs)
+
+        monkeypatch.setattr(cli, "open", refuse_writes, raising=False)
+        result = self.run_entry(monkeypatch, "fmt", "--in-place", str(path), stdout=io.StringIO())
+        assert result == (5, f"error: cannot write {path}: Permission denied\n")
+        assert path.read_bytes() == before
+
+    def test_module_entry_matches_main(self, tmp_path):
+        unreachable = tmp_path / "u.gurag"
+        unreachable.write_text("attr a scope { x }\nrole r\nrules {\n}\n"
+                               "query strict { e_a(u) = { x } }\n")
+        cases = [  # one per exit code from 0 to 4
+            ["solve", str(GOLDEN / "chain.gurag")],
+            ["solve", str(unreachable)],
+            ["solve", "--max-depth", "0", str(GOLDEN / "chain.gurag")],
+            ["solve", str(MALFORMED / "m01.gurag")],
+            ["solve", "--engine", "nonneg", str(GOLDEN / "roomadmin.gurag")],
+        ]
+        env = child_env(GURAG_REACH_COLOR="0")
+        for code, argv in enumerate(cases):
+            child = subprocess.run([sys.executable, "-m", "gurag_reach.cli", *argv],
+                                   capture_output=True, text=True, env=env)
+            res = run_cli(*argv)
+            assert res.exit_code == code, argv
+            assert (child.returncode, child.stdout, child.stderr) == (
+                code, res.stdout, res.stderr), argv
+        path = tmp_path / "chain.gurag"
+        path.write_bytes((GOLDEN / "chain.gurag").read_bytes().replace(b"\n", b"\n\n"))
+        child = subprocess.run([sys.executable, "-m", "gurag_reach.cli", "fmt", "--in-place",
+                                str(path)], capture_output=True, env=env)
+        assert (child.returncode, child.stdout, child.stderr) == (0, b"", b"")
+        assert path.read_bytes() == run_cli("fmt", str(GOLDEN / "chain.gurag")).stdout.encode()
+
+    # --version writes through argparse, which then exits
+    @pytest.mark.parametrize("argv", [["solve", str(GOLDEN / "chain.gurag")], ["--version"]])
+    def test_full_disk_in_a_child(self, argv):
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full on this system")
+        with open("/dev/full", "w") as full:
+            child = subprocess.run([sys.executable, "-m", "gurag_reach.cli", *argv],
+                                   stdout=full, stderr=subprocess.PIPE, text=True,
+                                   env=child_env(GURAG_REACH_COLOR="0"))
+        assert (child.returncode, child.stderr) == (
+            5, "error: cannot write stdout: No space left on device\n")

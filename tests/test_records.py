@@ -245,9 +245,11 @@ def test_plan_result_constructors():
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     # compare before and after, so a module the interpreter's start-up
-    # already loaded (a site .pth, say) cannot fail the test
-    code = ("import sys; before = set(sys.modules); import gurag_reach.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    # already loaded (a site .pth, say) cannot fail the test; importing the
+    # CLI freezes nothing, only its process entry does
+    code = ("import gc, sys; before = set(sys.modules); import gurag_reach.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)), "
+            "gc.get_freeze_count())")
     out = subprocess.run([sys.executable, "-c", code], env=child_env(),
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.strip() == "[] 0"
