@@ -3,9 +3,9 @@
 The package answers: starting from a concrete assignment of attribute values
 and group memberships, can a set of administrative roles drive the user's
 *effective* attribute values to a requested target, and if so by what sequence
-of requests?  It ships a bounded exhaustive search (the oracle, with an
-optional compiled kernel), two polynomial-time planners for restricted rule
-sets, a text format with a formatter, and a command-line front end.
+of requests?  It ships a bounded exhaustive search (the oracle), two
+polynomial-time planners for restricted rule sets, a text format with a
+formatter, and a command-line front end.
 """
 
 from .model import (

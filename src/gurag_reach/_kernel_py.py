@@ -1,8 +1,8 @@
 """Pure-Python breadth-first search kernel over bit-packed states.
 
-Reference implementation: arbitrary state width, no dependencies.  One call
-answers one query: whether a state meeting the goal is reachable, and by
-which plan.  The compiled kernel must produce byte-identical outcomes.
+The package's one search kernel: arbitrary state width, no dependencies.
+One call answers one query: whether a state meeting the goal is reachable,
+and by which plan.
 
 The search runs level by level: the frontier of depth ``d`` is a list,
 expanded state by state with the candidates in their fixed order, and the
@@ -29,7 +29,7 @@ live mask.  A state's own mask is derived when it is expanded, and a row of
 the table when the first state reached through its candidate is.  Live
 candidates are walked in index order, 8 bits at a time, so plans,
 ``statesExplored``, bound cuts and the goal test are those of testing every
-candidate at every state.  The compiled kernel still tests every candidate.
+candidate at every state.
 
 A state also skips the edges that can only lead to visited states, by a
 sleep set (Godefroid and Wolper, CAV 1991).  Let ``s`` be reached from its
@@ -69,10 +69,10 @@ KERNEL_NAME = "python"
 
 # Reading the clock every ``_TIME_CHECK_INTERVAL // (candidates + 1) + 1``
 # expanded states reads it at most every ``_TIME_CHECK_INTERVAL`` candidate
-# tests; ``_kernel.c``, which tests every candidate, follows the same rule.
+# tests.
 _TIME_CHECK_INTERVAL = 16384
 
-# Outcome codes shared with the compiled kernel
+# Outcome codes; ``search`` maps them to its outcome classes
 REACHABLE = 0
 UNREACHABLE = 1
 DEPTH_EXCEEDED = 2

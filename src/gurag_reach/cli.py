@@ -25,6 +25,7 @@ import errno
 import gc
 import json
 import os
+import stat
 import sys
 import time
 from typing import NoReturn, Optional
@@ -147,11 +148,11 @@ def solve(args: argparse.Namespace) -> int:
     bounds = _bounds(args)
     start = time.monotonic()
     try:
-        answer = analyze(result.instance, q, args.engine, bounds, args.kernel)
+        answer = analyze(result.instance, q, args.engine, bounds)
     except RestrictionViolation as exc:
         _fail(f"error: engine {args.engine!r} not applicable: {exc}", EXIT_RESTRICTION)
     except (RuntimeError, MemoryError) as exc:
-        # an unavailable kernel, a plan that fails replay, or a search out of memory
+        # a plan that fails replay, or a search out of memory
         _fail(f"error: {str(exc) or 'out of memory'}", EXIT_INTERNAL)
     doc = {
         "engine": answer.engine,
@@ -193,11 +194,31 @@ def fmt(args: argparse.Namespace) -> int:
     if args.check:  # canonical means the same bytes, line ends included
         return EXIT_OK if canon.encode("utf-8") == raw else EXIT_NEGATIVE
     if args.in_place:
-        with open(args.file, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(canon)
+        _replace(args.file, canon)
     else:
         print(canon, end="")
     return EXIT_OK
+
+
+def _replace(path: str, text: str):
+    """Make ``text`` the content of the file at ``path``, a symlink's target
+    for a symlink, with its permission bits kept: written beside it first, then
+    renamed over it, so a failed write leaves it as it was and exits 5."""
+    import tempfile  # ~10 ms of imports that only this path needs
+
+    target = os.path.realpath(path)
+    tmp = None
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".gurag-fmt-")
+        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.chmod(tmp, stat.S_IMODE(os.stat(target).st_mode))
+        os.replace(tmp, target)
+    except OSError as exc:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+        _fail(f"error: cannot write {path}: {exc.strerror or exc}", EXIT_INTERNAL)
 
 
 def fuzz(args: argparse.Namespace) -> int:
@@ -260,8 +281,6 @@ def _parser() -> argparse.ArgumentParser:
     search = argparse.ArgumentParser(add_help=False)
     search.add_argument("--query", type=_non_negative, default=0,
                         help="Index of the query to solve (files may hold several).")
-    search.add_argument("--kernel", default="auto", choices=["auto", "python", "compiled"],
-                        help="Search kernel for the exhaustive engine.")
     search.add_argument("--timing", action="store_true", help="Include elapsedMs in the report.")
 
     command("classify", "Report the rule-set level and restriction flags.")
@@ -311,11 +330,10 @@ def run() -> NoReturn:
             code = main()
         finally:  # also after a SystemExit, such as argparse's
             sys.stdout.flush()
-    except OSError as exc:  # a report, or the file ``fmt --in-place`` writes
+    except OSError as exc:  # a report; ``fmt --in-place`` reports its own file
         with contextlib.suppress(OSError):
             sys.stdout.close()  # drops what is still buffered, so exit retries no write
-        _fail(f"error: cannot write {exc.filename or 'stdout'}: {exc.strerror or exc}",
-              EXIT_INTERNAL)
+        _fail(f"error: cannot write stdout: {exc.strerror or exc}", EXIT_INTERNAL)
     sys.exit(code)
 
 

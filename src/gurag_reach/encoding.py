@@ -1,4 +1,4 @@
-"""Bit-level compilation of a problem instance for the search kernels.
+"""Bit-level compilation of a problem instance for the search kernel.
 
 A direct state is packed into one integer: an S-bit value segment for the user,
 one S-bit segment per group (same attribute layout), then one membership bit
@@ -11,8 +11,7 @@ deterministically, each with a guard: its precondition as a disjunction of
 where ``direct``/``eff`` are the subject's direct and effective value bits,
 ``mem`` the user's membership bits and bit ``j`` of ``effmem`` is set when the
 user is effectively in group ``j``.  A clause holds when ``view & care ==
-want``.  Both the pure-Python and the compiled kernel consume this
-representation.
+want``.  The search kernel, ``_kernel_py``, consumes this representation.
 
 A segment has slots only for the *kept* scope values: those that some rule
 targets (add or delete) or that some segment of the initial state holds.  They
@@ -35,8 +34,8 @@ and their order are unchanged.  A guard's clauses may not be: one that asks
 for one idle value and against another now reads one bit both ways and is
 dropped as self-contradictory, but it never held.  So each guard and the goal
 take the same value on every reachable state, and a guard still depends only
-on the bits its ``care`` words name, which is all the pure kernel's live and
-sleep tables need of it.  Both kernels therefore visit the same states in the
+on the bits its ``care`` words name, which is all the kernel's live and
+sleep tables need of it.  The kernel therefore visits the same states in the
 same order: plans, ``statesExplored`` and bound cuts are those of one slot per
 value, on narrower states.
 """
@@ -95,7 +94,7 @@ class QueryEntry(Frozen):
 
 
 class CompiledInstance(Record):
-    """An instance compiled to the bit form both kernels search."""
+    """An instance compiled to the bit form the search kernel searches."""
 
     _fields = ("groups", "slot", "att_spans", "n_slots", "n_groups", "nbits", "mem_offset",
                "seg_offsets", "closure_idx", "candidates")

@@ -2,11 +2,8 @@
 
 The reachability problem is PSPACE-complete in general, so the exhaustive
 search is bounded; Unreachable is only ever claimed when the full reachable
-space was closed within the bounds.  The inner loop runs either in the
-compiled kernel or the pure-Python fallback (see ``kernel``); both produce
-identical outcomes.  ``bfs_solve`` and ``analyze`` name that choice
-``kernel``, one of "auto", "python" and "compiled"; ``engine`` is
-``analyze``'s choice among the bfs oracle and the planners.
+space was closed within the bounds.  The inner loop is ``_kernel_py.bfs``.
+``engine`` is ``analyze``'s choice among the bfs oracle and the planners.
 """
 
 from __future__ import annotations
@@ -16,7 +13,6 @@ from typing import Optional, Union
 from . import _kernel_py
 from ._record import Frozen
 from .encoding import compile_instance
-from .kernel import select
 from .model import ProblemInstance
 from .planner import NOTE_GROUP_CYCLE, solve_no_negation, solve_srd_no_delete
 from .transition import InvalidAt, Plan, ReachabilityQuery, Valid, validate_plan
@@ -28,15 +24,15 @@ class SearchBounds(Frozen):
     def __init__(self, max_depth: int = 32, max_states: int = 1 << 20, max_millis: int = 30_000):
         if max_depth <= 0 or max_states <= 0 or max_millis <= 0:
             raise ValueError("search bounds must be positive")
-        # the compiled kernel takes the depth as a C int, stores state
-        # indices in uint32 slots and takes the time limit as an int64
+        # far beyond any search that can finish; larger values are refused
+        # as malformed input
         if max_depth > 2**31 - 1 or max_states > 2**32 - 1 or max_millis > 2**63 - 1:
             raise ValueError("max depth must be below 2**31, max states below 2**32 "
                              "and max millis below 2**63")
         self.__dict__.update(max_depth=max_depth, max_states=max_states, max_millis=max_millis)
 
 
-# ``kernel`` names the kernel that ran; outcomes of different kernels compare equal.
+# ``kernel`` names the kernel that ran, and is left out of comparisons.
 # Each class names its ``outcome`` as ``Analysis`` reports it, and has ``plan``
 # and ``bound`` as None where it has none.
 class Reachable(Frozen, compare=("plan", "states_explored")):
@@ -77,25 +73,21 @@ def bfs_solve(
     instance: ProblemInstance,
     q: ReachabilityQuery,
     bounds: SearchBounds = SearchBounds(),
-    kernel: str = "auto",
 ) -> SearchOutcome:
-    """Shortest plan (lexicographically smallest among shortest) or exhaustion.
-
-    ``kernel`` names the search kernel as ``kernel.select`` takes it.
-    """
+    """Shortest plan (lexicographically smallest among shortest) or exhaustion."""
     ci = compile_instance(instance)
     goal = ci.compile_query(q)
     start = ci.encode_state(instance.initial_state)
-    impl = select(ci, kernel)
-    code, plan_idx, explored = impl.bfs(
+    code, plan_idx, explored = _kernel_py.bfs(
         ci, start, goal, q.strict, bounds.max_depth, bounds.max_states, bounds.max_millis
     )
+    name = _kernel_py.KERNEL_NAME
     if code == _kernel_py.REACHABLE:
         plan = Plan(tuple(ci.candidates[i].request for i in plan_idx))
-        return Reachable(plan, explored, impl.KERNEL_NAME)
+        return Reachable(plan, explored, name)
     if code == _kernel_py.UNREACHABLE:
-        return Unreachable(explored, impl.KERNEL_NAME)
-    return BoundExceeded(_BOUND_NAMES[code], explored, impl.KERNEL_NAME)
+        return Unreachable(explored, name)
+    return BoundExceeded(_BOUND_NAMES[code], explored, name)
 
 
 class Analysis(Frozen):
@@ -124,7 +116,6 @@ def analyze(
     q: ReachabilityQuery,
     engine: str = "auto",
     bounds: SearchBounds = SearchBounds(),
-    kernel: str = "auto",
 ) -> Analysis:
     """Decide reachability with one engine; every returned plan has replayed Valid.
 
@@ -141,7 +132,7 @@ def analyze(
         else:
             engine = "bfs"
     if engine == "bfs":
-        out = bfs_solve(instance, q, bounds, kernel)
+        out = bfs_solve(instance, q, bounds)
         result = Analysis("bfs", out.outcome, out.plan, states_explored=out.states_explored,
                           bound=out.bound, kernel=out.kernel)
     elif engine in ("nonneg", "srd"):
@@ -149,7 +140,7 @@ def analyze(
         if not res.reachable and engine == "srd" and NOTE_GROUP_CYCLE in res.notes:
             # the two-phase planner is incomplete across discarded group
             # cycles; settle the answer exhaustively
-            settled = analyze(instance, q, "bfs", bounds, kernel)
+            settled = analyze(instance, q, "bfs", bounds)
             return Analysis("srd+bfs", settled.outcome, settled.plan, settled.reason,
                             (NOTE_GROUP_CYCLE,), settled.states_explored, settled.bound,
                             settled.kernel)

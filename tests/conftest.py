@@ -1,8 +1,6 @@
 import io
 import os
 import pathlib
-import shutil
-import subprocess
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
 from unittest import mock
@@ -10,7 +8,6 @@ from unittest import mock
 import pytest
 
 import gurag_reach
-from gurag_reach import kernel
 from gurag_reach.cli import main
 from gurag_reach.dsl import parse
 
@@ -20,7 +17,6 @@ MALFORMED = DATA / "malformed"
 
 # the directory holding the gurag_reach package this process imported
 PACKAGE_PARENT = pathlib.Path(gurag_reach.__file__).resolve().parent.parent
-KERNEL_SOURCE = pathlib.Path(__file__).resolve().parent.parent / "src" / "gurag_reach" / "_kernel.c"
 
 
 def child_env(**extra):
@@ -84,29 +80,3 @@ def nested_document(opener, depth):
 def golden():
     return load_golden
 
-
-def build_kernel(source, lib):
-    """Compile the C kernel at ``source`` into the shared library ``lib`` as
-    strict C99 with every warning an error; skips the test without a C compiler."""
-    cc = shutil.which("gcc") or shutil.which("cc")
-    if cc is None:
-        pytest.skip("no C compiler found to build the compiled kernel")
-    subprocess.run([cc, "-std=c99", "-Wall", "-Wextra", "-Wpedantic", "-Werror", "-O2", "-shared",
-                    "-fPIC", "-o", str(lib), str(source)], check=True)
-
-
-@pytest.fixture(scope="session")
-def compiled_library(tmp_path_factory):
-    """The C kernel built from the checkout's ``_kernel.c`` into a temporary
-    directory and loaded the way ``kernel`` loads an installed build."""
-    lib = tmp_path_factory.mktemp("kernel") / "_kernel.so"
-    build_kernel(KERNEL_SOURCE, lib)
-    return kernel.load(str(lib))
-
-
-@pytest.fixture
-def compiled_kernel(compiled_library, monkeypatch):
-    """Makes that kernel the compiled one ``kernel.select`` offers, for one test."""
-    monkeypatch.setattr(kernel, "_compiled", compiled_library)
-    monkeypatch.setattr(kernel, "HAVE_COMPILED", True)
-    return compiled_library

@@ -107,12 +107,12 @@ def test_keywords_passed_to_package_callables_are_parameters():
 
 def test_keyword_uses_are_found(tmp_path):
     found = {(name, keyword) for path in SCRIPTS for _, name, _, keyword in keyword_uses(path)}
-    assert {("bfs_solve", "kernel"), ("Rule", "target_attr")} <= found
+    assert {("SearchBounds", "max_states"), ("Rule", "target_attr")} <= found
     # a keyword the callable does not take is reported, through either spelling
     script = tmp_path / "script.py"
     script.write_text("from gurag_reach import search\n"
                       "from gurag_reach.search import bfs_solve as solve\n"
                       "solve(None, None, engine='python')\n"
-                      "search.bfs_solve(None, None, kernel='python', bound=1)\n")
+                      "search.bfs_solve(None, None, bounds=None, bound=1)\n")
     assert unknown_keywords([script]) == [(script, 3, "bfs_solve", "engine"),
                                           (script, 4, "bfs_solve", "bound")]

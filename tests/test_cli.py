@@ -3,14 +3,14 @@ import gc
 import io
 import json
 import os
-import shutil
+import stat
 import subprocess
 import sys
 from contextlib import redirect_stderr
 
 import pytest
 
-from gurag_reach import _kernel_py, cli, kernel, search
+from gurag_reach import _kernel_py, cli, search
 from gurag_reach.dsl import MAX_NESTING, parse, serialize
 from gurag_reach.planner import PlanResult
 from gurag_reach.transition import Plan
@@ -108,14 +108,14 @@ class TestSolve:
         assert doc["outcome"] == "reachable"
         assert "group-cycle-discarded" in doc["notes"]
 
-    def test_bounds_beyond_the_compiled_kernel_rejected(self):
+    def test_bounds_beyond_their_limits_rejected(self):
         res = run_cli("solve", str(GOLDEN / "chain.gurag"), "--engine", "bfs",
                      "--max-states", "99999999999")
         assert res.exit_code == 2
         assert res.stdout == ""
 
-    def test_time_bound_beyond_the_compiled_kernel_rejected(self):
-        # above int64, where the compiled kernel would wrap the limit
+    def test_time_bound_beyond_its_limit_rejected(self):
+        # 2**63 ms and above
         res = run_cli("oracle", str(GOLDEN / "chain.gurag"), "--max-ms", str(2**63 + 5))
         assert res.exit_code == 2
         assert res.stdout == ""
@@ -196,29 +196,25 @@ class TestOracle:
         ]
 
     def test_kernel_selection_reported(self):
-        res = run_cli("oracle", str(GOLDEN / "chain.gurag"),
-                     "--kernel", "python")
+        res = run_cli("oracle", str(GOLDEN / "chain.gurag"))
         assert report(res)["kernel"] == "python"
 
-    def test_unavailable_kernel_is_an_internal_failure(self, monkeypatch):
-        monkeypatch.setattr(kernel, "_compiled", None)
-        monkeypatch.setattr(kernel, "HAVE_COMPILED", False)
-        res = run_cli("oracle", str(GOLDEN / "chain.gurag"), "--kernel", "compiled")
-        assert res.exit_code == 5
-        assert res.stdout == ""
-        assert res.stderr == "error: compiled kernel is not available in this build\n"
+    def test_kernel_option_is_a_usage_error(self):
+        # there is one kernel, and no option to choose it
+        for name in ("python", "compiled"):
+            res = run_cli("oracle", str(GOLDEN / "chain.gurag"), "--kernel", name)
+            assert (res.exit_code, res.stdout) == (2, ""), name
+            assert "unrecognized arguments: --kernel" in res.stderr, name
 
     @pytest.mark.parametrize("error, line", [
-        (MemoryError("the compiled kernel ran out of memory"),
-         "error: the compiled kernel ran out of memory\n"),
         (MemoryError(), "error: out of memory\n"),
-    ], ids=["compiled", "interpreter"])
+    ], ids=["interpreter"])
     def test_search_out_of_memory_is_an_internal_failure(self, monkeypatch, error, line):
         def out_of_memory(*args):
             raise error
 
         monkeypatch.setattr(_kernel_py, "bfs", out_of_memory)
-        res = run_cli("oracle", str(GOLDEN / "chain.gurag"), "--kernel", "python")
+        res = run_cli("oracle", str(GOLDEN / "chain.gurag"))
         assert (res.exit_code, res.stdout, res.stderr) == (5, "", line)
 
 
@@ -286,6 +282,19 @@ class TestFmt:
         res = run_cli("fmt", "--in-place", str(f))
         assert res.exit_code == 0
         assert f.read_text().startswith("attr a scope { x }\n")
+
+    def test_in_place_keeps_the_mode_and_a_symlink(self, tmp_path):
+        f = tmp_path / "messy.gurag"
+        f.write_text("role r\nattr a scope { x }\n")
+        f.chmod(0o640)
+        link = tmp_path / "link.gurag"
+        link.symlink_to(f.name)
+        res = run_cli("fmt", "--in-place", str(link))
+        assert (res.exit_code, res.stdout, res.stderr) == (0, "", "")
+        assert link.is_symlink() and os.readlink(link) == f.name
+        assert f.read_text().startswith("attr a scope { x }\n")
+        assert stat.S_IMODE(f.stat().st_mode) == 0o640
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.gurag", "messy.gurag"]
 
     @pytest.mark.parametrize("line_end", [b"\r\n", b"\r"], ids=["crlf", "cr"])
     def test_check_compares_line_ends(self, tmp_path, line_end):
@@ -522,20 +531,45 @@ class TestProcessEntry:
         assert self.run_entry(monkeypatch, "solve", str(GOLDEN / "chain.gurag"), stdout=None) == (
             5, "error: cannot write stdout: Bad file descriptor\n")
 
-    def test_in_place_write_failure_is_an_internal_failure(self, monkeypatch, tmp_path):
+    def in_place_failure(self, monkeypatch, tmp_path):
+        """``fmt --in-place`` through ``run`` on a non-canonical copy of a
+        golden file: its exit code and stderr, once the file is checked to
+        keep its bytes and to be the only file in its directory."""
         path = tmp_path / "chain.gurag"
-        shutil.copy(GOLDEN / "chain.gurag", path)
-        before = path.read_bytes()
-
-        def refuse_writes(file, mode="r", **kwargs):
-            if "w" in mode:
-                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), file)
-            return open(file, mode, **kwargs)
-
-        monkeypatch.setattr(cli, "open", refuse_writes, raising=False)
+        before = (GOLDEN / "chain.gurag").read_bytes().replace(b"\n", b"\n\n")
+        path.write_bytes(before)
         result = self.run_entry(monkeypatch, "fmt", "--in-place", str(path), stdout=io.StringIO())
-        assert result == (5, f"error: cannot write {path}: Permission denied\n")
         assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["chain.gurag"]
+        return result
+
+    def test_in_place_write_failure_is_an_internal_failure(self, monkeypatch, tmp_path):
+        fdopen = os.fdopen
+
+        class TooLarge:  # the file a write beyond ``ulimit -f`` fails on
+            def __init__(self, fd, *args, **kwargs):
+                self.fh = fdopen(fd, *args, **kwargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                raise OSError(errno.EFBIG, os.strerror(errno.EFBIG))
+
+        monkeypatch.setattr(os, "fdopen", TooLarge)
+        assert self.in_place_failure(monkeypatch, tmp_path) == (
+            5, f"error: cannot write {tmp_path / 'chain.gurag'}: File too large\n")
+
+    def test_in_place_replace_failure_is_an_internal_failure(self, monkeypatch, tmp_path):
+        def refuse(src, dst):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), src, dst)
+
+        monkeypatch.setattr(os, "replace", refuse)
+        assert self.in_place_failure(monkeypatch, tmp_path) == (
+            5, f"error: cannot write {tmp_path / 'chain.gurag'}: Permission denied\n")
 
     def test_module_entry_matches_main(self, tmp_path):
         unreachable = tmp_path / "u.gurag"

@@ -1,21 +1,15 @@
-import ctypes
 import importlib.util
 import itertools
-import json
 import pathlib
 import random
-import re
-import shutil
-import subprocess
 import sys
 import time
 import tracemalloc
 from collections import deque
-from importlib.machinery import EXTENSION_SUFFIXES
 
 import pytest
 
-from gurag_reach import _kernel_ctypes, _kernel_py, kernel
+from gurag_reach import _kernel_py, kernel
 from gurag_reach.dsl import parse, serialize
 from gurag_reach.encoding import ALWAYS, QueryEntry, compile_instance
 from gurag_reach.fuzz import CLASSES, generate
@@ -52,7 +46,7 @@ from gurag_reach.transition import (
     validate_plan,
 )
 
-from conftest import GOLDEN, KERNEL_SOURCE, build_kernel, child_env, load_golden
+from conftest import GOLDEN, load_golden
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -236,19 +230,26 @@ class TestBfsSolve:
 
     @pytest.mark.parametrize("bounds", [{"max_depth": 2**31}, {"max_states": 2**32},
                                         {"max_millis": 2**63}])
-    def test_bounds_must_fit_the_compiled_kernel(self, bounds):
+    def test_bounds_must_fit_their_limits(self, bounds):
         with pytest.raises(ValueError):
             SearchBounds(**bounds)
         SearchBounds(max_depth=2**31 - 1, max_states=2**32 - 1, max_millis=2**63 - 1)
 
     def test_unknown_kernel_rejected(self):
         # "auto" is the one spelling of the default
-        inst, q = chain_instance(3)
+        ci = compile_instance(chain_instance(3)[0])
         for name in ("turbo", None):
             with pytest.raises(ValueError, match="unknown kernel"):
-                bfs_solve(inst, q, kernel=name)
-            with pytest.raises(ValueError, match="unknown kernel"):
-                kernel.select(compile_instance(inst), name)
+                kernel.select(ci, name)
+
+    def test_kernel_names_left_for_the_benchmark(self):
+        # what perfbench/worker.py's cross-check and pipeline.search call
+        ci = compile_instance(chain_instance(3)[0])
+        assert kernel.select(ci) is kernel.select(ci, "python") is _kernel_py
+        with pytest.raises(RuntimeError, match="compiled kernel is not available"):
+            kernel.select(ci, "compiled")
+        assert kernel.HAVE_COMPILED is False
+        assert kernel.compiled_supports(ci) is False
 
 
 class TestAnalyze:
@@ -260,7 +261,7 @@ class TestAnalyze:
     ])
     def test_auto_engine_and_kernel(self, golden, name, engine, kernel_name):
         doc = golden(name)
-        res = analyze(doc.instance, doc.queries[0], kernel="python")
+        res = analyze(doc.instance, doc.queries[0])
         assert (res.engine, res.outcome, res.kernel) == (engine, "reachable", kernel_name)
         assert isinstance(validate_plan(doc.instance, res.plan, doc.queries[0]), Valid)
 
@@ -268,72 +269,6 @@ class TestAnalyze:
         doc = golden("chain.gurag")
         with pytest.raises(ValueError, match="unknown engine 'typo'"):
             analyze(doc.instance, doc.queries[0], "typo")
-
-
-@pytest.mark.usefixtures("compiled_kernel")
-class TestKernelEquivalence:
-    """The compiled kernel must be indistinguishable from the reference."""
-
-    @pytest.mark.parametrize("cls", ["nonneg", "srd", "any"])
-    def test_solve_outcomes_identical(self, cls):
-        for seed in range(120):
-            inst, q = generate(cls, seed)
-            a = bfs_solve(inst, q, kernel="python")
-            b = bfs_solve(inst, q, kernel="compiled")
-            assert a == b, (cls, seed)
-
-    def test_bound_outcomes_identical(self):
-        inst, q = chain_instance(8)
-        for bounds in (SearchBounds(max_depth=3), SearchBounds(max_states=4)):
-            assert bfs_solve(inst, q, bounds, kernel="python") == \
-                bfs_solve(inst, q, bounds, kernel="compiled")
-
-    def test_visited_table_growth(self):
-        # enough states to force several doublings of the 4,096-slot table
-        inst, q = bench_kernel.independent(13)
-        out = bfs_solve(inst, q, SearchBounds(max_states=1 << 16), kernel="compiled")
-        assert out == bfs_solve(inst, q, SearchBounds(max_states=1 << 16), kernel="python")
-        assert out.states_explored > 4096
-
-    def test_multiword_states_identical(self):
-        # states and guard views spanning several 64-bit words, up to 900 bits
-        for seed in range(40):
-            inst, q = wide_random_instance(seed, (256, 600, 900)[seed % 3])
-            for bounds in (SearchBounds(max_depth=6, max_states=3000),
-                           SearchBounds(max_depth=2, max_states=3000)):
-                assert bfs_solve(inst, q, bounds, kernel="python") == \
-                    bfs_solve(inst, q, bounds, kernel="compiled"), seed
-
-    def test_raw_bfs_tuples_identical(self, compiled_kernel):
-        # what ``perfbench`` compares: the tuples themselves
-        codes = set()
-        cases = [generate(cls, seed) for cls in CLASSES for seed in range(60)]
-        cases += [wide_random_instance(seed, bits) for seed in range(10) for bits in (256, 600, 900)]
-        for inst, q in cases:
-            ci = compile_instance(inst)
-            start, goal = ci.encode_state(inst.initial_state), ci.compile_query(q)
-            for max_depth, max_states in ((32, 1 << 20), (2, 1 << 20), (32, 5)):
-                for strict in (True, False):
-                    args = (ci, start, goal, strict, max_depth, max_states, 30_000)
-                    out = _kernel_py.bfs(*args)
-                    assert compiled_kernel.bfs(*args) == out, (q, args[2:])
-                    codes.add(out[0])
-        # found, closed, depth-cut and state-cut searches
-        assert codes == {_kernel_py.REACHABLE, _kernel_py.UNREACHABLE,
-                         _kernel_py.DEPTH_EXCEEDED, _kernel_py.STATES_EXCEEDED}
-
-    @pytest.mark.parametrize("n", [300, 700])
-    def test_chains_wider_than_256_bits_identical(self, n):
-        inst, q = chain_instance(n)
-        for bounds in (SearchBounds(), SearchBounds(max_depth=n // 2)):
-            assert bfs_solve(inst, q, bounds, kernel="python") == \
-                bfs_solve(inst, q, bounds, kernel="compiled")
-
-    def test_wide_instance_runs_compiled(self, compiled_kernel):
-        inst, _ = chain_instance(257)
-        ci = compile_instance(inst)
-        assert ci.nbits == 257
-        assert kernel.select(ci, "auto") is kernel.select(ci, "compiled") is compiled_kernel
 
 
 def with_tautology(instance):
@@ -358,7 +293,7 @@ class TestMultiClauseGuards:
     tautology, every fuzz rule carries a multi-clause guard end to end."""
 
     @pytest.mark.parametrize("cls", CLASSES)
-    def test_tautology_changes_no_answer(self, cls, compiled_kernel):
+    def test_tautology_changes_no_answer(self, cls):
         multi_clause = 0
         for seed in range(200):
             inst, q = generate(cls, seed)
@@ -370,9 +305,7 @@ class TestMultiClauseGuards:
                 args = (start, goal, strict, 32, 1 << 20, 30_000)
                 out = _kernel_py.bfs(ci, *args)
                 assert _kernel_py.bfs(ci_taut, *args) == out, (cls, seed, strict)
-                assert compiled_kernel.bfs(ci_taut, *args) == out, (cls, seed, strict)
-            assert analyze(taut, q, "bfs", kernel="python") == \
-                analyze(inst, q, "bfs", kernel="python")
+            assert analyze(taut, q, "bfs") == analyze(inst, q, "bfs")
             assert analyze(taut, q).outcome == analyze(inst, q).outcome
             text = serialize(taut, [q])
             result = parse(text)
@@ -580,7 +513,7 @@ class TestMatchesReferenceKernel:
     def test_three_level_hierarchy(self, entries):
         inst = three_level_instance()
         q = ReachabilityQuery({att: frozenset(vals) for att, vals in entries.items()})
-        assert isinstance(bfs_solve(inst, q, kernel="python"), Reachable)
+        assert isinstance(bfs_solve(inst, q), Reachable)
         assert_matches_reference(inst, q)
 
     def test_two_rules_for_one_request(self):
@@ -609,6 +542,23 @@ class TestMatchesReferenceKernel:
         bounds = [SearchBounds(max_states=1000), SearchBounds(max_states=4099),
                   SearchBounds(max_depth=3)]
         assert_matches_reference(*perfbench_gen.criterion8_wide(), bounds)
+
+    # states and guard views spanning several 64-bit words
+    def test_multiword_states(self):
+        for seed in range(40):
+            inst, q = wide_random_instance(seed, (256, 600, 900)[seed % 3])
+            assert_matches_reference(inst, q, [SearchBounds(max_depth=6, max_states=3000),
+                                               SearchBounds(max_depth=2, max_states=3000)])
+
+    @pytest.mark.parametrize("n", [300, 700])
+    def test_chains_wider_than_256_bits(self, n):
+        bounds = [SearchBounds(), SearchBounds(max_depth=n // 2)]
+        assert_matches_reference(*chain_instance(n), bounds)
+
+    def test_visited_table_growth(self):
+        # all 8,192 states of independent(13) are visited
+        inst, q = bench_kernel.independent(13)
+        assert_matches_reference(inst, q, [SearchBounds(max_states=1 << 16)])
 
 
 # --- live sets ---------------------------------------------------------------
@@ -703,7 +653,7 @@ LIVE_DEPENDENCIES = {
 def test_live_set_follows_each_dependency(name):
     inst, vals, steps = LIVE_DEPENDENCIES[name]
     q = ReachabilityQuery({"a": frozenset(vals)})
-    out = bfs_solve(inst, q, kernel="python")
+    out = bfs_solve(inst, q)
     if steps is None:
         assert isinstance(out, Unreachable)
     else:
@@ -743,136 +693,11 @@ bench_kernel = _load_script(ROOT / "benchmarks" / "bench_kernel.py")
 perfbench_gen = _load_script(ROOT / "perfbench" / "gen.py")
 
 
-@pytest.fixture(params=["python", "compiled"])
+@pytest.fixture(params=["python"])
 def each_kernel(request):
-    """Each kernel in turn, the compiled one built from the checkout."""
-    if request.param == "compiled":
-        request.getfixturevalue("compiled_kernel")
+    """The name of the kernel that runs, as outcomes report it; a second,
+    compiled kernel once ran these tests too."""
     return request.param
-
-
-class TestBinding:
-    C_TYPES = {"int32_t": ctypes.c_int32, "uint32_t": ctypes.c_uint32,
-               "int64_t": ctypes.c_int64, "uint64_t": ctypes.c_uint64}
-
-    def c_struct_fields(self, name):
-        """The (name, ctypes type) of each field of a struct in ``_kernel.c``."""
-        source = (ROOT / "src" / "gurag_reach" / "_kernel.c").read_text()
-        body = re.search(r"^struct %s \{\n(.*?)^\};" % name, source, re.S | re.M).group(1)
-        fields = []
-        for decl in re.sub(r"/\*.*?\*/", "", body, flags=re.S).split(";")[:-1]:
-            ctype, names = re.fullmatch(r"\s*(?:const\s+)?(\w+)\s+(.*?)\s*", decl, re.S).groups()
-            for field in names.split(","):
-                field = field.strip()
-                base = self.C_TYPES[ctype]
-                fields.append((field.lstrip("* "), ctypes.POINTER(base) if field[0] == "*" else base))
-        return fields
-
-    def test_search_structure_mirrors_the_c_struct(self):
-        # same names in the same order, with the same widths and signedness
-        fields = self.c_struct_fields("gr_search")
-        assert ("n_slots", ctypes.c_int32) in fields and ("start", _kernel_ctypes._u64) in fields
-        assert _kernel_ctypes._Search._fields_ == fields
-
-
-def test_library_of_another_struct_layout_is_refused(tmp_path, monkeypatch):
-    # an in-tree build of an older _kernel.c outlives checkouts, as *.so is
-    # not tracked; a library whose struct gr_search differs is never called
-    source = KERNEL_SOURCE.read_text()
-    assert source.count("    uint32_t n_states;\n") == 1
-    stale = tmp_path / "_kernel.c"
-    stale.write_text(source.replace("    uint32_t n_states;\n",
-                                    "    uint32_t n_states;\n    int64_t removed_field;\n"))
-    name = "_kernel" + EXTENSION_SUFFIXES[0]
-    build_kernel(stale, tmp_path / name)
-    with pytest.raises(OSError, match="struct gr_search is not _Search"):
-        kernel.load(str(tmp_path / name))
-    # the package falls back to the pure kernel when such a build lies next
-    # to it, and takes a build of the current source
-    monkeypatch.setattr(kernel, "__file__", str(tmp_path / "kernel.py"))
-    assert kernel._installed() is None
-    (tmp_path / "current").mkdir()
-    build_kernel(KERNEL_SOURCE, tmp_path / "current" / name)
-    monkeypatch.setattr(kernel, "__file__", str(tmp_path / "current" / "kernel.py"))
-    assert kernel._installed() is not None
-
-
-def test_out_of_memory_raises_and_frees_the_plan(compiled_library, monkeypatch):
-    # ``gr_bfs`` returns a negative code when an allocation fails, possibly
-    # after it allocated the plan; the binding raises MemoryError and still
-    # has ``gr_free`` release that plan
-    libc = ctypes.CDLL(None)
-    libc.malloc.argtypes, libc.malloc.restype = [ctypes.c_size_t], ctypes.c_void_p
-    searched = []
-
-    def failing_bfs(ref):
-        search = ref._obj
-        search.plan = ctypes.cast(libc.malloc(16), _kernel_ctypes._i32)
-        searched.append(search)
-        return -1
-
-    monkeypatch.setattr(compiled_library, "_bfs", failing_bfs)
-    inst, q = chain_instance(3)
-    ci = compile_instance(inst)
-    with pytest.raises(MemoryError, match="ran out of memory"):
-        compiled_library.bfs(ci, ci.encode_state(inst.initial_state), ci.compile_query(q), True,
-                             32, 1 << 20, 30_000)
-    assert len(searched) == 1 and not searched[0].plan  # gr_free clears what it frees
-
-
-# Run in a child interpreter with AddressSanitizer preloaded: compares the raw
-# ``bfs`` tuples of the library named by argv[1] with the pure kernel's on
-# fuzz seeds 0-299 of each class and on the documents of the JSON list on
-# stdin, at three bounds, strict and relaxed; prints the number of calls.
-SANITIZED_CHECK = """
-import json, sys
-from gurag_reach import _kernel_py, kernel
-from gurag_reach.dsl import parse
-from gurag_reach.encoding import compile_instance
-from gurag_reach.fuzz import CLASSES, generate
-
-compiled = kernel.load(sys.argv[1])
-cases = [generate(cls, seed) for cls in CLASSES for seed in range(300)]
-cases += [(doc.instance, doc.queries[0]) for doc in map(parse, json.load(sys.stdin))]
-calls = 0
-for inst, q in cases:
-    ci = compile_instance(inst)
-    start, goal = ci.encode_state(inst.initial_state), ci.compile_query(q)
-    for max_depth, max_states in ((32, 1 << 20), (2, 1 << 20), (32, 5)):
-        for strict in (True, False):
-            args = (ci, start, goal, strict, max_depth, max_states, 30_000)
-            if compiled.bfs(*args) != _kernel_py.bfs(*args):
-                sys.exit(f"differs on {q} with {args[2:]}")
-            calls += 1
-print(calls)
-"""
-
-
-def test_sanitized_kernel_matches_the_pure_one(tmp_path):
-    """The compiled kernel built with AddressSanitizer and UndefinedBehaviorSanitizer:
-    a bad memory access, a double free or undefined behaviour aborts the child.
-    Leak checking is off, as it reports the interpreter's own allocations."""
-    cc = shutil.which("gcc")
-    if cc is None:
-        pytest.skip("no gcc to build a sanitized kernel")
-    runtimes = [subprocess.run([cc, f"-print-file-name={name}"], capture_output=True,
-                               text=True, check=True).stdout.strip()
-                for name in ("libasan.so", "libubsan.so")]
-    if not all(pathlib.Path(path).is_absolute() for path in runtimes):
-        pytest.skip("gcc has no sanitizer runtime")
-    lib = tmp_path / "_kernel_asan.so"
-    subprocess.run([cc, "-std=c99", "-O1", "-g", "-fno-omit-frame-pointer",
-                    "-fsanitize=address,undefined", "-fno-sanitize-recover=all", "-shared",
-                    "-fPIC", "-o", str(lib), str(KERNEL_SOURCE)], check=True)
-    # states and views of several 64-bit words
-    wide = [wide_random_instance(seed, bits) for seed in range(3) for bits in (256, 600, 900)]
-    wide += [chain_instance(n) for n in (300, 700)]
-    child = subprocess.run(
-        [sys.executable, "-c", SANITIZED_CHECK, str(lib)],
-        input=json.dumps([serialize(inst, [q]) for inst, q in wide]), capture_output=True,
-        text=True, env=child_env(LD_PRELOAD=runtimes[0], ASAN_OPTIONS="detect_leaks=0"))
-    assert child.returncode == 0 and not child.stderr, child.stderr
-    assert child.stdout == f"{6 * (3 * 300 + len(wide))}\n"
 
 
 class TestBenchmarkExpectations:
@@ -880,25 +705,27 @@ class TestBenchmarkExpectations:
         inst, q = bench_kernel.independent(12)
         plan = Plan(tuple(c.request for c in compile_instance(inst).candidates))
         assert len(plan) == 12
-        assert bfs_solve(inst, q, kernel=each_kernel) == Reachable(plan, 4096)
+        out = bfs_solve(inst, q)
+        assert out == Reachable(plan, 4096) and out.kernel == each_kernel
 
     def test_criterion8_stops_at_the_state_bound(self, each_kernel):
         inst, q = perfbench_gen.criterion8_wide()
-        assert bfs_solve(inst, q, SearchBounds(max_states=4096), kernel=each_kernel) == \
-            BoundExceeded("states", 4096)
+        out = bfs_solve(inst, q, SearchBounds(max_states=4096))
+        assert out == BoundExceeded("states", 4096) and out.kernel == each_kernel
 
     def test_time_bound(self, each_kernel):
         # the states explored before the clock is read depend on the machine
         inst, q = bench_kernel.independent(20)
-        out = bfs_solve(inst, q, SearchBounds(max_millis=1), kernel=each_kernel)
+        out = bfs_solve(inst, q, SearchBounds(max_millis=1))
         assert isinstance(out, BoundExceeded) and out.bound == "millis"
+        assert out.kernel == each_kernel
 
     def test_largest_time_bound_never_stops_the_search(self, each_kernel):
-        # the compiled kernel takes the limit as an int64; a larger one used
-        # to wrap there and stop the search after a few thousand states
+        # the largest limit accepted, about 292 million years
         inst, q = bench_kernel.independent(12)
-        out = bfs_solve(inst, q, SearchBounds(max_millis=2**63 - 1), kernel=each_kernel)
+        out = bfs_solve(inst, q, SearchBounds(max_millis=2**63 - 1))
         assert isinstance(out, Reachable) and out.states_explored == 4096
+        assert out.kernel == each_kernel
         with pytest.raises(ValueError):
             SearchBounds(max_millis=2**63 + 5)
 
@@ -907,9 +734,9 @@ class TestBenchmarkExpectations:
         # to be read within the first states, not after 2,048 of them
         inst, q = bench_kernel.independent(4000)
         begun = time.monotonic()
-        out = bfs_solve(inst, q, SearchBounds(max_depth=4001, max_millis=20), kernel=each_kernel)
+        out = bfs_solve(inst, q, SearchBounds(max_depth=4001, max_millis=20))
         assert time.monotonic() - begun < 1
-        assert out == BoundExceeded("millis", out.states_explored)
+        assert out == BoundExceeded("millis", out.states_explored) and out.kernel == each_kernel
 
 
 def test_pure_kernel_keeps_one_small_link_per_visited_state():
@@ -994,8 +821,9 @@ def assert_twin_agrees(instance, q, kernel_name, bounds=TWIN_BOUNDS):
     outcomes = []
     for query in (ReachabilityQuery(q.entries), q.relaxed_copy()):
         for b in bounds:
-            out = bfs_solve(instance, query, b, kernel_name)
-            assert out == bfs_solve(twin, query, b, kernel_name), (query, b)
+            out = bfs_solve(instance, query, b)
+            assert out == bfs_solve(twin, query, b), (query, b)
+            assert out.kernel == kernel_name
             outcomes.append(out)
     return outcomes
 
