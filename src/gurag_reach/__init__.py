@@ -13,7 +13,6 @@ from .model import (
     GroupHierarchy,
     ModelError,
     ProblemInstance,
-    canonical_key,
     effective_group_attr,
     effective_groups,
     effective_user_attr,
@@ -33,24 +32,17 @@ from .policy import (
     Rule,
     RuleSet,
     TrueCond,
-    check_restrictions,
-    classify_level,
     conjunction,
-    eval_precondition,
 )
 from .transition import (
     InvalidAt,
-    NotAuthorized,
     Plan,
     QueryType,
     QueryUnsatisfied,
     ReachabilityQuery,
     Request,
     Valid,
-    apply_request,
-    authorized_rules,
     eval_query,
-    step,
     validate_plan,
 )
 from .search import (

@@ -34,7 +34,6 @@ from . import __version__
 from .dsl import Diagnostic, ParseResult, parse, serialize
 from .fuzz import CLASSES, run_fuzz
 from .planner import RestrictionViolation
-from .policy import check_restrictions
 from .search import SearchBounds, analyze
 from .transition import InvalidAt, ReachabilityQuery, Valid, validate_plan
 
@@ -126,7 +125,7 @@ def _report(doc: dict, elapsed_ms: Optional[float] = None):
 
 def classify(args: argparse.Namespace) -> int:
     instance = _load(args.file)[1].instance
-    flags = check_restrictions(instance.rules)
+    flags = instance.rules.restrictions
     _report({
         "level": flags.level.value,
         "noNegation": flags.no_negation,
@@ -299,7 +298,8 @@ def _parser() -> argparse.ArgumentParser:
     mode.add_argument("--check", action="store_true",
                       help="Exit 1 if the file is not already canonical; write nothing.")
     mode.add_argument("--in-place", action="store_true", help="Rewrite the file canonically.")
-    sub = command("fuzz", "Generate seeded cases and compare the planners against the oracle.",
+    sub = command("fuzz", "Generate seeded cases and compare an engine with the oracle: the "
+                  "planner of the class for nonneg and srd, auto mode for any.",
                   [bounds], file=False)
     sub.add_argument("--class", dest="cls", default="nonneg", choices=CLASSES,
                      help="Rule-set class of the generated cases.")

@@ -9,8 +9,9 @@ Three generator classes:
   direct-only conjuncts (negation allowed).  The two-phase planner must agree
   except where it deliberately discards cyclic group dependencies; those cases
   are recorded as known divergences, not failures.
-* ``any`` — unrestricted, used for transition/serialization invariants: every
-  oracle plan must replay, and the text format must round-trip.
+* ``any`` — unrestricted.  Auto mode, whichever engine it picks, must agree
+  with the oracle, every plan must replay, and the text format must
+  round-trip.
 
 Everything is a pure function of the seed.
 """
@@ -35,7 +36,7 @@ from .policy import (
     conjunction,
 )
 from .search import SearchBounds, analyze
-from .transition import QueryType, ReachabilityQuery, WorkingState, authorized_rules
+from .transition import QueryType, ReachabilityQuery, WorkingState, _denial
 
 CLASSES = ("nonneg", "srd", "any")
 
@@ -107,7 +108,7 @@ def _gen_query(
     state = WorkingState(instance.initial_state)
     for _ in range(rng.randint(0, 8)):
         cands = [req for req in requests
-                 if authorized_rules(state, instance.hierarchy, instance.rules, req)]
+                 if _denial(state, instance.hierarchy, instance.rules, req) is None]
         if not cands:
             break
         state.apply(rng.choice(cands))
@@ -210,17 +211,16 @@ class CaseResult(Frozen):
 
 
 def check_case(cls: str, seed: int, bounds: SearchBounds = SearchBounds()) -> CaseResult:
-    """Judge one generated case: the oracle's answer, and for ``nonneg`` and
-    ``srd`` the answer of the engine of that name, both through ``analyze``,
-    which replays every plan it returns."""
+    """Judge one generated case against the oracle's answer: for ``nonneg``
+    and ``srd`` the answer of the engine of that name, and for ``any`` the
+    answer of auto mode.  Both answers come through ``analyze``, which replays
+    every plan it returns."""
     instance, q = generate(cls, seed)
     try:
         oracle = analyze(instance, q, "bfs", bounds)
-        if cls == "any":
-            return CaseResult(cls, seed, "agree")
         if oracle.outcome == "bound-exceeded":
             return CaseResult(cls, seed, "skipped", f"oracle hit {oracle.bound} bound")
-        answer = analyze(instance, q, cls, bounds)
+        answer = analyze(instance, q, "auto" if cls == "any" else cls, bounds)
     except RuntimeError as exc:  # a plan that fails replay
         return CaseResult(cls, seed, "invalid-plan", str(exc))
 

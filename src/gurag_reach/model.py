@@ -123,19 +123,11 @@ class DirectState(Frozen):
         return self.group_attrs.get(g, {}).get(att, frozenset())
 
     def __hash__(self):
-        return hash(canonical_key(self))
-
-
-def canonical_key(state: DirectState) -> str:
-    """Canonical, injective rendering of a state; equal states get equal keys."""
-    parts = []
-    for att in sorted(state.user_attrs):
-        parts.append("u." + att + "=" + ",".join(sorted(state.user_attrs[att])))
-    for g in sorted(state.group_attrs):
-        for att in sorted(state.group_attrs[g]):
-            parts.append(g + "." + att + "=" + ",".join(sorted(state.group_attrs[g][att])))
-    parts.append("member=" + ",".join(sorted(state.user_groups)))
-    return "|".join(parts)
+        # the mappings are sorted by key on construction, so equal states
+        # give equal tuples
+        return hash((tuple(self.user_attrs.items()),
+                     tuple((g, tuple(attrs.items())) for g, attrs in self.group_attrs.items()),
+                     self.user_groups))
 
 
 def effective_groups(state: DirectState, hierarchy: GroupHierarchy) -> frozenset[str]:

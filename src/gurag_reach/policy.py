@@ -375,16 +375,6 @@ def _srd_literals(rule: Rule) -> Optional[list[tuple[bool, Precondition]]]:
     return out
 
 
-def eval_precondition(
-    pre: Precondition,
-    state: DirectState,
-    hierarchy: GroupHierarchy,
-    subject: Optional[str] = None,
-) -> bool:
-    """Standard boolean semantics; ``subject`` None means the user."""
-    return pre.holds(state, hierarchy, subject)
-
-
 class Level(enum.Enum):
     G0 = "G0"
     G1 = "G1"
@@ -400,10 +390,8 @@ class RestrictionFlags(Frozen):
                              single_rule_direct=single_rule_direct, level=level)
 
 
-def classify_level(rules: RuleSet) -> Level:
-    """The rule set's level, as ``RuleSet.restrictions`` derives it."""
-    return rules.restrictions.level
-
-
 def check_restrictions(rules: RuleSet) -> RestrictionFlags:
+    """``rules.restrictions``.  It exists only for ``perfbench/pipeline.py``,
+    its one caller, until ROADMAP direction 1 moves the benchmark onto
+    ``search.analyze`` and removes it."""
     return rules.restrictions

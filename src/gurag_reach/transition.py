@@ -5,11 +5,11 @@ Inserting a value that is already present (or removing an absent one) is a
 legal no-op transition.  A request is authorized when at least one rule of the
 matching relation, role and target has a satisfied precondition.
 
-``WorkingState.apply`` is the one state update.  ``apply_request`` runs it on
-a copy and returns a fresh ``DirectState``; ``validate_plan`` runs it on one
-working state for the whole plan and freezes that state once, so a replay
-costs time linear in the plan's length rather than a copy per request.  An
-empty plan is checked on the initial state itself and copies nothing.
+``_denial`` is the one authorization check and ``WorkingState.apply`` the one
+state update.  ``validate_plan`` runs both on one working state for the whole
+plan and freezes that state once, so a replay costs time linear in the plan's
+length rather than a copy per request.  An empty plan is checked on the
+initial state itself and copies nothing.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .model import (
     ProblemInstance,
     effective_user_attr,
 )
-from .policy import PolicyError, Relation, RuleSet, eval_precondition
+from .policy import PolicyError, Relation, RuleSet
 
 
 class Request(Frozen):
@@ -91,20 +91,11 @@ class ReachabilityQuery(Frozen):
         return ReachabilityQuery(self.entries, QueryType.RELAXED)
 
 
-def authorized_rules(
-    state: DirectState, hierarchy: GroupHierarchy, rules: RuleSet, req: Request
-) -> list[int]:
-    """Ids of rules authorizing the request, in rule-id order (empty = denied)."""
-    subject = req.group if req.kind.is_group_subject else None
-    return [r.rule_id for r in rules.matching(req)
-            if eval_precondition(r.pre, state, hierarchy, subject)]
-
-
 class WorkingState:
     """A direct state changed in place, one request at a time.
 
     It reads like a ``DirectState`` (``user_values``, ``group_values``,
-    ``user_groups``), so preconditions, ``authorized_rules``, ``eval_query``
+    ``user_groups``), so preconditions, ``_denial``, ``eval_query``
     and the effective-value helpers take it as they are; the sets it hands
     out are its own and must not be changed by the reader.  A replay or a
     forward planner costs one copy in and one ``freeze`` out, and copies
@@ -140,20 +131,6 @@ class WorkingState:
         return DirectState(self.user_attrs, self.group_attrs, self.user_groups)
 
 
-def apply_request(state: DirectState, req: Request) -> DirectState:
-    """The raw state update, ignoring authorization; ``state`` is unchanged."""
-    work = WorkingState(state)
-    work.apply(req)
-    return work.freeze()
-
-
-class NotAuthorized(Exception):
-    def __init__(self, req: Request, reason: str):
-        super().__init__(f"request {req.render()} not authorized: {reason}")
-        self.request = req
-        self.reason = reason
-
-
 def _denial(state, hierarchy: GroupHierarchy, rules: RuleSet, req: Request) -> Optional[str]:
     """Why no rule admits the request, or None when one does; the rules are
     tried in id order up to the first that holds."""
@@ -163,16 +140,6 @@ def _denial(state, hierarchy: GroupHierarchy, rules: RuleSet, req: Request) -> O
         if rule.pre.holds(state, hierarchy, subject):
             return None
     return "precondition failed" if matched else "no matching rule"
-
-
-def step(
-    state: DirectState, hierarchy: GroupHierarchy, rules: RuleSet, req: Request
-) -> DirectState:
-    """One transition; raises NotAuthorized when no rule admits the request."""
-    reason = _denial(state, hierarchy, rules, req)
-    if reason is not None:
-        raise NotAuthorized(req, reason)
-    return apply_request(state, req)
 
 
 def eval_query(state: DirectState, hierarchy: GroupHierarchy, q: ReachabilityQuery) -> bool:

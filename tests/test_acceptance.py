@@ -217,7 +217,7 @@ def _leq(a, b):
 
 
 def test_criterion_07_no_deletion_monotonicity():
-    from gurag_reach.transition import step
+    from gurag_reach.transition import WorkingState
 
     steps = 0
     for cls in ("nonneg", "srd"):
@@ -232,9 +232,12 @@ def test_criterion_07_no_deletion_monotonicity():
                 if res.reachable:
                     plans.append(res.plan)
             for plan in plans:
+                assert isinstance(validate_plan(inst, plan, q), Valid), (cls, seed)
+                work = WorkingState(inst.initial_state)
                 state = inst.initial_state
                 for req in plan:
-                    nxt = step(state, inst.hierarchy, inst.rules, req)
+                    work.apply(req)
+                    nxt = work.freeze()
                     assert _leq(state, nxt), (cls, seed, req.render())
                     state = nxt
                     steps += 1

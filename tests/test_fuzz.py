@@ -6,7 +6,6 @@ import pytest
 from gurag_reach import search
 from gurag_reach.fuzz import CLASSES, check_case, generate, run_fuzz
 from gurag_reach.model import validate_instance
-from gurag_reach.policy import check_restrictions
 from gurag_reach.transition import Plan
 
 from conftest import child_env
@@ -51,14 +50,14 @@ def test_generated_instances_are_well_formed(cls):
 def test_nonneg_class_satisfies_its_restrictions():
     for seed in range(50):
         instance, _ = generate("nonneg", seed)
-        flags = check_restrictions(instance.rules)
+        flags = instance.rules.restrictions
         assert flags.no_negation and flags.no_deletion, seed
 
 
 def test_srd_class_satisfies_its_restrictions():
     for seed in range(50):
         instance, _ = generate("srd", seed)
-        flags = check_restrictions(instance.rules)
+        flags = instance.rules.restrictions
         assert flags.no_deletion and flags.single_rule_direct, seed
 
 
@@ -99,6 +98,25 @@ def test_plan_failing_replay_is_an_invalid_plan(monkeypatch):
     assert case.status == "invalid-plan"
     assert case.detail.startswith("srd plan")
     assert run_fuzz("srd", 1) == [case]
+
+
+def test_any_class_judges_auto_mode(monkeypatch):
+    # auto mode runs the srd planner on this case, not the oracle; the first
+    # request of its plan can be dropped, the last cannot
+    instance, q = generate("any", 131)
+    answer = search.analyze(instance, q)
+    assert (answer.engine, len(answer.plan)) == ("srd", 2)
+    assert check_case("any", 131).status == "agree"
+    solve = search.solve_srd_no_delete
+
+    def dropping_last_request(instance, q):
+        res = solve(instance, q)
+        return type(res).found(Plan(res.plan.requests[:-1]), res.notes)
+
+    monkeypatch.setattr(search, "solve_srd_no_delete", dropping_last_request)
+    case = check_case("any", 131)
+    assert (case.status, case.detail) == (
+        "invalid-plan", "srd plan replays but leaves the query unsatisfied")
 
 
 def test_plan_found_only_after_the_srd_fallback_is_a_known_divergence():

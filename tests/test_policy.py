@@ -15,12 +15,9 @@ from gurag_reach.policy import (
     Rule,
     RuleSet,
     TrueCond,
-    check_restrictions,
-    classify_level,
     conjunction,
     conjuncts,
     _srd_literals,
-    eval_precondition,
 )
 
 from test_planner_answers import SEEDS as SRD_GROUPS_SEEDS, srd_groups_case
@@ -49,31 +46,31 @@ class TestPreconditionSemantics:
     )
 
     def test_direct_vs_effective_for_user(self):
-        assert eval_precondition(DirectVal("a", "x"), self.state, H)
-        assert not eval_precondition(DirectVal("a", "g"), self.state, H)
-        assert eval_precondition(EffVal("a", "g"), self.state, H)
-        assert eval_precondition(EffVal("a", "j"), self.state, H)
+        assert DirectVal("a", "x").holds(self.state, H, None)
+        assert not DirectVal("a", "g").holds(self.state, H, None)
+        assert EffVal("a", "g").holds(self.state, H, None)
+        assert EffVal("a", "j").holds(self.state, H, None)
 
     def test_group_subject_uses_group_segment(self):
-        assert eval_precondition(DirectVal("a", "g"), self.state, H, subject="G1")
-        assert not eval_precondition(DirectVal("a", "j"), self.state, H, subject="G1")
+        assert DirectVal("a", "g").holds(self.state, H, "G1")
+        assert not DirectVal("a", "j").holds(self.state, H, "G1")
         # effective for a group includes its juniors
-        assert eval_precondition(EffVal("a", "j"), self.state, H, subject="G1")
+        assert EffVal("a", "j").holds(self.state, H, "G1")
 
     def test_membership_literals(self):
-        assert eval_precondition(DirectGroup("G1"), self.state, H)
-        assert not eval_precondition(DirectGroup("G2"), self.state, H)
-        assert eval_precondition(EffGroup("G2"), self.state, H)
+        assert DirectGroup("G1").holds(self.state, H, None)
+        assert not DirectGroup("G2").holds(self.state, H, None)
+        assert EffGroup("G2").holds(self.state, H, None)
 
     def test_membership_literal_rejected_for_group_subject(self):
         for literal in (DirectGroup("G1"), EffGroup("G1")):
             with pytest.raises(PolicyError, match="evaluated for a group subject"):
-                eval_precondition(literal, self.state, H, subject="G2")
+                literal.holds(self.state, H, "G2")
 
     def test_boolean_connectives(self):
         pre = And((DirectVal("a", "x"), Not(DirectVal("a", "g"))))
-        assert eval_precondition(pre, self.state, H)
-        assert eval_precondition(TrueCond(), DirectState(), H)
+        assert pre.holds(self.state, H, None)
+        assert TrueCond().holds(DirectState(), H, None)
 
 
 def test_conjunction_roundtrip():
@@ -142,17 +139,17 @@ class TestClassification:
         rs = RuleSet.build([
             rule(Relation.ADD_U, DirectVal("a", "x"), target_attr="a", target_val="y"),
         ])
-        assert classify_level(rs) == Level.G0
+        assert rs.restrictions.level == Level.G0
 
     def test_level_g1_cross_attribute(self):
         rs = RuleSet.build([
             rule(Relation.ADD_U, DirectVal("b", "x"), target_attr="a", target_val="y"),
         ])
-        assert classify_level(rs) == Level.G1
+        assert rs.restrictions.level == Level.G1
 
     def test_level_g1plus_membership(self):
         rs = RuleSet.build([rule(Relation.ASSIGN, TrueCond(), target_group="G1")])
-        assert classify_level(rs) == Level.G1PLUS
+        assert rs.restrictions.level == Level.G1PLUS
         assert Level.G1PLUS.value == "G1plus"
 
     def test_restriction_flags(self):
@@ -162,13 +159,13 @@ class TestClassification:
             rule(Relation.ASSIGN, conjunction([DirectGroup("G2"), Not(DirectGroup("G1")),
                                                TrueCond()]), target_group="G1"),
         ])
-        flags = check_restrictions(rs)
+        flags = rs.restrictions
         assert not flags.no_negation
         assert not flags.no_deletion
         # negated direct literals of the rule's own kind keep the shape
         assert flags.single_rule_direct
         # derived once per rule set, and not part of its equality
-        assert check_restrictions(rs) is flags
+        assert rs.restrictions is flags
         assert rs == RuleSet(rs.rules) and repr(rs) == repr(RuleSet(rs.rules))
 
     @pytest.mark.parametrize("pre, target, no_negation, level", [
@@ -185,9 +182,8 @@ class TestClassification:
             rule(Relation.ADD_U, DirectVal("a", "x"), target_attr="a", target_val="x"),
             rule(Relation.ADD_U, pre, target_attr="a", target_val=target),
         ])
-        flags = check_restrictions(rs)
+        flags = rs.restrictions
         assert (flags.no_negation, flags.no_deletion, flags.level) == (no_negation, True, level)
-        assert classify_level(rs) == level
 
     def test_srd_table(self):
         rs = RuleSet.build([
@@ -276,7 +272,7 @@ class TestClassification:
             rule(Relation.ADD_U, TrueCond(), target_attr="a", target_val="x"),
             rule(Relation.ADD_UG, TrueCond(), target_attr="a", target_val="x"),
         ])
-        assert not check_restrictions(rs).single_rule_direct
+        assert not rs.restrictions.single_rule_direct
         assert rs.srd_table is None
 
     def test_single_rule_violated_by_duplicate_assign(self):
@@ -284,14 +280,14 @@ class TestClassification:
             rule(Relation.ASSIGN, TrueCond(), target_group="G1"),
             rule(Relation.ASSIGN, DirectGroup("G2"), target_group="G1"),
         ])
-        assert not check_restrictions(rs).single_rule_direct
+        assert not rs.restrictions.single_rule_direct
         assert rs.srd_table is None
 
     def test_single_rule_violated_by_effective_literal(self):
         rs = RuleSet.build([
             rule(Relation.ADD_U, EffVal("a", "x"), target_attr="a", target_val="y"),
         ])
-        assert not check_restrictions(rs).single_rule_direct
+        assert not rs.restrictions.single_rule_direct
         assert rs.srd_table is None
 
     @pytest.mark.parametrize("relation, pre", [
@@ -305,5 +301,5 @@ class TestClassification:
         target = ({"target_group": "G1"} if relation.is_membership
                   else {"target_attr": "a", "target_val": "y"})
         rs = RuleSet.build([rule(relation, pre, **target)])
-        assert not check_restrictions(rs).single_rule_direct
+        assert not rs.restrictions.single_rule_direct
         assert rs.srd_table is None

@@ -15,7 +15,7 @@ import pytest
 from gurag_reach.dsl import Diagnostic, ParseResult
 from gurag_reach.encoding import Candidate, CompiledInstance, QueryEntry
 from gurag_reach.fuzz import CaseResult
-from gurag_reach.model import DirectState, GroupHierarchy, ProblemInstance, canonical_key
+from gurag_reach.model import DirectState, GroupHierarchy, ProblemInstance
 from gurag_reach.planner import PlanResult
 from gurag_reach.policy import (
     And,
@@ -199,7 +199,10 @@ def test_hash_is_the_hash_of_the_compared_fields(cls, args, kwargs, fields, text
             hash(x)
         return
     if cls is DirectState:
-        assert hash(x) == hash(canonical_key(x))
+        # its mappings, sorted by key on construction, hash as item tuples
+        assert hash(x) == hash((tuple(x.user_attrs.items()),
+                                tuple((g, tuple(a.items())) for g, a in x.group_attrs.items()),
+                                x.user_groups))
         return
     compared = [name for name in fields if not (cls in KERNEL_FIELD and name == "kernel")]
     key = tuple(getattr(x, name) for name in compared)

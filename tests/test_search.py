@@ -26,7 +26,6 @@ from gurag_reach.policy import (
     RuleSet,
     TrueCond,
     conjunction,
-    eval_precondition,
 )
 from gurag_reach.search import (
     BoundExceeded,
@@ -41,12 +40,11 @@ from gurag_reach.transition import (
     QueryType,
     ReachabilityQuery,
     Valid,
-    apply_request,
-    authorized_rules,
     validate_plan,
 )
 
 from conftest import GOLDEN, load_golden
+from test_transition import reference_apply, reference_authorized
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -131,8 +129,8 @@ def assert_guards_agree(instance, states):
         bits = ci.encode_state(state)
         for cand in ci.candidates:
             subject = None if cand.subject < 0 else ci.groups[cand.subject]
-            assert guard_holds(ci, cand, bits) == eval_precondition(
-                pre[cand.rule_id], state, instance.hierarchy, subject), (cand.request, state)
+            assert guard_holds(ci, cand, bits) == pre[cand.rule_id].holds(
+                state, instance.hierarchy, subject), (cand.request, state)
 
 
 def reachable_states(instance):
@@ -145,8 +143,8 @@ def reachable_states(instance):
         nxt = []
         for state in frontier:
             for req in requests:
-                if authorized_rules(state, instance.hierarchy, instance.rules, req):
-                    succ = apply_request(state, req)
+                if reference_authorized(state, instance.hierarchy, instance.rules, req):
+                    succ = reference_apply(state, req)
                     if succ not in seen:
                         seen.add(succ)
                         nxt.append(succ)

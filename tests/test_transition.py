@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from gurag_reach.fuzz import CLASSES, generate
-from gurag_reach.model import DirectState, GroupHierarchy, ProblemInstance, canonical_key
+from gurag_reach.model import DirectState, GroupHierarchy, ProblemInstance
 from gurag_reach.dsl import parse
 from gurag_reach.policy import (
     DirectGroup,
@@ -19,17 +19,14 @@ from gurag_reach.policy import (
 )
 from gurag_reach.transition import (
     InvalidAt,
-    NotAuthorized,
     Plan,
     QueryType,
     QueryUnsatisfied,
     ReachabilityQuery,
     Request,
     Valid,
-    apply_request,
-    authorized_rules,
+    WorkingState,
     eval_query,
-    step,
     validate_plan,
 )
 
@@ -48,27 +45,37 @@ def instance(rules, state=None):
     )
 
 
+def apply(state, *requests):
+    """The state that ``WorkingState.apply`` leaves after the requests."""
+    work = WorkingState(state)
+    for req in requests:
+        work.apply(req)
+    return work.freeze()
+
+
 class TestApplyRequest:
+    """Applying a request: ``WorkingState.apply``, then ``freeze``."""
+
     def test_add_and_delete_user_value(self):
         s = DirectState()
-        s2 = apply_request(s, Request(Relation.ADD_U, "r", att="a", val="x"))
-        assert s2.user_values("a") == {"x"}
-        s3 = apply_request(s2, Request(Relation.DELETE_U, "r", att="a", val="x"))
-        assert s3 == s
+        add = Request(Relation.ADD_U, "r", att="a", val="x")
+        assert apply(s, add).user_values("a") == {"x"}
+        assert apply(s, add, Request(Relation.DELETE_U, "r", att="a", val="x")) == s
 
     def test_add_is_idempotent(self):
         req = Request(Relation.ADD_U, "r", att="a", val="x")
-        s = apply_request(DirectState(), req)
-        assert apply_request(s, req) == s
+        s = apply(DirectState(), req)
+        assert apply(s, req) == s
 
     def test_group_value_and_membership(self):
-        s = apply_request(DirectState(),
-                          Request(Relation.ADD_UG, "r", att="a", val="x", group="G1"))
-        assert s.group_values("G1", "a") == {"x"}
-        s = apply_request(s, Request(Relation.ASSIGN, "r", group="G1"))
-        assert s.user_groups == {"G1"}
-        s = apply_request(s, Request(Relation.REMOVE, "r", group="G1"))
-        assert s.user_groups == frozenset()
+        work = WorkingState(DirectState())
+        work.apply(Request(Relation.ADD_UG, "r", att="a", val="x", group="G1"))
+        assert work.group_values("G1", "a") == {"x"}
+        assert work.freeze().group_values("G1", "a") == {"x"}
+        work.apply(Request(Relation.ASSIGN, "r", group="G1"))
+        assert work.freeze().user_groups == {"G1"}
+        work.apply(Request(Relation.REMOVE, "r", group="G1"))
+        assert work.freeze().user_groups == frozenset()
 
     def test_request_shape_enforced(self):
         with pytest.raises(PolicyError):
@@ -96,53 +103,45 @@ class TestApplyRequest:
             "wrong fields for assign: group=None, att='a', val='x'\n")
 
 
+def replay_one(inst, req):
+    """The verdict of replaying the one request under an empty query."""
+    return validate_plan(inst, Plan((req,)), ReachabilityQuery({}))
+
+
 class TestStep:
+    """One transition: a one-request plan, replayed by ``validate_plan``."""
+
     def test_no_matching_rule(self):
         inst = instance([Rule(Relation.ADD_U, "r", TrueCond(),
                               target_attr="a", target_val="x")])
-        with pytest.raises(NotAuthorized) as exc:
-            step(inst.initial_state, H, inst.rules,
-                 Request(Relation.ADD_U, "r", att="a", val="y"))
-        assert exc.value.reason == "no matching rule"
+        verdict = replay_one(inst, Request(Relation.ADD_U, "r", att="a", val="y"))
+        assert verdict == InvalidAt(0, "no matching rule")
 
     def test_precondition_failed(self):
         inst = instance([Rule(Relation.ADD_U, "r", DirectVal("a", "y"),
                               target_attr="a", target_val="x")])
-        with pytest.raises(NotAuthorized) as exc:
-            step(inst.initial_state, H, inst.rules,
-                 Request(Relation.ADD_U, "r", att="a", val="x"))
-        assert exc.value.reason == "precondition failed"
+        verdict = replay_one(inst, Request(Relation.ADD_U, "r", att="a", val="x"))
+        assert verdict == InvalidAt(0, "precondition failed")
 
     def test_any_matching_rule_suffices(self):
         inst = instance([
             Rule(Relation.ADD_U, "r", DirectVal("a", "y"), target_attr="a", target_val="x"),
             Rule(Relation.ADD_U, "r", TrueCond(), target_attr="a", target_val="x"),
         ])
-        out = step(inst.initial_state, H, inst.rules,
-                   Request(Relation.ADD_U, "r", att="a", val="x"))
-        assert out.user_values("a") == {"x"}
+        verdict = replay_one(inst, Request(Relation.ADD_U, "r", att="a", val="x"))
+        assert isinstance(verdict, Valid)
+        assert verdict.final_state.user_values("a") == {"x"}
 
     def test_group_subject_precondition(self):
         # canAddUG guards are evaluated against the target group, not the user
         inst = instance([Rule(Relation.ADD_UG, "r", DirectVal("b", "z"),
                               target_attr="a", target_val="x")],
                         state=DirectState(group_attrs={"G1": {"b": {"z"}}}))
-        out = step(inst.initial_state, H, inst.rules,
-                   Request(Relation.ADD_UG, "r", att="a", val="x", group="G1"))
-        assert out.group_values("G1", "a") == {"x"}
-        with pytest.raises(NotAuthorized):
-            step(inst.initial_state, H, inst.rules,
-                 Request(Relation.ADD_UG, "r", att="a", val="x", group="G2"))
-
-
-def test_authorized_rules_in_id_order():
-    inst = instance([
-        Rule(Relation.ADD_U, "r", TrueCond(), target_attr="a", target_val="x"),
-        Rule(Relation.ADD_U, "r", DirectVal("a", "y"), target_attr="a", target_val="x"),
-        Rule(Relation.ADD_U, "r", TrueCond(), target_attr="a", target_val="x"),
-    ])
-    req = Request(Relation.ADD_U, "r", att="a", val="x")
-    assert authorized_rules(inst.initial_state, H, inst.rules, req) == [0, 2]
+        verdict = replay_one(inst, Request(Relation.ADD_UG, "r", att="a", val="x", group="G1"))
+        assert isinstance(verdict, Valid)
+        assert verdict.final_state.group_values("G1", "a") == {"x"}
+        verdict = replay_one(inst, Request(Relation.ADD_UG, "r", att="a", val="x", group="G2"))
+        assert verdict == InvalidAt(0, "precondition failed")
 
 
 class TestQueries:
@@ -279,11 +278,22 @@ def reference_apply(state, req):
     return DirectState(state.user_attrs, state.group_attrs, frozenset(membership))
 
 
+def reference_authorized(state, hierarchy, rules, req):
+    """Whether some rule of the request's relation, role and target has a
+    precondition that holds, found by testing every rule of the set."""
+    subject = req.group if req.kind.is_group_subject else None
+    target = ((None, None, req.group) if req.kind.is_membership
+              else (req.att, req.val, None))
+    return any(r.relation == req.kind and r.role == req.role
+               and (r.target_attr, r.target_val, r.target_group) == target
+               and r.pre.holds(state, hierarchy, subject) for r in rules)
+
+
 def reference_replay(inst, plan, q):
-    """``validate_plan`` as a fold of ``authorized_rules`` and ``reference_apply``."""
+    """``validate_plan`` as a fold of ``reference_authorized`` and ``reference_apply``."""
     state = inst.initial_state
     for i, req in enumerate(plan):
-        if not authorized_rules(state, inst.hierarchy, inst.rules, req):
+        if not reference_authorized(state, inst.hierarchy, inst.rules, req):
             matched = inst.rules.matching(req)
             return InvalidAt(i, "precondition failed" if matched else "no matching rule")
         state = reference_apply(state, req)
@@ -318,14 +328,14 @@ def test_replay_matches_frozen_copy_reference(cls):
         # mostly authorized requests, and sometimes any request, which ends the replay
         state, plan = inst.initial_state, []
         for _ in range(rng.randint(0, 16)):
-            allowed = [req for req in requests if authorized_rules(state, h, rules, req)]
+            allowed = [req for req in requests if reference_authorized(state, h, rules, req)]
             req = rng.choice(allowed if allowed and rng.random() < 0.8 else requests)
             plan.append(req)
-            before = canonical_key(state)
-            out = apply_request(state, req)
+            before = repr(state)
+            out = apply(state, req)
             assert type(out) is DirectState and out is not state
             assert out == reference_apply(state, req)
-            assert canonical_key(state) == before
+            assert repr(state) == before
             if req not in allowed:
                 break
             replayed.add(req.kind)
