@@ -8,6 +8,8 @@ polynomial-time planners for restricted rule sets, a text format with a
 formatter, and a command-line front end.
 """
 
+from types import ModuleType as _ModuleType
+
 from .model import (
     DirectState,
     GroupHierarchy,
@@ -64,4 +66,6 @@ from .dsl import Diagnostic, ParseResult, parse, serialize
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public names, not the submodules their imports bound
+__all__ = [name for name in dir()
+           if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]

@@ -59,7 +59,7 @@ from __future__ import annotations
 import re
 from typing import NamedTuple, Optional
 
-from ._record import Frozen, Record
+from ._record import Frozen
 from .model import DirectState, GroupHierarchy, ModelError, ProblemInstance
 from .policy import (
     And,
@@ -93,15 +93,13 @@ class Diagnostic(Frozen):
         return f"{self.line}:{self.column}: {self.severity}: {self.message} [{self.code}]"
 
 
-class ParseResult(Record):
+class ParseResult(Frozen):
     _fields = ("instance", "queries", "plans", "diagnostics")
 
     def __init__(self, instance: Optional[ProblemInstance], queries: list[ReachabilityQuery],
                  plans: list[Plan], diagnostics: list[Diagnostic]):
-        self.instance = instance
-        self.queries = queries
-        self.plans = plans
-        self.diagnostics = diagnostics
+        self.__dict__.update(instance=instance, queries=queries, plans=plans,
+                             diagnostics=diagnostics)
 
     @property
     def ok(self) -> bool:

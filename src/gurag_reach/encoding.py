@@ -42,7 +42,7 @@ value, on narrower states.
 
 from __future__ import annotations
 
-from ._record import Frozen, Record
+from ._record import Frozen
 from .model import DirectState, ProblemInstance
 from .policy import (
     DirectGroup,
@@ -93,7 +93,7 @@ class QueryEntry(Frozen):
         self.__dict__.update(mask=mask, target=target)
 
 
-class CompiledInstance(Record):
+class CompiledInstance(Frozen):
     """An instance compiled to the bit form the search kernel searches."""
 
     _fields = ("groups", "slot", "att_spans", "n_slots", "n_groups", "nbits", "mem_offset",
@@ -102,9 +102,9 @@ class CompiledInstance(Record):
     def __init__(self, instance: ProblemInstance):
         # (att, val) -> slot within an S-bit segment; every idle value -> the
         # one shared slot after the kept ones
-        self.slot = slot = {}
+        slot = {}
         # att -> (slot offset, width) of its kept values, which are contiguous
-        self.att_spans = att_spans = {}
+        att_spans = {}
         init = instance.initial_state
         kept = {(rule.target_attr, rule.target_val) for rule in instance.rules.rules}
         for att, vals in init.user_attrs.items():
@@ -129,15 +129,14 @@ class CompiledInstance(Record):
         if idle:
             slot.update(dict.fromkeys(idle, cursor))
             cursor += 1
-        self.n_slots = n_slots = cursor  # S: kept values, plus the idle slot if any
+        n_slots = cursor  # S: kept values, plus the idle slot if any
 
-        self.groups = groups = tuple(sorted(instance.groups))
+        groups = tuple(sorted(instance.groups))
         gidx = {g: j for j, g in enumerate(groups)}
-        self.n_groups = n_groups = len(groups)
-        self.seg_offsets = seg_offsets = tuple(n_slots * (1 + j) for j in range(n_groups))
-        self.mem_offset = mem_offset = n_slots * (1 + n_groups)
-        self.nbits = mem_offset + n_groups
-        self.closure_idx = tuple(
+        n_groups = len(groups)
+        seg_offsets = tuple(n_slots * (1 + j) for j in range(n_groups))
+        mem_offset = n_slots * (1 + n_groups)
+        closure_idx = tuple(
             tuple(sorted(gidx[j] for j in instance.hierarchy.junior_closure(g)))
             for g in groups
         )
@@ -169,21 +168,22 @@ class CompiledInstance(Record):
                 guard = clauses(pre, view_bit)
                 guards.append(ALWAYS if (0, 0) in guard else tuple(guard))
         candidates = []
-        for key in _request_keys(instance):
-            group, rule = key[6], key[7]
+        for request, rule in candidate_requests(instance):
             rel = rule.relation
             if rel.is_membership:
-                bit, subject = mem_offset + gidx[group], -1
+                bit, subject = mem_offset + gidx[request.group], -1
             elif rel.is_group_subject:
-                subject = gidx[group]
+                subject = gidx[request.group]
                 bit = seg_offsets[subject] + slot[rule.target_attr, rule.target_val]
             else:
                 bit, subject = slot[rule.target_attr, rule.target_val], -1
             rule_id = rule.rule_id
-            candidates.append(Candidate(
-                bit, not rel.is_delete, subject, guards[rule_id], rule_id,
-                Request(rel, rule.role, rule.target_attr, rule.target_val, group)))
-        self.candidates = tuple(candidates)
+            candidates.append(Candidate(bit, not rel.is_delete, subject, guards[rule_id],
+                                        rule_id, request))
+        self.__dict__.update(groups=groups, slot=slot, att_spans=att_spans, n_slots=n_slots,
+                             n_groups=n_groups, nbits=mem_offset + n_groups,
+                             mem_offset=mem_offset, seg_offsets=seg_offsets,
+                             closure_idx=closure_idx, candidates=tuple(candidates))
 
     def seg_mask(self) -> int:
         return (1 << self.n_slots) - 1
@@ -222,11 +222,13 @@ class CompiledInstance(Record):
         return QueryEntry(mask, target)
 
 
-def _request_keys(instance: ProblemInstance) -> list[tuple]:
-    """One flat key per concrete request a rule can authorize, sorted: the
-    request's ``Request.sort_key`` and the rule's id, which no two requests
-    share, then the request's group (or None) and the rule, which the sort
-    never reaches.  A group-subject rule gives one request per group."""
+def candidate_requests(instance: ProblemInstance) -> list[tuple[Request, Rule]]:
+    """Each concrete request a rule can authorize, with that rule, in search
+    order: by request, then by rule id.  A group-subject rule gives one
+    request per group."""
+    # one flat key per request: its ``Request.sort_key`` and the rule's id,
+    # which no two requests share, then the request's group (or None) and the
+    # rule, which the sort never reaches
     groups = sorted(instance.groups)
     keys = []
     for rule in instance.rules:
@@ -239,15 +241,8 @@ def _request_keys(instance: ProblemInstance) -> list[tuple]:
             g = rule.target_group
             keys.append((order, att, val, g or "", role, rule_id, g, rule))
     keys.sort()
-    return keys
-
-
-def candidate_requests(instance: ProblemInstance) -> list[tuple[Request, Rule]]:
-    """Each concrete request a rule can authorize, with that rule, in search
-    order: by request, then by rule id.  A group-subject rule gives one
-    request per group."""
     out = []
-    for key in _request_keys(instance):
+    for key in keys:
         group, rule = key[6], key[7]
         out.append((Request(rule.relation, rule.role, rule.target_attr, rule.target_val, group),
                     rule))

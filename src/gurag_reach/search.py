@@ -2,8 +2,9 @@
 
 The reachability problem is PSPACE-complete in general, so the exhaustive
 search is bounded; Unreachable is only ever claimed when the full reachable
-space was closed within the bounds.  The inner loop is ``_kernel_py.bfs``.
-``engine`` is ``analyze``'s choice among the bfs oracle and the planners.
+space was closed within the bounds.  The one kernel, ``_kernel_py.bfs``, is
+named by no outcome.  ``engine`` is ``analyze``'s choice among the bfs oracle
+and the planners.
 """
 
 from __future__ import annotations
@@ -32,32 +33,31 @@ class SearchBounds(Frozen):
         self.__dict__.update(max_depth=max_depth, max_states=max_states, max_millis=max_millis)
 
 
-# ``kernel`` names the kernel that ran, and is left out of comparisons.
 # Each class names its ``outcome`` as ``Analysis`` reports it, and has ``plan``
 # and ``bound`` as None where it has none.
-class Reachable(Frozen, compare=("plan", "states_explored")):
-    _fields = ("plan", "states_explored", "kernel")
+class Reachable(Frozen):
+    _fields = ("plan", "states_explored")
     outcome, bound = "reachable", None
 
-    def __init__(self, plan: Plan, states_explored: int, kernel: str = ""):
-        self.__dict__.update(plan=plan, states_explored=states_explored, kernel=kernel)
+    def __init__(self, plan: Plan, states_explored: int):
+        self.__dict__.update(plan=plan, states_explored=states_explored)
 
 
-class Unreachable(Frozen, compare=("states_explored",)):
-    _fields = ("states_explored", "kernel")
+class Unreachable(Frozen):
+    _fields = ("states_explored",)
     outcome, plan, bound = "unreachable", None, None
 
-    def __init__(self, states_explored: int, kernel: str = ""):
-        self.__dict__.update(states_explored=states_explored, kernel=kernel)
+    def __init__(self, states_explored: int):
+        self.__dict__.update(states_explored=states_explored)
 
 
-class BoundExceeded(Frozen, compare=("bound", "states_explored")):
-    _fields = ("bound", "states_explored", "kernel")
+class BoundExceeded(Frozen):
+    _fields = ("bound", "states_explored")
     outcome, plan = "bound-exceeded", None
 
-    def __init__(self, bound: str, states_explored: int, kernel: str = ""):
+    def __init__(self, bound: str, states_explored: int):
         # bound: "depth" | "states" | "millis"
-        self.__dict__.update(bound=bound, states_explored=states_explored, kernel=kernel)
+        self.__dict__.update(bound=bound, states_explored=states_explored)
 
 
 SearchOutcome = Union[Reachable, Unreachable, BoundExceeded]
@@ -81,20 +81,17 @@ def bfs_solve(
     code, plan_idx, explored = _kernel_py.bfs(
         ci, start, goal, q.strict, bounds.max_depth, bounds.max_states, bounds.max_millis
     )
-    name = _kernel_py.KERNEL_NAME
     if code == _kernel_py.REACHABLE:
-        plan = Plan(tuple(ci.candidates[i].request for i in plan_idx))
-        return Reachable(plan, explored, name)
+        return Reachable(Plan(tuple(ci.candidates[i].request for i in plan_idx)), explored)
     if code == _kernel_py.UNREACHABLE:
-        return Unreachable(explored, name)
-    return BoundExceeded(_BOUND_NAMES[code], explored, name)
+        return Unreachable(explored)
+    return BoundExceeded(_BOUND_NAMES[code], explored)
 
 
 class Analysis(Frozen):
     """One answer of ``analyze``; the fields are the keys of a CLI report."""
 
-    _fields = ("engine", "outcome", "plan", "reason", "notes", "states_explored", "bound",
-               "kernel")
+    _fields = ("engine", "outcome", "plan", "reason", "notes", "states_explored", "bound")
 
     def __init__(
         self,
@@ -105,10 +102,9 @@ class Analysis(Frozen):
         notes: tuple[str, ...] = (),
         states_explored: Optional[int] = None,
         bound: Optional[str] = None,
-        kernel: Optional[str] = None,  # the bfs kernel that ran, if any
     ):
         self.__dict__.update(engine=engine, outcome=outcome, plan=plan, reason=reason, notes=notes,
-                             states_explored=states_explored, bound=bound, kernel=kernel)
+                             states_explored=states_explored, bound=bound)
 
 
 def analyze(
@@ -134,7 +130,7 @@ def analyze(
     if engine == "bfs":
         out = bfs_solve(instance, q, bounds)
         result = Analysis("bfs", out.outcome, out.plan, states_explored=out.states_explored,
-                          bound=out.bound, kernel=out.kernel)
+                          bound=out.bound)
     elif engine in ("nonneg", "srd"):
         res = (solve_no_negation if engine == "nonneg" else solve_srd_no_delete)(instance, q)
         if not res.reachable and engine == "srd" and NOTE_GROUP_CYCLE in res.notes:
@@ -142,8 +138,7 @@ def analyze(
             # cycles; settle the answer exhaustively
             settled = analyze(instance, q, "bfs", bounds)
             return Analysis("srd+bfs", settled.outcome, settled.plan, settled.reason,
-                            (NOTE_GROUP_CYCLE,), settled.states_explored, settled.bound,
-                            settled.kernel)
+                            (NOTE_GROUP_CYCLE,), settled.states_explored, settled.bound)
         result = Analysis(engine, "reachable" if res.reachable else "unreachable",
                           res.plan, res.reason, res.notes)
     else:

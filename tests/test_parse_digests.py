@@ -17,7 +17,7 @@ import json
 import pathlib
 import sys
 
-from gurag_reach._record import Record
+from gurag_reach._record import Frozen
 from gurag_reach.dsl import parse
 from gurag_reach.fuzz import CLASSES
 
@@ -30,7 +30,7 @@ FUZZ_SEEDS = 400
 
 def stable_repr(value) -> str:
     """``repr(value)``, but with the elements of every set in sorted order."""
-    if isinstance(value, Record):
+    if isinstance(value, Frozen):
         fields = ", ".join(f"{name}={stable_repr(getattr(value, name))}"
                            for name in value._fields)
         return f"{type(value).__qualname__}({fields})"

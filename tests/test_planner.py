@@ -151,6 +151,20 @@ class TestSolveNoNegation:
         assert isinstance(validate_plan(inst, res.plan, q), Valid)
 
 
+@pytest.mark.parametrize("solve,name", [(solve_no_negation, "chain.gurag"),
+                                        (solve_srd_no_delete, "srd_groups.gurag")])
+def test_answer_rebuilt_through_its_type(golden, solve, name):
+    # perfbench/selftest.py corrupts a planner's plan this way, and checks
+    # that the benchmark notices
+    doc = golden(name)
+    res = solve(doc.instance, doc.queries[0])
+    assert res.reachable
+    cut = type(res).found(Plan(res.plan.requests[1:]), res.notes)
+    assert type(cut) is type(res) and cut.reachable and cut.notes == res.notes
+    assert cut.plan.requests == res.plan.requests[1:]
+    assert not isinstance(validate_plan(doc.instance, cut.plan, doc.queries[0]), Valid)
+
+
 def test_replay_and_nonneg_copy_no_state_per_request(monkeypatch):
     # both work on one state in place: the replay builds its final state
     # once, and the planner, which reports only a plan, builds none

@@ -1,9 +1,9 @@
 """The value-type contract of every record class in the package.
 
 Each row builds one instance with today's positional and keyword defaults and
-pins its ``repr``, its compared fields and whether it is frozen.  Equality is
-type-sensitive and compares the compared fields as a tuple; ``hash`` of a
-frozen record is the hash of that tuple, so set and dict orders under a fixed
+pins its ``repr`` and its fields.  Every record is frozen and compares all of
+its fields: equality is type-sensitive and compares them as a tuple, and
+``hash`` is the hash of that tuple, so set and dict orders under a fixed
 ``PYTHONHASHSEED`` do not depend on how the classes are written.
 """
 
@@ -95,16 +95,15 @@ RECORDS = [
      "SearchBounds(max_depth=32, max_states=1048576, max_millis=30000)"),
     (SearchBounds, (4,), {"max_millis": 9}, ("max_depth", "max_states", "max_millis"),
      "SearchBounds(max_depth=4, max_states=1048576, max_millis=9)"),
-    (Reachable, (Plan(), 3), {"kernel": "python"}, ("plan", "states_explored", "kernel"),
-     "Reachable(plan=Plan(requests=()), states_explored=3, kernel='python')"),
-    (Unreachable, (5,), {}, ("states_explored", "kernel"),
-     "Unreachable(states_explored=5, kernel='')"),
-    (BoundExceeded, ("states", 7), {"kernel": "compiled"}, ("bound", "states_explored", "kernel"),
-     "BoundExceeded(bound='states', states_explored=7, kernel='compiled')"),
+    (Reachable, (Plan(),), {"states_explored": 3}, ("plan", "states_explored"),
+     "Reachable(plan=Plan(requests=()), states_explored=3)"),
+    (Unreachable, (5,), {}, ("states_explored",), "Unreachable(states_explored=5)"),
+    (BoundExceeded, ("states", 7), {}, ("bound", "states_explored"),
+     "BoundExceeded(bound='states', states_explored=7)"),
     (Analysis, ("bfs", "reachable"), {"states_explored": 2},
-     ("engine", "outcome", "plan", "reason", "notes", "states_explored", "bound", "kernel"),
+     ("engine", "outcome", "plan", "reason", "notes", "states_explored", "bound"),
      "Analysis(engine='bfs', outcome='reachable', plan=None, reason=None, notes=(), "
-     "states_explored=2, bound=None, kernel=None)"),
+     "states_explored=2, bound=None)"),
     (GroupHierarchy, (frozenset(),), {}, ("groups", "direct_seniority"), EMPTY_H_REPR),
     (GroupHierarchy, ({"G", "H"},), {"direct_seniority": [("G", "H")]},
      ("groups", "direct_seniority"), None),
@@ -142,23 +141,18 @@ RECORDS = [
      "CaseResult(cls='any', seed=0, status='agree', detail='')"),
 ]
 
-# the classes whose records are mutable; every other record is frozen
-MUTABLE = {ParseResult, CompiledInstance}
-ROWS = [(*row, row[0] not in MUTABLE) for row in RECORDS]
-IDS = [f"{row[0].__name__}-{i}" for i, row in enumerate(ROWS)]
+IDS = [f"{row[0].__name__}-{i}" for i, row in enumerate(RECORDS)]
 
-# the classes whose ``kernel`` field names the kernel that ran and is not compared
-KERNEL_FIELD = {Reachable, Unreachable, BoundExceeded}
 # the classes built from another value rather than from their fields
 BUILT = {CompiledInstance}
 
 
 def test_every_record_class_has_a_row():
-    assert len({row[0] for row in ROWS}) == 32
+    assert len({row[0] for row in RECORDS}) == 32
 
 
-@pytest.mark.parametrize("cls, args, kwargs, fields, text, frozen", ROWS, ids=IDS)
-def test_construction_and_repr(cls, args, kwargs, fields, text, frozen):
+@pytest.mark.parametrize("cls, args, kwargs, fields, text", RECORDS, ids=IDS)
+def test_construction_and_repr(cls, args, kwargs, fields, text):
     x = cls(*args, **kwargs)
     if text is not None:
         assert repr(x) == text
@@ -172,9 +166,8 @@ def test_construction_and_repr(cls, args, kwargs, fields, text, frozen):
     assert repr(cls(**dict(zip(fields, values)))) == repr(x)
 
 
-@pytest.mark.parametrize("cls, args, kwargs, fields, text, frozen", ROWS, ids=IDS)
-def test_equality_is_type_sensitive_over_the_compared_fields(cls, args, kwargs, fields, text,
-                                                             frozen):
+@pytest.mark.parametrize("cls, args, kwargs, fields, text", RECORDS, ids=IDS)
+def test_equality_is_type_sensitive_over_the_compared_fields(cls, args, kwargs, fields, text):
     x, y = cls(*args, **kwargs), cls(*args, **kwargs)
     assert x == y and not x != y
     assert x.__eq__(object()) is NotImplemented
@@ -191,53 +184,33 @@ def test_equality_never_crosses_classes():
     assert Reachable(Plan(), 1) != Unreachable(1)
 
 
-@pytest.mark.parametrize("cls, args, kwargs, fields, text, frozen", ROWS, ids=IDS)
-def test_hash_is_the_hash_of_the_compared_fields(cls, args, kwargs, fields, text, frozen):
+@pytest.mark.parametrize("cls, args, kwargs, fields, text", RECORDS, ids=IDS)
+def test_hash_is_the_hash_of_the_compared_fields(cls, args, kwargs, fields, text):
     x = cls(*args, **kwargs)
-    if not frozen:
-        with pytest.raises(TypeError):
-            hash(x)
-        return
     if cls is DirectState:
         # its mappings, sorted by key on construction, hash as item tuples
         assert hash(x) == hash((tuple(x.user_attrs.items()),
                                 tuple((g, tuple(a.items())) for g, a in x.group_attrs.items()),
                                 x.user_groups))
         return
-    compared = [name for name in fields if not (cls in KERNEL_FIELD and name == "kernel")]
-    key = tuple(getattr(x, name) for name in compared)
+    key = tuple(getattr(x, name) for name in fields)
     try:
         expected = hash(key)
-    except TypeError:  # a dict-valued field: unhashable, as the tuple is
+    except TypeError:  # a dict- or list-valued field: unhashable, as the tuple is
         with pytest.raises(TypeError):
             hash(x)
     else:
         assert hash(x) == expected
 
 
-@pytest.mark.parametrize("make", [
-    lambda kernel: Reachable(Plan([REQ]), 4, kernel),
-    lambda kernel: Unreachable(4, kernel),
-    lambda kernel: BoundExceeded("depth", 4, kernel),
-])
-def test_kernel_is_not_compared(make):
-    a, b = make("python"), make("compiled")
-    assert a == b and hash(a) == hash(b)
-    assert repr(a) != repr(b)
-
-
-@pytest.mark.parametrize("cls, args, kwargs, fields, text, frozen", ROWS, ids=IDS)
-def test_frozen_records_refuse_assignment_and_deletion(cls, args, kwargs, fields, text, frozen):
+@pytest.mark.parametrize("cls, args, kwargs, fields, text", RECORDS, ids=IDS)
+def test_frozen_records_refuse_assignment_and_deletion(cls, args, kwargs, fields, text):
     x = cls(*args, **kwargs)
     name = fields[0] if fields else "anything"
-    if frozen:
-        with pytest.raises(AttributeError):
-            setattr(x, name, None)
-        with pytest.raises(AttributeError):
-            delattr(x, name)
-    else:
+    with pytest.raises(AttributeError):
         setattr(x, name, None)
-        assert getattr(x, name) is None
+    with pytest.raises(AttributeError):
+        delattr(x, name)
 
 
 def test_plan_result_constructors():

@@ -251,6 +251,8 @@ class TestBfsSolve:
 
 
 class TestAnalyze:
+    # the last column names the kernel where a bfs search ran, which alone
+    # counts states
     @pytest.mark.parametrize("name,engine,kernel_name", [
         ("chain.gurag", "nonneg", None),
         ("srd_groups.gurag", "srd", None),
@@ -260,7 +262,8 @@ class TestAnalyze:
     def test_auto_engine_and_kernel(self, golden, name, engine, kernel_name):
         doc = golden(name)
         res = analyze(doc.instance, doc.queries[0])
-        assert (res.engine, res.outcome, res.kernel) == (engine, "reachable", kernel_name)
+        assert (res.engine, res.outcome) == (engine, "reachable")
+        assert (res.states_explored is None) == (kernel_name is None)
         assert isinstance(validate_plan(doc.instance, res.plan, doc.queries[0]), Valid)
 
     def test_unknown_engine_rejected(self, golden):
@@ -691,10 +694,10 @@ bench_kernel = _load_script(ROOT / "benchmarks" / "bench_kernel.py")
 perfbench_gen = _load_script(ROOT / "perfbench" / "gen.py")
 
 
-@pytest.fixture(params=["python"])
+@pytest.fixture(params=[_kernel_py.KERNEL_NAME])
 def each_kernel(request):
-    """The name of the kernel that runs, as outcomes report it; a second,
-    compiled kernel once ran these tests too."""
+    """The one kernel's name, as ``oracle`` reports it, which the tests that
+    take it are parametrized by; no outcome names it."""
     return request.param
 
 
@@ -704,26 +707,24 @@ class TestBenchmarkExpectations:
         plan = Plan(tuple(c.request for c in compile_instance(inst).candidates))
         assert len(plan) == 12
         out = bfs_solve(inst, q)
-        assert out == Reachable(plan, 4096) and out.kernel == each_kernel
+        assert out == Reachable(plan, 4096)
 
     def test_criterion8_stops_at_the_state_bound(self, each_kernel):
         inst, q = perfbench_gen.criterion8_wide()
         out = bfs_solve(inst, q, SearchBounds(max_states=4096))
-        assert out == BoundExceeded("states", 4096) and out.kernel == each_kernel
+        assert out == BoundExceeded("states", 4096)
 
     def test_time_bound(self, each_kernel):
         # the states explored before the clock is read depend on the machine
         inst, q = bench_kernel.independent(20)
         out = bfs_solve(inst, q, SearchBounds(max_millis=1))
         assert isinstance(out, BoundExceeded) and out.bound == "millis"
-        assert out.kernel == each_kernel
 
     def test_largest_time_bound_never_stops_the_search(self, each_kernel):
         # the largest limit accepted, about 292 million years
         inst, q = bench_kernel.independent(12)
         out = bfs_solve(inst, q, SearchBounds(max_millis=2**63 - 1))
         assert isinstance(out, Reachable) and out.states_explored == 4096
-        assert out.kernel == each_kernel
         with pytest.raises(ValueError):
             SearchBounds(max_millis=2**63 + 5)
 
@@ -734,7 +735,7 @@ class TestBenchmarkExpectations:
         begun = time.monotonic()
         out = bfs_solve(inst, q, SearchBounds(max_depth=4001, max_millis=20))
         assert time.monotonic() - begun < 1
-        assert out == BoundExceeded("millis", out.states_explored) and out.kernel == each_kernel
+        assert out == BoundExceeded("millis", out.states_explored)
 
 
 def test_pure_kernel_keeps_one_small_link_per_visited_state():
@@ -807,7 +808,7 @@ def keeper_twin(instance):
 TWIN_BOUNDS = [SearchBounds(), SearchBounds(max_depth=2), SearchBounds(max_states=5)]
 
 
-def assert_twin_agrees(instance, q, kernel_name, bounds=TWIN_BOUNDS):
+def assert_twin_agrees(instance, q, bounds=TWIN_BOUNDS):
     """The instance compiles to its kept values plus one shared slot, its twin
     to one slot per value, and both give equal outcomes, strict and relaxed, at
     each bound; returns the instance's outcomes."""
@@ -821,7 +822,6 @@ def assert_twin_agrees(instance, q, kernel_name, bounds=TWIN_BOUNDS):
         for b in bounds:
             out = bfs_solve(instance, query, b)
             assert out == bfs_solve(twin, query, b), (query, b)
-            assert out.kernel == kernel_name
             outcomes.append(out)
     return outcomes
 
@@ -880,7 +880,7 @@ class TestIdleValues:
         for seed in range(500):
             inst, q = generate(cls, seed)
             if idle_values(inst):
-                assert_twin_agrees(inst, q, each_kernel)
+                assert_twin_agrees(inst, q)
                 twins += 1
         assert twins > 100
 
@@ -896,7 +896,7 @@ class TestIdleValues:
         inst = unwritten_instance()
         q = ReachabilityQuery({att: frozenset(vals) for att, vals in entries.items()})
         bounds = TWIN_BOUNDS[:1] + [SearchBounds(max_depth=1), SearchBounds(max_states=3)]
-        out = assert_twin_agrees(inst, q, each_kernel, bounds)
+        out = assert_twin_agrees(inst, q, bounds)
         # strict then relaxed, each uncut, then cut by depth and by states
         assert (out[0].outcome, out[3].outcome) == outcomes
         assert [o.bound for o in out] == [None, "depth", "states"] * 2
