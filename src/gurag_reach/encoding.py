@@ -226,9 +226,10 @@ def candidate_requests(instance: ProblemInstance) -> list[tuple[Request, Rule]]:
     """Each concrete request a rule can authorize, with that rule, in search
     order: by request, then by rule id.  A group-subject rule gives one
     request per group."""
-    # one flat key per request: its ``Request.sort_key`` and the rule's id,
-    # which no two requests share, then the request's group (or None) and the
-    # rule, which the sort never reaches
+    # one flat key per request: its relation's order, (att, val), group and
+    # role with "" for a field it lacks, and the rule's id, which no two
+    # requests share; then the request's group (or None) and the rule, which
+    # the sort never reaches
     groups = sorted(instance.groups)
     keys = []
     for rule in instance.rules:

@@ -44,7 +44,7 @@ from .model import (
     effective_groups,
     effective_user_attr,
 )
-from .policy import Relation, Rule
+from .policy import Relation, RestrictionFlags, Rule
 from .transition import (
     Plan,
     ReachabilityQuery,
@@ -66,6 +66,21 @@ NOTE_GROUP_CYCLE = "group-cycle-discarded"
 
 class RestrictionViolation(Exception):
     """The engine's restriction precondition does not hold for this rule set."""
+
+
+_NEGATION = ("no_negation", "rule set uses negation in preconditions")
+_DELETION = ("no_deletion", "rule set contains delete/remove rules")
+_SRD = ("single_rule_direct", "rule set violates single-rule-with-direct-conjuncts")
+
+# each planner's restriction flags, in the order its refusal checks them; the
+# planners in the order auto mode prefers them
+ADMISSION = {"nonneg": (_NEGATION, _DELETION), "srd": (_DELETION, _SRD)}
+
+
+def refusal(engine: str, flags: RestrictionFlags) -> Optional[str]:
+    """Why the planner ``engine`` refuses a rule set with ``flags``, or None."""
+    return next((message for flag, message in ADMISSION[engine]
+                 if not getattr(flags, flag)), None)
 
 
 class PlanResult(Frozen):
@@ -133,12 +148,8 @@ def solve_no_negation(instance: ProblemInstance, q: ReachabilityQuery) -> PlanRe
     run, and a sweep calls them directly; requests are applied to one
     ``WorkingState``.
     """
-    flags = instance.rules.restrictions
-    if not flags.no_negation:
-        raise RestrictionViolation("rule set uses negation in preconditions")
-    if not flags.no_deletion:
-        raise RestrictionViolation("rule set contains delete/remove rules")
-
+    if message := refusal("nonneg", instance.rules.restrictions):
+        raise RestrictionViolation(message)
     h = instance.hierarchy
     # the initial state itself is read until the first firing copies it
     state = instance.initial_state
@@ -211,15 +222,11 @@ def solve_no_negation(instance: ProblemInstance, q: ReachabilityQuery) -> PlanRe
 
 def _require_srd(instance: ProblemInstance) -> tuple[dict, dict]:
     """The rule set's SR_d table, (att, val) -> (rule, literals) and
-    group -> (rule, literals), if the srd engine applies."""
-    if not instance.rules.restrictions.no_deletion:
-        raise RestrictionViolation("rule set contains delete/remove rules")
-    table = instance.rules.srd_table
-    if table is None:
-        raise RestrictionViolation(
-            "rule set violates single-rule-with-direct-conjuncts"
-        )
-    return table
+    group -> (rule, literals); raises ``RestrictionViolation`` with
+    ``refusal``'s message unless the srd engine admits the rule set."""
+    if message := refusal("srd", instance.rules.restrictions):
+        raise RestrictionViolation(message)
+    return instance.rules.srd_table
 
 
 def _precedence(vertices: set, deps) -> set[tuple]:
@@ -285,20 +292,18 @@ def group_phase(instance: ProblemInstance, q: ReachabilityQuery) -> PlanResult:
                 return live
             live = kept
 
-    def edges_over(vertices):
-        # a dependency is assigned first; g is assigned while a blocker is absent
-        return _precedence(vertices, ((g, positive, other) for g in vertices
-                                      for positive, other in assign_rules[g][1]))
-
     vertices = prune({
         g for g in assign_rules
         if g not in state0.user_groups and _group_admissible(state0, h, q, g)
     })
-    edges = edges_over(vertices)
+    # a dependency is assigned first; g is assigned while a blocker is absent
+    edges = _precedence(vertices, ((g, positive, other) for g in vertices
+                                   for positive, other in assign_rules[g][1]))
     discard = _scc_discard(vertices, edges)
     if discard:
         vertices = prune(vertices - discard)  # discarding may strand positive dependencies
-        edges = edges_over(vertices)
+        # an edge's presence depends only on its ends being vertices
+        edges = {(a, b) for a, b in edges if a in vertices and b in vertices}
 
     order = _topo_order(vertices, edges)
     assert order is not None  # cycles were just removed

@@ -4,9 +4,10 @@ A rule set is classified along two independent axes: its *level* (whether
 preconditions may mention attributes other than the rule's own target, and
 whether group membership is administered at all) and its *restriction flags*
 (no negation anywhere, no delete/remove rules, single-rule-with-direct-conjuncts).
-``RuleSet.restrictions`` derives both in one pass, and the planners' gates and
-``analyze``'s engine choice read it; ``_srd_literals`` is the one per-rule
-SR_d shape test, shared by ``restrictions`` and ``RuleSet.srd_table``.
+``RuleSet.restrictions`` derives both in one pass and is the only test of
+the SR_d class; ``planner.refusal`` reads the flags to admit each engine, and
+``RuleSet.srd_table`` builds the srd engine's table only for a rule set in the
+class.
 """
 
 from __future__ import annotations
@@ -275,36 +276,27 @@ class RuleSet(Frozen):
 
     @cached_property
     def srd_table(self) -> Optional[tuple[dict, dict]]:
-        """The rule table of the paper's SR_d class, or None outside it.
+        """The rule table of the paper's SR_d class, or None outside it, as
+        ``restrictions.single_rule_direct`` decides.
 
-        SR_d (single rule with direct conjuncts): every precondition is a
-        conjunction of possibly-negated direct literals of its own kind,
-        memberships for a membership rule and the subject's values for a value
-        rule, so group assignment is independent of the values; and each value
-        pair or group has at most one add/assign rule.  The table maps each
-        (att, val) to its canAddU or canAddUG rule, and each group to its
-        canAssign rule, with the rule's literals as (positive, (att, val)) and
-        (positive, group) pairs.  Only the srd engine reads it: ``restrictions``
-        decides the class with the same per-rule test, ``_srd_literals``, and
-        builds no table.
+        The table maps each (att, val) to its canAddU or canAddUG rule, and
+        each group to its canAssign rule, with the rule's literals as
+        (positive, (att, val)) and (positive, group) pairs; delete rules have
+        no entry.  Only the srd engine reads it.
         """
+        if not self.restrictions.single_rule_direct:
+            return None
         pairs: dict[tuple[str, str], tuple[Rule, list]] = {}
         groups: dict[str, tuple[Rule, list]] = {}
         for rule in self.rules:
-            shape = _srd_literals(rule)
-            if shape is None:
-                return None
             if rule.relation.is_delete:
                 continue
-            membership = rule.relation.is_membership
-            # one rule per (att, val) across both add relations: a value pair
-            # is addable through the user or through groups, never both
-            table, key = ((groups, rule.target_group) if membership
-                          else (pairs, (rule.target_attr, rule.target_val)))
-            if key in table:
-                return None
-            table[key] = (rule, [(positive, lit.group) for positive, lit in shape] if membership
-                          else [(positive, (lit.att, lit.val)) for positive, lit in shape])
+            shape = _srd_literals(rule)
+            if rule.relation.is_membership:
+                groups[rule.target_group] = (rule, [(positive, lit.group) for positive, lit in shape])
+            else:
+                pairs[rule.target_attr, rule.target_val] = (
+                    rule, [(positive, (lit.att, lit.val)) for positive, lit in shape])
         return pairs, groups
 
     @cached_property
@@ -314,9 +306,11 @@ class RuleSet(Frozen):
 
         The level is G1plus if membership is administered or group literals
         appear, G1 if a value rule's precondition mentions a foreign
-        attribute, and G0 otherwise.  ``single_rule_direct`` is SR_d as
-        ``srd_table`` defines it: every rule passes ``_srd_literals`` and no
-        two add/assign rules share a target; the table itself is not built.
+        attribute, and G0 otherwise.  ``single_rule_direct`` is the only test
+        of the paper's SR_d class: every rule passes ``_srd_literals``, so
+        group assignment is independent of the values, and no two add/assign
+        rules share a target, a value pair (across both add relations) or a
+        group.
         """
         no_negation = no_deletion = srd = True
         group_level = cross_attribute = False

@@ -15,7 +15,7 @@ from . import _kernel_py
 from ._record import Frozen
 from .encoding import compile_instance
 from .model import ProblemInstance
-from .planner import NOTE_GROUP_CYCLE, solve_no_negation, solve_srd_no_delete
+from .planner import ADMISSION, NOTE_GROUP_CYCLE, refusal, solve_no_negation, solve_srd_no_delete
 from .transition import InvalidAt, Plan, ReachabilityQuery, Valid, validate_plan
 
 
@@ -115,18 +115,14 @@ def analyze(
 ) -> Analysis:
     """Decide reachability with one engine; every returned plan has replayed Valid.
 
-    "auto" picks the cheapest engine the rule set admits.  A forced planner
-    whose restrictions do not hold raises ``RestrictionViolation``, and an
+    "auto" picks the first planner of ``planner.ADMISSION`` that
+    ``planner.refusal`` admits, else "bfs".  A forced planner that refuses
+    the rule set raises ``RestrictionViolation`` with that refusal, and an
     unknown engine name ``ValueError``.
     """
     if engine == "auto":
         flags = instance.rules.restrictions
-        if flags.no_negation and flags.no_deletion:
-            engine = "nonneg"
-        elif flags.no_deletion and flags.single_rule_direct:
-            engine = "srd"
-        else:
-            engine = "bfs"
+        engine = next((e for e in ADMISSION if refusal(e, flags) is None), "bfs")
     if engine == "bfs":
         out = bfs_solve(instance, q, bounds)
         result = Analysis("bfs", out.outcome, out.plan, states_explored=out.states_explored,

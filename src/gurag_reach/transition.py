@@ -40,11 +40,6 @@ class Request(Frozen):
             raise PolicyError(f"wrong fields for {kind.request_name}: {group=}, {att=}, {val=}")
         self.__dict__.update(kind=kind, role=role, att=att, val=val, group=group)
 
-    @property
-    def sort_key(self) -> tuple:
-        """Deterministic ordering used everywhere a traversal order matters."""
-        return (self.kind.order, self.att or "", self.val or "", self.group or "", self.role)
-
     def render(self) -> str:
         # the fields a kind leaves None are exactly those its call omits
         args = [a for a in (self.role, self.group, self.att, self.val) if a is not None]

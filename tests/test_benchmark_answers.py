@@ -6,7 +6,8 @@ choice and fallback.  If that copy drifts from ``search.analyze``, the
 benchmark times answers that no user sees; so for every golden and malformed
 file, under each command that the cli-golden workload runs on it, and for
 serialized fuzz documents, its exit code and report must be the CLI's exit
-code and stdout.
+code and stdout; and its auto rule must pick ``analyze``'s engine under every
+combination of restriction flags.
 """
 
 import importlib.util
@@ -17,9 +18,10 @@ import pytest
 
 from gurag_reach.dsl import parse, serialize
 from gurag_reach.fuzz import CLASSES, generate
-from gurag_reach.search import SearchBounds
+from gurag_reach.search import SearchBounds, analyze
 
 from conftest import GOLDEN, MALFORMED, run_cli
+from test_planner import ADMISSION_QUERY, ADMISSION_TABLE, admission_case, admission_id
 
 PIPELINE = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "pipeline.py"
 
@@ -66,3 +68,12 @@ def test_fuzz_documents(pipeline, tmp_path, cls):
         path.write_text(serialize(instance, [q]))
         for command in ("classify", "solve", "oracle"):
             assert_same_answer(pipeline, command, path)
+
+
+@pytest.mark.parametrize("combo", ADMISSION_TABLE, ids=admission_id)
+def test_choose_engine_is_the_auto_rule(pipeline, combo):
+    # every (negation, deletion, SR_d) combination, which fuzz documents
+    # do not all reach
+    instance = admission_case(*combo)
+    assert pipeline.choose_engine(instance.rules.restrictions) == \
+        analyze(instance, ADMISSION_QUERY).engine

@@ -14,6 +14,7 @@ from gurag_reach.planner import (
     _scc_discard,
     attr_phase,
     group_phase,
+    refusal,
     solve_no_negation,
     solve_srd_no_delete,
 )
@@ -245,6 +246,64 @@ def test_empty_plan_and_unfired_planner_copy_no_state(monkeypatch):
     assert solve_no_negation(make([addu("x")]), wanted).plan == Plan(
         (Request(Relation.ADD_U, "r", "a", "x"),))
     assert len(copies) == 1
+
+
+NEGATION = "rule set uses negation in preconditions"
+DELETION = "rule set contains delete/remove rules"
+NOT_SRD = "rule set violates single-rule-with-direct-conjuncts"
+
+# (negation, deletion, SR_d) -> the engine auto mode runs, then the engine or
+# refusal of the forced nonneg planner and of the forced srd planner; a rule
+# set failing two checks is refused for the first in that planner's order
+ADMISSION_TABLE = {
+    (False, False, False): ("nonneg", "nonneg", NOT_SRD),
+    (False, False, True): ("nonneg", "nonneg", "srd"),
+    (False, True, False): ("bfs", DELETION, DELETION),
+    (False, True, True): ("bfs", DELETION, DELETION),
+    (True, False, False): ("bfs", NEGATION, NOT_SRD),
+    (True, False, True): ("srd", NEGATION, "srd"),
+    (True, True, False): ("bfs", NEGATION, DELETION),
+    (True, True, True): ("bfs", NEGATION, DELETION),
+}
+ADMISSION_QUERY = ReachabilityQuery({"a": frozenset({"x"})}, QueryType.RELAXED)
+
+
+def admission_id(combo):
+    return "".join("T" if flag else "F" for flag in combo)
+
+
+def admission_case(negation, deletion, srd):
+    """A rule set over a = {x, y} with these restriction flags: ``x`` is
+    added freely, and a negated literal, a delete rule and a second rule
+    for ``x`` (which leaves SR_d) each join it or not."""
+    rules = [addu("x")]
+    if negation:
+        rules.append(addu("y", Not(DirectVal("a", "x"))))
+    if deletion:
+        rules.append(Rule(Relation.DELETE_U, "r", TrueCond(), target_attr="a", target_val="x"))
+    if not srd:
+        rules.append(addu("x", DirectVal("a", "y")))
+    return make(rules, scopes={"a": frozenset({"x", "y"})})
+
+
+@pytest.mark.parametrize("combo", ADMISSION_TABLE, ids=admission_id)
+def test_admission_table(combo):
+    inst = admission_case(*combo)
+    flags = inst.rules.restrictions
+    assert (not flags.no_negation, not flags.no_deletion, flags.single_rule_direct) == combo
+    assert (inst.rules.srd_table is not None) == combo[2]
+
+    def engine_or_refusal(engine):
+        try:
+            return analyze(inst, ADMISSION_QUERY, engine).engine
+        except RestrictionViolation as violation:
+            return str(violation)
+
+    auto, *forced = ADMISSION_TABLE[combo]
+    assert engine_or_refusal("auto") == auto
+    for engine, expected in zip(("nonneg", "srd"), forced):
+        assert engine_or_refusal(engine) == expected
+        assert refusal(engine, flags) == (None if expected == engine else expected)
 
 
 class TestSrdRestrictions:

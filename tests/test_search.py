@@ -112,7 +112,9 @@ class TestEncoding:
     def test_candidates_sorted_deterministically(self):
         inst, _ = generate("any", 11)
         ci = compile_instance(inst)
-        keys = [(c.request.sort_key, c.rule_id) for c in ci.candidates]
+        # by request (relation, att, val, group, role), then by rule id
+        keys = [(c.request.kind.order, c.request.att or "", c.request.val or "",
+                 c.request.group or "", c.request.role, c.rule_id) for c in ci.candidates]
         assert keys == sorted(keys)
 
 
