@@ -15,11 +15,15 @@ violation, 5 internal failure, output that cannot be written included.
 ``run`` is the process entry of ``gurag-reach`` and ``python -m
 gurag_reach.cli``; it freezes the heap the imports built.  ``main`` serves
 in-process callers and leaves the garbage collector alone.
+
+A plain run, ``COMMAND FILE`` for a command that reads a FILE and a FILE not
+starting with ``-``, fills its namespace from ``DEFAULTS`` without importing
+argparse; every other argument list, options, ``--``, ``--help``, ``fuzz`` and
+usage errors included, goes through ``_parser``.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import errno
 import gc
@@ -28,14 +32,17 @@ import os
 import stat
 import sys
 import time
-from typing import NoReturn, Optional
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, NoReturn, Optional
 
 from . import __version__, _kernel_py
 from .dsl import Diagnostic, ParseResult, parse, serialize
-from .fuzz import CLASSES, run_fuzz
 from .planner import RestrictionViolation
 from .search import SearchBounds, analyze
 from .transition import InvalidAt, ReachabilityQuery, Valid, validate_plan
+
+if TYPE_CHECKING:
+    import argparse
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -221,6 +228,8 @@ def _replace(path: str, text: str):
 
 
 def fuzz(args: argparse.Namespace) -> int:
+    from .fuzz import run_fuzz
+
     cases = run_fuzz(args.cls, args.count, args.seed, _bounds(args))
     statuses = [c.status for c in cases]
     # every other status ("diverge", "invalid-plan") is a failure
@@ -241,9 +250,25 @@ def fuzz(args: argparse.Namespace) -> int:
 COMMANDS = {"classify": classify, "solve": solve, "validate": validate, "oracle": solve,
             "fmt": fmt, "fuzz": fuzz}
 
+_BOUND = SearchBounds()
+_BOUNDS = {"max_depth": _BOUND.max_depth, "max_states": _BOUND.max_states,
+           "max_ms": _BOUND.max_millis}
+_SEARCH = {"query": 0, "timing": False, **_BOUNDS}
+# the options of each command that reads a FILE, with their defaults: the
+# values of a plain run and the defaults ``_parser`` declares
+DEFAULTS = {
+    "classify": {},
+    "solve": {**_SEARCH, "engine": "auto"},
+    "validate": {"query": 0, "plan": 0, "timing": False},
+    "oracle": {**_SEARCH, "engine": "bfs"},
+    "fmt": {"check": False, "in_place": False},
+}
+
 
 def _non_negative(text: str) -> int:
     """A case count or an index: a non-negative integer, else a usage error."""
+    import argparse
+
     try:
         n = int(text)
     except ValueError:
@@ -254,6 +279,10 @@ def _non_negative(text: str) -> int:
 
 
 def _parser() -> argparse.ArgumentParser:
+    import argparse
+
+    from .fuzz import CLASSES
+
     parser = argparse.ArgumentParser(
         prog="gurag-reach",
         description="Reachability analysis for user attributes under administrative rules.")
@@ -267,32 +296,31 @@ def _parser() -> argparse.ArgumentParser:
                                   formatter_class=argparse.ArgumentDefaultsHelpFormatter)
         if file:
             sub.add_argument("file", metavar="FILE")
+            sub.set_defaults(**DEFAULTS[name])  # the option defaults, parents' included
         return sub
 
-    default = SearchBounds()
     bounds = argparse.ArgumentParser(add_help=False)
-    bounds.add_argument("--max-depth", type=int, default=default.max_depth,
-                        help="Deepest plan the search explores.")
-    bounds.add_argument("--max-states", type=int, default=default.max_states,
-                        help="Most states the search visits.")
-    bounds.add_argument("--max-ms", type=int, default=default.max_millis,
+    bounds.set_defaults(**_BOUNDS)
+    bounds.add_argument("--max-depth", type=int, help="Deepest plan the search explores.")
+    bounds.add_argument("--max-states", type=int, help="Most states the search visits.")
+    bounds.add_argument("--max-ms", type=int,
                         help="Wall-clock limit of the search in milliseconds.")
     search = argparse.ArgumentParser(add_help=False)
-    search.add_argument("--query", type=_non_negative, default=0,
+    search.add_argument("--query", type=_non_negative,
                         help="Index of the query to solve (files may hold several).")
     search.add_argument("--timing", action="store_true", help="Include elapsedMs in the report.")
 
     command("classify", "Report the rule-set level and restriction flags.")
     sub = command("solve", "Decide reachability and print a plan when one exists.",
                   [search, bounds])
-    sub.add_argument("--engine", default="auto", choices=["auto", "nonneg", "srd", "bfs"],
+    sub.add_argument("--engine", choices=["auto", "nonneg", "srd", "bfs"],
                      help="auto picks the cheapest engine the rule set admits.")
     sub = command("validate", "Replay a plan from the file and check it satisfies the query.")
-    sub.add_argument("--query", type=_non_negative, default=0, help="Index of the query.")
-    sub.add_argument("--plan", type=_non_negative, default=0, help="Index of the plan to validate.")
+    sub.add_argument("--query", type=_non_negative, help="Index of the query.")
+    sub.add_argument("--plan", type=_non_negative, help="Index of the plan to validate.")
     sub.add_argument("--timing", action="store_true", help="Include elapsedMs in the report.")
     command("oracle", "Exhaustive bounded search, ignoring any restriction structure.",
-            [search, bounds]).set_defaults(engine="bfs")
+            [search, bounds])
     sub = command("fmt", "Reprint a file in canonical form (sorted declarations, fixed spacing).")
     mode = sub.add_mutually_exclusive_group()
     mode.add_argument("--check", action="store_true",
@@ -308,9 +336,23 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _plain(argv: list[str]) -> Optional[SimpleNamespace]:
+    """The namespace ``_parser`` gives a plain run, ``COMMAND FILE`` with a
+    FILE not starting with ``-``, or None for any other ``argv``."""
+    if len(argv) == 2 and argv[0] in DEFAULTS and not argv[1].startswith("-"):
+        return SimpleNamespace(command=argv[0], file=argv[1], **DEFAULTS[argv[0]])
+    return None
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    """Run one command on ``argv`` (default ``sys.argv[1:]``) and return its exit code."""
-    args = _parser().parse_args(argv)
+    """Run one command on ``argv`` (default ``sys.argv[1:]``) and return its exit code.
+
+    A plain run takes its command's ``DEFAULTS`` without building the
+    argument parser; every other ``argv`` is parsed by ``_parser``.
+    """
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _plain(argv) or _parser().parse_args(argv)
     return COMMANDS[args.command](args)
 
 

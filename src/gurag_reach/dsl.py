@@ -129,8 +129,10 @@ _LEXABLE = str.maketrans("", "", "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrst
 _SPACED = "{}=,;:>()"
 
 # ``_lex``, per line after its comment: blanks, then an identifier or a
-# punctuation token, or one unexpected character; trailing blanks match nothing
-_TOKEN = re.compile(r"([ \t\r]*)(?:([A-Za-z0-9_.]+|->|[{}=,;:>()])|([^ \t\r]))")
+# punctuation token, or one unexpected character; trailing blanks match nothing.
+# Compiled by ``_lex``'s first call (``re`` caches it), as only diagnostics
+# need token positions
+_TOKEN = r"([ \t\r]*)(?:([A-Za-z0-9_.]+|->|[{}=,;:>()])|([^ \t\r]))"
 
 # the texts of the punctuation tokens and of ``eof``; every other text is an
 # identifier
@@ -179,7 +181,7 @@ def _texts(source: str) -> Optional[list[str]]:
 def _lex(source: str) -> tuple[list[Token], list[Diagnostic]]:
     tokens: list[Token] = []
     diags: list[Diagnostic] = []
-    append, new, findall = tokens.append, tuple.__new__, _TOKEN.findall
+    append, new, findall = tokens.append, tuple.__new__, re.compile(_TOKEN).findall
     for lineno, line in enumerate(source.split("\n"), start=1):
         if "#" in line:
             line = line[:line.index("#")]

@@ -462,6 +462,29 @@ def test_long_input_does_not_exhaust_the_stack(tmp_path, document, exits, engine
         assert parse(results["fmt"].stdout).instance == parse(document).instance
 
 
+class TestPlainRun:
+    """``COMMAND FILE`` with no option skips argparse, with the same result."""
+
+    @pytest.mark.parametrize("command", cli.DEFAULTS)
+    def test_namespace_is_the_parsers(self, command):
+        argv = [command, str(GOLDEN / "chain.gurag")]
+        assert vars(cli._plain(argv)) == vars(cli._parser().parse_args(argv))
+
+    @pytest.mark.parametrize("argv", [
+        [], ["solve"], ["fuzz", "x"], ["solve", "-"], ["solve", "--", "x"], ["solve", "--timing"],
+        ["solve", "x", "--timing"], ["solve", "--timing", "x"], ["--help", "x"], ["x", "y"],
+    ])
+    def test_any_other_argv_is_parsed(self, argv):
+        assert cli._plain(argv) is None
+
+    @pytest.mark.parametrize("path", sorted([*GOLDEN.glob("*.gurag"), *MALFORMED.glob("*.gurag")]),
+                             ids=lambda p: f"{p.parent.name}/{p.stem}")
+    def test_run_is_the_parsed_run(self, path):
+        # ``--`` ends the options, so the second run goes through argparse
+        for command in cli.DEFAULTS:
+            assert run_cli(command, str(path)) == run_cli(command, "--", str(path)), command
+
+
 def test_version():
     res = run_cli("--version")
     assert res.exit_code == 0

@@ -9,6 +9,7 @@ its fields: equality is type-sensitive and compares them as a tuple, and
 
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -43,7 +44,7 @@ from gurag_reach.transition import (
     Valid,
 )
 
-from conftest import child_env
+from conftest import GOLDEN, child_env
 
 REQ = Request(Relation.ADD_U, "r", att="a", val="v")
 REQ_REPR = "Request(kind=<Relation.ADD_U: 'canAddU'>, role='r', att='a', val='v', group=None)"
@@ -229,3 +230,20 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     out = subprocess.run([sys.executable, "-c", code], env=child_env(),
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[] 0"
+
+
+def test_plain_cli_run_loads_neither_argparse_nor_fuzz():
+    # a plain ``solve FILE`` never builds the argument parser, whose message
+    # lookups import gettext and locale, and only the fuzz command needs fuzz
+    code = textwrap.dedent("""
+        import contextlib, io, sys
+        before = set(sys.modules)
+        import gurag_reach.cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = gurag_reach.cli.main(["solve", sys.argv[1]])
+        parser = {"argparse", "gettext", "locale", "gurag_reach.fuzz"}
+        print(code, sorted(parser & (set(sys.modules) - before)))
+    """)
+    out = subprocess.run([sys.executable, "-c", code, str(GOLDEN / "chain.gurag")],
+                         env=child_env(), capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "0 []"

@@ -3,7 +3,10 @@
 ``tests/data/reports/<file>.<command>.out`` holds the stdout of one command on
 one golden file, and ``exit_codes.json`` its exit code.  ``diagnostics.json``
 holds the stderr and exit code of ``classify`` on each malformed file, with the
-file's path replaced by ``<file>``.  Regenerate all of them with
+file's path replaced by ``<file>``.  ``usage.json`` holds the stdout, stderr
+and exit code of a fresh ``python -m gurag_reach.cli`` under ``COLUMNS=80`` for
+help, the version and five usage errors, the text argparse writes.  Regenerate
+all of them with
 ``PYTHONPATH=src python tests/test_report_snapshots.py`` only when a report or
 diagnostic change is intended.
 """
@@ -25,6 +28,20 @@ COMMANDS = {
     "solve-bfs": ["solve", "--engine", "bfs"],
     "oracle": ["oracle"],
     "validate": ["validate"],
+}
+
+
+# the runs whose output argparse writes: help, the version and usage errors
+USAGE = {
+    "help": ["--help"],
+    "version": ["--version"],
+    **{f"{command}-help": [command, "--help"]
+       for command in ("classify", "solve", "validate", "oracle", "fmt", "fuzz")},
+    "unknown-command": ["frobnicate", "FILE"],
+    "solve-without-file": ["solve"],
+    "solve-unknown-option": ["solve", "--bogus", "FILE"],
+    "solve-unknown-engine": ["solve", "--engine", "x", "FILE"],
+    "validate-negative-plan": ["validate", "--plan", "-1", "FILE"],
 }
 
 
@@ -52,6 +69,13 @@ def diagnostics(path):
     return {"exitCode": res.exit_code, "stderr": res.stderr.replace(str(path), "<file>")}
 
 
+def usage(argv):
+    proc = subprocess.run([sys.executable, "-m", "gurag_reach.cli", *argv], capture_output=True,
+                          env=child_env(COLUMNS="80", GURAG_REACH_COLOR="0"))
+    return {"argv": argv, "exitCode": proc.returncode,
+            "stdout": proc.stdout.decode(), "stderr": proc.stderr.decode()}
+
+
 @pytest.mark.parametrize("name,argv", cases(), ids=[name for name, _ in cases()])
 def test_report_matches_snapshot(name, argv):
     stdout, code = run(argv)
@@ -65,11 +89,17 @@ def test_every_snapshot_is_checked():
     assert set(json.loads((REPORTS / "exit_codes.json").read_text())) == names
     assert set(json.loads((REPORTS / "diagnostics.json").read_text())) == {
         p.stem for p in MALFORMED.glob("*.gurag")}
+    assert set(json.loads((REPORTS / "usage.json").read_text())) == set(USAGE)
 
 
 @pytest.mark.parametrize("path", sorted(MALFORMED.glob("*.gurag")), ids=lambda p: p.stem)
 def test_diagnostics_match_snapshot(path):
     assert diagnostics(path) == json.loads((REPORTS / "diagnostics.json").read_text())[path.stem]
+
+
+@pytest.mark.parametrize("name", USAGE)
+def test_usage_matches_snapshot(name):
+    assert usage(USAGE[name]) == json.loads((REPORTS / "usage.json").read_text())[name]
 
 
 # in a child without site-packages, refuse every import outside the standard library
@@ -103,5 +133,8 @@ if __name__ == "__main__":
     (REPORTS / "exit_codes.json").write_text(json.dumps(codes, indent=2, sort_keys=True) + "\n")
     diags = {path.stem: diagnostics(path) for path in sorted(MALFORMED.glob("*.gurag"))}
     (REPORTS / "diagnostics.json").write_text(json.dumps(diags, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {len(codes)} snapshots and {len(diags)} diagnostics to {REPORTS}",
+    runs = {name: usage(argv) for name, argv in USAGE.items()}
+    (REPORTS / "usage.json").write_text(json.dumps(runs, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {len(codes)} snapshots, {len(diags)} diagnostics and {len(runs)} usage runs "
+          f"to {REPORTS}",
           file=sys.stderr)
