@@ -6,66 +6,40 @@ and group memberships, can a set of administrative roles drive the user's
 of requests?  It ships a bounded exhaustive search (the oracle), two
 polynomial-time planners for restricted rule sets, a text format with a
 formatter, and a command-line front end.
+
+Each public name is imported from its module on first access, so that
+``import gurag_reach`` (and a CLI run, which imports the package first) loads
+no engine it does not use.
 """
 
-from types import ModuleType as _ModuleType
-
-from .model import (
-    DirectState,
-    GroupHierarchy,
-    ModelError,
-    ProblemInstance,
-    effective_group_attr,
-    effective_groups,
-    effective_user_attr,
-    validate_instance,
-)
-from .policy import (
-    And,
-    DirectGroup,
-    DirectVal,
-    EffGroup,
-    EffVal,
-    Level,
-    Not,
-    PolicyError,
-    Relation,
-    RestrictionFlags,
-    Rule,
-    RuleSet,
-    TrueCond,
-    conjunction,
-)
-from .transition import (
-    InvalidAt,
-    Plan,
-    QueryType,
-    QueryUnsatisfied,
-    ReachabilityQuery,
-    Request,
-    Valid,
-    eval_query,
-    validate_plan,
-)
-from .search import (
-    Analysis,
-    BoundExceeded,
-    Reachable,
-    SearchBounds,
-    Unreachable,
-    analyze,
-    bfs_solve,
-)
-from .planner import (
-    PlanResult,
-    RestrictionViolation,
-    solve_no_negation,
-    solve_srd_no_delete,
-)
-from .dsl import Diagnostic, ParseResult, parse, serialize
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-# the public names, not the submodules their imports bound
-__all__ = [name for name in dir()
-           if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]
+# each module and the public names it defines
+_NAMES = {
+    "model": ("DirectState", "GroupHierarchy", "ModelError", "ProblemInstance",
+              "effective_group_attr", "effective_groups", "effective_user_attr",
+              "validate_instance"),
+    "policy": ("And", "DirectGroup", "DirectVal", "EffGroup", "EffVal", "Level", "Not",
+               "PolicyError", "Relation", "RestrictionFlags", "RestrictionViolation", "Rule",
+               "RuleSet", "TrueCond", "conjunction"),
+    "transition": ("InvalidAt", "Plan", "QueryType", "QueryUnsatisfied", "ReachabilityQuery",
+                   "Request", "Valid", "eval_query", "validate_plan"),
+    "search": ("Analysis", "BoundExceeded", "Reachable", "SearchBounds", "Unreachable",
+               "analyze", "bfs_solve"),
+    "planner": ("PlanResult", "solve_no_negation", "solve_srd_no_delete"),
+    "dsl": ("Diagnostic", "ParseResult", "parse", "serialize"),
+}
+_HOME = {name: module for module, names in _NAMES.items() for name in names}
+
+# the public names, not the submodules
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value  # later lookups skip this function
+    return value

@@ -78,6 +78,8 @@ UNREACHABLE = 1
 DEPTH_EXCEEDED = 2
 STATES_EXCEEDED = 3
 MILLIS_EXCEEDED = 4
+# the ``bound`` that ``search.BoundExceeded`` reports for each cut
+BOUND_NAMES = {DEPTH_EXCEEDED: "depth", STATES_EXCEEDED: "states", MILLIS_EXCEEDED: "millis"}
 
 # byte -> the indices of its set bits, in order: the bytes from 2^j up to
 # 2^(j + 1) hold j and the bits of the bytes below 2^j

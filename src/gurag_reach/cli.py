@@ -27,7 +27,6 @@ from __future__ import annotations
 import contextlib
 import errno
 import gc
-import json
 import os
 import stat
 import sys
@@ -35,9 +34,9 @@ import time
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, NoReturn, Optional
 
-from . import __version__, _kernel_py
+from . import __version__
 from .dsl import Diagnostic, ParseResult, parse, serialize
-from .planner import RestrictionViolation
+from .policy import RestrictionViolation
 from .search import SearchBounds, analyze
 from .transition import InvalidAt, ReachabilityQuery, Valid, validate_plan
 
@@ -123,11 +122,47 @@ def _bounds(args: argparse.Namespace) -> SearchBounds:
         _fail(f"error: {exc}", EXIT_BOUND)  # a usage error: code 2, as argparse gives
 
 
+_INF = float("inf")
+
+
+def _json(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, ``indent`` being the
+    line break and indent of ``value``'s own line.
+
+    A report's strings are printable ASCII without a quote or backslash, so
+    a report imports no ``json``; ``json.dumps`` writes any other string or
+    value, imported only then."""
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, str):
+        if value.isascii() and value.isprintable() and '"' not in value and "\\" not in value:
+            return f'"{value}"'
+    elif isinstance(value, int) or (isinstance(value, float) and -_INF < value < _INF):
+        return repr(value)
+    elif isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        items = [f"{_json(k)}: {_json(v, inner)}" for k, v in sorted(value.items())]
+        return "{" + inner + f",{inner}".join(items) + indent + "}"
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        items = [_json(v, inner) for v in value]
+        return "[" + inner + f",{inner}".join(items) + indent + "]"
+    import json
+
+    return json.dumps(value)
+
+
 def _report(doc: dict, elapsed_ms: Optional[float] = None):
     doc = {"schemaVersion": SCHEMA_VERSION, **doc}
     if elapsed_ms is not None:
         doc["elapsedMs"] = round(elapsed_ms, 3)
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    print(_json(doc))
 
 
 def classify(args: argparse.Namespace) -> int:
@@ -171,6 +206,8 @@ def solve(args: argparse.Namespace) -> int:
     if answer.bound is not None:
         doc["bound"] = answer.bound
     if args.command == "oracle":
+        from . import _kernel_py  # which the search has imported
+
         doc["kernel"] = _kernel_py.KERNEL_NAME
     _report(doc, (time.monotonic() - start) * 1000 if args.timing else None)
     return _EXIT_FOR[answer.outcome]

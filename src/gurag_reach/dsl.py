@@ -117,8 +117,9 @@ class ParseResult(Frozen):
 # error recovery needs a position.  Token ``i`` of one is token ``i`` of the
 # other.
 
-# a comment, which runs to the end of its line
-_COMMENT = re.compile(r"#[^\n]*")
+# a comment, which runs to the end of its line; compiled by its first use
+# (``re`` caches it), as few sources hold one
+_COMMENT = r"#[^\n]*"
 # deletes every character that may stand in a source free of comments: the
 # identifier characters, punctuation, blanks, line ends and ``-``; what is left
 # is a character ``_lex`` reports
@@ -165,7 +166,7 @@ def _texts(source: str) -> Optional[list[str]]:
     """The texts of ``_lex``'s tokens, ``eof``'s ``""`` last, or ``None``
     where ``_lex`` reports an unexpected character."""
     if "#" in source:
-        source = _COMMENT.sub("", source)
+        source = re.sub(_COMMENT, "", source)
     # a ``-`` that does not open ``->`` is reported too
     if source.translate(_LEXABLE) or source.count("-") != source.count("->"):
         return None

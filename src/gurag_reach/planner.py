@@ -44,7 +44,7 @@ from .model import (
     effective_groups,
     effective_user_attr,
 )
-from .policy import Relation, RestrictionFlags, Rule
+from .policy import Relation, RestrictionFlags, RestrictionViolation, Rule
 from .transition import (
     Plan,
     ReachabilityQuery,
@@ -62,10 +62,6 @@ CYCLE_IN_VALSET = "cycle-in-valset"
 FIXPOINT_EXHAUSTED = "fixpoint-exhausted"
 
 NOTE_GROUP_CYCLE = "group-cycle-discarded"
-
-
-class RestrictionViolation(Exception):
-    """The engine's restriction precondition does not hold for this rule set."""
 
 
 _NEGATION = ("no_negation", "rule set uses negation in preconditions")

@@ -384,6 +384,13 @@ class RestrictionFlags(Frozen):
                              single_rule_direct=single_rule_direct, level=level)
 
 
+class RestrictionViolation(Exception):
+    """The engine's restriction precondition does not hold for this rule set.
+
+    The planners raise it; it lives beside the flags so that the CLI can
+    catch it without importing them."""
+
+
 def check_restrictions(rules: RuleSet) -> RestrictionFlags:
     """``rules.restrictions``.  It exists only for ``perfbench/pipeline.py``,
     its one caller, until ROADMAP direction 1 moves the benchmark onto

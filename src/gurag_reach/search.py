@@ -4,18 +4,17 @@ The reachability problem is PSPACE-complete in general, so the exhaustive
 search is bounded; Unreachable is only ever claimed when the full reachable
 space was closed within the bounds.  The one kernel, ``_kernel_py.bfs``, is
 named by no outcome.  ``engine`` is ``analyze``'s choice among the bfs oracle
-and the planners.
+and the planners.  The kernel, with ``encoding``, and the planners are
+imported by the calls that run them, so a command that runs neither, such as
+``classify``, loads neither.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Union
 
-from . import _kernel_py
 from ._record import Frozen
-from .encoding import compile_instance
 from .model import ProblemInstance
-from .planner import ADMISSION, NOTE_GROUP_CYCLE, refusal, solve_no_negation, solve_srd_no_delete
 from .transition import InvalidAt, Plan, ReachabilityQuery, Valid, validate_plan
 
 
@@ -62,12 +61,6 @@ class BoundExceeded(Frozen):
 
 SearchOutcome = Union[Reachable, Unreachable, BoundExceeded]
 
-_BOUND_NAMES = {
-    _kernel_py.DEPTH_EXCEEDED: "depth",
-    _kernel_py.STATES_EXCEEDED: "states",
-    _kernel_py.MILLIS_EXCEEDED: "millis",
-}
-
 
 def bfs_solve(
     instance: ProblemInstance,
@@ -75,6 +68,9 @@ def bfs_solve(
     bounds: SearchBounds = SearchBounds(),
 ) -> SearchOutcome:
     """Shortest plan (lexicographically smallest among shortest) or exhaustion."""
+    from . import _kernel_py
+    from .encoding import compile_instance
+
     ci = compile_instance(instance)
     goal = ci.compile_query(q)
     start = ci.encode_state(instance.initial_state)
@@ -85,7 +81,7 @@ def bfs_solve(
         return Reachable(Plan(tuple(ci.candidates[i].request for i in plan_idx)), explored)
     if code == _kernel_py.UNREACHABLE:
         return Unreachable(explored)
-    return BoundExceeded(_BOUND_NAMES[code], explored)
+    return BoundExceeded(_kernel_py.BOUND_NAMES[code], explored)
 
 
 class Analysis(Frozen):
@@ -121,6 +117,8 @@ def analyze(
     unknown engine name ``ValueError``.
     """
     if engine == "auto":
+        from .planner import ADMISSION, refusal
+
         flags = instance.rules.restrictions
         engine = next((e for e in ADMISSION if refusal(e, flags) is None), "bfs")
     if engine == "bfs":
@@ -128,13 +126,16 @@ def analyze(
         result = Analysis("bfs", out.outcome, out.plan, states_explored=out.states_explored,
                           bound=out.bound)
     elif engine in ("nonneg", "srd"):
-        res = (solve_no_negation if engine == "nonneg" else solve_srd_no_delete)(instance, q)
-        if not res.reachable and engine == "srd" and NOTE_GROUP_CYCLE in res.notes:
+        from . import planner
+
+        res = (planner.solve_no_negation if engine == "nonneg"
+               else planner.solve_srd_no_delete)(instance, q)
+        if not res.reachable and engine == "srd" and planner.NOTE_GROUP_CYCLE in res.notes:
             # the two-phase planner is incomplete across discarded group
             # cycles; settle the answer exhaustively
             settled = analyze(instance, q, "bfs", bounds)
             return Analysis("srd+bfs", settled.outcome, settled.plan, settled.reason,
-                            (NOTE_GROUP_CYCLE,), settled.states_explored, settled.bound)
+                            (planner.NOTE_GROUP_CYCLE,), settled.states_explored, settled.bound)
         result = Analysis(engine, "reachable" if res.reachable else "unreachable",
                           res.plan, res.reason, res.notes)
     else:

@@ -9,8 +9,9 @@ import sys
 from contextlib import redirect_stderr
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from gurag_reach import _kernel_py, cli, search
+from gurag_reach import _kernel_py, cli, planner, search
 from gurag_reach.dsl import MAX_NESTING, parse, serialize
 from gurag_reach.planner import PlanResult
 from gurag_reach.transition import Plan
@@ -130,13 +131,13 @@ class TestSolve:
         assert (res.stdout, res.stderr) == ("", "error: search bounds must be positive\n")
 
     def test_plan_failing_replay_is_not_printed(self, monkeypatch):
-        solve = search.solve_no_negation
+        solve = planner.solve_no_negation
 
         def dropping_first_request(instance, q):
             res = solve(instance, q)
             return type(res).found(Plan(res.plan.requests[1:]), res.notes)
 
-        monkeypatch.setattr(search, "solve_no_negation", dropping_first_request)
+        monkeypatch.setattr(planner, "solve_no_negation", dropping_first_request)
         res = run_cli("solve", str(GOLDEN / "chain.gurag"))
         assert res.exit_code == 5
         assert res.stdout == ""
@@ -343,13 +344,13 @@ class TestFuzzCommand:
         assert counts == [20, 18, 1, 1, 0] and doc["failures"] == []
 
     def test_reports_each_failure(self, monkeypatch):
-        solve = search.solve_srd_no_delete
+        solve = planner.solve_srd_no_delete
 
         def dropping_first_request(instance, q):
             res = solve(instance, q)
             return type(res).found(Plan(res.plan.requests[1:]), res.notes)
 
-        monkeypatch.setattr(search, "solve_srd_no_delete", dropping_first_request)
+        monkeypatch.setattr(planner, "solve_srd_no_delete", dropping_first_request)
         res = run_cli("fuzz", "--class", "srd", "--count", "1")
         assert res.exit_code == 1
         doc = report(res)
@@ -358,14 +359,14 @@ class TestFuzzCommand:
         assert doc["failures"][0]["detail"].startswith("srd plan")
 
     # nonneg seed 0 is reachable and seed 1 unreachable, by planner and oracle
-    @pytest.mark.parametrize("name, patched, detail", [
-        ("bfs_solve", lambda *args: search.Unreachable(0),
+    @pytest.mark.parametrize("module, name, patched, detail", [
+        (search, "bfs_solve", lambda *args: search.Unreachable(0),
          "planner found a plan the oracle calls unreachable"),
-        ("solve_no_negation", lambda instance, q: PlanResult.failed("patched out"),
+        (planner, "solve_no_negation", lambda instance, q: PlanResult.failed("patched out"),
          "oracle reachable but planner failed: patched out"),
     ], ids=["oracle-unreachable", "planner-failed"])
-    def test_reports_each_divergence(self, monkeypatch, name, patched, detail):
-        monkeypatch.setattr(search, name, patched)
+    def test_reports_each_divergence(self, monkeypatch, module, name, patched, detail):
+        monkeypatch.setattr(module, name, patched)
         res = run_cli("fuzz", "--class", "nonneg", "--count", "2")
         assert res.exit_code == 1
         doc = report(res)
@@ -378,6 +379,47 @@ class TestFuzzCommand:
         assert res.exit_code == 2
         assert res.stdout == ""
         assert "argument --count" in res.stderr
+
+
+# strings with what ``json`` escapes: quotes, backslashes, control
+# characters, DEL, non-ASCII and astral characters
+_TEXT = st.text(st.sampled_from('"\\\x00\x1f\x7f\u00e9\u2028\U0001f600 a') | st.characters(),
+                max_size=6)
+_DOCS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | _TEXT,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(_TEXT, children, max_size=4),
+    max_leaves=12)
+
+
+class TestReportWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(_DOCS)
+    @example({"empty": [], "nested": {"inner": {}, "list": [[], {}]}})
+    @example({"elapsedMs": 0.1, "big": 10**30, "tiny": 5e-324, "neg": -0.0})
+    def test_writes_what_json_dumps_writes(self, doc):
+        assert cli._json(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+    @staticmethod
+    def assert_canonical(res):
+        assert res.stdout == json.dumps(json.loads(res.stdout), indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("solve", "--timing", str(GOLDEN / "chain.gurag")),
+        ("oracle", "--timing", str(GOLDEN / "chain.gurag")),
+        ("validate", "--timing", str(GOLDEN / "empty.gurag")),
+    ])
+    def test_timing_report(self, argv):
+        res = run_cli(*argv)
+        assert isinstance(report(res)["elapsedMs"], float)
+        self.assert_canonical(res)
+
+    def test_fuzz_report_with_failures(self, monkeypatch):
+        monkeypatch.setattr(planner, "solve_no_negation",
+                            lambda instance, q: PlanResult.failed('patched "out"\tnow'))
+        res = run_cli("fuzz", "--class", "nonneg", "--count", "2")
+        assert report(res)["failures"][0]["detail"].endswith('patched "out"\tnow')
+        self.assert_canonical(res)
 
 
 def test_missing_file_is_parse_error():

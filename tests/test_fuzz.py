@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from gurag_reach import search
+from gurag_reach import planner, search
 from gurag_reach.fuzz import CLASSES, check_case, generate, run_fuzz
 from gurag_reach.model import validate_instance
 from gurag_reach.transition import Plan
@@ -86,14 +86,14 @@ def test_case_result_is_deterministic():
 
 
 def test_plan_failing_replay_is_an_invalid_plan(monkeypatch):
-    solve = search.solve_srd_no_delete
+    solve = planner.solve_srd_no_delete
 
     def dropping_first_request(instance, q):
         res = solve(instance, q)
         return type(res).found(Plan(res.plan.requests[1:]), res.notes)
 
     assert len(solve(*generate("srd", 0)).plan) == 2
-    monkeypatch.setattr(search, "solve_srd_no_delete", dropping_first_request)
+    monkeypatch.setattr(planner, "solve_srd_no_delete", dropping_first_request)
     case = check_case("srd", 0)
     assert case.status == "invalid-plan"
     assert case.detail.startswith("srd plan")
@@ -107,13 +107,13 @@ def test_any_class_judges_auto_mode(monkeypatch):
     answer = search.analyze(instance, q)
     assert (answer.engine, len(answer.plan)) == ("srd", 2)
     assert check_case("any", 131).status == "agree"
-    solve = search.solve_srd_no_delete
+    solve = planner.solve_srd_no_delete
 
     def dropping_last_request(instance, q):
         res = solve(instance, q)
         return type(res).found(Plan(res.plan.requests[:-1]), res.notes)
 
-    monkeypatch.setattr(search, "solve_srd_no_delete", dropping_last_request)
+    monkeypatch.setattr(planner, "solve_srd_no_delete", dropping_last_request)
     case = check_case("any", 131)
     assert (case.status, case.detail) == (
         "invalid-plan", "srd plan replays but leaves the query unsatisfied")

@@ -247,3 +247,28 @@ def test_plain_cli_run_loads_neither_argparse_nor_fuzz():
     out = subprocess.run([sys.executable, "-c", code, str(GOLDEN / "chain.gurag")],
                          env=child_env(), capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "0 []"
+
+
+# of the modules a plain run may import, those each command loads: only
+# ``oracle`` runs the kernel and only a planner-answered ``solve`` the
+# planners, and no report imports ``json``
+@pytest.mark.parametrize("command, file, loaded", [
+    ("classify", "chain.gurag", []),
+    ("validate", "empty.gurag", []),
+    ("oracle", "chain.gurag", ["gurag_reach._kernel_py", "gurag_reach.encoding"]),
+    ("solve", "chain.gurag", ["gurag_reach.planner", "heapq"]),  # engine nonneg
+], ids=["classify", "validate", "oracle", "solve"])
+def test_plain_cli_run_loads_only_what_its_command_runs(command, file, loaded):
+    code = textwrap.dedent("""
+        import contextlib, io, sys
+        before = set(sys.modules)
+        import gurag_reach.cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = gurag_reach.cli.main(sys.argv[1:])
+        engines = {"gurag_reach.planner", "gurag_reach._kernel_py", "gurag_reach.encoding",
+                   "heapq", "json"}
+        print(code, sorted(engines & (set(sys.modules) - before)))
+    """)
+    out = subprocess.run([sys.executable, "-c", code, command, str(GOLDEN / file)],
+                         env=child_env(), capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == f"0 {loaded}"
